@@ -1,0 +1,72 @@
+"""Golden corpus: frozen stdout of fixed CLI invocations, compared byte for byte.
+
+Each case runs ``weil.cli.main`` in-process from the repository root, so the
+relative input paths (which the report echoes in ``command`` and hashes into
+``inputs_digest``) are the same on every run.  The files under
+``tests/golden/`` were written once and are never regenerated by the tests.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from weil.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+INPUTS = "tests/golden/inputs/"
+
+# (name, expected exit code, argv)
+CASES = [
+    ("basic-su2-2", 0, ["basic", "--algebra", "su2", "--degree", "2"]),
+    ("basic-su2-4", 0, ["basic", "--algebra", "su2", "--degree", "4"]),
+    ("basic-sl2-4", 0, ["basic", "--algebra", "sl2", "--degree", "4"]),
+    ("basic-sl2-6", 0, ["basic", "--algebra", "sl2", "--degree", "6"]),
+    ("basic-heisenberg3-3", 0, ["basic", "--algebra", "heisenberg3", "--degree", "3"]),
+    ("basic-heisenberg3-4", 0, ["basic", "--algebra", "heisenberg3", "--degree", "4"]),
+    ("invariants-heisenberg3-4", 0, ["invariants", "--algebra", "heisenberg3", "--max-degree", "4"]),
+    ("invariants-sl2-4", 0, ["invariants", "--algebra", "sl2", "--max-degree", "4"]),
+    ("cohomology-2-6", 0, ["cohomology", "--dim", "2", "--max-degree", "6"]),
+    ("equivariant-rot2", 0, ["equivariant", "--algebra", "abelian1", "--action", "rot2",
+                             "--degree", "1", "--poly-cap", "2"]),
+    ("equivariant-rot2-json", 0, ["equivariant", "--algebra", "abelian1", "--action-json",
+                                  INPUTS + "action_rot2_scaled.json",
+                                  "--degree", "2", "--poly-cap", "2"]),
+    ("equivariant-su2-adjoint", 0, ["equivariant", "--algebra", "su2", "--action", "adjoint",
+                                    "--degree", "2", "--poly-cap", "1"]),
+    ("equivariant-sl2-adjoint", 0, ["equivariant", "--algebra", "sl2", "--action", "adjoint",
+                                    "--degree", "1", "--poly-cap", "2"]),
+    ("equivariant-su2-trivial2", 0, ["equivariant", "--algebra", "su2", "--action", "trivial:2",
+                                     "--degree", "2", "--poly-cap", "1"]),
+    ("cw-su2-casimir", 0, ["cw", "--connection", INPUTS + "conn_su2.json",
+                           "--invariant", "casimir"]),
+    ("cw-heisenberg3-basis", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
+                                 "--invariant", "basis:1:1"]),
+    ("cw-heisenberg3-json", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
+                                "--invariant-json", INPUTS + "invariant_heisenberg3.json"]),
+    ("gauge-su2-quaternion", 0, ["gauge", "--connection", INPUTS + "conn_su2.json",
+                                 "--gauge", INPUTS + "gauge_quaternion.json"]),
+    ("gauge-heisenberg3-unipotent", 0, ["gauge", "--connection", INPUTS + "conn_heisenberg3.json",
+                                        "--gauge", INPUTS + "gauge_unipotent.json"]),
+    ("polyfunc-decompose", 0, ["polyfunc", "decompose", "--expr", "x^2*y - 3/2 + x, y^3",
+                               "--degree", "3", "--dim", "2",
+                               "--probes", INPUTS + "probes.json"]),
+    ("polyfunc-check", 0, ["polyfunc", "check", "--expr", "x^3 - y/2", "--degree", "2",
+                           "--dim", "2"]),
+    ("polyfunc-inject", 0, ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3",
+                            "--base-dim", "2"]),
+    ("oracle-1-1-2", 0, ["oracle", "--p", "1", "--q", "1", "--dimV", "2"]),
+    ("error-unknown-algebra", 1, ["basic", "--algebra", "nosuch", "--degree", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, code, argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(list(argv))
+    assert got == code
+    assert buf.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
