@@ -1,8 +1,10 @@
 """Differential forms with polynomial coefficients on affine charts R^m.
 
-A form is a sparse map (dx index set, monomial exponent vector) -> rational.
-Coefficients are polynomials, kept as sparse exponent-vector dicts, so the
-exterior derivative, wedge and pullback are all exact.
+A form is an element of the algebra of :mod:`weil.superalg` with odd dx_i
+and even x_i: a sparse map (dx index set, monomial exponent vector) ->
+rational.  Wedge is its product, d its derivation x_i -> dx_i, and pullback
+the algebra map x_j -> phi_j, dx_j -> d(phi_j), so all three are exact.
+Polynomial coefficients on their own are sparse exponent-vector dicts.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .liealg import frac
-from .masks import indices_of, mask_of, merge_sign
+from .masks import indices_of
+from .superalg import ONE, SuperElement, derivation, multiply, substitute
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]  # sparse polynomial
@@ -71,16 +74,6 @@ def poly_pow(p: Poly, k: int, m: int) -> Poly:
     return out
 
 
-def poly_diff(p: Poly, i: int) -> Poly:
-    out: Poly = {}
-    for e, c in p.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-    return out
-
-
 def poly_eval(p: Poly, point) -> Fraction:
     total = Fraction(0)
     for e, c in p.items():
@@ -114,23 +107,14 @@ def poly_compose(p: Poly, components, source_dim) -> Poly:
 # -- chart forms -------------------------------------------------------
 
 
-class ChartForm:
-    """Polynomial-coefficient differential form on R^m."""
+class ChartForm(SuperElement):
+    """Polynomial-coefficient differential form on R^m: dx_i odd, x_i even of degree 0."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, terms=None):
-        self.m = m
-        self.terms: dict[tuple[int, Mono], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = frac(c)
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def zero(cls, m):
-        return cls(m)
+    @property
+    def m(self):
+        return self.n
 
     @classmethod
     def from_poly(cls, m, p: Poly):
@@ -138,7 +122,7 @@ class ChartForm:
 
     @classmethod
     def constant(cls, m, c=1):
-        return cls(m, {(0, (0,) * m): frac(c)})
+        return cls.unit(m, c)
 
     @classmethod
     def dx(cls, m, i, coeff: Poly | None = None):
@@ -148,66 +132,13 @@ class ChartForm:
             coeff = poly_const(m, 1)
         return cls(m, {(1 << i, e): c for e, c in coeff.items()})
 
-    @classmethod
-    def monomial(cls, m, dx_indices, exponents, c=1):
-        return cls(m, {(mask_of(dx_indices), tuple(exponents)): frac(c)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ChartForm) and self.m == other.m and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return ChartForm(self.m, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ChartForm(self.m, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = frac(c)
-        return ChartForm(self.m, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def degrees(self):
-        return {bin(mask).count("1") for mask, _ in self.terms}
-
-    def degree(self):
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("form is not homogeneous (or is zero)")
-        return degs.pop()
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def coefficient(self, dx_indices) -> Poly:
-        mask = mask_of(dx_indices)
-        return {e: c for (mk, e), c in self.terms.items() if mk == mask}
+    @staticmethod
+    def key_degree(key):
+        return bin(key[0]).count("1")
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (bin(kv[0][0]).count("1"), kv[0][0], sum(kv[0][1]), kv[0][1]))
-
-    def _compat(self, other):
-        if self.m != other.m:
-            raise ValueError("chart dimension mismatch")
 
     def __repr__(self):
         if not self.terms:
@@ -221,35 +152,13 @@ class ChartForm:
         return " + ".join(bits)
 
 
-def wedge(a: ChartForm, b: ChartForm) -> ChartForm:
-    a._compat(b)
-    out: dict[tuple[int, Mono], Fraction] = {}
-    for (m1, e1), c1 in a.terms.items():
-        for (m2, e2), c2 in b.terms.items():
-            merged = merge_sign(m1, m2)
-            if merged is None:
-                continue
-            mask, sign = merged
-            key = (mask, tuple(x + y for x, y in zip(e1, e2)))
-            v = out.get(key, Fraction(0)) + sign * c1 * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return ChartForm(a.m, out)
+wedge = multiply
 
 
 def d(a: ChartForm) -> ChartForm:
-    """Exterior derivative."""
-    m = a.m
-    out = ChartForm.zero(m)
-    for (mask, e), c in a.terms.items():
-        coeff: Poly = {e: c}
-        for i in range(m):
-            dc = poly_diff(coeff, i)
-            if dc:
-                out = out + wedge(ChartForm.dx(m, i, dc), ChartForm(m, {(mask, (0,) * m): Fraction(1)}))
-    return out
+    """Exterior derivative: the odd derivation x_i -> dx_i, dx_i -> 0."""
+    m = a.n
+    return derivation(a, [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)], True)
 
 
 class PolyMap:
@@ -273,12 +182,7 @@ class PolyMap:
 
     def differential_row(self, j) -> ChartForm:
         """d(phi_j) as a 1-form on the source chart."""
-        out = ChartForm.zero(self.source_dim)
-        for t in range(self.source_dim):
-            dp = poly_diff(self.components[j], t)
-            if dp:
-                out = out + ChartForm.dx(self.source_dim, t, dp)
-        return out
+        return d(ChartForm.from_poly(self.source_dim, self.components[j]))
 
 
 def compose(phi: PolyMap, psi: PolyMap) -> PolyMap:
@@ -290,18 +194,9 @@ def compose(phi: PolyMap, psi: PolyMap) -> PolyMap:
 
 
 def pullback(phi: PolyMap, a: ChartForm) -> ChartForm:
-    """phi^* a; substitutes coordinates and differentials."""
+    """phi^* a: the algebra map x_j -> phi_j, dx_j -> d(phi_j)."""
     if a.m != phi.target_dim:
         raise ValueError("form lives on a chart of the wrong dimension")
     src = phi.source_dim
-    out = ChartForm.zero(src)
-    dcache = {}
-    for (mask, e), c in a.terms.items():
-        coeff = poly_compose({e: c}, phi.components, src)
-        piece = ChartForm.from_poly(src, coeff)
-        for j in indices_of(mask):
-            if j not in dcache:
-                dcache[j] = phi.differential_row(j)
-            piece = wedge(piece, dcache[j])
-        out = out + piece
-    return out
+    return substitute(a, [phi.differential_row(j) for j in range(phi.target_dim)],
+                      [ChartForm.from_poly(src, p) for p in phi.components], ChartForm.unit(src))

@@ -15,8 +15,9 @@ from itertools import permutations
 
 from . import linalg
 from .chart_forms import (ChartForm, Poly, PolyMap, d, poly_add, poly_const,
-                          poly_diff, poly_mul, poly_scale, pullback, wedge)
-from .liealg import LieAlgebra, builtin, frac
+                          poly_mul, poly_scale, pullback, wedge)
+from .liealg import LieAlgebra, builtin, check_representation, frac
+from .superalg import substitute
 from .weil_algebra import WeilElement
 from .invariant_polynomials import is_sym_element
 
@@ -85,23 +86,8 @@ def weil_to_chart(a: WeilElement, A: LieValuedForm) -> ChartForm:
     """Universal substitution lam_i -> A^i, lamt_i -> (dA)^i."""
     if a.n != A.algebra.dim:
         raise ValueError("element dimension does not match the connection algebra")
-    m = A.chart_dim
     dA = [d(c) for c in A.components]
-    out = ChartForm.zero(m)
-    for (e, s), coeff in a.terms.items():
-        piece = ChartForm.constant(m, coeff)
-        mask = e
-        i = 0
-        while mask:
-            if mask & 1:
-                piece = wedge(piece, A.components[i])
-            mask >>= 1
-            i += 1
-        for i, q in enumerate(s):
-            for _ in range(q):
-                piece = wedge(piece, dA[i])
-        out = out + piece
-    return out
+    return substitute(a, A.components, dA, ChartForm.unit(A.chart_dim))
 
 
 def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
@@ -118,26 +104,7 @@ def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
         raise ValueError("cw_form needs a homogeneous nonzero polynomial")
     if A.degree() not in (0, 1):
         raise ValueError("cw_form needs a 1-form connection")
-    F = curvature(A)
-    m = A.chart_dim
-    out = ChartForm.zero(m)
-    powers: dict[tuple[int, int], ChartForm] = {}
-
-    def fpow(i, q):
-        if (i, q) not in powers:
-            acc = ChartForm.constant(m)
-            for _ in range(q):
-                acc = wedge(acc, F.components[i])
-            powers[(i, q)] = acc
-        return powers[(i, q)]
-
-    for (e, s), coeff in P.terms.items():
-        piece = ChartForm.constant(m, coeff)
-        for i, q in enumerate(s):
-            if q:
-                piece = wedge(piece, fpow(i, q))
-        out = out + piece
-    return out
+    return substitute(P, A.components, curvature(A).components, ChartForm.unit(A.chart_dim))
 
 
 # -- matrix representations -------------------------------------------
@@ -152,17 +119,7 @@ class MatrixRep:
     mats: tuple  # n matrices, each tuple of row tuples of Fraction
 
     def validate(self):
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(n):
-                commutator = _mat_sub(_mat_mul_scalar(self.mats[i], self.mats[j]),
-                                      _mat_mul_scalar(self.mats[j], self.mats[i]))
-                expected = _mat_zero(self.size)
-                for (a, b, k), c in self.algebra.structure.items():
-                    if a == i and b == j:
-                        expected = _mat_add(expected, _mat_scale(self.mats[k], c))
-                if commutator != expected:
-                    raise ValueError(f"representation brackets do not match structure constants at ({i},{j})")
+        check_representation(self.algebra, self.mats)
 
     def flat_columns(self):
         """Flattened generator matrices as sparse columns for coordinate extraction."""
@@ -175,27 +132,6 @@ class MatrixRep:
                         col[r * self.size + c] = v
             cols.append(col)
         return cols
-
-
-def _mat_zero(r):
-    return tuple(tuple(Fraction(0) for _ in range(r)) for _ in range(r))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(x * c for x in ra) for ra in a)
-
-
-def _mat_mul_scalar(a, b):
-    r = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
 def make_rep(algebra, mats) -> MatrixRep:
@@ -379,19 +315,7 @@ def _form_mat_mul(A, B):
 
 
 def _differential_forms(g: GaugeTransform):
-    m = g.chart_dim
-    out = []
-    for row in g.entries:
-        drow = []
-        for p in row:
-            form = ChartForm.zero(m)
-            for i in range(m):
-                dp = poly_diff(dict(p), i)
-                if dp:
-                    form = form + ChartForm.dx(m, i, dp)
-            drow.append(form)
-        out.append(drow)
-    return out
+    return [[d(ChartForm.from_poly(g.chart_dim, p)) for p in row] for row in g.entries]
 
 
 def _lie_valued_to_matrix(B: LieValuedForm, rep: MatrixRep):

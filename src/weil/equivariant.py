@@ -1,9 +1,12 @@
 """The Weil model Omega(X; Koss g*) for a linear action on a chart.
 
-Elements are sums of (chart form term) x (Weil algebra term).  The total
-differential is d_X + d_K with the usual Koszul sign; the total contraction
-pairs the fundamental vector field of the linear action with the algebraic
-contraction on the Weil factor.
+Elements live in the super-commutative algebra of :mod:`weil.superalg` on
+m + n generator pairs: odd dx_1..dx_m, lam_1..lam_n and even x_1..x_m,
+lamt_1..lamt_n.  A key is one flat (mask, exponents) pair, and a chart form
+omega times a Weil element a is the product omega a, so the total
+differential D = d_X + d_K, the total contraction (the fundamental vector
+field of the action paired with the algebraic contraction) and the total Lie
+derivative are derivations given by their values on generators.
 
 Everything is computed inside explicit truncations: a total degree d and a
 polynomial coefficient degree cap c.  The operators raise the coefficient
@@ -13,19 +16,16 @@ bases with cap c + 1 -- nothing is silently truncated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .chart_forms import ChartForm, d as chart_d, poly_var
-from .liealg import LieAlgebra, basis_vector, frac
+from .chart_forms import ChartForm, d as chart_d
+from .liealg import LieAlgebra, basis_vector, check_representation, frac
 from .masks import mask_of
-from .weil_algebra import (WeilElement, contract as weil_contract, d_K,
-                           key_degree, term_sort_key, weil_basis)
-from .weil_algebra import sym_exponents
-
-TermKey = tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]
-# ((chart mask, monomial exponents), (weil ext mask, weil sym exponents))
+from .superalg import ONE, SuperElement, derivation, operator_rows, unit_exponent
+from .weil_algebra import (WeilElement, contraction_images, key_degree,
+                           lie_images, sym_exponents, term_sort_key,
+                           weil_basis)
 
 
 class WeilModel:
@@ -41,23 +41,9 @@ class WeilModel:
         for mat in self.action:
             if len(mat) != chart_dim or any(len(row) != chart_dim for row in mat):
                 raise ValueError("action matrices must be chart_dim x chart_dim")
-        self._validate_action()
+        check_representation(algebra, self.action)
 
-    def _validate_action(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                comm = _mat_sub(_mat_mul(self.action[i], self.action[j]),
-                                _mat_mul(self.action[j], self.action[i]))
-                expect = [[Fraction(0)] * self.m for _ in range(self.m)]
-                for (a, b, k), c in self.algebra.structure.items():
-                    if a == i and b == j:
-                        for r in range(self.m):
-                            for s in range(self.m):
-                                expect[r][s] += c * self.action[k][r][s]
-                if [list(r) for r in comm] != expect:
-                    raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
-
-    # -- elements ------------------------------------------------------
+    # -- elements and keys -----------------------------------------------
 
     def zero(self):
         return WeilModelElement(self, {})
@@ -65,29 +51,35 @@ class WeilModel:
     def element(self, terms):
         return WeilModelElement(self, terms)
 
+    def join(self, chart_key, weil_key):
+        """Flat key of (chart form key) x (Weil algebra key)."""
+        (fmask, mono), (wmask, sym) = chart_key, weil_key
+        return fmask | (wmask << self.m), mono + sym
+
+    def split(self, key):
+        """(chart form key, Weil algebra key) of a flat key."""
+        mask, exps = key
+        m = self.m
+        return (mask & ((1 << m) - 1), exps[:m]), (mask >> m, exps[m:])
+
     def from_pair(self, form: ChartForm, weil: WeilElement):
         if form.m != self.m or weil.n != self.n:
             raise ValueError("factor dimensions do not match the model")
         terms = {}
         for fk, fc in form.terms.items():
             for wk, wc in weil.terms.items():
-                terms[(fk, wk)] = fc * wc
+                terms[self.join(fk, wk)] = fc * wc
         return WeilModelElement(self, terms)
 
-    # -- operators -------------------------------------------------------
+    def _lift_chart(self, terms):
+        one = (0, (0,) * self.n)
+        return {self.join(k, one): c for k, c in terms.items()}
 
-    def total_d(self, w: "WeilModelElement") -> "WeilModelElement":
-        """D(omega x a) = d_X omega x a + (-1)^{deg omega} omega x d_K a."""
-        out: dict[TermKey, Fraction] = {}
-        for (fk, wk), c in w.terms.items():
-            df = chart_d(ChartForm(self.m, {fk: c}))
-            for fk2, c2 in df.terms.items():
-                _acc(out, (fk2, wk), c2)
-            sign = -1 if bin(fk[0]).count("1") % 2 else 1
-            da = d_K(WeilElement(self.n, {wk: c * sign}))
-            for wk2, c2 in da.terms.items():
-                _acc(out, (fk, wk2), c2)
-        return WeilModelElement(self, out)
+    def _lift_weil(self, terms):
+        one = (0, (0,) * self.m)
+        return {self.join(one, k): c for k, c in (terms or {}).items()}
+
+    # -- operators: generator images for superalg.derivation ------------------
 
     def vector_field(self, xi):
         """Components of the fundamental field x -> rho(xi) x as degree-1 polynomials."""
@@ -98,41 +90,44 @@ class WeilModel:
             p = {}
             for s in range(self.m):
                 if rho[r][s]:
-                    p.update(poly_var(self.m, s, rho[r][s]))
+                    p[unit_exponent(self.m, s)] = rho[r][s]
             comps.append(p)
         return comps
 
+    def _d_images(self):
+        """D (odd): x_t -> dx_t, lam_i -> lamt_i; dx_t and lamt_i are closed."""
+        m, n = self.m, self.n
+        zero = (0,) * (m + n)
+        return ([None] * m + [{(0, unit_exponent(m + n, m + i)): ONE} for i in range(n)],
+                [{(1 << t, zero): ONE} for t in range(m)] + [None] * n)
+
+    def _contract_images(self, xi):
+        """iota (odd): dx_t -> xi-hat_t, x_t -> 0, and iota_xi on the Weil generators."""
+        weil_odd, weil_even = contraction_images(self.algebra, xi)
+        fields = [ChartForm.from_poly(self.m, f).terms for f in self.vector_field(xi)]
+        return ([self._lift_chart(f) for f in fields] + [self._lift_weil(t) for t in weil_odd],
+                [None] * self.m + [self._lift_weil(t) for t in weil_even])
+
+    def _lie_images(self, xi):
+        """L = D iota + iota D (even): dx_t -> d(xi-hat_t), x_t -> xi-hat_t,
+        and L_xi on the Weil generators."""
+        weil_odd, weil_even = lie_images(self.algebra, xi)
+        fields = [ChartForm.from_poly(self.m, f) for f in self.vector_field(xi)]
+        return ([self._lift_chart(chart_d(f).terms) for f in fields]
+                + [self._lift_weil(t) for t in weil_odd],
+                [self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_even])
+
+    def total_d(self, w: "WeilModelElement") -> "WeilModelElement":
+        """D(omega x a) = d_X omega x a + (-1)^{deg omega} omega x d_K a."""
+        return derivation(w, *self._d_images(), True)
+
     def total_contract(self, xi, w: "WeilModelElement") -> "WeilModelElement":
         """iota(omega x a) = iota_{xi-hat} omega x a + (-1)^{deg omega} omega x iota_xi a."""
-        if len(xi) != self.n:
-            raise ValueError("vector dimension does not match the algebra")
-        vf = self.vector_field(xi)
-        out: dict[TermKey, Fraction] = {}
-        for (fk, wk), c in w.terms.items():
-            mask, mono = fk
-            # chart contraction: remove dx_t, multiply coefficient by the field component
-            pos = 0
-            rest = mask
-            t = 0
-            while rest:
-                if rest & 1:
-                    sign = -1 if pos % 2 else 1
-                    comp = vf[t]
-                    for e, cv in comp.items():
-                        mono2 = tuple(a + b for a, b in zip(mono, e))
-                        _acc(out, ((mask & ~(1 << t), mono2), wk), c * sign * cv)
-                    pos += 1
-                rest >>= 1
-                t += 1
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            ia = weil_contract(self.algebra, xi, WeilElement(self.n, {wk: c * sign}))
-            for wk2, c2 in ia.terms.items():
-                _acc(out, (fk, wk2), c2)
-        return WeilModelElement(self, out)
+        return derivation(w, *self._contract_images(xi), True)
 
     def total_lie(self, xi, w: "WeilModelElement") -> "WeilModelElement":
-        """Cartan formula on the total complex."""
-        return self.total_d(self.total_contract(xi, w)) + self.total_contract(xi, self.total_d(w))
+        """The Lie derivative, the even derivation [D, iota_xi]."""
+        return derivation(w, *self._lie_images(xi), False)
 
     # -- truncated bases and kernels --------------------------------------
 
@@ -145,28 +140,26 @@ class WeilModel:
                 for fmask in combinations(range(self.m), r):
                     for deg in range(poly_cap + 1):
                         for mono in sym_exponents(self.m, deg):
-                            keys.append(((mask_of(fmask), mono), wk))
-        keys.sort(key=_key_sort)
+                            keys.append(self.join((mask_of(fmask), mono), wk))
+        keys.sort(key=self._sort_key)
         return keys
 
-    def _operator_rows(self, op, dom_keys, cod_keys):
-        cod_index = {k: i for i, k in enumerate(cod_keys)}
-        rows: dict[int, dict[int, Fraction]] = {}
-        for j, key in enumerate(dom_keys):
-            img = op(WeilModelElement(self, {key: Fraction(1)}))
-            for k2, c in img.terms.items():
-                rows.setdefault(cod_index[k2], {})[j] = c
-        return [rows[i] for i in sorted(rows)]
+    def _sort_key(self, key):
+        (fmask, mono), wk = self.split(key)
+        total = bin(fmask).count("1") + key_degree(wk)
+        return (total, sum(mono), fmask, mono, term_sort_key(wk))
 
     def basic_constraint_rows(self, total_degree, poly_cap):
         dom = self.basis(total_degree, poly_cap)
         cod_iota = self.basis(total_degree - 1, poly_cap + 1) if total_degree > 0 else []
         cod_lie = self.basis(total_degree, poly_cap + 1)
+        zero = self.zero()
         rows = []
         for i in range(self.n):
             xi = basis_vector(self.n, i)
-            rows += self._operator_rows(lambda w, xi=xi: self.total_contract(xi, w), dom, cod_iota)
-            rows += self._operator_rows(lambda w, xi=xi: self.total_lie(xi, w), dom, cod_lie)
+            iota, lie = self._contract_images(xi), self._lie_images(xi)
+            rows += operator_rows(lambda w, t=iota: derivation(w, *t, True), zero, dom, cod_iota)
+            rows += operator_rows(lambda w, t=lie: derivation(w, *t, False), zero, dom, cod_lie)
         return dom, rows
 
     def basic_basis(self, total_degree, poly_cap):
@@ -179,78 +172,26 @@ class WeilModel:
         return len(dom) - linalg.rank(rows)
 
 
-class WeilModelElement:
+class WeilModelElement(SuperElement):
     """Sparse element of Omega(X) (x) Koss(g*), bound to its model."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model",)
 
     def __init__(self, model: WeilModel, terms=None):
+        super().__init__(model.m + model.n, terms)
         self.model = model
-        self.terms: dict[TermKey, Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                c = frac(c)
-                if c:
-                    self.terms[k] = c
 
-    def __bool__(self):
-        return bool(self.terms)
+    def with_terms(self, terms):
+        out = super().with_terms(terms)
+        out.model = self.model
+        return out
 
-    def __eq__(self, other):
-        return (isinstance(other, WeilModelElement) and self.model is other.model
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return WeilModelElement(self.model, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = frac(c)
-        return WeilModelElement(self.model, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def total_degree(self):
-        degs = {bin(fk[0]).count("1") + key_degree(wk) for fk, wk in self.terms}
-        if len(degs) != 1:
-            raise ValueError("element is not homogeneous (or is zero)")
-        return degs.pop()
+    def key_degree(self, key):
+        (fmask, _), wk = self.model.split(key)
+        return bin(fmask).count("1") + key_degree(wk)
 
     def __repr__(self):
         return f"WeilModelElement({len(self.terms)} terms)"
-
-
-def _acc(store, key, value):
-    v = store.get(key, Fraction(0)) + value
-    if v:
-        store[key] = v
-    else:
-        store.pop(key, None)
-
-
-def _key_sort(key: TermKey):
-    (fmask, mono), wk = key
-    total = bin(fmask).count("1") + key_degree(wk)
-    return (total, sum(mono), fmask, mono, term_sort_key(wk))
-
-
-def _mat_mul(a, b):
-    r = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- module-level operations -------------------------------------------

@@ -11,11 +11,9 @@ bidegree (0, k): one code path, one sign convention.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .liealg import LieAlgebra, basis_vector
-from .weil_algebra import (WeilElement, element_vector, lie_derivative,
+from .weil_algebra import (WeilElement, derivation, in_span, lie_images,
                            operator_rows, sym_exponents, term_sort_key,
                            vector_element)
 
@@ -34,10 +32,11 @@ def is_sym_element(a: WeilElement) -> bool:
 def _invariant_kernel(L: LieAlgebra, k):
     n = L.dim
     dom = sym_basis(n, k)
+    zero = WeilElement(n)
     rows = []
     for i in range(n):
-        xi = basis_vector(n, i)
-        rows += operator_rows(lambda a, xi=xi: lie_derivative(L, xi, a), n, dom, dom)
+        lie = lie_images(L, basis_vector(n, i))
+        rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom, dom)
     return dom, linalg.nullspace(rows, len(dom))
 
 
@@ -57,15 +56,4 @@ def in_invariant_span(L: LieAlgebra, element: WeilElement) -> bool:
     if not is_sym_element(element):
         raise ValueError("element has a nonzero exterior part")
     _, k = element.bidegree()
-    basis = invariant_basis(L, k)
-    index = {key: i for i, key in enumerate(sym_basis(L.dim, k))}
-    cols = [element_vector(b, index) for b in basis]
-    target = element_vector(element, index)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(cols + [target]):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    all_rows = list(rows.values())
-    without = [{j: c for j, c in r.items() if j < len(cols)} for r in all_rows]
-    without = [r for r in without if r]
-    return linalg.rank(all_rows) == linalg.rank(without)
+    return in_span(invariant_basis(L, k), element)

@@ -24,6 +24,8 @@ def rational_str(x) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    if isinstance(s, bool):
+        raise ValueError("rationals must be strings or integers, got bool")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
@@ -60,6 +62,36 @@ def algebra_from_json(obj) -> LieAlgebra:
     return make_lie_algebra(dim, table, name=obj.get("name"))
 
 
+# -- term keys ---------------------------------------------------------
+
+
+def _int_list(obj, field):
+    if not isinstance(obj, list) or any(type(x) is not int for x in obj):
+        raise ValueError(f"{field} must be a list of integers")
+    return obj
+
+
+def _terms_from_json(obj, odd_field, even_field, n):
+    """{(odd mask, exponents): coefficient} from a JSON term list.
+
+    Odd indices are 1-based, at most n and distinct; exponent vectors have n
+    nonnegative entries.  A missing field means no odd factor, or exponent 0.
+    """
+    if not isinstance(obj, list) or not all(isinstance(t, dict) for t in obj):
+        raise ValueError("a term list must be a JSON array of objects")
+    terms = {}
+    for entry in obj:
+        odd = _int_list(entry.get(odd_field, []), odd_field) if odd_field else []
+        if any(not 1 <= i <= n for i in odd):
+            raise ValueError(f"{odd_field} index out of range 1..{n}")
+        exps = _int_list(entry.get(even_field, [0] * n), even_field)
+        if len(exps) != n or any(x < 0 for x in exps):
+            raise ValueError(f"{even_field} must hold {n} nonnegative exponents")
+        key = (mask_of(i - 1 for i in odd), tuple(exps))
+        terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"])
+    return terms
+
+
 # -- Weil elements -----------------------------------------------------
 
 
@@ -72,14 +104,7 @@ def weil_element_to_json(a: WeilElement) -> list:
 
 
 def weil_element_from_json(n, obj) -> WeilElement:
-    terms = {}
-    for entry in obj:
-        ext = mask_of(i - 1 for i in entry.get("ext", []))
-        sym = tuple(entry.get("sym", [0] * n))
-        if len(sym) != n:
-            raise ValueError("sym exponent vector has the wrong length")
-        terms[(ext, sym)] = terms.get((ext, sym), Fraction(0)) + parse_rational(entry["c"])
-    return WeilElement(n, terms)
+    return WeilElement(n, _terms_from_json(obj, "ext", "sym", n))
 
 
 # -- chart forms and connections ---------------------------------------
@@ -95,15 +120,7 @@ def chart_form_to_json(a: ChartForm) -> dict:
 
 def chart_form_from_json(obj) -> ChartForm:
     m = obj["dim"]
-    terms = {}
-    for entry in obj.get("terms", []):
-        mask = mask_of(i - 1 for i in entry.get("dx", []))
-        mono = tuple(entry.get("mono", [0] * m))
-        if len(mono) != m:
-            raise ValueError("monomial exponent vector has the wrong length")
-        key = (mask, mono)
-        terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"])
-    return ChartForm(m, terms)
+    return ChartForm(m, _terms_from_json(obj.get("terms", []), "dx", "mono", m))
 
 
 def poly_to_json(p) -> list:
@@ -114,13 +131,7 @@ def poly_to_json(p) -> list:
 
 
 def poly_from_json(obj, m) -> dict:
-    p = {}
-    for entry in obj:
-        e = tuple(entry["mono"])
-        if len(e) != m:
-            raise ValueError("monomial exponent vector has the wrong length")
-        p[e] = p.get(e, Fraction(0)) + parse_rational(entry["c"])
-    return {e: c for e, c in p.items() if c}
+    return {e: c for (_, e), c in _terms_from_json(obj, None, "mono", m).items() if c}
 
 
 def connection_to_json(A: LieValuedForm) -> dict:

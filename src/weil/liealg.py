@@ -102,6 +102,23 @@ def validate(L: LieAlgebra):
     return None
 
 
+def check_representation(L: LieAlgebra, mats):
+    """Raise ValueError unless [rho_i, rho_j] = sum_k f^k_ij rho_k for all i, j."""
+    size = len(mats[0]) if mats else 0
+    idx = range(size)
+
+    def prod(a, b):
+        return [[sum(a[r][t] * b[t][s] for t in idx) for s in idx] for r in idx]
+
+    for i in range(L.dim):
+        for j in range(L.dim):
+            ab, ba = prod(mats[i], mats[j]), prod(mats[j], mats[i])
+            bracket = L.bracket_basis(i, j)
+            expect = [[sum(c * mats[k][r][s] for k, c in bracket.items()) for s in idx] for r in idx]
+            if [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)] != expect:
+                raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
+
+
 def coadjoint(L: LieAlgebra, xi):
     """Matrix M of ad*_xi on g* in the dual basis: (M c)_j = coords of ad*_xi(sum c_a l^a).
 

@@ -72,6 +72,13 @@ def rank(rows) -> int:
     return len(_forward_eliminate(rows))
 
 
+def in_span(columns, target) -> bool:
+    """Whether ``target`` is a combination of ``columns`` (sparse dicts
+    ``{row_index: value}``, possibly linearly dependent)."""
+    # a matrix and its transpose have the same rank, so columns go in as rows
+    return rank(list(columns) + [target]) == rank(columns)
+
+
 def rref(rows):
     """Reduced row echelon form.
 

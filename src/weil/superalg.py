@@ -1,0 +1,240 @@
+"""Sparse super-commutative polynomials with exact coefficients.
+
+The free graded-commutative algebra on n odd generators o_0..o_{n-1} and n
+even generators e_0..e_{n-1}: odd generators anticommute, even ones commute
+with everything.  The Weil algebra W(g) is this algebra with o = lam and
+e = lamt, chart forms Omega(R^m) have o = dx and e = x, and the Weil model
+Omega(R^m) (x) W(g) has all four (dx, lam odd; x, lamt even).
+
+A monomial o_S e^k is keyed by (mask of S, exponent tuple k) and stands for
+the odd factors in ascending order followed by the even factors; an element
+maps keys to nonzero Fractions.  Every derivation used in the package (d_K,
+contraction, Lie derivative, the de Rham d, the total D of the Weil model)
+is fixed by its values on generators and goes through :func:`derivation`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
+
+from . import linalg
+from .liealg import frac
+from .masks import indices_of, mask_of, merge_sign
+
+Key = tuple[int, tuple[int, ...]]  # (odd bitmask, even exponent vector)
+ONE = Fraction(1)
+
+
+def unit_exponent(n, i):
+    """The exponent vector of the single even generator e_i."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
+
+
+class SuperElement:
+    """Sparse element on n odd and n even generators; immutable by convention.
+
+    Subclasses fix the meaning of the generators: their constructors, their
+    grading (``key_degree``), term order and repr.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms: dict[Key, Fraction] = {}
+        if terms:
+            for key, c in terms.items():
+                c = frac(c)
+                if c:
+                    self.terms[key] = c
+
+    def with_terms(self, terms):
+        """An element of the same algebra with ``terms`` (nonzero Fractions, not copied)."""
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.terms = terms
+        return out
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    @classmethod
+    def unit(cls, n, c=1):
+        return cls(n, {(0, (0,) * n): c})
+
+    @classmethod
+    def monomial(cls, n, odd_indices, exponents, c=1):
+        return cls(n, {(mask_of(odd_indices), tuple(exponents)): c})
+
+    # -- structure ----------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def degrees(self):
+        return {self.key_degree(k) for k in self.terms}
+
+    def is_homogeneous(self):
+        return len(self.degrees()) <= 1
+
+    def degree(self):
+        degs = self.degrees()
+        if len(degs) != 1:
+            raise ValueError("element is not homogeneous (or is zero)")
+        return degs.pop()
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        self._compat(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return self.with_terms(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.with_terms({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = frac(c)
+        return self.with_terms({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def __mul__(self, other):
+        if isinstance(other, SuperElement):
+            return multiply(self, other)
+        return self.scale(other)
+
+    def _compat(self, other):
+        if self.n != other.n:
+            raise ValueError("dimension mismatch between elements")
+
+
+def _acc(out, key, v):
+    old = out.get(key)
+    if old is None:
+        out[key] = v
+    else:
+        v += old
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+
+def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
+    """Graded-commutative product; signs come from the odd generators only."""
+    a._compat(b)
+    out: dict[Key, Fraction] = {}
+    for (m1, e1), c1 in a.terms.items():
+        for (m2, e2), c2 in b.terms.items():
+            merged = merge_sign(m1, m2)
+            if merged is None:
+                continue
+            mask, sign = merged
+            v = c1 * c2
+            _acc(out, (mask, tuple(map(add, e1, e2))), v if sign > 0 else -v)
+    return a.with_terms(out)
+
+
+def derivation(a: SuperElement, odd_images, even_images, odd: bool) -> SuperElement:
+    """D(a) for the derivation with D(o_i) = odd_images[i], D(e_i) = even_images[i].
+
+    Images are term dicts {key: Fraction}; None or {} stands for zero.  An
+    odd D picks up (-1)^p when it passes p odd generators, an even D passes
+    them freely.  On the canonical factorization o_S e^k, D(o_i) replaces
+    o_i in place, and D(e_i) is put after the remaining factors, which are
+    even at that point of the sum, so only the odd prefix costs a sign.
+    """
+    out: dict[Key, Fraction] = {}
+    for (mask, exps), c in a.terms.items():
+        for p, i in enumerate(indices_of(mask)):
+            img = odd_images[i]
+            if not img:
+                continue
+            cs = -c if odd and p % 2 else c
+            prefix = mask & ((1 << i) - 1)
+            suffix = mask & ~((2 << i) - 1)
+            for (im, ie), ic in img.items():
+                if im:
+                    left = merge_sign(prefix, im)
+                    if left is None or left[0] & suffix:
+                        continue
+                    merged, sign = merge_sign(left[0], suffix)
+                    sign *= left[1]
+                else:
+                    merged, sign = prefix | suffix, 1
+                v = cs * ic
+                _acc(out, (merged, tuple(map(add, exps, ie))), v if sign > 0 else -v)
+        cs = -c if odd and bin(mask).count("1") % 2 else c
+        for i, q in enumerate(exps):
+            img = even_images[i]
+            if not q or not img:
+                continue
+            lowered = exps[:i] + (q - 1,) + exps[i + 1:]
+            cq = cs * q
+            for (im, ie), ic in img.items():
+                merged = merge_sign(mask, im)
+                if merged is None:
+                    continue
+                v = cq * ic
+                _acc(out, (merged[0], tuple(map(add, lowered, ie))), v if merged[1] > 0 else -v)
+    return a.with_terms(out)
+
+
+def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> SuperElement:
+    """The algebra map o_i -> odd_images[i], e_i -> even_images[i] applied to ``a``.
+
+    ``one`` is the unit of the target algebra; images of odd generators must
+    be odd and images of even generators even for the map to be well defined.
+    """
+    out = one.with_terms({})
+    for (mask, exps), c in a.terms.items():
+        piece = one.scale(c)
+        for i in indices_of(mask):
+            piece = multiply(piece, odd_images[i])
+        for i, q in enumerate(exps):
+            for _ in range(q):
+                piece = multiply(piece, even_images[i])
+        out = out + piece
+    return out
+
+
+def operator_rows(op, zero: SuperElement, domain_keys, codomain_keys):
+    """Constraint rows of the matrix of ``op`` over the given bases.
+
+    ``op`` maps elements of the algebra of ``zero`` to elements; rows are
+    indexed by codomain keys (ascending, only those ``op`` reaches), columns
+    by domain keys.
+    """
+    codomain_index = {k: i for i, k in enumerate(codomain_keys)}
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, key in enumerate(domain_keys):
+        for k2, c in op(zero.with_terms({key: ONE})).terms.items():
+            rows.setdefault(codomain_index[k2], {})[j] = c
+    return [rows[i] for i in sorted(rows)]
+
+
+def in_span(candidates, element: SuperElement) -> bool:
+    """Exact membership of ``element`` in the span of ``candidates``."""
+    index: dict[Key, int] = {}
+
+    def vector(e):
+        return {index.setdefault(k, len(index)): c for k, c in e.terms.items()}
+
+    return linalg.in_span([vector(e) for e in candidates], vector(element))

@@ -4,92 +4,51 @@ Generators: lam_i spanning the exterior factor (degree 1) and lamt_i spanning
 the symmetric factor (degree 2).  The Koszul differential sends lam_i to
 lamt_i and lamt_i to 0.  Only exterior generators anticommute.
 
-A basis monomial is keyed by (ext_mask, sym_exponents); term order is
-lexicographic by (total degree, ext mask, sym vector), which fixes the
-echelon bases produced by the kernel solvers.
+This is the algebra of :mod:`weil.superalg` with odd lam_i and even lamt_i:
+a basis monomial is keyed by (ext_mask, sym_exponents), and each derivation
+is a table of generator images.  Term order is lexicographic by (total
+degree, ext mask, sym vector), which fixes the echelon bases produced by the
+kernel solvers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from . import linalg
+from . import linalg, superalg
 from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
-from .masks import indices_of, mask_of, merge_sign
+from .masks import indices_of, mask_of
+from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
+                       in_span, multiply, operator_rows, unit_exponent)
 
-Key = tuple[int, tuple[int, ...]]  # (ext bitmask, sym exponent vector)
+
+def key_degree(key: Key) -> int:
+    e, s = key
+    return bin(e).count("1") + 2 * sum(s)
 
 
-class WeilElement:
-    """Sparse element of Lambda(V*) (x) Sym(V*); immutable by convention."""
+def term_sort_key(key: Key):
+    e, s = key
+    return (key_degree(key), e, s)
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[Key, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = frac(c)
-                if c:
-                    self.terms[key] = c
+class WeilElement(SuperElement):
+    """Sparse element of Lambda(V*) (x) Sym(V*): lam_i odd of degree 1, lamt_i even of degree 2."""
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n, c=1):
-        return cls(n, {(0, (0,) * n): frac(c)})
+    __slots__ = ()
 
     @classmethod
     def lam(cls, n, i, c=1):
         _check_index(n, i)
-        return cls(n, {(1 << i, (0,) * n): frac(c)})
+        return cls(n, {(1 << i, (0,) * n): c})
 
     @classmethod
     def lamt(cls, n, i, c=1):
         _check_index(n, i)
-        s = [0] * n
-        s[i] = 1
-        return cls(n, {(0, tuple(s)): frac(c)})
+        return cls(n, {(0, unit_exponent(n, i)): c})
 
-    @classmethod
-    def monomial(cls, n, ext_indices, sym_exponents, c=1):
-        return cls(n, {(mask_of(ext_indices), tuple(sym_exponents)): frac(c)})
-
-    # -- structure ----------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, WeilElement) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def items(self):
-        return self.terms.items()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
-
-    def degrees(self):
-        return {key_degree(k) for k in self.terms}
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("element is not homogeneous (or is zero)")
-        return degs.pop()
+    key_degree = staticmethod(key_degree)
 
     def bidegree(self):
         bids = {(bin(e).count("1"), sum(s)) for e, s in self.terms}
@@ -97,40 +56,8 @@ class WeilElement:
             raise ValueError("element is not bihomogeneous (or is zero)")
         return bids.pop()
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return WeilElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeilElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = frac(c)
-        return WeilElement(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __mul__(self, other):
-        if isinstance(other, WeilElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def _compat(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch between Weil elements")
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -148,111 +75,64 @@ def _check_index(n, i):
         raise IndexError(f"generator index {i} out of range for dimension {n}")
 
 
-def key_degree(key: Key) -> int:
-    e, s = key
-    return bin(e).count("1") + 2 * sum(s)
+def _check_algebra(L: LieAlgebra, a: WeilElement):
+    if L.dim != a.n:
+        raise ValueError("algebra dimension does not match element")
 
 
-def term_sort_key(key: Key):
-    e, s = key
-    return (key_degree(key), e, s)
+# -- derivations: generator-image tables for superalg.derivation -----
 
 
-# -- product ---------------------------------------------------------
+def koszul_images(n):
+    """d_K: lam_i -> lamt_i, lamt_i -> 0 (odd)."""
+    return [{(0, unit_exponent(n, i)): ONE} for i in range(n)], [None] * n
 
 
-def multiply(a: WeilElement, b: WeilElement) -> WeilElement:
-    """Graded-commutative product; signs come from the exterior factor only."""
-    a._compat(b)
-    out: dict[Key, Fraction] = {}
-    for (e1, s1), c1 in a.terms.items():
-        for (e2, s2), c2 in b.terms.items():
-            merged = merge_sign(e1, e2)
-            if merged is None:
-                continue
-            mask, sign = merged
-            key = (mask, tuple(x + y for x, y in zip(s1, s2)))
-            v = out.get(key, Fraction(0)) + sign * c1 * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return WeilElement(a.n, out)
-
-
-# -- derivations -----------------------------------------------------
-
-
-def odd_derivation(a: WeilElement, ext_images, sym_images) -> WeilElement:
-    """Extend generator images to an odd derivation.
-
-    ext_images[i] = D(lam_i), sym_images[i] = D(lamt_i); entries may be None
-    for zero.  D(g_1...g_r) = sum_k (-1)^(deg g_1+..+deg g_{k-1}) g_1..D(g_k)..g_r
-    over the canonical factorization (exterior generators ascending, then
-    symmetric generators).
-    """
-    n = a.n
-    zero_s = (0,) * n
-    out = WeilElement.zero(n)
-    for (e, s), c in a.terms.items():
-        ext = indices_of(e)
-        for k, i in enumerate(ext):
-            img = ext_images[i]
-            if not img:
-                continue
-            sign = -1 if k % 2 else 1  # k odd generators precede position k
-            prefix_mask = e & ((1 << i) - 1)
-            suffix_mask = e & ~((1 << (i + 1)) - 1)
-            piece = multiply(WeilElement(n, {(prefix_mask, zero_s): c * sign}), img)
-            piece = multiply(piece, WeilElement(n, {(suffix_mask, s): Fraction(1)}))
-            out = out + piece
-        # symmetric positions: the prefix always contains all p exterior
-        # generators; the image commutes with the remaining (even) symmetric
-        # factor, so it can be multiplied on the right.
-        sign = -1 if len(ext) % 2 else 1
-        for i, q in enumerate(s):
-            if not q:
-                continue
-            img = sym_images[i]
-            if not img:
-                continue
-            s2 = list(s)
-            s2[i] -= 1
-            piece = multiply(WeilElement(n, {(e, tuple(s2)): c * q * sign}), img)
-            out = out + piece
-    return out
-
-
-def d_K(a: WeilElement) -> WeilElement:
-    """Koszul differential: lam_i -> lamt_i, lamt_i -> 0, odd derivation."""
-    n = a.n
-    ext_images = [WeilElement.lamt(n, i) for i in range(n)]
-    return odd_derivation(a, ext_images, [None] * n)
-
-
-def contract(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
-    """Contraction iota_xi: lam_i -> <xi, lam_i>, lamt_i -> ad*_xi lam_i.
+def contraction_images(L: LieAlgebra, xi):
+    """iota_xi: lam_i -> <xi, lam_i>, lamt_i -> ad*_xi lam_i (odd).
 
     The symmetric-generator image is the coadjoint convention of
     :mod:`weil.liealg` applied with a plus sign; this is the choice under
     which iota_l(Omega^i) = 0 and the Cartan bracket identities hold.
     """
-    n = a.n
-    if L.dim != n:
-        raise ValueError("algebra dimension does not match element")
-    if len(xi) != n:
-        raise ValueError("vector dimension does not match algebra")
-    ext_images = [WeilElement.unit(n, xi[i]) if xi[i] else None for i in range(n)]
-    sym_images = []
-    for i in range(n):
-        img = coadjoint_dual_basis(L, xi, i)
-        sym_images.append(WeilElement(n, {(1 << j, (0,) * n): c for j, c in img.items()}) if img else None)
-    return odd_derivation(a, ext_images, sym_images)
+    n = L.dim
+    zero = (0,) * n
+    coadj = [coadjoint_dual_basis(L, xi, i) for i in range(n)]
+    return ([{(0, zero): frac(x)} if x else None for x in xi],
+            [{(1 << j, zero): c for j, c in co.items()} for co in coadj])
+
+
+def lie_images(L: LieAlgebra, xi):
+    """L_xi = d_K iota_xi + iota_xi d_K, an even derivation:
+    lam_i -> ad*_xi lam_i, lamt_i -> (ad*_xi lam_i)~."""
+    n = L.dim
+    zero = (0,) * n
+    coadj = [coadjoint_dual_basis(L, xi, i) for i in range(n)]
+    return ([{(1 << j, zero): c for j, c in co.items()} for co in coadj],
+            [{(0, unit_exponent(n, j)): c for j, c in co.items()} for co in coadj])
+
+
+def odd_derivation(a: WeilElement, ext_images, sym_images) -> WeilElement:
+    """The odd derivation with D(lam_i) = ext_images[i], D(lamt_i) = sym_images[i]
+    (term dicts; None for zero)."""
+    return derivation(a, ext_images, sym_images, True)
+
+
+def d_K(a: WeilElement) -> WeilElement:
+    """Koszul differential."""
+    return odd_derivation(a, *koszul_images(a.n))
+
+
+def contract(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
+    """Contraction iota_xi, see :func:`contraction_images`."""
+    _check_algebra(L, a)
+    return odd_derivation(a, *contraction_images(L, xi))
 
 
 def lie_derivative(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
-    """Cartan formula: L_xi = d_K iota_xi + iota_xi d_K."""
-    return d_K(contract(L, xi, a)) + contract(L, xi, d_K(a))
+    """Lie derivative L_xi, see :func:`lie_images`."""
+    _check_algebra(L, a)
+    return derivation(a, *lie_images(L, xi), False)
 
 
 # -- distinguished elements ------------------------------------------
@@ -285,19 +165,8 @@ def change_of_basis(L: LieAlgebra, a: WeilElement) -> WeilElement:
 
 
 def substitute(a: WeilElement, ext_images, sym_images) -> WeilElement:
-    """Multiplicative substitution of generators (images of lam_i must be odd,
-    images of lamt_i even, for the result to be well-defined)."""
-    n = a.n
-    out = WeilElement.zero(n)
-    for (e, s), c in a.terms.items():
-        piece = WeilElement.unit(n, c)
-        for i in indices_of(e):
-            piece = multiply(piece, ext_images[i])
-        for i, q in enumerate(s):
-            for _ in range(q):
-                piece = multiply(piece, sym_images[i])
-        out = out + piece
-    return out
+    """Multiplicative substitution of generators inside the Weil algebra."""
+    return superalg.substitute(a, ext_images, sym_images, WeilElement.unit(a.n))
 
 
 # -- bases and matrices ----------------------------------------------
@@ -343,34 +212,8 @@ def graded_dims(n, max_degree):
     return out
 
 
-def element_vector(a: WeilElement, index: dict[Key, int]):
-    vec = {}
-    for key, c in a.terms.items():
-        vec[index[key]] = c
-    return vec
-
-
 def vector_element(n, vec, keys):
     return WeilElement(n, {keys[i]: c for i, c in vec.items()})
-
-
-def operator_rows(op, n, domain_keys, codomain_keys):
-    """Rows of the matrix of ``op`` over the given bases: rows indexed by
-    codomain, columns by domain; returned as constraint rows (one per
-    codomain index) suitable for kernel computations."""
-    codomain_index = {k: i for i, k in enumerate(codomain_keys)}
-    cols = []
-    for key in domain_keys:
-        img = op(WeilElement(n, {key: Fraction(1)}))
-        col = {}
-        for k2, c in img.terms.items():
-            col[codomain_index[k2]] = c
-        cols.append(col)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    return [rows[i] for i in sorted(rows)]
 
 
 def koszul_cohomology_dims(n, max_degree):
@@ -380,9 +223,10 @@ def koszul_cohomology_dims(n, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     bases = {d: weil_basis(n, d) for d in range(max_degree + 2)}
+    zero, images = WeilElement(n), koszul_images(n)
     ranks = {}
     for d in range(max_degree + 1):
-        rows = operator_rows(d_K, n, bases[d], bases[d + 1])
+        rows = operator_rows(lambda a: odd_derivation(a, *images), zero, bases[d], bases[d + 1])
         ranks[d] = linalg.rank(rows)
     out = []
     for d in range(max_degree + 1):
@@ -399,29 +243,12 @@ def basic_subspace(L: LieAlgebra, total_degree):
     n = L.dim
     dom = weil_basis(n, total_degree)
     below = weil_basis(n, total_degree - 1) if total_degree > 0 else []
+    zero = WeilElement(n)
     rows = []
     for i in range(n):
         xi = basis_vector(n, i)
-        rows += operator_rows(lambda a, xi=xi: contract(L, xi, a), n, dom, below)
-        rows += operator_rows(lambda a, xi=xi: lie_derivative(L, xi, a), n, dom, dom)
+        iota, lie = contraction_images(L, xi), lie_images(L, xi)
+        rows += operator_rows(lambda a, t=iota: odd_derivation(a, *t), zero, dom, below)
+        rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom, dom)
     kernel = linalg.nullspace(rows, len(dom))
     return [vector_element(n, vec, dom) for vec in kernel]
-
-
-def in_span(candidates, element: WeilElement) -> bool:
-    """Exact membership of ``element`` in the span of ``candidates``."""
-    keys = sorted({k for e in candidates for k in e.terms} | set(element.terms),
-                  key=term_sort_key)
-    index = {k: i for i, k in enumerate(keys)}
-    cols = [element_vector(e, index) for e in candidates]
-    target = element_vector(element, index)
-    stacked = cols + [target]
-    return linalg.rank(_cols_to_rows(stacked)) == linalg.rank(_cols_to_rows(cols))
-
-
-def _cols_to_rows(cols):
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    return list(rows.values())

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from weil.liealg import basis_vector, builtin, coadjoint_dual_basis
+from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
+                         coadjoint_dual_basis)
 from weil.weil_algebra import (WeilElement, basic_subspace, change_of_basis,
                                contract, curvature_generator, d_K,
                                graded_dims, horizontal_project, in_span,
@@ -159,6 +160,18 @@ def test_lie_on_lam1_two_term_evaluation():
     assert not lie_derivative(SU2, basis_vector(3, 0), lam(0))
     # and a nonzero instance: L_{e1} lam_2 = ad*_{e1} lam_2 = lam_3
     assert lie_derivative(SU2, basis_vector(3, 0), lam(1)) == lam(2)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_lie_derivative_matches_cartan_formula(name):
+    # lie_derivative is one even derivation; the oracle is d_K iota + iota d_K
+    L = builtin(name)
+    rng = random.Random(29)
+    for degree in range(7):
+        for _ in range(3):
+            a = rand_element(rng, L.dim, degree)
+            xi = [Fraction(rng.randint(-2, 2)) for _ in range(L.dim)]
+            assert lie_derivative(L, xi, a) == d_K(contract(L, xi, a)) + contract(L, xi, d_K(a))
 
 
 def test_cartan_bracket_package():
