@@ -120,6 +120,8 @@ def chart_form_to_json(a: ChartForm) -> dict:
 
 def chart_form_from_json(obj) -> ChartForm:
     m = obj["dim"]
+    if type(m) is not int or m < 0:
+        raise ValueError("a chart form dim must be a nonnegative integer")
     return ChartForm(m, _terms_from_json(obj.get("terms", []), "dx", "mono", m))
 
 

@@ -113,15 +113,15 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("term", [
-    {"dx": [1], "mono": None, "c": "1"},
-    {"dx": [1], "mono": [0, -1], "c": "1"},
-    {"dx": [5], "mono": [0, 0], "c": "1"},
-    {"dx": [1], "mono": [0, 0], "c": True},
-], ids=["mono-null", "negative-exponent", "dx-out-of-range", "bool-coefficient"])
-def test_malformed_term_is_a_domain_error(tmp_path, capsys, term):
-    conn = {"algebra": "abelian(1)", "chart_dim": 2,
-            "components": [{"dim": 2, "terms": [term]}]}
+@pytest.mark.parametrize("component", [
+    {"dim": 2, "terms": [{"dx": [1], "mono": None, "c": "1"}]},
+    {"dim": 2, "terms": [{"dx": [1], "mono": [0, -1], "c": "1"}]},
+    {"dim": 2, "terms": [{"dx": [5], "mono": [0, 0], "c": "1"}]},
+    {"dim": 2, "terms": [{"dx": [1], "mono": [0, 0], "c": True}]},
+    {"dim": "2", "terms": [{"dx": [1], "c": "1"}]},
+], ids=["mono-null", "negative-exponent", "dx-out-of-range", "bool-coefficient", "string-dim"])
+def test_malformed_term_is_a_domain_error(tmp_path, capsys, component):
+    conn = {"algebra": "abelian(1)", "chart_dim": 2, "components": [component]}
     path = tmp_path / "conn.json"
     path.write_text(json.dumps(conn))
     code = main(["cw", "--connection", str(path)])
