@@ -1,23 +1,31 @@
-"""Brute-force dimensions of GL(W)-equivariant linear map spaces.
+"""Exact dimensions of GL(W)-equivariant linear map spaces.
 
 A problem is Hom(D, Lambda^r W*) where D is a tensor product of Sym/Lambda/
 Tensor factors built on W*, W* (x) V, Lambda^2 W*, or Lambda^2 W* (x) V.
-GL(W)-equivariance is realized as gl(W)-equivariance (covering the identity
-component) plus equivariance under one orientation-reversing reflection
-(covering the other component).
 
 Everything is enumerated over monomial bases.  Monomials are weight vectors
-for the diagonal gl(W) generators, so the diagonal constraints prune the
-unknowns to weight-matched pairs; the reflection acts diagonally with signs
-determined by the same weights, so it is checked per unknown; the
-off-diagonal generators contribute sparse linear constraints whose kernel is
-computed exactly.
+for the diagonal torus of GL(W), so an equivariant map sends a monomial only
+to the codomain monomial of the same weight: the unknowns are the
+weight-matched pairs (v, c).  A Lambda^r W* weight is a 0/1 vector and names
+its one codomain monomial, so the unknowns are the domain monomials of 0/1
+weight.  The torus contains the orientation-reversing reflection
+diag(-1, 1, ..., 1), which acts on a monomial of weight w by (-1)^{w_0} on
+either side; weight matching therefore implies equivariance under it, and
+with it under the component of GL(W) it lies in.
+
+On the identity component, equivariance is gl(W)-equivariance.  The X in
+gl(W) that commute with a map form a Lie subalgebra, and the diagonal with
+the simple root vectors E_{a,a+1}, E_{a+1,a} generates gl(W), so only these
+2(dim W - 1) generators give constraints.  E_ab moves a weight by
+-e_a + e_b, so its constraint rows meet only the weight-matched monomials
+and their simple-root neighbours (one entry 2 beside an entry 0); no other
+monomial is enumerated.  Every action coefficient is +-1 or +-2, so the rows
+are integer, and their kernel is computed exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -75,14 +83,9 @@ def base_elements(base, dim_w, dim_v):
     return [(i, j, a) for i, j in combinations(range(dim_w), 2) for a in range(dim_v)]
 
 
-def base_weight(base, elem, dim_w):
-    w = [0] * dim_w
-    if base in ("W", "WV"):
-        w[elem[0]] += 1
-    else:
-        w[elem[0]] += 1
-        w[elem[1]] += 1
-    return tuple(w)
+def slot_indices(base, elem):
+    """The W*-indices of a base monomial; its weight counts each once."""
+    return elem[:1] if base in ("W", "WV") else elem[:2]
 
 
 def base_action(base, a, b, elem):
@@ -90,10 +93,10 @@ def base_action(base, a, b, elem):
     out = []
     if base == "W":
         if elem[0] == a:
-            out.append(((b,), Fraction(-1)))
+            out.append(((b,), -1))
     elif base == "WV":
         if elem[0] == a:
-            out.append(((b, elem[1]), Fraction(-1)))
+            out.append(((b, elem[1]), -1))
     else:
         i, j = elem[0], elem[1]
         tail = elem[2:]
@@ -111,19 +114,7 @@ def base_action(base, a, b, elem):
 def _wedge2(x, y):
     if x == y:
         return None
-    return ((x, y), Fraction(1)) if x < y else ((y, x), Fraction(-1))
-
-
-def base_reflection_sign(base, elem):
-    """Sign of diag(-1, 1, ..., 1) acting on the monomial."""
-    if base in ("W", "WV"):
-        return -1 if elem[0] == 0 else 1
-    s = 1
-    if elem[0] == 0:
-        s = -s
-    if elem[1] == 0:
-        s = -s
-    return s
+    return ((x, y), 1) if x < y else ((y, x), -1)
 
 
 # -- factor and domain bases -------------------------------------------
@@ -154,7 +145,7 @@ def _canonical_factor(factor: Factor, slots):
     return tuple(sorted(lst)), sign
 
 
-def factor_action(factor: Factor, a, b, elem, dim_w, dim_v):
+def factor_action(factor: Factor, a, b, elem):
     """Derivation action of E_ab across the slots of one factor monomial."""
     out = {}
     for t, slot in enumerate(elem):
@@ -165,7 +156,7 @@ def factor_action(factor: Factor, a, b, elem, dim_w, dim_v):
             if canon is None:
                 continue
             key, sign = canon
-            v = out.get(key, Fraction(0)) + sign * coeff
+            v = out.get(key, 0) + sign * coeff
             if v:
                 out[key] = v
             else:
@@ -173,28 +164,81 @@ def factor_action(factor: Factor, a, b, elem, dim_w, dim_v):
     return list(out.items())
 
 
-def domain_basis(problem: EquivHomProblem):
-    per_factor = [factor_elements(f, problem.dim_w, problem.dim_v) for f in problem.domain]
-    return [tuple(ch) for ch in product(*per_factor)]
+def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
+    """Domain monomials that meet a codomain weight, as (monomial, weight).
+
+    By default these are the weight-matched monomials (0/1 weights), and more
+    than ``cap`` of them raise ResourceCapError.  With ``neighbours`` they are
+    the simple-root neighbours instead: one weight entry 2, next to an entry 0.
+    Slots are filled one at a time, the weight is kept up to date from each
+    factor's table of slot indices, and a partial monomial is dropped once its
+    excess, the sum over entries of max(entry - 1, 0), passes 0 (or 1 for
+    neighbours): weights only grow as slots are added.
+    """
+    n = problem.dim_w
+    max_excess = 1 if neighbours else 0
+    tables = []
+    for f in problem.domain:
+        elems = base_elements(f.base, n, problem.dim_v)
+        # where the next slot of the factor starts: sorted with repeats,
+        # strictly increasing, or anywhere
+        step = {"sym": 0, "ext": 1, "ten": None}[f.op]
+        tables.append((f.degree, step, elems, [slot_indices(f.base, e) for e in elems]))
+    weight = [0] * n
+    found = []
+
+    def fill(fi, parts, slots, start, excess):
+        if fi == len(tables):
+            if excess < max_excess:
+                return
+            if neighbours:
+                a = weight.index(2)
+                if not ((a > 0 and weight[a - 1] == 0) or (a + 1 < n and weight[a + 1] == 0)):
+                    return
+            found.append((parts, tuple(weight)))
+            if cap is not None and len(found) > cap:
+                raise ResourceCapError(
+                    f"problem needs at least {len(found)} unknowns, over the cap {cap}")
+            return
+        degree, step, elems, indices = tables[fi]
+        if len(slots) == degree:
+            fill(fi + 1, parts + (tuple(slots),), [], 0, excess)
+            return
+        for k in range(start, len(elems)):
+            idx = indices[k]
+            more = excess
+            for i in idx:
+                if weight[i]:
+                    more += 1
+                weight[i] += 1
+            if more <= max_excess:
+                slots.append(elems[k])
+                fill(fi, parts, slots, 0 if step is None else k + step, more)
+                slots.pop()
+            for i in idx:
+                weight[i] -= 1
+
+    fill(0, (), [], 0, 0)
+    return found
 
 
 def domain_weight(problem: EquivHomProblem, elem):
     w = [0] * problem.dim_w
     for f, part in zip(problem.domain, elem):
         for slot in part:
-            for idx, cnt in enumerate(base_weight(f.base, slot, problem.dim_w)):
-                w[idx] += cnt
+            for i in slot_indices(f.base, slot):
+                w[i] += 1
     return tuple(w)
 
 
 def domain_action(problem: EquivHomProblem, a, b, elem):
     out = {}
     for t, (f, part) in enumerate(zip(problem.domain, elem)):
-        for img, coeff in factor_action(f, a, b, part, problem.dim_w, problem.dim_v):
+        for img, coeff in factor_action(f, a, b, part):
             new = list(elem)
             new[t] = img
             key = tuple(new)
-            v = out.get(key, Fraction(0)) + coeff
+            v = out.get(key, 0) + coeff
             if v:
                 out[key] = v
             else:
@@ -202,51 +246,11 @@ def domain_action(problem: EquivHomProblem, a, b, elem):
     return list(out.items())
 
 
-def domain_reflection_sign(problem: EquivHomProblem, elem):
-    s = 1
-    for f, part in zip(problem.domain, elem):
-        for slot in part:
-            s *= base_reflection_sign(f.base, slot)
-    return s
-
-
-def codomain_basis(problem: EquivHomProblem):
-    return list(combinations(range(problem.dim_w), problem.codomain_degree))
-
-
-def codomain_weight(problem: EquivHomProblem, elem):
-    w = [0] * problem.dim_w
-    for i in elem:
-        w[i] += 1
-    return tuple(w)
-
-
 def codomain_action(a, b, elem):
-    out = {}
-    for t, i in enumerate(elem):
-        if i != a:
-            continue
-        slots = list(elem)
-        slots[t] = b
-        if len(set(slots)) != len(slots):
-            continue
-        sign = Fraction(-1)  # from w*_a -> -w*_b
-        lst = list(slots)
-        for x in range(len(lst)):
-            for y in range(x + 1, len(lst)):
-                if lst[x] > lst[y]:
-                    sign = -sign
-        key = tuple(sorted(slots))
-        v = out.get(key, Fraction(0)) + sign
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return list(out.items())
-
-
-def codomain_reflection_sign(elem):
-    return -1 if 0 in elem else 1
+    """E_ab on a Lambda^r W* monomial, a sorted tuple of W*-indices."""
+    ext = Factor("ext", len(elem), "W")
+    return [(tuple(slot[0] for slot in key), coeff)
+            for key, coeff in factor_action(ext, a, b, tuple((i,) for i in elem))]
 
 
 # -- the solver --------------------------------------------------------
@@ -257,69 +261,36 @@ DEFAULT_CAP = 20000
 
 def equivariant_hom_dim(problem: EquivHomProblem, cap=DEFAULT_CAP) -> int:
     """Exact dimension of the GL(W)-equivariant maps D -> Lambda^r W*."""
-    dom = domain_basis(problem)
-    cod = codomain_basis(problem)
-    if len(dom) * max(len(cod), 1) > cap:
-        raise ResourceCapError(
-            f"problem needs {len(dom)} x {len(cod)} unknowns, over the cap {cap}")
-    dom_index = {v: i for i, v in enumerate(dom)}
-    cod_index = {c: i for i, c in enumerate(cod)}
-
-    # diagonal gl(W) generators force weight matching (monomials are weight
-    # vectors); the reflection also acts diagonally, and a sign mismatch
-    # forces the entry to zero (with exact weight matching it never does)
-    cod_by_weight: dict[tuple, list[int]] = {}
-    for ci, c in enumerate(cod):
-        cod_by_weight.setdefault(codomain_weight(problem, c), []).append(ci)
-
-    unknowns: dict[tuple[int, int], int] = {}
-    cands: dict[int, list[int]] = {}  # vi -> matching codomain indices
-    vis_by_ci: dict[int, list[int]] = {}
-    for vi, v in enumerate(dom):
-        matched = []
-        sv = domain_reflection_sign(problem, v)
-        for ci in cod_by_weight.get(domain_weight(problem, v), ()):
-            if sv != codomain_reflection_sign(cod[ci]):
-                continue
-            unknowns[(vi, ci)] = len(unknowns)
-            matched.append(ci)
-            vis_by_ci.setdefault(ci, []).append(vi)
-        if matched:
-            cands[vi] = matched
-    if not unknowns:
+    if problem.total_w_weight() != problem.codomain_degree:
         return 0
+    n = problem.dim_w
+    matched = domain_basis(problem, cap=cap)
+    if not matched:
+        return 0
+    # a 0/1 weight has one codomain monomial, so a matched v is one unknown
+    unknown = {v: k for k, (v, _) in enumerate(matched)}
 
-    rows_by_key: dict[tuple, dict[int, Fraction]] = {}
-
-    def add(a, b, vi, ci, k, coeff):
-        row = rows_by_key.setdefault((a, b, vi, ci), {})
-        v = row.get(k, Fraction(0)) + coeff
-        if v:
-            row[k] = v
-        else:
-            row.pop(k, None)
-
-    for a in range(problem.dim_w):
-        for b in range(problem.dim_w):
-            if a == b:
-                continue
-            # row (vi, ci): [T(E_ab v)]_ci - [E_ab T(v)]_ci = 0
-            for vi, v in enumerate(dom):
-                for img, coeff in domain_action(problem, a, b, v):
-                    v2 = dom_index[img]
-                    for ci in cands.get(v2, ()):
-                        add(a, b, vi, ci, unknowns[(v2, ci)], coeff)
-            for ci, c in enumerate(cod):
-                vis = vis_by_ci.get(ci)
-                if not vis:
+    # row (E_ab, v): [T(E_ab v)]_c' - [E_ab T(v)]_c' = 0 for the codomain
+    # monomial c' of weight w(v) - e_a + e_b; it is nonzero only when that
+    # weight is 0/1, so w(v)_a is a 1 of a matched v or the 2 of a
+    # neighbour, and b is a zero next to a
+    rows = []
+    for group, top in ((matched, 1), (domain_basis(problem, neighbours=True), 2)):
+        for v, w in group:
+            for a in range(n):
+                if w[a] != top:
                     continue
-                for img, coeff in codomain_action(a, b, c):
-                    c2 = cod_index[img]
-                    for vi in vis:
-                        add(a, b, vi, c2, unknowns[(vi, ci)], -coeff)
-
-    rows = [r for r in rows_by_key.values() if r]
-    return len(unknowns) - linalg.rank(rows)
+                for b in (a - 1, a + 1):
+                    if not (0 <= b < n and w[b] == 0):
+                        continue
+                    row = {unknown[v2]: c for v2, c in domain_action(problem, a, b, v)}
+                    if top == 1:
+                        support = tuple(i for i in range(n) if w[i])
+                        for _, c in codomain_action(a, b, support):
+                            row[unknown[v]] = -c
+                    if row:
+                        rows.append(row)
+    return len(unknown) - linalg.rank(rows)
 
 
 @dataclass(frozen=True)
@@ -345,9 +316,12 @@ def verify_bidegree(p, q, dim_v, cap=DEFAULT_CAP) -> BidegreeReport:
     """Compare dim A^{p,q}(W) with dim Lambda^p V* (x) Sym^q V*."""
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
+    if dim_v < 0:
+        raise ValueError("dimV must be nonnegative")
     problem = bidegree_problem(p, q, dim_v)
     computed = equivariant_hom_dim(problem, cap=cap)
-    expected = comb(dim_v, p) * comb(dim_v + q - 1, q)
+    # dim Sym^0 V* is 1 also at dim V = 0, where comb(dim_v - 1, 0) is undefined
+    expected = comb(dim_v, p) * (comb(dim_v + q - 1, q) if q else 1)
     return BidegreeReport(p, q, dim_v, problem.dim_w, expected, computed,
                           expected == computed)
 

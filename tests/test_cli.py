@@ -52,6 +52,28 @@ def test_oracle_report(capsys):
                        "expected": 4, "computed": 4, "match": True}
 
 
+@pytest.mark.parametrize("p,expected", [(0, 1), (1, 0)])
+def test_oracle_at_dim_v_zero(capsys, p, expected):
+    code, out = run_cli(capsys, "oracle", "--p", str(p), "--q", "0", "--dimV", "0")
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["expected"] == results["computed"] == expected and results["match"]
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["--p", "0", "--q", "0", "--dimV", "-1"], "ValueError"),
+    # 945 perfect matchings of 10 indices x 3^5 V-labels = 229,635 unknowns
+    (["--p", "0", "--q", "5", "--dimV", "3"], "ResourceCapError"),
+], ids=["negative-dimV", "over-cap"])
+def test_oracle_refusal_is_a_domain_error(capsys, argv, kind):
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)
+    assert list(error) == ["error"] and error["error"]["type"] == kind
+    assert "Traceback" not in captured.err
+
+
 def test_equivariant_cli(capsys):
     code, out = run_cli(capsys, "equivariant", "--algebra", "abelian1",
                         "--action", "rot2", "--degree", "0", "--poly-cap", "2")

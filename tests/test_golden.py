@@ -58,6 +58,7 @@ CASES = [
     ("polyfunc-inject", 0, ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3",
                             "--base-dim", "2"]),
     ("oracle-1-1-2", 0, ["oracle", "--p", "1", "--q", "1", "--dimV", "2"]),
+    ("oracle-2-2-2", 0, ["oracle", "--p", "2", "--q", "2", "--dimV", "2"]),
     ("error-unknown-algebra", 1, ["basic", "--algebra", "nosuch", "--degree", "2"]),
 ]
 

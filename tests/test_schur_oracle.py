@@ -1,9 +1,96 @@
+from itertools import combinations, product
+
 import pytest
 
-from weil.schur_oracle import (EquivHomProblem, Factor, ResourceCapError,
-                               antisymmetrization_problem,
-                               equivariant_hom_dim,
-                               verify_bidegree)
+import weil.schur_oracle as schur_oracle
+from weil import linalg
+from weil.schur_oracle import (BASES, DEFAULT_CAP, EquivHomProblem, Factor,
+                               ResourceCapError, antisymmetrization_problem,
+                               bidegree_problem, codomain_action, domain_action,
+                               domain_weight, equivariant_hom_dim,
+                               factor_elements, verify_bidegree)
+
+
+def _reflection_sign(weight):
+    """diag(-1, 1, ..., 1) on a monomial of this weight."""
+    return -1 if weight and weight[0] % 2 else 1
+
+
+def _brute_hom_dim(problem):
+    """The oracle without its shortcuts: every domain monomial, all n(n-1)
+    off-diagonal E_ab, and the reflection checked per unknown."""
+    n = problem.dim_w
+    dom = list(product(*(factor_elements(f, n, problem.dim_v) for f in problem.domain)))
+    cod = list(combinations(range(n), problem.codomain_degree))
+    dom_index = {v: i for i, v in enumerate(dom)}
+    cod_index = {c: i for i, c in enumerate(cod)}
+    cod_weight = [tuple(int(i in c) for i in range(n)) for c in cod]
+    cod_by_weight = {}
+    for ci, w in enumerate(cod_weight):
+        cod_by_weight.setdefault(w, []).append(ci)
+
+    unknowns, cands, vis_by_ci = {}, {}, {}
+    for vi, v in enumerate(dom):
+        w = domain_weight(problem, v)
+        for ci in cod_by_weight.get(w, ()):
+            if _reflection_sign(w) != _reflection_sign(cod_weight[ci]):
+                continue
+            unknowns[(vi, ci)] = len(unknowns)
+            cands.setdefault(vi, []).append(ci)
+            vis_by_ci.setdefault(ci, []).append(vi)
+    if not unknowns:
+        return 0
+
+    rows = {}
+
+    def add(key, k, coeff):
+        row = rows.setdefault(key, {})
+        row[k] = row.get(k, 0) + coeff
+        if not row[k]:
+            del row[k]
+
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            # row (vi, ci): [T(E_ab v)]_ci - [E_ab T(v)]_ci = 0
+            for vi, v in enumerate(dom):
+                for img, coeff in domain_action(problem, a, b, v):
+                    v2 = dom_index[img]
+                    for ci in cands.get(v2, ()):
+                        add((a, b, vi, ci), unknowns[(v2, ci)], coeff)
+            for ci, c in enumerate(cod):
+                for img, coeff in codomain_action(a, b, c):
+                    for vi in vis_by_ci.get(ci, ()):
+                        add((a, b, vi, cod_index[img]), unknowns[(vi, ci)], -coeff)
+    return len(unknowns) - linalg.rank([r for r in rows.values() if r])
+
+
+def _grid():
+    for op in ("sym", "ext", "ten"):
+        for base in BASES:
+            for degree in range(4):
+                for r in range(5):
+                    for dim_w in (2, 3, 4):
+                        dim_v = 2 if base.endswith("V") else 0
+                        yield EquivHomProblem(dim_w, dim_v, (Factor(op, degree, base),), r)
+    for dim_v in (1, 2, 3):
+        for p in range(6):
+            for q in range(3):
+                if p + 2 * q <= 4 or (p + 2 * q == 5 and dim_v == 1):
+                    yield bidegree_problem(p, q, dim_v)
+    yield bidegree_problem(1, 2, 2)
+    for N in range(4):
+        for q in range(4):
+            yield antisymmetrization_problem(N, q, 4)
+    yield EquivHomProblem(4, 1, (Factor("ext", 2, "W"), Factor("sym", 1, "L2WV")), 4)
+    yield EquivHomProblem(4, 2, (Factor("ten", 2, "WV"), Factor("ext", 1, "L2W")), 4)
+    yield EquivHomProblem(3, 2, (Factor("sym", 1, "W"), Factor("ten", 1, "WV")), 2)
+
+
+def test_matches_brute_force():
+    for problem in _grid():
+        assert equivariant_hom_dim(problem) == _brute_hom_dim(problem), problem
 
 
 def test_antisymmetrization_is_the_only_map():
@@ -33,6 +120,22 @@ def test_all_desk_scale_bidegrees():
                     assert verify_bidegree(p, q, dim_v).match, (p, q, dim_v)
 
 
+def test_all_bidegrees_up_to_six_at_default_cap():
+    for dim_v in (1, 2):
+        for p in range(7):
+            for q in range(4):
+                if 4 < p + 2 * q <= 6:
+                    assert verify_bidegree(p, q, dim_v, cap=DEFAULT_CAP).match, (p, q, dim_v)
+
+
+def test_dim_v_zero_and_negative():
+    for p, q, expected in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+        r = verify_bidegree(p, q, 0)
+        assert r.expected == r.computed == expected and r.match, (p, q)
+    with pytest.raises(ValueError, match="dimV must be nonnegative"):
+        verify_bidegree(0, 0, -1)
+
+
 def test_scaling_selection_rule():
     # W*-weight of the domain different from r forces dimension zero
     mismatched = (
@@ -59,9 +162,23 @@ def test_trivial_problem_dim_w_zero():
 
 
 def test_resource_cap():
+    # the cap counts weight-matched unknowns: Tensor^7 W* -> Lambda^5 W* has
+    # none (scaling rule), however many monomials its domain has
     big = EquivHomProblem(5, 0, (Factor("ten", 7, "W"),), 5)
-    with pytest.raises(ResourceCapError):
-        equivariant_hom_dim(big)
+    assert equivariant_hom_dim(big) == 0
+
+
+def test_resource_cap_refuses_before_any_action(monkeypatch):
+    # Tensor^8 W* -> Lambda^8 W* at dim W 8: one unknown per permutation, 8! = 40,320
+    calls = []
+    action = schur_oracle.domain_action
+    monkeypatch.setattr(schur_oracle, "domain_action",
+                        lambda *args: calls.append(args) or action(*args))
+    over = EquivHomProblem(8, 0, (Factor("ten", 8, "W"),), 8)
+    with pytest.raises(ResourceCapError, match="over the cap 20000"):
+        equivariant_hom_dim(over)
+    assert calls == []
+    assert equivariant_hom_dim(antisymmetrization_problem(3, 3, 3)) == 1 and calls
 
 
 def test_factor_validation():
