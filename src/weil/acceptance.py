@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .chart_forms import ChartForm, PolyMap, d as chart_d, pullback
+from .chart_forms import ChartForm, PolyMap, d as chart_d, evaluate, pullback
 from .chern_weil import (LieValuedForm, builtin_rep, constant_gauge, cw_form,
                          gauge_transform, pullback_connection,
                          quaternion_matrix, unipotent_gauge)
@@ -154,7 +154,7 @@ def _rand_poly(rng, m, max_degree, nterms):
             e[rng.randrange(m)] += 1
         key = tuple(e)
         p[key] = p.get(key, Fraction(0)) + _rand_coeff(rng)
-    return {k: v for k, v in p.items() if v}
+    return ChartForm.from_poly(m, p)
 
 
 def _rand_connection(rng, L, m, max_degree=2):
@@ -267,12 +267,11 @@ def criterion_8(seed=108, cases=20):
         probes = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(src)) for _ in range(4)]
         dec = homogeneous_decompose(f, 3, probes, verify_scalars=(2, 3))
         # independent oracle: split the explicit polynomials by total degree
-        for pi, v in enumerate(probes):
-            for i in range(4):
-                expected = tuple(
-                    sum((c * _mono_eval(e, v) for e, c in p.items() if sum(e) == i),
-                        Fraction(0)) for p in polys)
-                if dec.components[i][pi] != expected:
+        for i in range(4):
+            parts = [ChartForm(src, {k: c for k, c in p.terms.items() if sum(k[1]) == i})
+                     for p in polys]
+            for pi, v in enumerate(probes):
+                if dec.components[i][pi] != tuple(evaluate(p, v) for p in parts):
                     recon_ok = False
     fabs = BlackBoxMap(1, 1, lambda v: (abs(v[0]),))
     verdict = is_polynomial(fabs, 2, [[(Fraction(1),), (Fraction(-1),)]])
@@ -288,14 +287,6 @@ def criterion_8(seed=108, cases=20):
     return CriterionResult(8, "appendix suite: decomposition, |x| falsified, restrictions injective",
                            passed, {"reconstructions": recon_ok, "abs_flagged": abs_flagged,
                                     "injectivity": inj})
-
-
-def _mono_eval(e, v):
-    out = Fraction(1)
-    for x, k in zip(v, e):
-        for _ in range(k):
-            out *= x
-    return out
 
 
 def _model_term(model, key, c):
@@ -337,7 +328,7 @@ def _chart_contract(model, vf, form):
         pos = 0
         for t in indices_of(mask):
             sign = -1 if pos % 2 else 1
-            for e, cv in vf[t].items():
+            for (_, e), cv in vf[t].terms.items():
                 mono2 = tuple(a + b for a, b in zip(mono, e))
                 out = out + ChartForm(model.m, {(mask & ~(1 << t), mono2): c * cv * sign})
             pos += 1

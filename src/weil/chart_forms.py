@@ -3,108 +3,16 @@
 A form is an element of the algebra of :mod:`weil.superalg` with odd dx_i
 and even x_i: a sparse map (dx index set, monomial exponent vector) ->
 rational.  Wedge is its product, d its derivation x_i -> dx_i, and pullback
-the algebra map x_j -> phi_j, dx_j -> d(phi_j), so all three are exact.
-Polynomial coefficients on their own are sparse exponent-vector dicts.
+the algebra map x_j -> phi_j, dx_j -> d(phi_j), so all three are exact.  A
+polynomial is a 0-form, and :func:`evaluate` gives its value at a point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .liealg import frac
 from .masks import indices_of
-from .superalg import ONE, SuperElement, derivation, multiply, substitute
-
-Mono = tuple[int, ...]
-Poly = dict[Mono, Fraction]  # sparse polynomial
-
-
-# -- polynomial helpers ------------------------------------------------
-
-
-def poly_const(m, c=1) -> Poly:
-    c = frac(c)
-    return {(0,) * m: c} if c else {}
-
-
-def poly_var(m, i, c=1) -> Poly:
-    e = [0] * m
-    e[i] = 1
-    c = frac(c)
-    return {tuple(e): c} if c else {}
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, Fraction(0)) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    c = frac(c)
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, Fraction(0)) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def poly_pow(p: Poly, k: int, m: int) -> Poly:
-    if k < 0:
-        raise ValueError("negative power")
-    out = poly_const(m, 1)
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out
-
-
-def poly_eval(p: Poly, point) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.items():
-        v = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                v *= x
-        total += v
-    return total
-
-
-def poly_compose(p: Poly, components, source_dim) -> Poly:
-    """Substitute x_i -> components[i] (polynomials in source_dim variables)."""
-    out: Poly = {}
-    cache: dict[tuple[int, int], Poly] = {}
-
-    def power(i, k):
-        if (i, k) not in cache:
-            cache[(i, k)] = poly_pow(components[i], k, source_dim)
-        return cache[(i, k)]
-
-    for e, c in p.items():
-        piece = poly_const(source_dim, c)
-        for i, k in enumerate(e):
-            if k:
-                piece = poly_mul(piece, power(i, k))
-        out = poly_add(out, piece)
-    return out
-
-
-# -- chart forms -------------------------------------------------------
+from .superalg import ONE, SuperElement, derivation, multiply, substitute, unit_exponent
 
 
 class ChartForm(SuperElement):
@@ -117,7 +25,8 @@ class ChartForm(SuperElement):
         return self.n
 
     @classmethod
-    def from_poly(cls, m, p: Poly):
+    def from_poly(cls, m, p):
+        """The 0-form of a polynomial given as {exponent tuple: coefficient}."""
         return cls(m, {(0, e): c for e, c in p.items()})
 
     @classmethod
@@ -125,12 +34,19 @@ class ChartForm(SuperElement):
         return cls.unit(m, c)
 
     @classmethod
-    def dx(cls, m, i, coeff: Poly | None = None):
+    def x(cls, m, i):
+        """The coordinate function x_i."""
+        if not 0 <= i < m:
+            raise IndexError(f"x index {i} out of range for chart dimension {m}")
+        return cls(m, {(0, unit_exponent(m, i)): ONE})
+
+    @classmethod
+    def dx(cls, m, i, coeff=None):
+        """coeff dx_i, with coeff a 0-form (1 when omitted)."""
         if not 0 <= i < m:
             raise IndexError(f"dx index {i} out of range for chart dimension {m}")
-        if coeff is None:
-            coeff = poly_const(m, 1)
-        return cls(m, {(1 << i, e): c for e, c in coeff.items()})
+        one = cls(m, {(1 << i, (0,) * m): ONE})
+        return one if coeff is None else multiply(coeff, one)
 
     @staticmethod
     def key_degree(key):
@@ -161,42 +77,53 @@ def d(a: ChartForm) -> ChartForm:
     return derivation(a, [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)], True)
 
 
+def evaluate(form: ChartForm, point) -> Fraction:
+    """The value of a 0-form at a point of R^m."""
+    total = Fraction(0)
+    for (mask, e), c in form.terms.items():
+        if mask:
+            raise ValueError("only a 0-form has a value at a point")
+        # repeated products are faster than x ** k on Fractions
+        for x, k in zip(point, e):
+            for _ in range(k):
+                c *= x
+        total += c
+    return total
+
+
 class PolyMap:
-    """Polynomial map R^source_dim -> R^target_dim."""
+    """Polynomial map R^source_dim -> R^target_dim; its components are 0-forms."""
 
     __slots__ = ("source_dim", "target_dim", "components")
 
     def __init__(self, source_dim, target_dim, components):
+        components = list(components)
         if len(components) != target_dim:
             raise ValueError("component count must equal target dimension")
+        if any(p.m != source_dim or p.degrees() - {0} for p in components):
+            raise ValueError("components must be 0-forms on the source chart")
         self.source_dim = source_dim
         self.target_dim = target_dim
-        self.components = [dict(p) for p in components]
+        self.components = components
 
     @classmethod
     def identity(cls, m):
-        return cls(m, m, [poly_var(m, i) for i in range(m)])
+        return cls(m, m, [ChartForm.x(m, i) for i in range(m)])
 
     def __call__(self, point):
-        return tuple(poly_eval(p, point) for p in self.components)
-
-    def differential_row(self, j) -> ChartForm:
-        """d(phi_j) as a 1-form on the source chart."""
-        return d(ChartForm.from_poly(self.source_dim, self.components[j]))
+        return tuple(evaluate(p, point) for p in self.components)
 
 
 def compose(phi: PolyMap, psi: PolyMap) -> PolyMap:
-    """phi after psi."""
+    """phi after psi: its components are the pullbacks psi^* phi_j."""
     if psi.target_dim != phi.source_dim:
         raise ValueError("dimension mismatch in composition")
-    comps = [poly_compose(p, psi.components, psi.source_dim) for p in phi.components]
-    return PolyMap(psi.source_dim, phi.target_dim, comps)
+    return PolyMap(psi.source_dim, phi.target_dim, [pullback(psi, p) for p in phi.components])
 
 
 def pullback(phi: PolyMap, a: ChartForm) -> ChartForm:
     """phi^* a: the algebra map x_j -> phi_j, dx_j -> d(phi_j)."""
     if a.m != phi.target_dim:
         raise ValueError("form lives on a chart of the wrong dimension")
-    src = phi.source_dim
-    return substitute(a, [phi.differential_row(j) for j in range(phi.target_dim)],
-                      [ChartForm.from_poly(src, p) for p in phi.components], ChartForm.unit(src))
+    return substitute(a, [d(p) for p in phi.components], phi.components,
+                      ChartForm.unit(phi.source_dim))

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from . import linalg
-from .chart_forms import (ChartForm, Poly, PolyMap, d, poly_add, poly_const,
-                          poly_mul, poly_scale, pullback, wedge)
+from .chart_forms import ChartForm, PolyMap, d, pullback, wedge
 from .liealg import LieAlgebra, builtin, check_representation, frac
-from .superalg import substitute
+from .superalg import ONE, substitute
 from .weil_algebra import WeilElement
 from .invariant_polynomials import is_sym_element
 
@@ -205,11 +203,7 @@ class GaugeTransform:
     kind: str
     rep: MatrixRep
     chart_dim: int
-    entries: tuple  # r x r polynomials (Poly dicts); constant kind has degree 0
-
-    def matrix_forms(self):
-        """Entries as 0-form ChartForms."""
-        return [[ChartForm.from_poly(self.chart_dim, dict(p)) for p in row] for row in self.entries]
+    entries: tuple  # r x r 0-form ChartForms; constant kind has degree 0
 
 
 def constant_gauge(rep: MatrixRep, matrix, chart_dim) -> GaugeTransform:
@@ -217,86 +211,42 @@ def constant_gauge(rep: MatrixRep, matrix, chart_dim) -> GaugeTransform:
     rows = tuple(tuple(frac(x) for x in row) for row in matrix)
     if len(rows) != r or any(len(row) != r for row in rows):
         raise ValueError("gauge matrix size does not match the representation")
-    if not _det(rows):
+    if linalg.rank([dict(enumerate(row)) for row in rows]) < r:
         raise ValueError("constant gauge matrix is singular")
-    entries = tuple(tuple(poly_const(chart_dim, x) for x in row) for row in rows)
+    entries = tuple(tuple(ChartForm.constant(chart_dim, x) for x in row) for row in rows)
     return GaugeTransform("constant", rep, chart_dim, entries)
 
 
 def unipotent_gauge(rep: MatrixRep, upper_entries, chart_dim) -> GaugeTransform:
-    """g = I + N with N strictly upper triangular polynomial entries."""
-    r = rep.size
-    m = chart_dim
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            if j > i:
-                p = dict(upper_entries.get((i, j), {})) if isinstance(upper_entries, dict) else dict(upper_entries[i][j])
-                row.append({e: frac(c) for e, c in p.items() if c})
-            elif i == j:
-                row.append(poly_const(m, 1))
-            else:
-                row.append({})
-        entries.append(tuple(row))
-    return GaugeTransform("unipotent", rep, m, tuple(entries))
-
-
-def _det(mat):
-    out = Fraction(0)
-    n = len(mat)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= mat[i][perm[i]]
-        out += sign * term
-    return out
-
-
-def _adjugate_inverse(mat):
-    n = len(mat)
-    det = _det(mat)
-    if not det:
-        raise ValueError("singular matrix")
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _det(minor) if minor else Fraction(1)
-            inv[j][i] = ((-1) ** (i + j)) * cof / det
-    return inv
+    """g = I + N with N strictly upper triangular: {(i, j): 0-form} for 0 <= i < j < r."""
+    r, m = rep.size, chart_dim
+    for (i, j), p in upper_entries.items():
+        if not 0 <= i < j < r:
+            raise ValueError(f"unipotent gauge entry ({i + 1}, {j + 1}) is not strictly "
+                             f"upper triangular in size {r}")
+        if p.m != m or p.degrees() - {0}:
+            raise ValueError("unipotent gauge entries must be 0-forms on the chart")
+    entries = tuple(tuple(upper_entries.get((i, j), ChartForm.zero(m)) if i != j
+                          else ChartForm.constant(m) for j in range(r)) for i in range(r))
+    return GaugeTransform("unipotent", rep, m, entries)
 
 
 def _gauge_inverse_forms(g: GaugeTransform):
     m, r = g.chart_dim, g.rep.size
     if g.kind == "constant":
-        const = tuple(tuple(next(iter(p.values()), Fraction(0)) for p in row) for row in g.entries)
-        inv = _adjugate_inverse(const)
-        return [[ChartForm.constant(m, x) if x else ChartForm.zero(m) for x in row] for row in inv]
-    # unipotent: (I + N)^{-1} = sum (-N)^k, nilpotency order <= r
-    N = [[dict(g.entries[i][j]) if j > i else {} for j in range(r)] for i in range(r)]
-    acc = [[poly_const(m, 1) if i == j else {} for j in range(r)] for i in range(r)]
-    power = [[poly_const(m, 1) if i == j else {} for j in range(r)] for i in range(r)]
+        one = (0, (0,) * m)
+        cols = [{i: g.entries[i][j].terms[one] for i in range(r) if g.entries[i][j]}
+                for j in range(r)]
+        inv_cols = [linalg.solve(cols, {k: ONE}) for k in range(r)]
+        return [[ChartForm.constant(m, inv_cols[k][i]) for k in range(r)] for i in range(r)]
+    # unipotent: (I + N)^{-1} = sum_k (-N)^k, and N^r = 0
+    minus_n = [[-g.entries[i][j] if j > i else ChartForm.zero(m) for j in range(r)]
+               for i in range(r)]
+    acc = power = [[ChartForm.constant(m, int(i == j)) for j in range(r)] for i in range(r)]
     for _ in range(1, r):
-        power = [[_poly_dot(power[i], N, j) for j in range(r)] for i in range(r)]
-        power = [[poly_scale(p, -1) for p in row] for row in power]
-        acc = [[poly_add(a, p) for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-    return [[ChartForm.from_poly(m, p) for p in row] for row in acc]
-
-
-def _poly_dot(row, mat, j):
-    out: Poly = {}
-    for k, p in enumerate(row):
-        q = mat[k][j]
-        if p and q:
-            out = poly_add(out, poly_mul(p, q))
-    return out
+        power = _form_mat_mul(power, minus_n)
+        acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
+    return acc
 
 
 def _form_mat_mul(A, B):
@@ -315,7 +265,7 @@ def _form_mat_mul(A, B):
 
 
 def _differential_forms(g: GaugeTransform):
-    return [[d(ChartForm.from_poly(g.chart_dim, p)) for p in row] for row in g.entries]
+    return [[d(p) for p in row] for row in g.entries]
 
 
 def _lie_valued_to_matrix(B: LieValuedForm, rep: MatrixRep):
@@ -359,8 +309,7 @@ def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
     """Ad_{g^{-1}} B = g^{-1} B g, decomposed back into algebra coordinates."""
     _check_gauge(g, B)
     ginv = _gauge_inverse_forms(g)
-    gmat = g.matrix_forms()
-    M = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(B, g.rep)), gmat)
+    M = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(B, g.rep)), g.entries)
     return _matrix_to_lie_valued(M, g.rep, B.algebra, B.chart_dim)
 
 
@@ -368,9 +317,8 @@ def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
     """alpha . g = g^{-1} dg + g^{-1} alpha g, all arithmetic exact."""
     _check_gauge(g, A)
     ginv = _gauge_inverse_forms(g)
-    gmat = g.matrix_forms()
     maurer = _form_mat_mul(ginv, _differential_forms(g))
-    conj = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(A, g.rep)), gmat)
+    conj = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(A, g.rep)), g.entries)
     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(maurer, conj)]
     return _matrix_to_lie_valued(total, g.rep, A.algebra, A.chart_dim)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__, jsonio
 from .acceptance import run_all
-from .chart_forms import poly_add, poly_const, poly_mul, poly_scale
+from .chart_forms import ChartForm
 from .chern_weil import (builtin_rep, constant_gauge, cw_form,
                          gauge_transform, quaternion_matrix, unipotent_gauge)
 from .equivariant import WeilModel, builtin_action
@@ -109,7 +109,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op = self.take()
             rhs = self.parse_term()
-            acc = poly_add(acc, rhs if op == "+" else poly_scale(rhs, -1))
+            acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
     def parse_term(self):
@@ -118,18 +118,18 @@ class _Parser:
             _, op = self.take()
             rhs = self.parse_unary()
             if op == "*":
-                acc = poly_mul(acc, rhs)
+                acc = acc * rhs
             else:
                 const = _constant_of(rhs)
-                if const is None or const == 0:
+                if not const:
                     raise ExprError("division is only defined by nonzero constants")
-                acc = poly_scale(acc, Fraction(1) / const)
+                acc = acc.scale(1 / const)
         return acc
 
     def parse_unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return poly_scale(self.parse_unary(), -1)
+            return -self.parse_unary()
         return self.parse_power()
 
     def parse_power(self):
@@ -143,21 +143,18 @@ class _Parser:
                 kind, val = self.take()
             if kind != "num" or val.denominator != 1 or neg:
                 raise ExprError("exponents must be nonnegative integers")
-            out = poly_const(self.dim, 1)
+            out = ChartForm.constant(self.dim)
             for _ in range(int(val)):
-                out = poly_mul(out, base)
+                out = out * base
             return out
         return base
 
     def parse_atom(self):
         kind, val = self.take()
         if kind == "num":
-            return poly_const(self.dim, val)
+            return ChartForm.constant(self.dim, val)
         if kind == "var":
-            i = self.var_index(val)
-            e = [0] * self.dim
-            e[i] = 1
-            return {tuple(e): Fraction(1)}
+            return ChartForm.x(self.dim, self.var_index(val))
         if (kind, val) == ("op", "("):
             inner = self.parse_expr()
             self.expect_op(")")
@@ -166,17 +163,15 @@ class _Parser:
 
 
 def _constant_of(p):
-    if not p:
-        return Fraction(0)
-    if len(p) == 1:
-        (e, c), = p.items()
-        if not any(e):
-            return c
-    return None
+    """The value of a constant 0-form, None for any other form."""
+    one = (0, (0,) * p.n)
+    if set(p.terms) - {one}:
+        return None
+    return p.terms.get(one, Fraction(0))
 
 
 def parse_poly_exprs(text, dim):
-    """Comma-separated polynomial expressions -> list of Poly dicts."""
+    """Comma-separated polynomial expressions -> list of 0-forms."""
     return _Parser(_tokenize(text), dim).parse_exprs()
 
 
@@ -263,18 +258,21 @@ def _cmd_cw(args, payloads):
 
 
 def _parse_gauge(obj, algebra, chart_dim):
+    obj = jsonio.typed(obj, dict, "a gauge file")
     rep = builtin_rep(algebra.name or "")
     kind = obj["kind"]
     if kind == "constant":
         if "quaternion" in obj:
-            mat = quaternion_matrix(*[jsonio.parse_rational(x) for x in obj["quaternion"]])
+            mat = quaternion_matrix(*jsonio.rationals(obj["quaternion"], "quaternion", 4))
         else:
-            mat = [[jsonio.parse_rational(x) for x in row] for row in obj["matrix"]]
+            mat = [jsonio.rationals(row, "a matrix row")
+                   for row in jsonio.typed(obj["matrix"], list, "matrix")]
         return constant_gauge(rep, mat, chart_dim)
     if kind == "unipotent":
         uppers = {}
-        for entry in obj["entries"]:
-            i, j = entry["row"] - 1, entry["col"] - 1
+        for entry in jsonio.typed(obj["entries"], list, "entries"):
+            entry = jsonio.typed(entry, dict, "a gauge entry")
+            i, j = (jsonio.typed(entry[f], int, f) - 1 for f in ("row", "col"))
             uppers[(i, j)] = jsonio.poly_from_json(entry["poly"], chart_dim)
         return unipotent_gauge(rep, uppers, chart_dim)
     raise ValueError(f"unknown gauge kind {kind!r}")

@@ -82,17 +82,11 @@ class WeilModel:
     # -- operators: generator images for superalg.derivation ------------------
 
     def vector_field(self, xi):
-        """Components of the fundamental field x -> rho(xi) x as degree-1 polynomials."""
-        rho = [[sum(frac(xi[k]) * self.action[k][r][s] for k in range(self.n))
-                for s in range(self.m)] for r in range(self.m)]
-        comps = []
-        for r in range(self.m):
-            p = {}
-            for s in range(self.m):
-                if rho[r][s]:
-                    p[unit_exponent(self.m, s)] = rho[r][s]
-            comps.append(p)
-        return comps
+        """Components of the fundamental field x -> rho(xi) x as linear 0-forms."""
+        m = self.m
+        return [ChartForm(m, {(0, unit_exponent(m, s)):
+                              sum(frac(xi[k]) * self.action[k][r][s] for k in range(self.n))
+                              for s in range(m)}) for r in range(m)]
 
     def _d_images(self):
         """D (odd): x_t -> dx_t, lam_i -> lamt_i; dx_t and lamt_i are closed."""
@@ -104,15 +98,15 @@ class WeilModel:
     def _contract_images(self, xi):
         """iota (odd): dx_t -> xi-hat_t, x_t -> 0, and iota_xi on the Weil generators."""
         weil_odd, weil_even = contraction_images(self.algebra, xi)
-        fields = [ChartForm.from_poly(self.m, f).terms for f in self.vector_field(xi)]
-        return ([self._lift_chart(f) for f in fields] + [self._lift_weil(t) for t in weil_odd],
+        fields = self.vector_field(xi)
+        return ([self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_odd],
                 [None] * self.m + [self._lift_weil(t) for t in weil_even])
 
     def _lie_images(self, xi):
         """L = D iota + iota D (even): dx_t -> d(xi-hat_t), x_t -> xi-hat_t,
         and L_xi on the Weil generators."""
         weil_odd, weil_even = lie_images(self.algebra, xi)
-        fields = [ChartForm.from_poly(self.m, f) for f in self.vector_field(xi)]
+        fields = self.vector_field(xi)
         return ([self._lift_chart(chart_d(f).terms) for f in fields]
                 + [self._lift_weil(t) for t in weil_odd],
                 [self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_even])
@@ -150,6 +144,8 @@ class WeilModel:
         return (total, sum(mono), fmask, mono, term_sort_key(wk))
 
     def basic_constraint_rows(self, total_degree, poly_cap):
+        if total_degree < 0 or poly_cap < 0:
+            raise ValueError("degree and poly_cap must be >= 0")
         dom = self.basis(total_degree, poly_cap)
         cod_iota = self.basis(total_degree - 1, poly_cap + 1) if total_degree > 0 else []
         cod_lie = self.basis(total_degree, poly_cap + 1)

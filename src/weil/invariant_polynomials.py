@@ -42,6 +42,8 @@ def _invariant_kernel(L: LieAlgebra, k):
 
 def invariant_dims(L: LieAlgebra, max_k):
     """[dim (Sym^k g*)^g]_{k=0..max_k}."""
+    if max_k < 0:
+        raise ValueError("max_degree must be >= 0")
     return [len(_invariant_kernel(L, k)[1]) for k in range(max_k + 1)]
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
-from .liealg import LieAlgebra, builtin, make_lie_algebra
+from .liealg import LieAlgebra, builtin, make_lie_algebra, validate
 from .masks import indices_of, mask_of
 from .weil_algebra import WeilElement
 
@@ -29,8 +29,32 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {s!r} has a zero denominator") from None
     raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+
+
+# -- typed fields ------------------------------------------------------
+
+_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", int: "an integer", str: "a string"}
+
+
+def typed(obj, kind, what):
+    """``obj`` if it is a ``kind`` (dict, list, int or str; a bool is no int),
+    else a ValueError naming ``what``."""
+    if not isinstance(obj, kind) or kind is int and isinstance(obj, bool):
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}")
+    return obj
+
+
+def rationals(obj, what, size=None) -> list:
+    """A JSON array of rationals, of ``size`` entries when given."""
+    out = [parse_rational(x) for x in typed(obj, list, what)]
+    if size is not None and len(out) != size:
+        raise ValueError(f"{what} must hold {size} rationals")
+    return out
 
 
 # -- Lie algebras ------------------------------------------------------
@@ -48,18 +72,29 @@ def algebra_to_json(L: LieAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> LieAlgebra:
+    """A builtin name, or {"dim", "brackets", "name"}; the latter must satisfy Jacobi."""
     if isinstance(obj, str):
         return builtin(obj)
-    dim = obj["dim"]
+    obj = typed(obj, dict, "an algebra")
+    dim = typed(obj["dim"], int, "an algebra dim")
+    if dim < 1:
+        raise ValueError("an algebra dim must be positive")
     table = {}
-    for entry in obj.get("brackets", []):
-        i, j, k = entry["i"] - 1, entry["j"] - 1, entry["k"] - 1
-        if not i < j:
-            raise ValueError("bracket entries must have i < j (antisymmetry is implied)")
+    for entry in typed(obj.get("brackets", []), list, "brackets"):
+        entry = typed(entry, dict, "a bracket entry")
+        i, j, k = (typed(entry[f], int, f"bracket index {f}") - 1 for f in "ijk")
+        if not 0 <= i < j < dim or not 0 <= k < dim:
+            raise ValueError(f"bracket entries need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
         c = parse_rational(entry["c"])
         table[(i, j, k)] = c
         table[(j, i, k)] = -c
-    return make_lie_algebra(dim, table, name=obj.get("name"))
+    name = obj.get("name")
+    L = make_lie_algebra(dim, table, name=None if name is None else typed(name, str, "name"))
+    violation = validate(L)
+    if violation:
+        raise ValueError(f"brackets violate {violation.kind} at basis indices "
+                         f"{[i + 1 for i in violation.indices]}")
+    return L
 
 
 # -- term keys ---------------------------------------------------------
@@ -119,21 +154,15 @@ def chart_form_to_json(a: ChartForm) -> dict:
 
 
 def chart_form_from_json(obj) -> ChartForm:
-    m = obj["dim"]
+    m = typed(obj, dict, "a chart form")["dim"]
     if type(m) is not int or m < 0:
         raise ValueError("a chart form dim must be a nonnegative integer")
     return ChartForm(m, _terms_from_json(obj.get("terms", []), "dx", "mono", m))
 
 
-def poly_to_json(p) -> list:
-    out = []
-    for e, c in sorted(p.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        out.append({"mono": list(e), "c": rational_str(c)})
-    return out
-
-
-def poly_from_json(obj, m) -> dict:
-    return {e: c for (_, e), c in _terms_from_json(obj, None, "mono", m).items() if c}
+def poly_from_json(obj, m) -> ChartForm:
+    """A polynomial term list [{"mono", "c"}] as a 0-form on R^m."""
+    return ChartForm(m, _terms_from_json(obj, None, "mono", m))
 
 
 def connection_to_json(A: LieValuedForm) -> dict:
@@ -142,6 +171,7 @@ def connection_to_json(A: LieValuedForm) -> dict:
 
 
 def connection_from_json(obj, algebra=None) -> LieValuedForm:
+    obj = typed(obj, dict, "a connection")
     if "algebra" in obj:
         parsed = algebra_from_json(obj["algebra"])
         if algebra is not None and parsed != algebra:
@@ -149,8 +179,8 @@ def connection_from_json(obj, algebra=None) -> LieValuedForm:
         algebra = parsed
     if algebra is None:
         raise ValueError("no algebra given for the connection")
-    m = obj["chart_dim"]
-    comps = [chart_form_from_json(c) for c in obj["components"]]
+    m = typed(obj["chart_dim"], int, "chart_dim")
+    comps = [chart_form_from_json(c) for c in typed(obj["components"], list, "components")]
     for c in comps:
         if c.m != m:
             raise ValueError("component chart dimension disagrees with chart_dim")

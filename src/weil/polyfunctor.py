@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg
+from .chart_forms import PolyMap
 from .liealg import frac
 
 
@@ -209,36 +210,43 @@ class FunctorSpec:
             raise ValueError("functors here are reduced: degree must be >= 1")
 
 
+def monomials(kind, elems, degree):
+    """Monomial basis of Sym/Lambda/Tensor^degree over ``elems`` ("sym", "ext",
+    "ten"), each monomial the tuple of its slots in canonical order."""
+    if kind == "sym":
+        return list(combinations_with_replacement(elems, degree))
+    if kind == "ext":
+        return list(combinations(elems, degree))
+    return list(product(elems, repeat=degree))
+
+
+def canonical(kind, slots):
+    """(canonical monomial, sign) of a sequence of slots; None if it vanishes.
+
+    Sym sorts, Lambda sorts with the sign of the permutation (inversion
+    count) and vanishes on a repeated slot, Tensor keeps the order.
+    """
+    if kind == "ten":
+        return tuple(slots), 1
+    if kind == "sym":
+        return tuple(sorted(slots)), 1
+    if len(set(slots)) != len(slots):
+        return None
+    sign = 1
+    for a in range(len(slots)):
+        for b in range(a + 1, len(slots)):
+            if slots[a] > slots[b]:
+                sign = -sign
+    return tuple(sorted(slots)), sign
+
+
 def functor_basis(spec: FunctorSpec, n: int):
     """Monomial basis of F(R^n) as index tuples."""
-    if spec.kind == "sym":
-        return list(combinations_with_replacement(range(n), spec.degree))
-    if spec.kind == "ext":
-        return list(combinations(range(n), spec.degree))
-    return list(product(range(n), repeat=spec.degree))
+    return monomials(spec.kind, range(n), spec.degree)
 
 
 def functor_dim(spec: FunctorSpec, n: int) -> int:
     return len(functor_basis(spec, n))
-
-
-def _canonical(spec: FunctorSpec, idx):
-    """Canonical form of an index tuple with sign; None if it collapses."""
-    if spec.kind == "ten":
-        return idx, 1
-    if spec.kind == "sym":
-        return tuple(sorted(idx)), 1
-    if len(set(idx)) != len(idx):
-        return None
-    order = sorted(range(len(idx)), key=lambda t: idx[t])
-    sign = 1
-    seen = list(idx)
-    # count inversions
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if seen[a] > seen[b]:
-                sign = -sign
-    return tuple(sorted(idx)), sign
 
 
 def apply_functor_matrix(spec: FunctorSpec, matrix, vector, n_in, n_out):
@@ -262,7 +270,7 @@ def apply_functor_matrix(spec: FunctorSpec, matrix, vector, n_in, n_out):
             coeff = coord
             for _, v in choice:
                 coeff *= v
-            canon = _canonical(spec, idxs)
+            canon = canonical(spec.kind, idxs)
             if canon is None:
                 continue
             key, sign = canon
@@ -290,6 +298,8 @@ def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> In
     d = spec.degree
     if copies <= d:
         raise ValueError("the hypothesis requires copies > degree")
+    if base_dim < 0:
+        raise ValueError("base_dim must be >= 0")
     N = copies * base_dim
     basis = functor_basis(spec, N)
     dim = len(basis)
@@ -314,23 +324,8 @@ def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> In
 
 
 def poly_black_box(polys, source_dim) -> BlackBoxMap:
-    """BlackBoxMap evaluating explicit sparse polynomials (Poly dicts)."""
-    polys = [dict(p) for p in polys]
-
-    def ev(v):
-        out = []
-        for p in polys:
-            total = Fraction(0)
-            for e, c in p.items():
-                val = c
-                for x, k in zip(v, e):
-                    for _ in range(k):
-                        val *= x
-                total += val
-            out.append(total)
-        return tuple(out)
-
-    return BlackBoxMap(source_dim, len(polys), ev)
+    """BlackBoxMap evaluating explicit polynomials, given as 0-forms."""
+    return BlackBoxMap(source_dim, len(polys), PolyMap(source_dim, len(polys), polys))
 
 
 def sym_square_box(base_dim: int) -> BlackBoxMap:

@@ -26,10 +26,11 @@ are integer, and their kernel is computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 from math import comb
 
 from . import linalg
+from .polyfunctor import canonical
 
 
 class ResourceCapError(ValueError):
@@ -120,31 +121,6 @@ def _wedge2(x, y):
 # -- factor and domain bases -------------------------------------------
 
 
-def factor_elements(factor: Factor, dim_w, dim_v):
-    elems = base_elements(factor.base, dim_w, dim_v)
-    if factor.op == "sym":
-        return list(combinations_with_replacement(elems, factor.degree))
-    if factor.op == "ext":
-        return list(combinations(elems, factor.degree))
-    return list(product(elems, repeat=factor.degree))
-
-
-def _canonical_factor(factor: Factor, slots):
-    if factor.op == "ten":
-        return tuple(slots), 1
-    if factor.op == "sym":
-        return tuple(sorted(slots)), 1
-    if len(set(slots)) != len(slots):
-        return None
-    sign = 1
-    lst = list(slots)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return tuple(sorted(lst)), sign
-
-
 def factor_action(factor: Factor, a, b, elem):
     """Derivation action of E_ab across the slots of one factor monomial."""
     out = {}
@@ -152,7 +128,7 @@ def factor_action(factor: Factor, a, b, elem):
         for img, coeff in base_action(factor.base, a, b, slot):
             slots = list(elem)
             slots[t] = img
-            canon = _canonical_factor(factor, slots)
+            canon = canonical(factor.op, slots)
             if canon is None:
                 continue
             key, sign = canon

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil.chart_forms import (ChartForm, PolyMap, compose, d, poly_const,
-                              poly_mul, poly_var, pullback, wedge)
+from weil.chart_forms import ChartForm, PolyMap, compose, d, evaluate, pullback, wedge
 
 
 def rand_poly(rng, m, max_degree=3, terms=2):
@@ -15,7 +14,7 @@ def rand_poly(rng, m, max_degree=3, terms=2):
             e[rng.randrange(m)] += 1
         key = tuple(e)
         p[key] = p.get(key, Fraction(0)) + Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-    return {k: v for k, v in p.items() if v}
+    return ChartForm.from_poly(m, p)
 
 
 def rand_form(rng, m, degree, terms=2):
@@ -41,7 +40,7 @@ def rand_map(rng, src, dst):
 def test_wedge_examples():
     m = 3
     assert not wedge(ChartForm.dx(m, 0), ChartForm.dx(m, 0))
-    got = wedge(ChartForm.dx(m, 1, poly_var(m, 0)), ChartForm.dx(m, 2))
+    got = wedge(ChartForm.dx(m, 1, ChartForm.x(m, 0)), ChartForm.dx(m, 2))
     assert got == ChartForm.monomial(m, (1, 2), (1, 0, 0))
     assert wedge(ChartForm.dx(m, 1), ChartForm.dx(m, 0)) == \
         ChartForm.monomial(m, (0, 1), (0, 0, 0), -1)
@@ -49,9 +48,9 @@ def test_wedge_examples():
 
 def test_d_examples():
     m = 3
-    assert d(ChartForm.dx(m, 1, poly_var(m, 0))) == ChartForm.monomial(m, (0, 1), (0, 0, 0))
+    assert d(ChartForm.dx(m, 1, ChartForm.x(m, 0))) == ChartForm.monomial(m, (0, 1), (0, 0, 0))
     assert not d(ChartForm.dx(m, 0))
-    x2y = poly_mul(poly_mul(poly_var(m, 0), poly_var(m, 0)), poly_var(m, 1))
+    x2y = ChartForm.x(m, 0) * ChartForm.x(m, 0) * ChartForm.x(m, 1)
     got = d(ChartForm.dx(m, 2, x2y))
     expected = ChartForm.monomial(m, (0, 2), (1, 1, 0), 2) + ChartForm.monomial(m, (1, 2), (2, 0, 0))
     assert got == expected
@@ -59,8 +58,8 @@ def test_d_examples():
 
 def test_pullback_examples():
     # phi(t) = (t, t^2): pullback of x dy = t d(t^2) = 2 t^2 dt
-    phi = PolyMap(1, 2, [poly_var(1, 0), poly_mul(poly_var(1, 0), poly_var(1, 0))])
-    a = ChartForm.dx(2, 1, poly_var(2, 0))
+    phi = PolyMap(1, 2, [ChartForm.x(1, 0), ChartForm.x(1, 0) * ChartForm.x(1, 0)])
+    a = ChartForm.dx(2, 1, ChartForm.x(2, 0))
     assert pullback(phi, a) == ChartForm.monomial(1, (0,), (2,), 2)
     # identity
     ident = PolyMap.identity(3)
@@ -69,13 +68,14 @@ def test_pullback_examples():
         f = rand_form(rng, 3, degree)
         assert pullback(ident, f) == f
     # constant map kills positive degree
-    const = PolyMap(2, 3, [poly_const(2, 1), poly_const(2, 2), poly_const(2, 0)])
+    const = PolyMap(2, 3, [ChartForm.constant(2, 1), ChartForm.constant(2, 2),
+                           ChartForm.constant(2, 0)])
     assert not pullback(const, rand_form(rng, 3, 1))
     assert not pullback(const, rand_form(rng, 3, 2))
 
 
 def test_pullback_dimension_mismatch():
-    phi = PolyMap(1, 2, [poly_var(1, 0), poly_var(1, 0)])
+    phi = PolyMap(1, 2, [ChartForm.x(1, 0), ChartForm.x(1, 0)])
     with pytest.raises(ValueError):
         pullback(phi, ChartForm.dx(3, 0))
 
@@ -105,6 +105,21 @@ def test_pullback_contravariant():
         phi = rand_map(rng, b, c)   # phi: R^b -> R^c
         f = rand_form(rng, c, rng.randint(0, 1))
         assert pullback(compose(phi, psi), f) == pullback(psi, pullback(phi, f))
+
+
+def test_evaluate_polynomials():
+    x, y = ChartForm.x(2, 0), ChartForm.x(2, 1)
+    p = x * x * y - ChartForm.constant(2, Fraction(3, 2)) + y.scale(2)
+    t = Fraction(-1, 3)
+    assert evaluate(p, (Fraction(2), t)) == 4 * t - Fraction(3, 2) + 2 * t
+    assert evaluate(ChartForm.zero(2), (Fraction(1), Fraction(1))) == 0
+    assert PolyMap(2, 2, [x * y, x + y])((Fraction(3), Fraction(-2))) == (-6, 1)
+    with pytest.raises(ValueError):
+        evaluate(ChartForm.dx(2, 0), (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError):
+        PolyMap(2, 1, [ChartForm.dx(2, 0)])
+    with pytest.raises(IndexError):
+        ChartForm.x(2, 2)
 
 
 def test_graded_commutativity():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from weil.chart_forms import (ChartForm, PolyMap, d, poly_mul, poly_var,
-                              pullback)
-from weil.chern_weil import (LieValuedForm, builtin_rep, conjugate,
+from weil.chart_forms import ChartForm, PolyMap, d, pullback
+from weil.chern_weil import (LieValuedForm, _form_mat_mul, _gauge_inverse_forms,
+                             builtin_rep, conjugate,
                              constant_gauge, curvature, cw_form,
                              gauge_transform, make_rep, pullback_connection,
                              quaternion_matrix, unipotent_gauge,
@@ -44,15 +44,15 @@ def rand_connection(rng, L, m, max_degree=2):
 
 
 def test_curvature_abelian():
-    A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 1, poly_var(2, 0))])
+    A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 1, ChartForm.x(2, 0))])
     F = curvature(A)
     assert F.components[0] == ChartForm.monomial(2, (0, 1), (0, 0))
 
 
 def test_curvature_su2_example():
     m = 3
-    A = LieValuedForm(SU2, m, [ChartForm.dx(m, 1, poly_var(m, 0)),
-                               ChartForm.dx(m, 2, poly_var(m, 1)),
+    A = LieValuedForm(SU2, m, [ChartForm.dx(m, 1, ChartForm.x(m, 0)),
+                               ChartForm.dx(m, 2, ChartForm.x(m, 1)),
                                ChartForm.zero(m)])
     F = curvature(A)
     assert F.components[0] == ChartForm.monomial(m, (0, 1), (0, 0, 0))
@@ -76,21 +76,21 @@ def test_curvature_needs_one_form():
 
 
 def test_cw_first_chern_style():
-    A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 1, poly_var(2, 0))])
+    A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 1, ChartForm.x(2, 0))])
     assert cw_form(WeilElement.lamt(1, 0), A) == curvature(A).components[0]
 
 
 def test_cw_abelian_square():
-    A = LieValuedForm(AB1, 4, [ChartForm.dx(4, 1, poly_var(4, 0))
-                               + ChartForm.dx(4, 3, poly_var(4, 2))])
+    A = LieValuedForm(AB1, 4, [ChartForm.dx(4, 1, ChartForm.x(4, 0))
+                               + ChartForm.dx(4, 3, ChartForm.x(4, 2))])
     P = multiply(WeilElement.lamt(1, 0), WeilElement.lamt(1, 0))
     assert cw_form(P, A) == ChartForm.monomial(4, (0, 1, 2, 3), (0,) * 4, 2)
 
 
 def test_cw_su2_casimir_example():
     A = LieValuedForm(SU2, 4, [
-        ChartForm.dx(4, 1, poly_var(4, 0)) + ChartForm.dx(4, 3, poly_var(4, 2)),
-        ChartForm.dx(4, 2, poly_var(4, 1)),
+        ChartForm.dx(4, 1, ChartForm.x(4, 0)) + ChartForm.dx(4, 3, ChartForm.x(4, 2)),
+        ChartForm.dx(4, 2, ChartForm.x(4, 1)),
         ChartForm.zero(4)])
     assert cw_form(casimir(), A) == ChartForm.monomial(4, (0, 1, 2, 3), (0,) * 4, 2)
 
@@ -112,9 +112,9 @@ def test_cw_closed_and_natural_random():
             A = rand_connection(rng, L, m)
             cw = cw_form(P, A)
             assert not d(cw)
-            phi = PolyMap(3, m, [
-                {tuple(1 if i == j else 0 for i in range(3)): Fraction(1),
-                 (1, 1, 0): Fraction(rng.randint(-2, 2))} for j in range(m)])
+            phi = PolyMap(3, m, [ChartForm.from_poly(3, {
+                tuple(1 if i == j else 0 for i in range(3)): Fraction(1),
+                (1, 1, 0): Fraction(rng.randint(-2, 2))}) for j in range(m)])
             assert pullback(phi, cw) == cw_form(P, pullback_connection(phi, A))
 
 
@@ -124,7 +124,7 @@ def test_cw_closed_and_natural_random():
 def test_gauge_abelian_maurer_cartan():
     # g realized as [[1, xy], [0, 1]]: A -> A + d(xy) = A + y dx + x dy
     rep = builtin_rep("abelian(1)")
-    g = unipotent_gauge(rep, {(0, 1): poly_mul(poly_var(2, 0), poly_var(2, 1))}, 2)
+    g = unipotent_gauge(rep, {(0, 1): ChartForm.x(2, 0) * ChartForm.x(2, 1)}, 2)
     A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 0)])
     moved = gauge_transform(A, g)
     expected = ChartForm.dx(2, 0) + ChartForm.monomial(2, (0,), (0, 1)) \
@@ -134,7 +134,7 @@ def test_gauge_abelian_maurer_cartan():
 
 def test_gauge_unipotent_of_zero_is_maurer_cartan_term():
     rep = builtin_rep("abelian(1)")
-    g = unipotent_gauge(rep, {(0, 1): poly_var(2, 0)}, 2)
+    g = unipotent_gauge(rep, {(0, 1): ChartForm.x(2, 0)}, 2)
     moved = gauge_transform(LieValuedForm.zero(AB1, 2), g)
     assert moved.components[0] == ChartForm.dx(2, 0)
 
@@ -165,9 +165,9 @@ def test_gauge_heisenberg_unipotent_invariance():
     P = invariant_basis(H3, 1)[0]
     for _ in range(3):
         A = rand_connection(rng, H3, 3)
-        g = unipotent_gauge(rep, {(0, 1): poly_var(3, 0),
-                                  (1, 2): poly_mul(poly_var(3, 1), poly_var(3, 1)),
-                                  (0, 2): poly_var(3, 2)}, 3)
+        g = unipotent_gauge(rep, {(0, 1): ChartForm.x(3, 0),
+                                  (1, 2): ChartForm.x(3, 1) * ChartForm.x(3, 1),
+                                  (0, 2): ChartForm.x(3, 2)}, 3)
         assert cw_form(P, gauge_transform(A, g)) == cw_form(P, A)
 
 
@@ -175,6 +175,25 @@ def test_constant_gauge_must_be_invertible():
     rep = builtin_rep("sl2")
     with pytest.raises(ValueError):
         constant_gauge(rep, [[1, 0], [0, 0]], 2)
+
+
+def test_gauge_inverse_is_an_inverse():
+    x, y = ChartForm.x(2, 0), ChartForm.x(2, 1)
+    h3 = builtin_rep("heisenberg3")
+    gauges = [constant_gauge(builtin_rep("su2"), quaternion_matrix(2, 1, -1, 3), 2),
+              constant_gauge(h3, [[1, 2, -1], [0, 1, 3], [0, 0, 1]], 2),
+              unipotent_gauge(h3, {(0, 1): x, (1, 2): x * y, (0, 2): y - ChartForm.constant(2)}, 2)]
+    for g in gauges:
+        r = g.rep.size
+        identity = [[ChartForm.constant(2, int(i == j)) for j in range(r)] for i in range(r)]
+        inverse = _gauge_inverse_forms(g)
+        assert _form_mat_mul(inverse, g.entries) == identity
+        assert _form_mat_mul(g.entries, inverse) == identity
+
+
+def test_unipotent_gauge_entries_must_be_0_forms():
+    with pytest.raises(ValueError):
+        unipotent_gauge(builtin_rep("abelian(1)"), {(0, 1): ChartForm.dx(2, 0)}, 2)
 
 
 def test_gauge_outside_representation_image_fails():

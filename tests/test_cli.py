@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weil import jsonio
-from weil.chart_forms import ChartForm, poly_var
+from weil.chart_forms import ChartForm
 from weil.chern_weil import LieValuedForm
 from weil.cli import main, parse_poly_exprs
 from weil.liealg import builtin
@@ -167,8 +167,8 @@ def test_determinism_same_command(capsys):
 
 def test_expression_parser():
     p, q = parse_poly_exprs("x^2*y - 3/2, x1 + (y - x)*2", 2)
-    assert p == {(2, 1): Fraction(1), (0, 0): Fraction(-3, 2)}
-    assert q == {(1, 0): Fraction(-1), (0, 1): Fraction(2)}
+    assert p == ChartForm.from_poly(2, {(2, 1): Fraction(1), (0, 0): Fraction(-3, 2)})
+    assert q == ChartForm.from_poly(2, {(1, 0): Fraction(-1), (0, 1): Fraction(2)})
     with pytest.raises(ValueError):
         parse_poly_exprs("x + !", 1)
     with pytest.raises(ValueError):
@@ -182,7 +182,84 @@ def test_json_roundtrips():
     assert jsonio.algebra_from_json(jsonio.algebra_to_json(su2)) == su2
     elem = WeilElement(3, {(0b011, (1, 0, 2)): Fraction(-3, 7)})
     assert jsonio.weil_element_from_json(3, jsonio.weil_element_to_json(elem)) == elem
-    form = ChartForm.dx(3, 1, poly_var(3, 0)) + ChartForm.monomial(3, (0, 2), (0, 1, 1), Fraction(5, 2))
+    form = ChartForm.dx(3, 1, ChartForm.x(3, 0)) + ChartForm.monomial(3, (0, 2), (0, 1, 1), Fraction(5, 2))
     assert jsonio.chart_form_from_json(jsonio.chart_form_to_json(form)) == form
     conn = LieValuedForm(su2, 2, [ChartForm.dx(2, 0), ChartForm.zero(2), ChartForm.dx(2, 1)])
     assert jsonio.connection_from_json(jsonio.connection_to_json(conn)) == conn
+
+
+def assert_domain_error(capsys, argv):
+    """Exit 1 with a lone {"error"} object on stdout and no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert list(json.loads(captured.out)) == ["error"]
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)["error"]
+
+
+HEISENBERG_CONNECTION = {
+    "algebra": "heisenberg3", "chart_dim": 2,
+    "components": [{"dim": 2, "terms": [{"dx": [1], "mono": [0, 1], "c": "1"}]},
+                   {"dim": 2, "terms": [{"dx": [2], "c": "2"}]},
+                   {"dim": 2, "terms": []}],
+}
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("row,col", [(2, 1), (1, 1), (1, 7)],
+                         ids=["below-diagonal", "on-diagonal", "outside-matrix"])
+def test_unipotent_entry_outside_the_triangle_is_refused(tmp_path, capsys, row, col):
+    conn = write_json(tmp_path, "conn.json", HEISENBERG_CONNECTION)
+    gauge = write_json(tmp_path, "gauge.json", {"kind": "unipotent", "entries": [
+        {"row": row, "col": col, "poly": [{"mono": [1, 0], "c": "1"}]}]})
+    error = assert_domain_error(capsys, ["gauge", "--connection", conn, "--gauge", gauge])
+    assert "upper triangular" in error["message"]
+
+
+@pytest.mark.parametrize("gauge,connection", [
+    ([{"kind": "constant"}], HEISENBERG_CONNECTION),
+    ({"kind": "unipotent", "entries": 5}, HEISENBERG_CONNECTION),
+    ({"kind": "constant", "quaternion": ["1", "2"]},
+     {**HEISENBERG_CONNECTION, "algebra": "su2"}),
+    ({"kind": "unipotent", "entries": [{"row": "1", "col": 2, "poly": []}]},
+     HEISENBERG_CONNECTION),
+    ({"kind": "unipotent", "entries": []}, {**HEISENBERG_CONNECTION, "components": 3}),
+], ids=["gauge-list", "entries-int", "short-quaternion", "string-row", "components-int"])
+def test_malformed_gauge_input_is_a_domain_error(tmp_path, capsys, gauge, connection):
+    conn = write_json(tmp_path, "conn.json", connection)
+    path = write_json(tmp_path, "gauge.json", gauge)
+    error = assert_domain_error(capsys, ["gauge", "--connection", conn, "--gauge", path])
+    assert error["type"] == "ValueError"
+
+
+def json_algebra_connection(brackets):
+    algebra = {"dim": 3, "brackets": [{"i": i, "j": j, "k": k, "c": "1"} for i, j, k in brackets]}
+    return {**HEISENBERG_CONNECTION, "algebra": algebra}
+
+
+def test_json_algebra_must_satisfy_jacobi(tmp_path, capsys):
+    # [e1,e2] = e3, [e2,e3] = e2: the Jacobiator at (e1, e2, e3) is e3
+    conn = write_json(tmp_path, "bad.json", json_algebra_connection([(1, 2, 3), (2, 3, 2)]))
+    error = assert_domain_error(capsys, ["cw", "--connection", conn, "--invariant", "basis:1:0"])
+    assert "jacobi" in error["message"]
+    # [e1,e2] = e3, [e2,e3] = e1 is a Lie algebra (e2 rotates e1, e3): accepted
+    conn = write_json(tmp_path, "good.json", json_algebra_connection([(1, 2, 3), (2, 3, 1)]))
+    code, out = run_cli(capsys, "cw", "--connection", conn, "--invariant", "basis:2:0")
+    assert code == 0 and "chern_weil_form" in json.loads(out)["results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--algebra", "su2", "--max-degree", "-1"],
+    ["equivariant", "--algebra", "abelian1", "--degree", "-1", "--poly-cap", "1"],
+    ["equivariant", "--algebra", "abelian1", "--degree", "1", "--poly-cap", "-1"],
+    ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3", "--base-dim", "-1"],
+], ids=["invariants-max-degree", "equivariant-degree", "equivariant-poly-cap",
+        "inject-base-dim"])
+def test_negative_size_is_a_domain_error(capsys, argv):
+    assert assert_domain_error(capsys, argv)["type"] == "ValueError"

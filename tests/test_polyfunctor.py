@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weil.chart_forms import ChartForm
 from weil.polyfunctor import (BlackBoxMap, FunctorSpec, apply_functor_matrix,
                               functor_basis, functor_dim,
                               homogeneous_component, homogeneous_decompose,
@@ -14,8 +15,13 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def box(src, *polys):
+    """poly_black_box of polynomials given as {exponent: coefficient} dicts."""
+    return poly_black_box([ChartForm.from_poly(src, p) for p in polys], src)
+
+
 def test_decompose_x_plus_xy():
-    f = poly_black_box([{(1, 0): F(1), (1, 1): F(1)}], 2)
+    f = box(2, {(1, 0): F(1), (1, 1): F(1)})
     probes = [(F(1), F(2)), (F(-3), F(5)), (F(2), F(-7))]
     dec = homogeneous_decompose(f, 2, probes)
     for pi, (x, y) in enumerate(probes):
@@ -40,7 +46,7 @@ def test_decompose_already_homogeneous():
 
 
 def test_decompose_zero_map():
-    f = poly_black_box([{}], 3)
+    f = box(3, {})
     dec = homogeneous_decompose(f, 3, [(F(1), F(2), F(3))])
     assert all(comp[0] == (F(0),) for comp in dec.components)
 
@@ -57,7 +63,7 @@ def test_decompose_reconstruction_is_exact():
                 if sum(e) <= 3:
                     p[e] = p.get(e, F(0)) + F(rng.randint(-3, 3), rng.choice((1, 2)))
             polys.append({k: v for k, v in p.items() if v})
-        f = poly_black_box(polys, src)
+        f = box(src, *polys)
         probes = [tuple(F(rng.randint(-4, 4)) for _ in range(src)) for _ in range(3)]
         dec = homogeneous_decompose(f, 3, probes)
         for pi, v in enumerate(probes):
@@ -70,14 +76,14 @@ def test_decompose_flags_ray_degree_overflow():
     # x^4 against degree bound 2: the aliased components fail the mu-scaling
     # verification.  (|x| is NOT catchable here: the probe scalings are all
     # positive, which is exactly why is_polynomial uses mixed-sign trials.)
-    f = poly_black_box([{(4,): F(1)}], 1)
+    f = box(1, {(4,): F(1)})
     with pytest.raises(ValueError):
         homogeneous_decompose(f, 2, [(F(1),)])
 
 
 def test_idempotent_concentration():
     rng = random.Random(89)
-    f = poly_black_box([{(1, 0): F(2), (0, 2): F(3), (2, 1): F(-1)}], 2)
+    f = box(2, {(1, 0): F(2), (0, 2): F(3), (2, 1): F(-1)})
     for i in range(4):
         ei = homogeneous_component(f, i, 3)
         probes = [tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(3)]
@@ -91,19 +97,19 @@ def test_idempotent_concentration():
 
 
 def test_is_polynomial_examples():
-    assert is_polynomial(poly_black_box([{(3,): F(1)}], 1), 3,
+    assert is_polynomial(box(1, {(3,): F(1)}), 3,
                          [[(F(1),)], [(F(-2),)]]).consistent
     fabs = BlackBoxMap(1, 1, lambda v: (abs(v[0]),))
     verdict = is_polynomial(fabs, 2, [[(F(1),), (F(-1),)]])
     assert not verdict.consistent
     ti, point, expected, got = verdict.witness
     assert expected != got
-    assert is_polynomial(poly_black_box([{(2, 1): F(1)}], 2), 3,
+    assert is_polynomial(box(2, {(2, 1): F(1)}), 3,
                          [[(F(1), F(0)), (F(0), F(1))]]).consistent
 
 
 def test_is_polynomial_underestimated_degree_is_flagged():
-    f = poly_black_box([{(4,): F(1)}], 1)
+    f = box(1, {(4,): F(1)})
     assert not is_polynomial(f, 3, [[(F(1),)]]).consistent
 
 

@@ -4,11 +4,12 @@ import pytest
 
 import weil.schur_oracle as schur_oracle
 from weil import linalg
+from weil.polyfunctor import monomials
 from weil.schur_oracle import (BASES, DEFAULT_CAP, EquivHomProblem, Factor,
                                ResourceCapError, antisymmetrization_problem,
-                               bidegree_problem, codomain_action, domain_action,
-                               domain_weight, equivariant_hom_dim,
-                               factor_elements, verify_bidegree)
+                               base_elements, bidegree_problem, codomain_action,
+                               domain_action, domain_weight, equivariant_hom_dim,
+                               verify_bidegree)
 
 
 def _reflection_sign(weight):
@@ -20,7 +21,8 @@ def _brute_hom_dim(problem):
     """The oracle without its shortcuts: every domain monomial, all n(n-1)
     off-diagonal E_ab, and the reflection checked per unknown."""
     n = problem.dim_w
-    dom = list(product(*(factor_elements(f, n, problem.dim_v) for f in problem.domain)))
+    dom = list(product(*(monomials(f.op, base_elements(f.base, n, problem.dim_v), f.degree)
+                         for f in problem.domain)))
     cod = list(combinations(range(n), problem.codomain_degree))
     dom_index = {v: i for i, v in enumerate(dom)}
     cod_index = {c: i for i, c in enumerate(cod)}
