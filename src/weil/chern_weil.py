@@ -198,23 +198,27 @@ def quaternion_matrix(a, b, c, dd):
 
 @dataclass(frozen=True, eq=False)
 class GaugeTransform:
-    """Group-valued map in a matrix representation; kind constant or unipotent."""
+    """Group-valued map in a matrix representation, with its exact inverse."""
 
-    kind: str
     rep: MatrixRep
     chart_dim: int
-    entries: tuple  # r x r 0-form ChartForms; constant kind has degree 0
+    entries: tuple  # r x r 0-form ChartForms
+    inverse: tuple  # r x r 0-form ChartForms, entries^{-1}
 
 
 def constant_gauge(rep: MatrixRep, matrix, chart_dim) -> GaugeTransform:
-    r = rep.size
+    r, m = rep.size, chart_dim
     rows = tuple(tuple(frac(x) for x in row) for row in matrix)
     if len(rows) != r or any(len(row) != r for row in rows):
         raise ValueError("gauge matrix size does not match the representation")
-    if linalg.rank([dict(enumerate(row)) for row in rows]) < r:
+    cols = [{i: rows[i][j] for i in range(r) if rows[i][j]} for j in range(r)]
+    inv_cols = linalg.solve(cols, [{k: ONE} for k in range(r)])
+    if inv_cols is None:
         raise ValueError("constant gauge matrix is singular")
-    entries = tuple(tuple(ChartForm.constant(chart_dim, x) for x in row) for row in rows)
-    return GaugeTransform("constant", rep, chart_dim, entries)
+    entries = tuple(tuple(ChartForm.constant(m, x) for x in row) for row in rows)
+    inverse = tuple(tuple(ChartForm.constant(m, inv_cols[k][i]) for k in range(r))
+                    for i in range(r))
+    return GaugeTransform(rep, m, entries, inverse)
 
 
 def unipotent_gauge(rep: MatrixRep, upper_entries, chart_dim) -> GaugeTransform:
@@ -228,25 +232,14 @@ def unipotent_gauge(rep: MatrixRep, upper_entries, chart_dim) -> GaugeTransform:
             raise ValueError("unipotent gauge entries must be 0-forms on the chart")
     entries = tuple(tuple(upper_entries.get((i, j), ChartForm.zero(m)) if i != j
                           else ChartForm.constant(m) for j in range(r)) for i in range(r))
-    return GaugeTransform("unipotent", rep, m, entries)
-
-
-def _gauge_inverse_forms(g: GaugeTransform):
-    m, r = g.chart_dim, g.rep.size
-    if g.kind == "constant":
-        one = (0, (0,) * m)
-        cols = [{i: g.entries[i][j].terms[one] for i in range(r) if g.entries[i][j]}
-                for j in range(r)]
-        inv_cols = [linalg.solve(cols, {k: ONE}) for k in range(r)]
-        return [[ChartForm.constant(m, inv_cols[k][i]) for k in range(r)] for i in range(r)]
-    # unipotent: (I + N)^{-1} = sum_k (-N)^k, and N^r = 0
-    minus_n = [[-g.entries[i][j] if j > i else ChartForm.zero(m) for j in range(r)]
+    # (I + N)^{-1} = sum_k (-N)^k, and N^r = 0
+    minus_n = [[-entries[i][j] if j > i else ChartForm.zero(m) for j in range(r)]
                for i in range(r)]
     acc = power = [[ChartForm.constant(m, int(i == j)) for j in range(r)] for i in range(r)]
     for _ in range(1, r):
         power = _form_mat_mul(power, minus_n)
         acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-    return acc
+    return GaugeTransform(rep, m, entries, tuple(map(tuple, acc)))
 
 
 def _form_mat_mul(A, B):
@@ -264,10 +257,6 @@ def _form_mat_mul(A, B):
     return out
 
 
-def _differential_forms(g: GaugeTransform):
-    return [[d(p) for p in row] for row in g.entries]
-
-
 def _lie_valued_to_matrix(B: LieValuedForm, rep: MatrixRep):
     r = rep.size
     m = B.chart_dim
@@ -283,42 +272,29 @@ def _lie_valued_to_matrix(B: LieValuedForm, rep: MatrixRep):
 
 def _matrix_to_lie_valued(M, rep: MatrixRep, algebra, chart_dim) -> LieValuedForm:
     r = rep.size
-    cols = rep.flat_columns()
-    keys = set()
-    for row in M:
-        for form in row:
-            keys |= set(form.terms)
-    comps = [ChartForm.zero(chart_dim) for _ in range(algebra.dim)]
-    for key in sorted(keys):
-        target = {}
-        for a in range(r):
-            for b in range(r):
-                v = M[a][b].terms.get(key)
-                if v:
-                    target[a * r + b] = v
-        coords = linalg.solve(cols, target)
-        if coords is None:
-            raise ValueError("matrix-valued form does not lie in the representation image")
-        for i, c in enumerate(coords):
-            if c:
-                comps[i] = comps[i] + ChartForm(chart_dim, {key: c})
+    keys = sorted({key for row in M for form in row for key in form.terms})
+    targets = [{a * r + b: M[a][b].terms[key] for a in range(r) for b in range(r)
+                if key in M[a][b].terms} for key in keys]
+    coords = linalg.solve(rep.flat_columns(), targets)
+    if coords is None:
+        raise ValueError("matrix-valued form does not lie in the representation image")
+    comps = [ChartForm(chart_dim, {key: c[i] for key, c in zip(keys, coords) if c[i]})
+             for i in range(algebra.dim)]
     return LieValuedForm(algebra, chart_dim, comps)
 
 
 def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
     """Ad_{g^{-1}} B = g^{-1} B g, decomposed back into algebra coordinates."""
     _check_gauge(g, B)
-    ginv = _gauge_inverse_forms(g)
-    M = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(B, g.rep)), g.entries)
+    M = _form_mat_mul(_form_mat_mul(g.inverse, _lie_valued_to_matrix(B, g.rep)), g.entries)
     return _matrix_to_lie_valued(M, g.rep, B.algebra, B.chart_dim)
 
 
 def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
     """alpha . g = g^{-1} dg + g^{-1} alpha g, all arithmetic exact."""
     _check_gauge(g, A)
-    ginv = _gauge_inverse_forms(g)
-    maurer = _form_mat_mul(ginv, _differential_forms(g))
-    conj = _form_mat_mul(_form_mat_mul(ginv, _lie_valued_to_matrix(A, g.rep)), g.entries)
+    maurer = _form_mat_mul(g.inverse, [[d(p) for p in row] for row in g.entries])
+    conj = _form_mat_mul(_form_mat_mul(g.inverse, _lie_valued_to_matrix(A, g.rep)), g.entries)
     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(maurer, conj)]
     return _matrix_to_lie_valued(total, g.rep, A.algebra, A.chart_dim)
 

@@ -172,7 +172,10 @@ def _constant_of(p):
 
 def parse_poly_exprs(text, dim):
     """Comma-separated polynomial expressions -> list of 0-forms."""
-    return _Parser(_tokenize(text), dim).parse_exprs()
+    try:
+        return _Parser(_tokenize(text), dim).parse_exprs()
+    except RecursionError:
+        raise ExprError("expression is nested too deeply") from None
 
 
 # -- report plumbing ----------------------------------------------------
@@ -289,8 +292,10 @@ def _cmd_gauge(args, payloads):
 def _cmd_equivariant(args, payloads):
     L = _algebra_arg(args.algebra)
     if args.action_json:
-        mats = _read_json(args.action_json, payloads)
-        mats = [[[jsonio.parse_rational(x) for x in row] for row in mat] for mat in mats]
+        mats = [[jsonio.rationals(row, "an action matrix row")
+                 for row in jsonio.typed(mat, list, "an action matrix")]
+                for mat in jsonio.typed(_read_json(args.action_json, payloads), list,
+                                        "an action file")]
         m = len(mats[0]) if mats else 0
     else:
         m, mats = builtin_action(args.action, L)
@@ -305,8 +310,9 @@ def _cmd_polyfunc(args, payloads):
         polys = parse_poly_exprs(args.expr, args.dim)
         f = poly_black_box(polys, args.dim)
         if args.probes:
-            probes = [[jsonio.parse_rational(x) for x in p]
-                      for p in _read_json(args.probes, payloads)]
+            probes = [jsonio.rationals(p, "a probe")
+                      for p in jsonio.typed(_read_json(args.probes, payloads), list,
+                                            "a probes file")]
         else:
             probes = _default_probes(args.dim)
         dec = homogeneous_decompose(f, args.degree, probes)

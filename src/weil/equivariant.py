@@ -48,9 +48,6 @@ class WeilModel:
     def zero(self):
         return WeilModelElement(self, {})
 
-    def element(self, terms):
-        return WeilModelElement(self, terms)
-
     def join(self, chart_key, weil_key):
         """Flat key of (chart form key) x (Weil algebra key)."""
         (fmask, mono), (wmask, sym) = chart_key, weil_key

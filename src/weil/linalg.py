@@ -72,13 +72,6 @@ def rank(rows) -> int:
     return len(_forward_eliminate(rows))
 
 
-def in_span(columns, target) -> bool:
-    """Whether ``target`` is a combination of ``columns`` (sparse dicts
-    ``{row_index: value}``, possibly linearly dependent)."""
-    # a matrix and its transpose have the same rank, so columns go in as rows
-    return rank(list(columns) + [target]) == rank(columns)
-
-
 def rref(rows):
     """Reduced row echelon form.
 
@@ -127,35 +120,25 @@ def nullspace(rows, ncols):
     return basis
 
 
-def solve(columns, target):
-    """Solve ``sum_j x_j * columns[j] = target`` exactly.
+def solve(columns, targets):
+    """Solve ``sum_j x_j * columns[j] = t`` exactly for every ``t`` in ``targets``.
 
-    ``columns`` and ``target`` are sparse dicts ``{row_index: Fraction}``.
-    Returns the coefficient list, or None if the system is inconsistent.
-    Requires the columns to be linearly independent.
+    ``columns`` and targets are sparse dicts ``{row_index: Fraction}``; the
+    columns may be linearly dependent.  ``[columns | targets]`` is eliminated
+    once.  Returns one coefficient list per target, with 0 on every free
+    column, or None if some target is not in the span of the columns.
     """
     ncols = len(columns)
-    rows_idx = set(target)
-    for col in columns:
-        rows_idx |= set(col)
-    aug = []
-    for r in sorted(rows_idx):
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(r)
+    aug: dict[int, Row] = {}
+    for j, vec in enumerate([*columns, *targets]):
+        for r, v in vec.items():
             if v:
-                row[j] = Fraction(v)
-        t = target.get(r)
-        if t:
-            row[ncols] = Fraction(t)
-        if row:
-            aug.append(row)
-    piv_cols, reduced = rref(aug)
-    if ncols in piv_cols:
-        return None  # inconsistent
-    if len(piv_cols) < ncols:
-        raise ValueError("columns are linearly dependent")
-    sol = [Fraction(0)] * ncols
+                aug.setdefault(r, {})[j] = Fraction(v)
+    piv_cols, reduced = rref([aug[r] for r in sorted(aug)])
+    if piv_cols and piv_cols[-1] >= ncols:
+        return None  # a pivot in a target column: inconsistent
+    sols = [[Fraction(0)] * ncols for _ in targets]
     for col, row in zip(piv_cols, reduced):
-        sol[col] = row.get(ncols, Fraction(0))
-    return sol
+        for t, sol in enumerate(sols):
+            sol[col] = row.get(ncols + t, Fraction(0))
+    return sols

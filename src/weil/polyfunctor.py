@@ -52,19 +52,15 @@ def _vandermonde_inverse(d):
     """
     nodes = [Fraction(k) for k in range(1, d + 2)]
     cols = [{r: nodes[r] ** i for r in range(d + 1)} for i in range(d + 1)]
-    inv_cols = [linalg.solve(cols, {r: Fraction(1)}) for r in range(d + 1)]
+    inv_cols = linalg.solve(cols, [{r: Fraction(1)} for r in range(d + 1)])
     weights = [[inv_cols[r][i] for r in range(d + 1)] for i in range(d + 1)]
     return nodes, weights
 
 
 @dataclass
 class HomogeneousDecomposition:
-    degree_bound: int
     probes: list
     components: list  # components[i][probe_index] = output tuple
-
-    def component_at(self, i, probe_index):
-        return self.components[i][probe_index]
 
 
 def homogeneous_decompose(f: BlackBoxMap, d: int, probes,
@@ -105,7 +101,7 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes,
                     raise ValueError(
                         f"map is not polynomial of degree <= {d} along rays: "
                         f"component {i} fails homogeneity at probe {v} with mu={mu}")
-    return HomogeneousDecomposition(d, probes, components)
+    return HomogeneousDecomposition(probes, components)
 
 
 def homogeneous_component(f: BlackBoxMap, i: int, d: int) -> BlackBoxMap:
@@ -159,6 +155,8 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets, checkpoints=None) -> Polyn
     a mismatch, or consistency.  This can refute polynomiality, never prove
     it.
     """
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
     nodes = [Fraction(k) for k in range(d + 1)]
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
@@ -300,23 +298,13 @@ def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> In
         raise ValueError("the hypothesis requires copies > degree")
     if base_dim < 0:
         raise ValueError("base_dim must be >= 0")
-    N = copies * base_dim
-    basis = functor_basis(spec, N)
+    basis = functor_basis(spec, copies * base_dim)
     dim = len(basis)
-
-    def block(i):  # block of coordinate i in {0..copies-1}
-        return i // base_dim
-
-    rows_by_key: dict[tuple, dict[int, Fraction]] = {}
-    for I in combinations(range(copies), d):
-        Iset = set(I)
-        # F(eps_I) is diagonal on the monomial basis: keep monomials whose
-        # blocks all lie in I
-        for j, b in enumerate(basis):
-            if all(block(i) in Iset for i in b):
-                rows_by_key.setdefault((I, b), {})[j] = Fraction(1)
-    rows = list(rows_by_key.values())
-    rk = linalg.rank(rows)
+    # Each F(eps_I) is diagonal 0/1 on the monomial basis: it keeps the
+    # monomials whose blocks all lie in I.  The stacked restrictions are
+    # unit rows, so their rank is the number of monomials some I keeps,
+    # i.e. those touching at most d blocks.
+    rk = sum(len({i // base_dim for i in b}) <= d for b in basis)
     return InjectivityReport(rk == dim, rk, dim, copies, base_dim)
 
 

@@ -13,14 +13,18 @@ diag(-1, 1, ..., 1), which acts on a monomial of weight w by (-1)^{w_0} on
 either side; weight matching therefore implies equivariance under it, and
 with it under the component of GL(W) it lies in.
 
-On the identity component, equivariance is gl(W)-equivariance.  The X in
-gl(W) that commute with a map form a Lie subalgebra, and the diagonal with
-the simple root vectors E_{a,a+1}, E_{a+1,a} generates gl(W), so only these
-2(dim W - 1) generators give constraints.  E_ab moves a weight by
--e_a + e_b, so its constraint rows meet only the weight-matched monomials
-and their simple-root neighbours (one entry 2 beside an entry 0); no other
-monomial is enumerated.  Every action coefficient is +-1 or +-2, so the rows
-are integer, and their kernel is computed exactly.
+On the identity component, equivariance is gl(W)-equivariance.  A map
+D -> Lambda^r W* is a vector of D* (x) Lambda^r W*, a finite-dimensional
+module that is a direct sum of irreducibles.  A weight-matched map is a
+weight-0 vector; if the raising operators kill it, it is a highest weight
+vector of weight 0 and spans a trivial submodule, so all of gl(W) kills it.
+The X in gl(W) that commute with a map form a Lie subalgebra, and the simple
+root vectors E_{a,a+1} generate the raising operators, so only these
+dim W - 1 generators give constraints.  E_{a,a+1} moves a weight by
+-e_a + e_{a+1}, so its constraint rows meet only the weight-matched
+monomials and their simple-root neighbours (one entry 2 directly followed by
+an entry 0); no other monomial is enumerated.  Every action coefficient is
++-1 or +-2, so the rows are integer, and their kernel is computed exactly.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
 
     By default these are the weight-matched monomials (0/1 weights), and more
     than ``cap`` of them raise ResourceCapError.  With ``neighbours`` they are
-    the simple-root neighbours instead: one weight entry 2, next to an entry 0.
+    the simple-root neighbours instead: one weight entry 2, directly followed
+    by an entry 0.
     Slots are filled one at a time, the weight is kept up to date from each
     factor's table of slot indices, and a partial monomial is dropped once its
     excess, the sum over entries of max(entry - 1, 0), passes 0 (or 1 for
@@ -169,7 +174,7 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
                 return
             if neighbours:
                 a = weight.index(2)
-                if not ((a > 0 and weight[a - 1] == 0) or (a + 1 < n and weight[a + 1] == 0)):
+                if not (a + 1 < n and weight[a + 1] == 0):
                     return
             found.append((parts, tuple(weight)))
             if cap is not None and len(found) > cap:
@@ -246,26 +251,23 @@ def equivariant_hom_dim(problem: EquivHomProblem, cap=DEFAULT_CAP) -> int:
     # a 0/1 weight has one codomain monomial, so a matched v is one unknown
     unknown = {v: k for k, (v, _) in enumerate(matched)}
 
-    # row (E_ab, v): [T(E_ab v)]_c' - [E_ab T(v)]_c' = 0 for the codomain
-    # monomial c' of weight w(v) - e_a + e_b; it is nonzero only when that
-    # weight is 0/1, so w(v)_a is a 1 of a matched v or the 2 of a
-    # neighbour, and b is a zero next to a
+    # row (E_{a,a+1}, v): [T(E v)]_c' - [E T(v)]_c' = 0 for the codomain
+    # monomial c' of weight w(v) - e_a + e_{a+1}; it is nonzero only when
+    # that weight is 0/1, so w(v)_a is a 1 of a matched v or the 2 of a
+    # neighbour, and w(v)_{a+1} is 0
     rows = []
     for group, top in ((matched, 1), (domain_basis(problem, neighbours=True), 2)):
         for v, w in group:
-            for a in range(n):
-                if w[a] != top:
+            for a in range(n - 1):
+                if w[a] != top or w[a + 1]:
                     continue
-                for b in (a - 1, a + 1):
-                    if not (0 <= b < n and w[b] == 0):
-                        continue
-                    row = {unknown[v2]: c for v2, c in domain_action(problem, a, b, v)}
-                    if top == 1:
-                        support = tuple(i for i in range(n) if w[i])
-                        for _, c in codomain_action(a, b, support):
-                            row[unknown[v]] = -c
-                    if row:
-                        rows.append(row)
+                row = {unknown[v2]: c for v2, c in domain_action(problem, a, a + 1, v)}
+                if top == 1:
+                    support = tuple(i for i in range(n) if w[i])
+                    for _, c in codomain_action(a, a + 1, support):
+                        row[unknown[v]] = -c
+                if row:
+                    rows.append(row)
     return len(unknown) - linalg.rank(rows)
 
 

@@ -237,4 +237,4 @@ def in_span(candidates, element: SuperElement) -> bool:
     def vector(e):
         return {index.setdefault(k, len(index)): c for k, c in e.terms.items()}
 
-    return linalg.in_span([vector(e) for e in candidates], vector(element))
+    return linalg.solve([vector(e) for e in candidates], [vector(element)]) is not None

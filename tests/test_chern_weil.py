@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from weil import linalg
 from weil.chart_forms import ChartForm, PolyMap, d, pullback
-from weil.chern_weil import (LieValuedForm, _form_mat_mul, _gauge_inverse_forms,
+from weil.chern_weil import (LieValuedForm, _form_mat_mul,
                              builtin_rep, conjugate,
                              constant_gauge, curvature, cw_form,
                              gauge_transform, make_rep, pullback_connection,
@@ -186,9 +187,8 @@ def test_gauge_inverse_is_an_inverse():
     for g in gauges:
         r = g.rep.size
         identity = [[ChartForm.constant(2, int(i == j)) for j in range(r)] for i in range(r)]
-        inverse = _gauge_inverse_forms(g)
-        assert _form_mat_mul(inverse, g.entries) == identity
-        assert _form_mat_mul(g.entries, inverse) == identity
+        assert _form_mat_mul(g.inverse, g.entries) == identity
+        assert _form_mat_mul(g.entries, g.inverse) == identity
 
 
 def test_unipotent_gauge_entries_must_be_0_forms():
@@ -214,6 +214,14 @@ def test_bad_representation_rejected():
 def test_builtin_reps_validate():
     for name in ("abelian(1)", "heisenberg3", "sl2", "so3", "su2"):
         builtin_rep(name).validate()
+
+
+def test_builtin_rep_flat_columns_are_independent():
+    # _matrix_to_lie_valued reads algebra coordinates off these columns;
+    # independence makes them unique
+    for name in ("abelian(1)", "heisenberg3", "sl2", "so3", "su2"):
+        rep = builtin_rep(name)
+        assert linalg.rank(rep.flat_columns()) == rep.algebra.dim, name
 
 
 # -- Weil algebra bridge --------------------------------------------------------

@@ -259,7 +259,25 @@ def test_json_algebra_must_satisfy_jacobi(tmp_path, capsys):
     ["equivariant", "--algebra", "abelian1", "--degree", "-1", "--poly-cap", "1"],
     ["equivariant", "--algebra", "abelian1", "--degree", "1", "--poly-cap", "-1"],
     ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3", "--base-dim", "-1"],
+    ["polyfunc", "check", "--expr", "x", "--dim", "1", "--degree", "-1"],
 ], ids=["invariants-max-degree", "equivariant-degree", "equivariant-poly-cap",
-        "inject-base-dim"])
+        "inject-base-dim", "check-degree"])
 def test_negative_size_is_a_domain_error(capsys, argv):
     assert assert_domain_error(capsys, argv)["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+                         ids=["parentheses", "minus-signs"])
+def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
+    error = assert_domain_error(capsys, ["polyfunc", "check", "--expr=" + expr,
+                                         "--dim", "1", "--degree", "1"])
+    assert error["type"] == "ExprError"
+
+
+@pytest.mark.parametrize("content", [5, [5]], ids=["int", "list-of-int"])
+def test_untyped_input_files_are_domain_errors(tmp_path, capsys, content):
+    path = write_json(tmp_path, "file.json", content)
+    assert_domain_error(capsys, ["equivariant", "--algebra", "abelian1", "--action-json", path,
+                                 "--degree", "1", "--poly-cap", "1"])
+    assert_domain_error(capsys, ["polyfunc", "decompose", "--expr", "x", "--dim", "1",
+                                 "--degree", "1", "--probes", path])

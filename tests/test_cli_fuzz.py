@@ -1,6 +1,6 @@
-"""Fuzz the CLI's JSON inputs: a gauge or connection file of any shape either
-works (exit 0) or is refused with exit 1 and a lone {"error"} object; nothing
-escapes as an exception.
+"""Fuzz the CLI's JSON inputs: a gauge, connection, action or probes file of
+any shape either works (exit 0) or is refused with exit 1 and a lone
+{"error"} object; nothing escapes as an exception.
 
 Shapes are arbitrary, sizes are not: integers stay in -2..4 and strings are
 short, so no input asks for a large chart or algebra.  Half of the inputs are
@@ -43,6 +43,8 @@ UNIPOTENT = {"kind": "unipotent", "entries": [
     {"row": 2, "col": 3, "poly": [{"mono": [0, 2], "c": "-1/2"}]}]}
 QUATERNION = {"kind": "constant", "quaternion": ["1", "2", "0", "-1"]}
 MATRIX = {"kind": "constant", "matrix": [["1", "2", "0"], ["0", "1", "3"], ["0", "0", "1"]]}
+ROTATION = [[["0", "-1"], ["1", "0"]]]
+PROBES = [["1", "-1"], ["2", "1/2"], ["-3", "2"]]
 
 
 @st.composite
@@ -92,3 +94,17 @@ def test_fuzz_connection(workdir, connection):
 def test_fuzz_gauge(workdir, connection, gauge):
     run(workdir, ["gauge", "--connection", "conn.json", "--gauge", "gauge.json"],
         {"conn.json": connection, "gauge.json": gauge})
+
+
+@FUZZ
+@given(action=values | mutated(ROTATION))
+def test_fuzz_action(workdir, action):
+    run(workdir, ["equivariant", "--algebra", "abelian1", "--action-json", "action.json",
+                  "--degree", "1", "--poly-cap", "1"], {"action.json": action})
+
+
+@FUZZ
+@given(probes=values | mutated(PROBES))
+def test_fuzz_probes(workdir, probes):
+    run(workdir, ["polyfunc", "decompose", "--expr", "x*y + x", "--dim", "2", "--degree", "2",
+                  "--probes", "probes.json"], {"probes.json": probes})

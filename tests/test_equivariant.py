@@ -126,7 +126,7 @@ def test_rotation_basic_contains_radius_squared():
     index = {k: i for i, k in enumerate(keys)}
     cols = [{index[k]: c for k, c in b.terms.items()} for b in basis]
     target = {index[k]: c for k, c in r2.terms.items()}
-    assert linalg.solve(cols, target) is not None
+    assert linalg.solve(cols, [target]) is not None
 
 
 def test_m0_reduction_matches_weil_algebra():
@@ -147,9 +147,5 @@ def test_total_d_maps_basic_into_basic():
                       | {k for b in basis for k in model.total_d(b).terms})
         index = {k: i for i, k in enumerate(keys)}
         cols = [{index[k]: v for k, v in b.terms.items()} for b in target_basis]
-        for b in basis:
-            img = model.total_d(b)
-            if not img:
-                continue
-            target = {index[k]: v for k, v in img.terms.items()}
-            assert linalg.solve(cols, target) is not None
+        targets = [{index[k]: v for k, v in model.total_d(b).terms.items()} for b in basis]
+        assert linalg.solve(cols, targets) is not None

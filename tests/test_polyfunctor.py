@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from weil import linalg
 from weil.chart_forms import ChartForm
 from weil.polyfunctor import (BlackBoxMap, FunctorSpec, apply_functor_matrix,
                               functor_basis, functor_dim,
@@ -108,6 +110,11 @@ def test_is_polynomial_examples():
                          [[(F(1), F(0)), (F(0), F(1))]]).consistent
 
 
+def test_is_polynomial_refuses_negative_degree():
+    with pytest.raises(ValueError):
+        is_polynomial(box(1, {(1,): F(1)}), -1, [[(F(1),)]])
+
+
 def test_is_polynomial_underestimated_degree_is_flagged():
     f = box(1, {(4,): F(1)})
     assert not is_polynomial(f, 3, [[(F(1),)]]).consistent
@@ -120,6 +127,45 @@ def test_restriction_injectivity_examples():
     assert r.injective and r.dim == 3
     r = restriction_injectivity(FunctorSpec("ten", 1), 2, 2)
     assert r.injective and r.dim == 4
+
+
+def _stacked_rank(spec, copies, base_dim):
+    """Rank of the stacked F(eps_I), |I| = degree, one unit row per kept monomial."""
+    basis = functor_basis(spec, copies * base_dim)
+    rows_by_key = {}
+    for I in combinations(range(copies), spec.degree):
+        for j, b in enumerate(basis):
+            if all(i // base_dim in I for i in b):
+                rows_by_key.setdefault((I, b), {})[j] = F(1)
+    return linalg.rank(list(rows_by_key.values())), len(basis)
+
+
+def test_restriction_injectivity_matches_stacked_rank():
+    for kind in ("sym", "ext", "ten"):
+        for degree in (1, 2, 3):
+            spec = FunctorSpec(kind, degree)
+            for copies in (degree + 1, degree + 2):
+                for base_dim in (0, 1, 2):
+                    r = restriction_injectivity(spec, copies, base_dim)
+                    rank, dim = _stacked_rank(spec, copies, base_dim)
+                    assert (r.rank, r.dim, r.injective) == (rank, dim, rank == dim), \
+                        (kind, degree, copies, base_dim)
+
+
+def test_restrictions_are_diagonal_projectors():
+    # the premise of the count: F(eps_I) maps each monomial to itself or to 0
+    for kind in ("sym", "ext", "ten"):
+        spec = FunctorSpec(kind, 2)
+        copies, base_dim = 3, 2
+        n = copies * base_dim
+        basis = functor_basis(spec, n)
+        for I in combinations(range(copies), 2):
+            eps = [[F(int(r == c and r // base_dim in I)) for c in range(n)] for r in range(n)]
+            for j, b in enumerate(basis):
+                unit = [F(int(k == j)) for k in range(len(basis))]
+                image = apply_functor_matrix(spec, eps, unit, n, n)
+                kept = all(i // base_dim in I for i in b)
+                assert image == ({j: F(1)} if kept else {}), (kind, I, b)
 
 
 def test_restriction_injectivity_precondition():
