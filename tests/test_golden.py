@@ -26,8 +26,14 @@ CASES = [
     ("basic-sl2-6", 0, ["basic", "--algebra", "sl2", "--degree", "6"]),
     ("basic-heisenberg3-3", 0, ["basic", "--algebra", "heisenberg3", "--degree", "3"]),
     ("basic-heisenberg3-4", 0, ["basic", "--algebra", "heisenberg3", "--degree", "4"]),
+    ("basic-su2-8", 0, ["basic", "--algebra", "su2", "--degree", "8"]),
+    ("basic-sl2-10", 0, ["basic", "--algebra", "sl2", "--degree", "10"]),
+    ("basic-heisenberg3-10", 0, ["basic", "--algebra", "heisenberg3", "--degree", "10"]),
+    ("basic-abelian3-4", 0, ["basic", "--algebra", "abelian3", "--degree", "4"]),
+    ("basic-so3-5", 0, ["basic", "--algebra", "so3", "--degree", "5"]),
     ("invariants-heisenberg3-4", 0, ["invariants", "--algebra", "heisenberg3", "--max-degree", "4"]),
     ("invariants-sl2-4", 0, ["invariants", "--algebra", "sl2", "--max-degree", "4"]),
+    ("invariants-su2-6", 0, ["invariants", "--algebra", "su2", "--max-degree", "6"]),
     ("cohomology-2-6", 0, ["cohomology", "--dim", "2", "--max-degree", "6"]),
     ("equivariant-rot2", 0, ["equivariant", "--algebra", "abelian1", "--action", "rot2",
                              "--degree", "1", "--poly-cap", "2"]),
