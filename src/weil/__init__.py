@@ -4,11 +4,11 @@ equivariant Weil models, and their classification oracles."""
 __version__ = "0.1.0"
 
 from .liealg import LieAlgebra, builtin, coadjoint, validate  # noqa: F401
-from .weil_algebra import (WeilElement, basic_subspace, contract,  # noqa: F401
-                           curvature_generator, d_K, graded_dims,
-                           horizontal_project, koszul_cohomology_dims,
-                           lie_derivative, multiply)
-from .invariant_polynomials import invariant_basis, invariant_dims  # noqa: F401
+from .weil_algebra import (WeilElement, contract, curvature_generator,  # noqa: F401
+                           d_K, graded_dims, horizontal_project,
+                           koszul_cohomology_dims, lie_derivative, multiply)
+from .invariant_polynomials import (basic_subspace, invariant_basis,  # noqa: F401
+                                    invariant_dims)
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge  # noqa: F401
 from .chern_weil import (GaugeTransform, LieValuedForm, curvature,  # noqa: F401
                          cw_form, gauge_transform)

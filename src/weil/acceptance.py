@@ -17,7 +17,8 @@ from .chern_weil import (LieValuedForm, builtin_rep, constant_gauge, cw_form,
                          gauge_transform, pullback_connection,
                          quaternion_matrix, unipotent_gauge)
 from .equivariant import ROTATION_2D, WeilModel
-from .invariant_polynomials import invariant_basis, invariant_dims
+from .invariant_polynomials import (basic_subspace, invariant_basis,
+                                    invariant_dims)
 from .liealg import basis_vector, builtin
 from .masks import indices_of
 from .polyfunctor import (BlackBoxMap, FunctorSpec, homogeneous_decompose,
@@ -25,7 +26,7 @@ from .polyfunctor import (BlackBoxMap, FunctorSpec, homogeneous_decompose,
                           restriction_injectivity)
 from .schur_oracle import (antisymmetrization_problem,
                            equivariant_hom_dim, verify_bidegree)
-from .weil_algebra import (WeilElement, basic_subspace, change_of_basis,
+from .weil_algebra import (WeilElement, change_of_basis,
                            contract, curvature_generator, d_K, graded_dims,
                            in_span, koszul_cohomology_dims, lie_derivative,
                            operator_rows, weil_basis)
@@ -81,12 +82,15 @@ def criterion_2():
 
 def criterion_3():
     su2 = builtin("su2")
-    basic = [basic_subspace(su2, dd) for dd in range(9)]
+    point = WeilModel(0, su2, [[]] * 3)  # the full iota/L system over the Weil basis
+    basic = [point.basic_basis(dd, 0) for dd in range(9)]
     basic_dims_list = [len(b) for b in basic]
     inv = invariant_dims(su2, 4)
     even_match = all(basic_dims_list[2 * k] == inv[k] for k in range(5))
-    closed = all(not d_K(v) for b in basic for v in b)
-    passed = (basic_dims_list == [1, 0, 0, 0, 1, 0, 0, 0, 1] and even_match and closed)
+    closed = all(not point.total_d(v) for b in basic for v in b)
+    same = all([v.terms for v in basic_subspace(su2, dd)] == [v.terms for v in b]
+               for dd, b in enumerate(basic))
+    passed = basic_dims_list == [1, 0, 0, 0, 1, 0, 0, 0, 1] and even_match and closed and same
     return CriterionResult(3, "basic subcomplex of su2 = invariant polynomials, d_K = 0",
                            passed, {"basic_dims": basic_dims_list, "invariant_dims": inv,
                                     "d_K_vanishes": closed})

@@ -13,6 +13,7 @@ import hashlib
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import __version__, jsonio
 from .acceptance import run_all
@@ -20,13 +21,13 @@ from .chart_forms import ChartForm
 from .chern_weil import (builtin_rep, constant_gauge, cw_form,
                          gauge_transform, quaternion_matrix, unipotent_gauge)
 from .equivariant import WeilModel, builtin_action
-from .invariant_polynomials import invariant_basis, invariant_dims
+from .invariant_polynomials import basic_subspace, invariant_basis
 from .liealg import builtin
 from .polyfunctor import (FunctorSpec, homogeneous_decompose, is_polynomial,
                           poly_black_box, restriction_injectivity)
-from .schur_oracle import verify_bidegree
-from .weil_algebra import (WeilElement, basic_subspace, graded_dims,
-                           koszul_cohomology_dims, multiply)
+from .schur_oracle import DEFAULT_CAP, verify_bidegree
+from .weil_algebra import (WeilElement, graded_dims, koszul_cohomology_dims,
+                           multiply)
 
 
 # -- polynomial expression grammar -------------------------------------
@@ -143,8 +144,14 @@ class _Parser:
                 kind, val = self.take()
             if kind != "num" or val.denominator != 1 or neg:
                 raise ExprError("exponents must be nonnegative integers")
+            e = int(val)
+            # base^e lies in the monomials of degree <= e deg(base) in its variables
+            used = {i for _, exps in base.terms for i, q in enumerate(exps) if q}
+            degree = e * max((sum(exps) for _, exps in base.terms), default=0)
+            if e > DEFAULT_CAP or comb(len(used) + degree, degree) > DEFAULT_CAP:
+                raise ExprError(f"power with exponent {e} is over the size cap {DEFAULT_CAP}")
             out = ChartForm.constant(self.dim)
-            for _ in range(int(val)):
+            for _ in range(e):
                 out = out * base
             return out
         return base
@@ -240,11 +247,12 @@ def _cmd_cohomology(args, payloads):
 
 def _cmd_invariants(args, payloads):
     L = _algebra_arg(args.algebra)
-    dims = invariant_dims(L, args.max_degree)
-    bases = [[jsonio.weil_element_to_json(b) for b in invariant_basis(L, k)]
-             for k in range(args.max_degree + 1)]
+    if args.max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    bases = [invariant_basis(L, k) for k in range(args.max_degree + 1)]
     return {"algebra": jsonio.algebra_to_json(L), "space": "(Sym g*)^g",
-            "dims": dims, "bases": bases}
+            "dims": [len(basis) for basis in bases],
+            "bases": [[jsonio.weil_element_to_json(b) for b in basis] for basis in bases]}
 
 
 def _cmd_cw(args, payloads):

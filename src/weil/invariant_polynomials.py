@@ -1,4 +1,4 @@
-"""Invariant polynomials (Sym^k g*)^g as coadjoint-derivation kernels.
+"""Invariant polynomials (Sym^k g*)^g and their Chern-Weil image, the basic subspace.
 
 Invariance is infinitesimal: P is invariant when the derivation extension of
 ad*_{e_i} kills it for every basis vector e_i.  For connected groups this
@@ -6,51 +6,58 @@ agrees with group invariance; the component group is not representable from
 structure constants alone, so the output is labelled as g-invariants.
 
 The derivation action is weil_algebra's Lie derivative restricted to
-bidegree (0, k): one code path, one sign convention.
+bidegree (0, k): one code path, one sign convention.  The horizontal
+subalgebra of the Weil algebra is Sym(Omega) and lamt -> Omega is
+g-equivariant, so the basic elements of degree 2k are
+change_of_basis((Sym^k g*)^g), and there are none in odd degree.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .liealg import LieAlgebra, basis_vector
-from .weil_algebra import (WeilElement, derivation, in_span, lie_images,
-                           operator_rows, sym_exponents, term_sort_key,
-                           vector_element)
-
-
-def sym_basis(n, k):
-    """Basis keys of bidegree (0, k), canonical order."""
-    keys = [(0, s) for s in sym_exponents(n, k)]
-    keys.sort(key=term_sort_key)
-    return keys
+from .weil_algebra import (WeilElement, change_of_basis, derivation, in_span,
+                           lie_images, operator_rows, sym_exponents,
+                           term_sort_key)
 
 
 def is_sym_element(a: WeilElement) -> bool:
     return all(e == 0 for e, _ in a.terms)
 
 
-def _invariant_kernel(L: LieAlgebra, k):
+def invariant_dims(L: LieAlgebra, max_k):
+    """[dim (Sym^k g*)^g]_{k=0..max_k}."""
+    if max_k < 0:
+        raise ValueError("max_degree must be >= 0")
+    return [len(invariant_basis(L, k)) for k in range(max_k + 1)]
+
+
+def invariant_basis(L: LieAlgebra, k):
+    """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements."""
     n = L.dim
-    dom = sym_basis(n, k)
+    dom = sorted(((0, s) for s in sym_exponents(n, k)), key=term_sort_key)
     zero = WeilElement(n)
     rows = []
     for i in range(n):
         lie = lie_images(L, basis_vector(n, i))
         rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom, dom)
-    return dom, linalg.nullspace(rows, len(dom))
+    return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
+            for vec in linalg.nullspace(rows, len(dom))]
 
 
-def invariant_dims(L: LieAlgebra, max_k):
-    """[dim (Sym^k g*)^g]_{k=0..max_k}."""
-    if max_k < 0:
-        raise ValueError("max_degree must be >= 0")
-    return [len(_invariant_kernel(L, k)[1]) for k in range(max_k + 1)]
-
-
-def invariant_basis(L: LieAlgebra, k):
-    """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements."""
-    dom, kernel = _invariant_kernel(L, k)
-    return [vector_element(L.dim, vec, dom) for vec in kernel]
+def basic_subspace(L: LieAlgebra, total_degree):
+    """Echelon basis of {a : iota_{e_i} a = 0 and L_{e_i} a = 0 for all i}: the RREF
+    of the images over the Weil keys in reversed term order, read backwards, is
+    the kernel basis ``linalg.nullspace`` gives the full iota/L system."""
+    if total_degree < 0:
+        raise ValueError("degree must be >= 0")
+    if total_degree % 2:
+        return []
+    images = [change_of_basis(L, P) for P in invariant_basis(L, total_degree // 2)]
+    keys = sorted({key for a in images for key in a.terms}, key=term_sort_key, reverse=True)
+    col = {key: j for j, key in enumerate(keys)}
+    _, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()} for a in images])
+    return [WeilElement(L.dim, {keys[j]: c for j, c in row.items()}) for row in reversed(rows)]
 
 
 def in_invariant_span(L: LieAlgebra, element: WeilElement) -> bool:

@@ -212,10 +212,6 @@ def graded_dims(n, max_degree):
     return out
 
 
-def vector_element(n, vec, keys):
-    return WeilElement(n, {keys[i]: c for i, c in vec.items()})
-
-
 def koszul_cohomology_dims(n, max_degree):
     """dim H^d(Koss, d_K) for d = 0..max_degree, by exact rank computation."""
     if n < 1:
@@ -234,21 +230,3 @@ def koszul_cohomology_dims(n, max_degree):
         dim_im = ranks[d - 1] if d > 0 else 0
         out.append(dim_ker - dim_im)
     return out
-
-
-def basic_subspace(L: LieAlgebra, total_degree):
-    """Echelon basis of {a : iota_{e_i} a = 0 and L_{e_i} a = 0 for all i}."""
-    if total_degree < 0:
-        raise ValueError("degree must be >= 0")
-    n = L.dim
-    dom = weil_basis(n, total_degree)
-    below = weil_basis(n, total_degree - 1) if total_degree > 0 else []
-    zero = WeilElement(n)
-    rows = []
-    for i in range(n):
-        xi = basis_vector(n, i)
-        iota, lie = contraction_images(L, xi), lie_images(L, xi)
-        rows += operator_rows(lambda a, t=iota: odd_derivation(a, *t), zero, dom, below)
-        rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom, dom)
-    kernel = linalg.nullspace(rows, len(dom))
-    return [vector_element(n, vec, dom) for vec in kernel]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,24 @@ def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
     error = assert_domain_error(capsys, ["polyfunc", "check", "--expr=" + expr,
                                          "--dim", "1", "--degree", "1"])
     assert error["type"] == "ExprError"
+
+
+@pytest.mark.parametrize("expr", ["x^2000000000", "x^20001", "2^20001", "(x + y)^200",
+                                  "(x^100)^201"])
+def test_huge_power_is_refused_before_expanding(capsys, expr):
+    start = time.perf_counter()
+    error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", expr,
+                                         "--dim", "2", "--degree", "1"])
+    assert time.perf_counter() - start < 1
+    assert error["type"] == "ExprError"
+
+
+def test_power_size_counts_the_variables_of_the_base():
+    # x^2 in 200 variables has one term: only the variables of the base count
+    (p,) = parse_poly_exprs("x^2", 200)
+    assert p == ChartForm.x(200, 0) * ChartForm.x(200, 0)
+    (q,) = parse_poly_exprs("(x^100)^199", 1)
+    assert q == ChartForm.from_poly(1, {(19900,): Fraction(1)})
 
 
 @pytest.mark.parametrize("content", [5, [5]], ids=["int", "list-of-int"])

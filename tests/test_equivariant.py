@@ -7,7 +7,8 @@ from weil.chart_forms import ChartForm
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               basic_dims, builtin_action, total_contract,
                               total_d)
-from weil.liealg import builtin
+from weil.invariant_polynomials import basic_subspace
+from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
 from weil.weil_algebra import WeilElement, contract as weil_contract
 from weil import linalg
 
@@ -129,11 +130,30 @@ def test_rotation_basic_contains_radius_squared():
     assert linalg.solve(cols, [target]) is not None
 
 
+def semidirect(rng, k, nilpotent):
+    """R x|_A R^k, [e_0, e_j] = A e_j, for a random integer k x k matrix A;
+    a strictly upper-triangular A makes the algebra nilpotent."""
+    A = [[rng.randint(-2, 2) if i < j or not nilpotent else 0 for j in range(k)]
+         for i in range(k)]
+    L = from_brackets(k + 1, {(0, j + 1): {i + 1: A[i][j] for i in range(k) if A[i][j]}
+                              for j in range(k)})
+    assert validate(L) is None
+    return L
+
+
 def test_m0_reduction_matches_weil_algebra():
-    from weil.weil_algebra import basic_subspace
-    model = WeilModel(0, SU2, [[] for _ in range(3)])
-    for d in range(9):
-        assert model.basic_dim(d, 0) == len(basic_subspace(SU2, d))
+    # The Weil model on a point is the full iota/L system over the whole
+    # Weil basis.  basic_subspace, the Chern-Weil image of the invariant
+    # polynomials, must give its canonical kernel basis term for term.
+    rng = random.Random(31)
+    algebras = [builtin(name) for name in BUILTIN_NAMES]
+    algebras += [semidirect(rng, k, nilpotent) for k in (2, 3) for nilpotent in (False, True)]
+    for L in algebras:
+        model = WeilModel(0, L, [[]] * L.dim)
+        for d in range(9):
+            full = model.basic_basis(d, 0)
+            assert [v.terms for v in basic_subspace(L, d)] == [v.terms for v in full], \
+                (L.structure, d)
 
 
 def test_total_d_maps_basic_into_basic():

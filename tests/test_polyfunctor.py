@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from weil import linalg
+from weil import linalg, polyfunctor
 from weil.chart_forms import ChartForm
 from weil.polyfunctor import (BlackBoxMap, FunctorSpec, apply_functor_matrix,
                               functor_basis, functor_dim,
@@ -184,6 +184,21 @@ def test_functor_dims():
     assert functor_dim(FunctorSpec("sym", 2), 3) == 6
     assert functor_dim(FunctorSpec("ext", 2), 4) == 6
     assert functor_dim(FunctorSpec("ten", 3), 2) == 8
+    # the closed form counts the monomial basis
+    for kind in ("sym", "ext", "ten"):
+        for degree in (1, 2, 3):
+            for n in range(5):
+                spec = FunctorSpec(kind, degree)
+                assert functor_dim(spec, n) == len(functor_basis(spec, n)), (kind, degree, n)
+
+
+def test_inject_answers_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(polyfunctor, "monomials", refuse)
+    r = restriction_injectivity(FunctorSpec("ten", 3), 30, 2)
+    assert (r.dim, r.rank, r.injective) == (216_000, 216_000, True)
 
 
 def test_functoriality_of_matrix_action():

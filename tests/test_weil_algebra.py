@@ -6,9 +6,10 @@ import pytest
 
 from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
                          coadjoint_dual_basis)
-from weil.weil_algebra import (WeilElement, basic_subspace, change_of_basis,
-                               contract, curvature_generator, d_K,
-                               graded_dims, horizontal_project, in_span,
+from weil.invariant_polynomials import basic_subspace
+from weil.weil_algebra import (WeilElement, change_of_basis, contract,
+                               curvature_generator, d_K, graded_dims,
+                               horizontal_project, in_span,
                                koszul_cohomology_dims, lie_derivative,
                                multiply, weil_basis)
 from weil import linalg
