@@ -75,9 +75,8 @@ class _Parser:
         return self.tokens[self.pos]
 
     def take(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, op):
         kind, val = self.take()
@@ -119,6 +118,7 @@ class _Parser:
             _, op = self.take()
             rhs = self.parse_unary()
             if op == "*":
+                _check_product([(acc, 1), (rhs, 1)])
                 acc = acc * rhs
             else:
                 const = _constant_of(rhs)
@@ -145,14 +145,12 @@ class _Parser:
             if kind != "num" or val.denominator != 1 or neg:
                 raise ExprError("exponents must be nonnegative integers")
             e = int(val)
-            # base^e lies in the monomials of degree <= e deg(base) in its variables
-            used = {i for _, exps in base.terms for i, q in enumerate(exps) if q}
-            degree = e * max((sum(exps) for _, exps in base.terms), default=0)
-            if e > DEFAULT_CAP or comb(len(used) + degree, degree) > DEFAULT_CAP:
-                raise ExprError(f"power with exponent {e} is over the size cap {DEFAULT_CAP}")
+            _check_product([(base, e)])  # bounds every partial power too
             out = ChartForm.constant(self.dim)
             for _ in range(e):
                 out = out * base
+                if not out.terms:  # 0^e, e > 0
+                    break
             return out
         return base
 
@@ -167,6 +165,21 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ExprError(f"unexpected token {val!r}")
+
+
+def _check_product(factors):
+    """Refuse a product of (form, power) factors over the size cap before it is
+    multiplied: it has at most C(v + D, v) terms (D the summed degrees, v the
+    variables used) and coefficients of about B bits (the summed bit lengths)."""
+    used, degree, bits = set(), 0, 0
+    for p, k in factors:
+        if k and p.terms:
+            used |= {i for _, exps in p.terms for i, q in enumerate(exps) if q}
+            degree += k * max(sum(exps) for _, exps in p.terms)
+            bits += k * max(max(abs(c.numerator), c.denominator).bit_length()
+                            for c in p.terms.values())
+    if bits > DEFAULT_CAP or comb(len(used) + degree, len(used)) > DEFAULT_CAP:
+        raise ExprError(f"product is over the size cap {DEFAULT_CAP}")
 
 
 def _constant_of(p):
@@ -214,11 +227,8 @@ def _algebra_arg(name):
 
 def _named_invariant(L, name):
     if name == "casimir":
-        n = L.dim
-        cas = WeilElement.zero(n)
-        for i in range(n):
-            cas = cas + multiply(WeilElement.lamt(n, i), WeilElement.lamt(n, i))
-        return cas
+        return sum((multiply(WeilElement.lamt(L.dim, i), WeilElement.lamt(L.dim, i))
+                    for i in range(L.dim)), WeilElement.zero(L.dim))
     m = re.fullmatch(r"basis:(\d+):(\d+)", name)
     if m:
         k, idx = int(m.group(1)), int(m.group(2))
@@ -353,10 +363,7 @@ def _cmd_polyfunc(args, payloads):
 
 def _default_probes(dim):
     base = [1, -2, 3, 5, -1, 2]
-    probes = []
-    for shift in range(3):
-        probes.append([Fraction(base[(i + shift) % len(base)]) for i in range(dim)])
-    return probes
+    return [[Fraction(base[(i + shift) % len(base)]) for i in range(dim)] for shift in range(3)]
 
 
 def _default_trials(dim):
@@ -425,17 +432,13 @@ def build_parser():
 
     sp = sub.add_parser("polyfunc", help="polynomial functor procedures")
     sub2 = sp.add_subparsers(dest="mode", required=True)
-    d1 = sub2.add_parser("decompose")
-    d1.add_argument("--expr", required=True)
-    d1.add_argument("--degree", type=int, required=True)
-    d1.add_argument("--dim", type=int, required=True)
-    d1.add_argument("--probes", metavar="FILE")
-    d1.set_defaults(handler=_cmd_polyfunc, mode="decompose")
-    d2 = sub2.add_parser("check")
-    d2.add_argument("--expr", required=True)
-    d2.add_argument("--degree", type=int, required=True)
-    d2.add_argument("--dim", type=int, required=True)
-    d2.set_defaults(handler=_cmd_polyfunc, mode="check")
+    for mode in ("decompose", "check"):
+        d = sub2.add_parser(mode)
+        d.add_argument("--expr", required=True)
+        d.add_argument("--degree", type=int, required=True)
+        d.add_argument("--dim", type=int, required=True)
+        d.set_defaults(handler=_cmd_polyfunc, mode=mode)
+    sub2.choices["decompose"].add_argument("--probes", metavar="FILE")
     d3 = sub2.add_parser("inject")
     d3.add_argument("--functor", required=True)
     d3.add_argument("--copies", type=int, required=True)

@@ -294,8 +294,8 @@ class InjectivityReport:
 
 
 def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> InjectivityReport:
-    """Check that the stacked restrictions F(eps_I), |I| = degree, are jointly
-    injective on F(V^copies).  Requires copies > degree."""
+    """Report the rank of the stacked restrictions F(eps_I), |I| = degree, on
+    F(V^copies): a lemma for copies > degree makes it dim, with no elimination."""
     d = spec.degree
     if copies <= d:
         raise ValueError("the hypothesis requires copies > degree")

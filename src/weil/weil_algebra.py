@@ -139,10 +139,10 @@ def lie_derivative(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
 
 
 def curvature_generator(L: LieAlgebra, i: int) -> WeilElement:
-    """Omega^i = lamt_i + 1/2 f^i_{jk} lam_j lam_k."""
+    """Omega^i = d_K lam_i + 1/2 f^i_{jk} lam_j lam_k, the curvature of theta = lam."""
     n = L.dim
     _check_index(n, i)
-    out = WeilElement.lamt(n, i)
+    out = d_K(WeilElement.lam(n, i))
     for (j, k, a), c in L.structure.items():
         if a == i and j < k:
             out = out + WeilElement.monomial(n, (j, k), (0,) * n, c)
