@@ -20,12 +20,12 @@ from .acceptance import run_all
 from .chart_forms import ChartForm
 from .chern_weil import (builtin_rep, constant_gauge, cw_form,
                          gauge_transform, quaternion_matrix, unipotent_gauge)
-from .equivariant import WeilModel, builtin_action
-from .invariant_polynomials import basic_subspace, invariant_basis
+from .equivariant import WeilModel, action_dim, builtin_action, check_basis_size
+from .invariant_polynomials import basic_subspace, invariant_bases, invariant_basis
 from .liealg import builtin
 from .polyfunctor import (FunctorSpec, homogeneous_decompose, is_polynomial,
                           poly_black_box, restriction_injectivity)
-from .schur_oracle import DEFAULT_CAP, verify_bidegree
+from .schur_oracle import DEFAULT_CAP, check_size, verify_bidegree
 from .weil_algebra import (WeilElement, graded_dims, koszul_cohomology_dims,
                            multiply)
 
@@ -250,16 +250,14 @@ def _cmd_basic(args, payloads):
 
 
 def _cmd_cohomology(args, payloads):
+    cohomology = koszul_cohomology_dims(args.dim, args.max_degree)  # refuses before graded_dims
     return {"dim": args.dim, "max_degree": args.max_degree,
-            "graded_dims": graded_dims(args.dim, args.max_degree),
-            "cohomology": koszul_cohomology_dims(args.dim, args.max_degree)}
+            "graded_dims": graded_dims(args.dim, args.max_degree), "cohomology": cohomology}
 
 
 def _cmd_invariants(args, payloads):
     L = _algebra_arg(args.algebra)
-    if args.max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    bases = [invariant_basis(L, k) for k in range(args.max_degree + 1)]
+    bases = invariant_bases(L, args.max_degree)
     return {"algebra": jsonio.algebra_to_json(L), "space": "(Sym g*)^g",
             "dims": [len(basis) for basis in bases],
             "bases": [[jsonio.weil_element_to_json(b) for b in basis] for basis in bases]}
@@ -316,7 +314,11 @@ def _cmd_equivariant(args, payloads):
                                         "an action file")]
         m = len(mats[0]) if mats else 0
     else:
-        m, mats = builtin_action(args.action, L)
+        m = action_dim(args.action, L)
+        check_size(L.dim * m * m, f"{L.dim} action matrices of size {m}")
+    check_basis_size(m, L.dim, args.degree, args.poly_cap)
+    if not args.action_json:
+        mats = builtin_action(args.action, L)[1]
     model = WeilModel(m, L, mats)
     dim = model.basic_dim(args.degree, args.poly_cap)
     return {"algebra": jsonio.algebra_to_json(L), "chart_dim": m,

@@ -22,10 +22,11 @@ from . import linalg
 from .chart_forms import ChartForm, d as chart_d
 from .liealg import LieAlgebra, basis_vector, check_representation, frac
 from .masks import mask_of
+from .schur_oracle import capped_comb, check_size
 from .superalg import ONE, SuperElement, derivation, operator_rows, unit_exponent
 from .weil_algebra import (WeilElement, contraction_images, key_degree,
-                           lie_images, sym_exponents, term_sort_key,
-                           weil_basis)
+                           koszul_dim, lie_images, sym_exponents,
+                           term_sort_key, weil_basis)
 
 
 class WeilModel:
@@ -207,20 +208,38 @@ def basic_dims(chart_dim, algebra, action, total_degree, poly_cap) -> int:
 ROTATION_2D = ((0, -1), (1, 0))
 
 
-def builtin_action(name: str, algebra: LieAlgebra):
-    """Named actions for the CLI: 'trivial:<m>', 'rot2' (abelian(1) on R^2),
-    'adjoint' (the algebra acting on itself)."""
+def action_dim(name: str, algebra: LieAlgebra) -> int:
+    """Chart dimension of a named action, without building its matrices."""
     if name == "rot2":
         if algebra.dim != 1:
             raise ValueError("rot2 is an action of a 1-dimensional algebra")
-        return 2, [ROTATION_2D]
+        return 2
     if name.startswith("trivial:"):
-        m = int(name.split(":", 1)[1])
-        return m, [[[0] * m for _ in range(m)] for _ in range(algebra.dim)]
+        return int(name.split(":", 1)[1])
     if name == "adjoint":
-        n = algebra.dim
-        mats = []
-        for i in range(n):
-            mats.append([[algebra.f(i, j, k) for j in range(n)] for k in range(n)])
-        return n, mats
+        return algebra.dim
     raise ValueError(f"unknown action name: {name!r}")
+
+
+def builtin_action(name: str, algebra: LieAlgebra):
+    """Named actions for the CLI: 'trivial:<m>', 'rot2' (abelian(1) on R^2),
+    'adjoint' (the algebra acting on itself)."""
+    m, n = action_dim(name, algebra), algebra.dim
+    if name == "rot2":
+        return m, [ROTATION_2D]
+    if name == "adjoint":
+        return m, [[[algebra.f(i, j, k) for j in range(n)] for k in range(n)] for i in range(n)]
+    return m, [[[0] * m for _ in range(m)] for _ in range(n)]
+
+
+def check_basis_size(chart_dim, n, total_degree, poly_cap):
+    """Refuse a truncation from the closed-form size of its basis,
+    sum_r C(m, r) dim Koss^{d-r}(n) C(m + cap, cap), before any action matrix
+    or key is built.  The sum stops once it passes the cap; negative sizes are
+    left to the model to refuse."""
+    if min(chart_dim, total_degree, poly_cap) < 0:
+        return
+    polys, size = capped_comb(chart_dim + poly_cap, poly_cap), 0
+    for r in range(min(chart_dim, total_degree) + 1):
+        size += capped_comb(chart_dim, r) * koszul_dim(n, total_degree - r) * polys
+        check_size(size, f"the Weil model basis in degree {total_degree} with cap {poly_cap}")

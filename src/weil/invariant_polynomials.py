@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import linalg
 from .liealg import LieAlgebra, basis_vector
+from .schur_oracle import capped_comb, check_size
 from .weil_algebra import (WeilElement, change_of_basis, derivation, in_span,
                            lie_images, operator_rows, sym_exponents,
                            term_sort_key)
@@ -27,14 +28,26 @@ def is_sym_element(a: WeilElement) -> bool:
 
 def invariant_dims(L: LieAlgebra, max_k):
     """[dim (Sym^k g*)^g]_{k=0..max_k}."""
+    return [len(basis) for basis in invariant_bases(L, max_k)]
+
+
+def invariant_bases(L: LieAlgebra, max_k):
+    """[invariant_basis(L, k)]_{k=0..max_k}, refused up front when Sym^max_k,
+    the largest of the spaces, is over the cap."""
     if max_k < 0:
         raise ValueError("max_degree must be >= 0")
-    return [len(invariant_basis(L, k)) for k in range(max_k + 1)]
+    _check_sym_size(L.dim, max_k)
+    return [invariant_basis(L, k) for k in range(max_k + 1)]
+
+
+def _check_sym_size(n, k):
+    check_size(capped_comb(n + k - 1, k), f"Sym^{k} of a {n}-dimensional algebra")
 
 
 def invariant_basis(L: LieAlgebra, k):
     """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements."""
     n = L.dim
+    _check_sym_size(n, k)
     dom = sorted(((0, s) for s in sym_exponents(n, k)), key=term_sort_key)
     zero = WeilElement(n)
     rows = []

@@ -81,25 +81,28 @@ class Violation(NamedTuple):
 
 
 def validate(L: LieAlgebra):
-    """None if antisymmetry and Jacobi hold exactly, else the first Violation."""
+    """None if antisymmetry and Jacobi hold exactly, else the lexicographically
+    first Violation.  Only the nonzero structure constants are visited."""
     n = L.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if L.f(i, j, k) != -L.f(j, i, k):
-                    return Violation("antisymmetry", (i, j, k))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = Fraction(0)
-                    for m in range(n):
-                        s += (L.f(i, j, m) * L.f(m, k, l)
-                              + L.f(j, k, m) * L.f(m, i, l)
-                              + L.f(k, i, m) * L.f(m, j, l))
-                    if s:
-                        return Violation("jacobi", (i, j, k, l))
-    return None
+    table = {key: c for key, c in L.structure.items() if c and all(0 <= x < n for x in key)}
+    bad = [t for (i, j, k), c in table.items() if table.get((j, i, k), 0) != -c
+           for t in ((i, j, k), (j, i, k))]
+    if bad:
+        return Violation("antisymmetry", min(bad))
+    # T(i, j, k, l) = sum_m f^m_ij f^l_mk, from the pairs of entries that share m
+    by_first = {}
+    for (m, k, l), c in table.items():
+        by_first.setdefault(m, []).append((k, l, c))
+    T = {}
+    for (i, j, m), c in table.items():
+        for k, l, c2 in by_first.get(m, ()):
+            T[i, j, k, l] = T.get((i, j, k, l), 0) + c * c2
+    # the Jacobi sum J(i, j, k, l) = T(i, j, k, l) + T(j, k, i, l) + T(k, i, j, l)
+    # is zero unless (i, j, k, l) is a cyclic rotation of a key of T
+    bad = [key for i, j, k, l in T for key in ((i, j, k, l), (j, k, i, l), (k, i, j, l))
+           if T.get(key, 0) + T.get((key[1], key[2], key[0], l), 0)
+           + T.get((key[2], key[0], key[1], l), 0)]
+    return Violation("jacobi", min(bad)) if bad else None
 
 
 def check_representation(L: LieAlgebra, mats):

@@ -11,61 +11,45 @@ dimension report in this package reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Row = dict[int, Fraction]
 
 
+def _primitive(ints) -> dict[int, int]:
+    """Divide out the content gcd."""
+    g = gcd(*ints.values())
+    return {c: n // g for c, n in ints.items()} if g > 1 else ints
+
+
 def _int_row(row) -> dict[int, int]:
     """Clear denominators and divide out the content."""
-    ints = {}
-    scale = 1
-    for v in row.values():
-        d = v.denominator if isinstance(v, Fraction) else 1
-        scale = scale * d // gcd(scale, d)
-    g = 0
-    for c, v in row.items():
-        n = int(v * scale)
-        if n:
-            ints[c] = n
-            g = gcd(g, n)
-    if g > 1:
-        ints = {c: n // g for c, n in ints.items()}
-    return ints
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
 
 
 def _forward_eliminate(rows):
-    """Integer forward elimination; returns [(pivot_col, int_row)] sorted by pivot."""
-    work = [r for r in (_int_row(r) for r in rows) if r]
-    pivots = []
-    while work:
-        col = min(min(r) for r in work)
-        candidates = [r for r in work if col in r]
-        # sparsest candidate keeps fill-in down; ties broken by list order
-        piv = min(candidates, key=len)
-        work.remove(piv)
-        pv = piv[col]
-        reduced = []
-        for r in work:
-            if col in r:
-                rv = r[col]
-                new = {}
-                g = 0
-                for c in r.keys() | piv.keys():
-                    n = pv * r.get(c, 0) - rv * piv.get(c, 0)
-                    if n:
-                        new[c] = n
-                        g = gcd(g, n)
-                if g > 1:
-                    new = {c: n // g for c, n in new.items()}
-                if new:
-                    reduced.append(new)
-            else:
-                reduced.append(r)
-        work = reduced
-        pivots.append((col, piv))
-    pivots.sort(key=lambda t: t[0])
-    return pivots
+    """Integer forward elimination; returns [(pivot_col, int_row)] sorted by pivot.
+
+    Rows are taken sparsest first (a stable sort, so ties keep their order).
+    Each is reduced against the pivot row of its leading column until that
+    column has none, and is then stored as the pivot row of that column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(filter(None, map(_int_row, rows)), key=len):
+        col = min(row)
+        while col in pivots:
+            piv = pivots[col]
+            pv, rv = piv[col], row[col]
+            row = {c: n for c in row.keys() | piv.keys()
+                   if (n := pv * row.get(c, 0) - rv * piv.get(c, 0))}
+            if not row:
+                break
+            row = _primitive(row)
+            col = min(row)
+        else:
+            pivots[col] = row
+    return sorted(pivots.items())
 
 
 def rank(rows) -> int:
@@ -77,25 +61,26 @@ def rref(rows):
 
     Returns ``(pivot_cols, reduced_rows)`` where ``reduced_rows[i]`` has a
     unit pivot at ``pivot_cols[i]`` and zeros in every other pivot column.
+    Back-substitution runs from the last pivot upward.  A reduced row has no
+    entry in any other pivot column, so subtracting it clears one column and
+    touches only free ones: each row is reduced once per pivot column it holds.
     """
     pivots = _forward_eliminate(rows)
-    piv_cols = [c for c, _ in pivots]
-    reduced: list[Row] = []
-    # back-substitute from the last pivot upward
-    for idx in range(len(pivots) - 1, -1, -1):
-        col, irow = pivots[idx]
+    reduced: dict[int, Row] = {}
+    for col, irow in reversed(pivots):
         row = {c: Fraction(v, irow[col]) for c, v in irow.items()}
-        for later_col, later_row in zip(piv_cols[idx + 1:], reduced):
-            f = row.get(later_col)
-            if f:
-                for c, v in later_row.items():
-                    n = row.get(c, Fraction(0)) - f * v
+        for later in [c for c in row if c in reduced]:
+            f = row.pop(later)
+            for c, v in reduced[later].items():
+                if c != later:
+                    n = row.get(c, 0) - f * v
                     if n:
                         row[c] = n
                     else:
-                        row.pop(c, None)
-        reduced.insert(0, row)
-    return piv_cols, reduced
+                        del row[c]
+        reduced[col] = row
+    piv_cols = [c for c, _ in pivots]
+    return piv_cols, [reduced[c] for c in piv_cols]
 
 
 def nullspace(rows, ncols):
@@ -103,21 +88,17 @@ def nullspace(rows, ncols):
 
     One vector per free column (ascending), with entry 1 at the free column
     and the back-substituted pivot entries, i.e. the standard RREF kernel
-    basis.
+    basis, read off the reduced rows in one pass.
     """
     piv_cols, reduced = rref(rows)
-    piv_set = set(piv_cols)
-    basis = []
-    for free in range(ncols):
-        if free in piv_set:
-            continue
-        vec = {free: Fraction(1)}
-        for col, row in zip(piv_cols, reduced):
-            v = row.get(free)
-            if v:
-                vec[col] = -v
-        basis.append(vec)
-    return basis
+    basis = {free: {free: Fraction(1)} for free in range(ncols)}
+    for col in piv_cols:
+        basis.pop(col, None)
+    for col, row in zip(piv_cols, reduced):
+        for c, v in row.items():
+            if c in basis:
+                basis[c][col] = -v
+    return list(basis.values())
 
 
 def solve(columns, targets):

@@ -240,6 +240,25 @@ def codomain_action(a, b, elem):
 DEFAULT_CAP = 20000
 
 
+def capped_comb(a, b):
+    """C(a, b), or DEFAULT_CAP + 1 once a partial product C(a, i) passes the
+    cap, so that a size check takes a few steps even for huge a and b."""
+    if not 0 <= b <= a:
+        return 0
+    out = 1
+    for i in range(min(b, a - b)):
+        out = out * (a - i) // (i + 1)
+        if out > DEFAULT_CAP:
+            return DEFAULT_CAP + 1
+    return out
+
+
+def check_size(size, what):
+    """Refuse a problem from its closed-form size, before anything is enumerated."""
+    if size > DEFAULT_CAP:
+        raise ResourceCapError(f"{what} is over the cap {DEFAULT_CAP}")
+
+
 def equivariant_hom_dim(problem: EquivHomProblem, cap=DEFAULT_CAP) -> int:
     """Exact dimension of the GL(W)-equivariant maps D -> Lambda^r W*."""
     if problem.total_w_weight() != problem.codomain_degree:

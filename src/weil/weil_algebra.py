@@ -19,6 +19,7 @@ from math import comb
 from . import linalg, superalg
 from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
 from .masks import indices_of, mask_of
+from .schur_oracle import capped_comb, check_size
 from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
                        in_span, multiply, operator_rows, unit_exponent)
 
@@ -197,19 +198,18 @@ def weil_basis(n, d):
     return keys
 
 
+def koszul_dim(n, d):
+    """dim Koss^d, capped like `capped_comb`: with lamt_i in degree 2 the
+    Hilbert series is (1+t)^n / (1-t^2)^n = (1-t)^-n, so dim Koss^d =
+    C(n+d-1, d), nondecreasing in d."""
+    return capped_comb(n + d - 1, d)
+
+
 def graded_dims(n, max_degree):
-    """[dim Koss^d]_{d=0..D} = sum_{p+2q=d} C(n,p) C(n+q-1,q)."""
+    """[dim Koss^d]_{d=0..D} = [C(n+d-1, d)]."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    out = []
-    for d in range(max_degree + 1):
-        total = 0
-        for p in range(min(n, d) + 1):
-            if (d - p) % 2 == 0:
-                q = (d - p) // 2
-                total += comb(n, p) * comb(n + q - 1, q)
-        out.append(total)
-    return out
+    return [comb(n + d - 1, d) for d in range(max_degree + 1)]
 
 
 def koszul_cohomology_dims(n, max_degree):
@@ -218,6 +218,7 @@ def koszul_cohomology_dims(n, max_degree):
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
     bases = {d: weil_basis(n, d) for d in range(max_degree + 2)}
     zero, images = WeilElement(n), koszul_images(n)
     ranks = {}

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,33 @@ def test_json_algebra_must_satisfy_jacobi(tmp_path, capsys):
         "inject-base-dim", "check-degree"])
 def test_negative_size_is_a_domain_error(capsys, argv):
     assert assert_domain_error(capsys, argv)["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["basic", "--algebra", "abelian40", "--degree", "8"],  # C(43, 4) = 123,410 unknowns
+    ["invariants", "--algebra", "abelian40", "--max-degree", "4"],
+    ["cohomology", "--dim", "30", "--max-degree", "6"],  # dim Koss^7(30) = 8,347,680
+    # 1,000,000 x 1,000,000 matrices before any size was checked
+    ["equivariant", "--algebra", "su2", "--action", "trivial:1000000", "--degree", "2",
+     "--poly-cap", "2"],
+    # a one-element basis, but 3 * 100000^2 action matrix entries
+    ["equivariant", "--algebra", "su2", "--action", "trivial:100000", "--degree", "0",
+     "--poly-cap", "0"],
+    ["equivariant", "--algebra", "su2", "--action", "adjoint", "--degree", "12",
+     "--poly-cap", "8"],
+], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
+        "equivariant-adjoint"])
+def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated before the size was checked")
+
+    for name, module in list(sys.modules.items()):
+        if name == "weil" or name.startswith("weil."):
+            for attr in ("sym_exponents", "weil_basis", "builtin_action"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, enumerated)
+    error = assert_domain_error(capsys, argv)
+    assert error["type"] == "ResourceCapError" and "over the cap 20000" in error["message"]
 
 
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],

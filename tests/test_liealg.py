@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weil.liealg import (BUILTIN_NAMES, Violation, basis_vector, builtin,
-                         coadjoint, make_lie_algebra, validate)
+from weil import jsonio
+from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, basis_vector,
+                         builtin, coadjoint, from_brackets, make_lie_algebra,
+                         validate)
 
 
 def test_abelian_validates():
@@ -121,3 +123,108 @@ def test_coadjoint_is_a_representation():
         comm2 = _mat_mul(My, Mx)
         rhs = [[comm[i][j] - comm2[i][j] for j in range(3)] for i in range(3)]
         assert lhs == rhs
+
+
+# -- validate against the dense O(dim^5) loops ---------------------------
+
+
+def dense_validate(L):
+    """The previous validate: every index tuple, lexicographically."""
+    n = L.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if L.f(i, j, k) != -L.f(j, i, k):
+                    return Violation("antisymmetry", (i, j, k))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    s = Fraction(0)
+                    for m in range(n):
+                        s += (L.f(i, j, m) * L.f(m, k, l)
+                              + L.f(j, k, m) * L.f(m, i, l)
+                              + L.f(k, i, m) * L.f(m, j, l))
+                    if s:
+                        return Violation("jacobi", (i, j, k, l))
+    return None
+
+
+def gl_subalgebra(k, upper):
+    """gl(k), or its upper-triangular Borel subalgebra, on the matrix units:
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    units = [(a, b) for a in range(k) for b in range(k) if a <= b or not upper]
+    index = {u: i for i, u in enumerate(units)}
+    table = {}
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units):
+            if b == c:
+                table[i, j, index[a, d]] = table.get((i, j, index[a, d]), 0) + 1
+            if d == a:
+                table[i, j, index[c, b]] = table.get((i, j, index[c, b]), 0) - 1
+    return make_lie_algebra(len(units), table)
+
+
+def random_valid_algebras(rng):
+    """Semidirect products R x|_A R^k (Jacobi holds for every A), gl(2), the
+    Borel of gl(3) and a direct sum su2 + heisenberg3."""
+    out = [builtin(name) for name in BUILTIN_NAMES]
+    out += [gl_subalgebra(2, False), gl_subalgebra(3, True)]
+    su2, heis = builtin("su2"), builtin("heisenberg3")
+    out.append(make_lie_algebra(6, {**su2.structure, **{(i + 3, j + 3, k + 3): c for (i, j, k), c
+                                                         in heis.structure.items()}}))
+    for _ in range(8):
+        k = rng.randint(1, 4)
+        A = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        out.append(from_brackets(k + 1, {(0, j + 1): {i + 1: A[i][j] for i in range(k) if A[i][j]}
+                                         for j in range(k)}))
+    return out
+
+
+def perturbed(rng, L):
+    """One seeded change to the table: rescale or add an antisymmetric
+    bracket (usually breaks Jacobi), or drop one direction or add a diagonal
+    entry (breaks antisymmetry)."""
+    table = dict(L.structure)
+    n = L.dim
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    kind = rng.randrange(4)
+    if kind == 0 and table:
+        (a, b, c), v = rng.choice(sorted(table.items()))
+        table[a, b, c], table[b, a, c] = v * 2, -v * 2
+    elif kind <= 1 and i != j:
+        v = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        table[i, j, k] = table.get((i, j, k), 0) + v
+        table[j, i, k] = table.get((j, i, k), 0) - v
+    elif kind == 2 and table:
+        del table[rng.choice(sorted(table))]
+    else:
+        table[i, i, k] = Fraction(1)
+    return make_lie_algebra(n, table)
+
+
+def test_validate_matches_dense_loops():
+    rng = random.Random(41)
+    kinds = set()
+    for L in random_valid_algebras(rng):
+        assert validate(L) is None and dense_validate(L) is None, L.structure
+        for _ in range(6):
+            bad = perturbed(rng, L)
+            expected = dense_validate(bad)
+            assert validate(bad) == expected, bad.structure
+            kinds.add(expected and expected.kind)
+    assert kinds == {None, "antisymmetry", "jacobi"}
+
+
+def test_validate_visits_only_the_stored_brackets(monkeypatch):
+    def dense_lookup(self, i, j, k):
+        raise AssertionError("validate looked up a structure constant by index")
+
+    monkeypatch.setattr(LieAlgebra, "f", dense_lookup)
+    brackets = [{"i": 3, "j": 17, "k": 40, "c": "5/2"}]
+    L = jsonio.algebra_from_json({"dim": 40, "brackets": brackets})
+    assert L.dim == 40 and validate(L) is None
+    # [e39, e40] = e3 breaks Jacobi: [[e3, e17], e39] = -5/2 e3, the other two terms vanish
+    brackets.append({"i": 39, "j": 40, "k": 3, "c": "1"})
+    with pytest.raises(ValueError, match=r"violate jacobi at basis indices \[3, 17, 39, 3\]"):
+        jsonio.algebra_from_json({"dim": 40, "brackets": brackets})

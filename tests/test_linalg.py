@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from weil import linalg
+from weil.equivariant import WeilModel, builtin_action
+from weil.liealg import builtin
 
 
 def F(a, b=1):
@@ -100,3 +105,138 @@ def test_random_rank_nullity():
         for vec in kernel:
             for row in rows:
                 assert sum(row.get(c, F(0)) * v for c, v in vec.items()) == 0
+
+
+# -- the previous elimination, kept as the oracle -------------------------
+# It picks each pivot column by rescanning every remaining row, takes the
+# sparsest row holding it, and rebuilds the work list after every pivot.
+
+
+def _old_int_row(row):
+    ints = {}
+    scale = 1
+    for v in row.values():
+        d = v.denominator if isinstance(v, Fraction) else 1
+        scale = scale * d // gcd(scale, d)
+    g = 0
+    for c, v in row.items():
+        n = int(v * scale)
+        if n:
+            ints[c] = n
+            g = gcd(g, n)
+    if g > 1:
+        ints = {c: n // g for c, n in ints.items()}
+    return ints
+
+
+def old_forward_eliminate(rows):
+    work = [r for r in (_old_int_row(r) for r in rows) if r]
+    pivots = []
+    while work:
+        col = min(min(r) for r in work)
+        candidates = [r for r in work if col in r]
+        piv = min(candidates, key=len)
+        work.remove(piv)
+        pv = piv[col]
+        reduced = []
+        for r in work:
+            if col in r:
+                rv = r[col]
+                new = {}
+                g = 0
+                for c in r.keys() | piv.keys():
+                    n = pv * r.get(c, 0) - rv * piv.get(c, 0)
+                    if n:
+                        new[c] = n
+                        g = gcd(g, n)
+                if g > 1:
+                    new = {c: n // g for c, n in new.items()}
+                if new:
+                    reduced.append(new)
+            else:
+                reduced.append(r)
+        work = reduced
+        pivots.append((col, piv))
+    pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def old_rref(rows):
+    pivots = old_forward_eliminate(rows)
+    piv_cols = [c for c, _ in pivots]
+    reduced = []
+    for idx in range(len(pivots) - 1, -1, -1):
+        col, irow = pivots[idx]
+        row = {c: Fraction(v, irow[col]) for c, v in irow.items()}
+        for later_col, later_row in zip(piv_cols[idx + 1:], reduced):
+            f = row.get(later_col)
+            if f:
+                for c, v in later_row.items():
+                    n = row.get(c, Fraction(0)) - f * v
+                    if n:
+                        row[c] = n
+                    else:
+                        row.pop(c, None)
+        reduced.insert(0, row)
+    return piv_cols, reduced
+
+
+def old_nullspace(rows, ncols):
+    piv_cols, reduced = old_rref(rows)
+    piv_set = set(piv_cols)
+    basis = []
+    for free in range(ncols):
+        if free in piv_set:
+            continue
+        vec = {free: Fraction(1)}
+        for col, row in zip(piv_cols, reduced):
+            v = row.get(free)
+            if v:
+                vec[col] = -v
+        basis.append(vec)
+    return basis
+
+
+def assert_matches_oracle(rows, ncols):
+    old_pivots, new_pivots = old_forward_eliminate(rows), linalg._forward_eliminate(rows)
+    assert [c for c, _ in new_pivots] == [c for c, _ in old_pivots]
+    assert all(min(row) == c for c, row in new_pivots)
+    assert linalg.rref(rows) == old_rref(rows)
+    assert linalg.nullspace(rows, ncols) == old_nullspace(rows, ncols)
+    assert linalg.rank(rows) == len(old_pivots)
+
+
+def random_system(rng, nrows, ncols, density):
+    """Sparse rows with Fraction entries, some combinations of earlier rows
+    (rank deficiency) and some exact duplicates."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) > 1 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            x, y = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3))
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: v for c, v in row.items() if v})
+        else:
+            rows.append({c: F(rng.randint(-9, 9), rng.randint(1, 6))
+                         for c in range(ncols) if rng.random() < density})
+    return [{c: v for c, v in r.items() if v} for r in rows]
+
+
+def test_reduction_matches_previous_elimination_on_random_systems():
+    rng = random.Random(2024)
+    for _ in range(300):
+        ncols = rng.randint(1, 14)
+        rows = random_system(rng, rng.randint(0, 18), ncols, rng.choice((0.1, 0.3, 0.6)))
+        assert_matches_oracle(rows, ncols)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
+@pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
+def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degree, cap):
+    L = builtin(name)
+    m, mats = builtin_action("adjoint", L)
+    dom, rows = WeilModel(m, L, mats).basic_constraint_rows(degree, cap)
+    assert_matches_oracle(rows, len(dom))

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -7,7 +8,7 @@ from weil import linalg
 from weil.polyfunctor import monomials
 from weil.schur_oracle import (BASES, DEFAULT_CAP, EquivHomProblem, Factor,
                                ResourceCapError, antisymmetrization_problem,
-                               base_elements, bidegree_problem, codomain_action,
+                               base_elements, bidegree_problem, capped_comb, codomain_action,
                                domain_action, domain_weight, equivariant_hom_dim,
                                verify_bidegree)
 
@@ -199,3 +200,12 @@ def test_mixed_factor_problem():
     # and with a Lambda^2 W* domain factor the identity map shows up
     prob2 = EquivHomProblem(3, 0, (Factor("ten", 1, "L2W"),), 2)
     assert equivariant_hom_dim(prob2) == 1
+
+
+def test_capped_comb_is_exact_below_the_cap_and_cheap_above_it():
+    for a in range(40):
+        for b in range(-1, a + 2):
+            expected = comb(a, b) if 0 <= b <= a else 0
+            assert capped_comb(a, b) == min(expected, DEFAULT_CAP + 1), (a, b)
+    # C(2 * 10^12, 10^12) has about 6 * 10^11 digits; the cap is passed in a few steps
+    assert capped_comb(2 * 10 ** 12, 10 ** 12) == DEFAULT_CAP + 1
