@@ -12,7 +12,7 @@ from .invariant_polynomials import (basic_subspace, invariant_basis,  # noqa: F4
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge  # noqa: F401
 from .chern_weil import (GaugeTransform, LieValuedForm, curvature,  # noqa: F401
                          cw_form, gauge_transform)
-from .equivariant import WeilModel, basic_dims, total_contract, total_d  # noqa: F401
+from .equivariant import WeilModel  # noqa: F401
 from .polyfunctor import (BlackBoxMap, FunctorSpec,  # noqa: F401
                           homogeneous_decompose, is_polynomial,
                           restriction_injectivity)

@@ -1,10 +1,11 @@
 """Connections on charts, curvature, and the Chern-Weil homomorphism.
 
 A connection is a Lie-algebra-valued 1-form with polynomial coefficients.
-Curvature is F = dA + 1/2 [A, A]; an invariant symmetric polynomial applied
-to F gives the closed Chern-Weil form.  Gauge transformations are restricted
-to constant and unipotent-polynomial matrices in a validated matrix
-representation, so every inverse is exact.
+Curvature is F = dA + 1/2 [A, A], the image of the Weil curvature Omega
+under the characteristic map lam -> A, lamt -> dA; an invariant symmetric
+polynomial applied to F gives the closed Chern-Weil form.  Gauge
+transformations are restricted to constant and unipotent-polynomial matrices
+in a validated matrix representation, so every inverse is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import linalg
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge
 from .liealg import LieAlgebra, builtin, check_representation, frac
 from .superalg import ONE, substitute
-from .weil_algebra import WeilElement
+from .weil_algebra import WeilElement, curvature_generator
 from .invariant_polynomials import is_sym_element
 
 
@@ -61,31 +62,25 @@ class LieValuedForm:
         return "LieValuedForm(" + ", ".join(repr(c) for c in self.components) + ")"
 
 
-def curvature(A: LieValuedForm) -> LieValuedForm:
-    """F = dA + 1/2 [A, A], with [A,A]^k = sum_{ij} f^k_{ij} A^i wedge A^j."""
-    if A.degree() not in (0, 1):
-        raise ValueError("curvature needs a 1-form connection")
-    L = A.algebra
-    comps = []
-    for k in range(L.dim):
-        Fk = d(A.components[k])
-        for (i, j, kk), c in L.structure.items():
-            if kk == k and i < j:  # antisymmetry folds the double sum
-                Fk = Fk + wedge(A.components[i], A.components[j]).scale(c)
-        comps.append(Fk)
-    return LieValuedForm(L, A.chart_dim, comps)
-
-
-def pullback_connection(phi: PolyMap, A: LieValuedForm) -> LieValuedForm:
-    return LieValuedForm(A.algebra, phi.source_dim, [pullback(phi, c) for c in A.components])
-
-
 def weil_to_chart(a: WeilElement, A: LieValuedForm) -> ChartForm:
-    """Universal substitution lam_i -> A^i, lamt_i -> (dA)^i."""
+    """The characteristic map of A: lam_i -> A^i, lamt_i -> (dA)^i."""
     if a.n != A.algebra.dim:
         raise ValueError("element dimension does not match the connection algebra")
     dA = [d(c) for c in A.components]
     return substitute(a, A.components, dA, ChartForm.unit(A.chart_dim))
+
+
+def curvature(A: LieValuedForm) -> LieValuedForm:
+    """F = dA + 1/2 [A, A], the characteristic map applied to the Weil curvature Omega."""
+    if A.degree() not in (0, 1):
+        raise ValueError("curvature needs a 1-form connection")
+    L = A.algebra
+    return LieValuedForm(L, A.chart_dim, [weil_to_chart(curvature_generator(L, k), A)
+                                          for k in range(L.dim)])
+
+
+def pullback_connection(phi: PolyMap, A: LieValuedForm) -> LieValuedForm:
+    return LieValuedForm(A.algebra, phi.source_dim, [pullback(phi, c) for c in A.components])
 
 
 def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:

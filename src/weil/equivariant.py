@@ -8,10 +8,10 @@ differential D = d_X + d_K, the total contraction (the fundamental vector
 field of the action paired with the algebraic contraction) and the total Lie
 derivative are derivations given by their values on generators.
 
-Everything is computed inside explicit truncations: a total degree d and a
-polynomial coefficient degree cap c.  The operators raise the coefficient
-degree by at most one, so kernels are computed exactly against codomain
-bases with cap c + 1 -- nothing is silently truncated.
+Everything is computed inside explicit truncations of the domain: a total
+degree d and a polynomial coefficient degree cap c.  The codomain is never
+truncated: each constraint row is keyed by a key the operator reaches, so
+no codomain basis is enumerated.
 """
 
 from __future__ import annotations
@@ -145,15 +145,13 @@ class WeilModel:
         if total_degree < 0 or poly_cap < 0:
             raise ValueError("degree and poly_cap must be >= 0")
         dom = self.basis(total_degree, poly_cap)
-        cod_iota = self.basis(total_degree - 1, poly_cap + 1) if total_degree > 0 else []
-        cod_lie = self.basis(total_degree, poly_cap + 1)
         zero = self.zero()
         rows = []
         for i in range(self.n):
             xi = basis_vector(self.n, i)
             iota, lie = self._contract_images(xi), self._lie_images(xi)
-            rows += operator_rows(lambda w, t=iota: derivation(w, *t, True), zero, dom, cod_iota)
-            rows += operator_rows(lambda w, t=lie: derivation(w, *t, False), zero, dom, cod_lie)
+            rows += operator_rows(lambda w, t=iota: derivation(w, *t, True), zero, dom)
+            rows += operator_rows(lambda w, t=lie: derivation(w, *t, False), zero, dom)
         return dom, rows
 
     def basic_basis(self, total_degree, poly_cap):
@@ -186,23 +184,6 @@ class WeilModelElement(SuperElement):
 
     def __repr__(self):
         return f"WeilModelElement({len(self.terms)} terms)"
-
-
-# -- module-level operations -------------------------------------------
-
-
-def total_d(w: WeilModelElement) -> WeilModelElement:
-    return w.model.total_d(w)
-
-
-def total_contract(xi, w: WeilModelElement) -> WeilModelElement:
-    return w.model.total_contract(xi, w)
-
-
-def basic_dims(chart_dim, algebra, action, total_degree, poly_cap) -> int:
-    """Dimension of the basic subspace within the stated truncation."""
-    model = WeilModel(chart_dim, algebra, action)
-    return model.basic_dim(total_degree, poly_cap)
 
 
 ROTATION_2D = ((0, -1), (1, 0))

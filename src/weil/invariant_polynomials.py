@@ -53,7 +53,7 @@ def invariant_basis(L: LieAlgebra, k):
     rows = []
     for i in range(n):
         lie = lie_images(L, basis_vector(n, i))
-        rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom, dom)
+        rows += operator_rows(lambda a, t=lie: derivation(a, *t, False), zero, dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
             for vec in linalg.nullspace(rows, len(dom))]
 

@@ -106,19 +106,34 @@ def validate(L: LieAlgebra):
 
 
 def check_representation(L: LieAlgebra, mats):
-    """Raise ValueError unless [rho_i, rho_j] = sum_k f^k_ij rho_k for all i, j."""
-    size = len(mats[0]) if mats else 0
-    idx = range(size)
+    """Raise ValueError unless [rho_i, rho_j] = sum_k f^k_ij rho_k for all i, j.
 
-    def prod(a, b):
-        return [[sum(a[r][t] * b[t][s] for t in idx) for s in idx] for r in idx]
+    Only nonzero entries are multiplied: each matrix is kept as its nonzero
+    entries by row, and the structure constants are grouped by (i, j) once.
+    """
+    rows = [[[(s, x) for s, x in enumerate(row) if x] for row in mat] for mat in mats]
+    brackets = {}
+    for (i, j, k), c in L.structure.items():
+        brackets.setdefault((i, j), []).append((k, c))
+
+    def product(a, b):
+        out = {}
+        for r, row in enumerate(rows[a]):
+            for t, x in row:
+                for s, y in rows[b][t]:
+                    out[r, s] = out.get((r, s), 0) + x * y
+        return out
 
     for i in range(L.dim):
         for j in range(L.dim):
-            ab, ba = prod(mats[i], mats[j]), prod(mats[j], mats[i])
-            bracket = L.bracket_basis(i, j)
-            expect = [[sum(c * mats[k][r][s] for k, c in bracket.items()) for s in idx] for r in idx]
-            if [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)] != expect:
+            diff = product(i, j)
+            for key, v in product(j, i).items():
+                diff[key] = diff.get(key, 0) - v
+            for k, c in brackets.get((i, j), ()):
+                for r, row in enumerate(rows[k]):
+                    for s, x in row:
+                        diff[r, s] = diff.get((r, s), 0) - c * x
+            if any(diff.values()):
                 raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
 
 

@@ -64,13 +64,12 @@ class HomogeneousDecomposition:
     components: list  # components[i][probe_index] = output tuple
 
 
-def homogeneous_decompose(f: BlackBoxMap, d: int, probes,
-                          verify_scalars=(2, 3)) -> HomogeneousDecomposition:
+def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecomposition:
     """Split f into homogeneous components f_0..f_d, tabulated on the probes.
 
     Evaluates f(lambda v) at lambda = 1..d+1 and solves the Vandermonde
     system per probe.  The reconstruction sum f_i(v) = f(v) is exact by
-    construction (lambda = 1 is a node); each verify scalar mu checks the
+    construction (lambda = 1 is a node); the scalars mu = 2, 3 check the
     ray-degree precondition through f_i(mu v) = mu^i f_i(v) and raises with
     a witness when it fails.
     """
@@ -93,8 +92,7 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes,
     table = [components_at(v) for v in probes]
     components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
 
-    for mu in verify_scalars:
-        mu = frac(mu)
+    for mu in (Fraction(2), Fraction(3)):
         for pi, v in enumerate(probes):
             scaled = components_at(_vec_scale(v, mu))
             for i in range(d + 1):
@@ -139,7 +137,7 @@ def _lagrange_weight(nodes, j, x):
     return w
 
 
-DEFAULT_CHECKPOINT_PATTERNS = (
+CHECKPOINT_PATTERNS = (
     (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
     (Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2)),
     (Fraction(-3, 2), Fraction(5, 3), Fraction(-1, 4)),
@@ -147,7 +145,7 @@ DEFAULT_CHECKPOINT_PATTERNS = (
 )
 
 
-def is_polynomial(f: BlackBoxMap, d: int, trial_sets, checkpoints=None) -> PolynomialVerdict:
+def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     """Sampling test of Definition-style polynomiality of degree d.
 
     For each trial set {v_1..v_n} the map (l_1..l_n) -> f(sum l_i v_i) is
@@ -179,11 +177,8 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets, checkpoints=None) -> Polyn
                     acc = _vec_add(acc, _vec_scale(val, w))
             return acc
 
-        pts = checkpoints if checkpoints is not None else [
-            pat[:nvars] if len(pat) >= nvars else pat + (Fraction(1, 2),) * (nvars - len(pat))
-            for pat in DEFAULT_CHECKPOINT_PATTERNS]
-        for mu in pts:
-            mu = tuple(frac(x) for x in mu)[:nvars]
+        for pat in CHECKPOINT_PATTERNS:
+            mu = pat[:nvars] + (Fraction(1, 2),) * (nvars - len(pat))
             point = tuple(Fraction(0) for _ in range(f.source_dim))
             for x, v in zip(mu, vs):
                 point = _vec_add(point, _vec_scale(v, x))

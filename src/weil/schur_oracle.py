@@ -259,12 +259,12 @@ def check_size(size, what):
         raise ResourceCapError(f"{what} is over the cap {DEFAULT_CAP}")
 
 
-def equivariant_hom_dim(problem: EquivHomProblem, cap=DEFAULT_CAP) -> int:
+def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     """Exact dimension of the GL(W)-equivariant maps D -> Lambda^r W*."""
     if problem.total_w_weight() != problem.codomain_degree:
         return 0
     n = problem.dim_w
-    matched = domain_basis(problem, cap=cap)
+    matched = domain_basis(problem, cap=DEFAULT_CAP)
     if not matched:
         return 0
     # a 0/1 weight has one codomain monomial, so a matched v is one unknown
@@ -309,14 +309,14 @@ def bidegree_problem(p, q, dim_v) -> EquivHomProblem:
                            codomain_degree=p + 2 * q)
 
 
-def verify_bidegree(p, q, dim_v, cap=DEFAULT_CAP) -> BidegreeReport:
+def verify_bidegree(p, q, dim_v) -> BidegreeReport:
     """Compare dim A^{p,q}(W) with dim Lambda^p V* (x) Sym^q V*."""
     if p < 0 or q < 0:
         raise ValueError("bidegrees must be nonnegative")
     if dim_v < 0:
         raise ValueError("dimV must be nonnegative")
     problem = bidegree_problem(p, q, dim_v)
-    computed = equivariant_hom_dim(problem, cap=cap)
+    computed = equivariant_hom_dim(problem)
     # dim Sym^0 V* is 1 also at dim V = 0, where comb(dim_v - 1, 0) is undefined
     expected = comb(dim_v, p) * (comb(dim_v + q - 1, q) if q else 1)
     return BidegreeReport(p, q, dim_v, problem.dim_w, expected, computed,

@@ -215,19 +215,18 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
     return out
 
 
-def operator_rows(op, zero: SuperElement, domain_keys, codomain_keys):
-    """Constraint rows of the matrix of ``op`` over the given bases.
+def operator_rows(op, zero: SuperElement, domain_keys):
+    """Constraint rows of the matrix of ``op`` on the given domain basis.
 
-    ``op`` maps elements of the algebra of ``zero`` to elements; rows are
-    indexed by codomain keys (ascending, only those ``op`` reaches), columns
-    by domain keys.
+    ``op`` maps elements of the algebra of ``zero`` to elements; there is one
+    row per key that ``op`` reaches, in ascending key order, and columns are
+    indexed by domain keys.  No codomain basis is needed.
     """
-    codomain_index = {k: i for i, k in enumerate(codomain_keys)}
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[Key, dict[int, Fraction]] = {}
     for j, key in enumerate(domain_keys):
         for k2, c in op(zero.with_terms({key: ONE})).terms.items():
-            rows.setdefault(codomain_index[k2], {})[j] = c
-    return [rows[i] for i in sorted(rows)]
+            rows.setdefault(k2, {})[j] = c
+    return [rows[k] for k in sorted(rows)]
 
 
 def in_span(candidates, element: SuperElement) -> bool:

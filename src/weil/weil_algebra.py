@@ -161,13 +161,9 @@ def horizontal_project(L: LieAlgebra, a: WeilElement) -> WeilElement:
 
 def change_of_basis(L: LieAlgebra, a: WeilElement) -> WeilElement:
     """Algebra endomorphism lam_i -> lam_i, lamt_i -> Omega^i."""
-    return substitute(a, [WeilElement.lam(L.dim, i) for i in range(L.dim)],
-                      [curvature_generator(L, i) for i in range(L.dim)])
-
-
-def substitute(a: WeilElement, ext_images, sym_images) -> WeilElement:
-    """Multiplicative substitution of generators inside the Weil algebra."""
-    return superalg.substitute(a, ext_images, sym_images, WeilElement.unit(a.n))
+    n = L.dim
+    return superalg.substitute(a, [WeilElement.lam(n, i) for i in range(n)],
+                               [curvature_generator(L, i) for i in range(n)], WeilElement.unit(n))
 
 
 # -- bases and matrices ----------------------------------------------
@@ -219,15 +215,10 @@ def koszul_cohomology_dims(n, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
-    bases = {d: weil_basis(n, d) for d in range(max_degree + 2)}
     zero, images = WeilElement(n), koszul_images(n)
-    ranks = {}
+    dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
     for d in range(max_degree + 1):
-        rows = operator_rows(lambda a: odd_derivation(a, *images), zero, bases[d], bases[d + 1])
-        ranks[d] = linalg.rank(rows)
-    out = []
-    for d in range(max_degree + 1):
-        dim_ker = len(bases[d]) - ranks[d]
-        dim_im = ranks[d - 1] if d > 0 else 0
-        out.append(dim_ker - dim_im)
-    return out
+        basis = weil_basis(n, d)
+        dims.append(len(basis))
+        ranks.append(linalg.rank(operator_rows(lambda a: odd_derivation(a, *images), zero, basis)))
+    return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weil import linalg
-from weil.chart_forms import ChartForm, PolyMap, d, pullback
+from weil.chart_forms import ChartForm, PolyMap, d, pullback, wedge
 from weil.chern_weil import (LieValuedForm, _form_mat_mul,
                              builtin_rep, conjugate,
                              constant_gauge, curvature, cw_form,
@@ -12,7 +12,7 @@ from weil.chern_weil import (LieValuedForm, _form_mat_mul,
                              quaternion_matrix, unipotent_gauge,
                              weil_to_chart)
 from weil.invariant_polynomials import invariant_basis
-from weil.liealg import builtin
+from weil.liealg import builtin, from_brackets, validate
 from weil.weil_algebra import WeilElement, curvature_generator, multiply
 
 SU2 = builtin("su2")
@@ -227,10 +227,29 @@ def test_builtin_rep_flat_columns_are_independent():
 # -- Weil algebra bridge --------------------------------------------------------
 
 
+def unfolded_curvature(A):
+    """dA^k + 1/2 sum_{i,j} f^k_ij A^i A^j over all ordered pairs (i, j)."""
+    L, comps = A.algebra, A.components
+    out = []
+    for k in range(L.dim):
+        Fk = d(comps[k])
+        for i in range(L.dim):
+            for j in range(L.dim):
+                if L.f(i, j, k):
+                    Fk = Fk + wedge(comps[i], comps[j]).scale(L.f(i, j, k) / 2)
+        out.append(Fk)
+    return out
+
+
 def test_universal_substitution_reproduces_curvature():
     rng = random.Random(71)
-    for _ in range(5):
-        A = rand_connection(rng, SU2, 4)
-        F = curvature(A)
-        for i in range(3):
-            assert weil_to_chart(curvature_generator(SU2, i), A) == F.components[i]
+    a, b, c, e = (rng.randint(-2, 2) or 1 for _ in range(4))
+    seeded = from_brackets(3, {(0, 1): {1: a, 2: b}, (0, 2): {1: c, 2: e}})  # R x| R^2
+    assert validate(seeded) is None
+    for L in (SU2, builtin("sl2"), H3, seeded):
+        for _ in range(5):
+            A = rand_connection(rng, L, 4)
+            expected = unfolded_curvature(A)
+            assert curvature(A).components == expected
+            for k in range(L.dim):
+                assert weil_to_chart(curvature_generator(L, k), A) == expected[k]

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from weil.chart_forms import ChartForm
 from weil import equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
-                              basic_dims, builtin_action, check_basis_size,
-                              total_contract, total_d)
+                              builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
 from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
-from weil.weil_algebra import WeilElement, contract as weil_contract
+from weil.superalg import operator_rows
+from weil.weil_algebra import (WeilElement, contract as weil_contract, d_K,
+                               lie_derivative, sym_exponents, term_sort_key,
+                               weil_basis)
 from weil import linalg
 
 AB1 = builtin("abelian(1)")
@@ -67,7 +70,6 @@ def test_trivial_action_reduces_to_algebra_contraction():
     rng = random.Random(73)
     for _ in range(5):
         a = WeilElement.zero(3)
-        from weil.weil_algebra import weil_basis
         keys = weil_basis(3, rng.randint(0, 4))
         for key in rng.sample(keys, min(2, len(keys))):
             a = a + WeilElement(3, {key: Fraction(rng.randint(-2, 2) or 1)})
@@ -95,21 +97,14 @@ def test_total_d_squared_and_cartan():
                 + model.total_contract(xi, model.total_d(w))
 
 
-def test_module_level_ops():
-    model = rotation_model()
-    w = model.from_pair(ChartForm.constant(2), WeilElement.lam(1, 0))
-    assert total_d(w) == model.total_d(w)
-    assert total_contract([Fraction(1)], w) == model.total_contract([Fraction(1)], w)
-
-
 def test_basic_dims_examples():
     # trivial action, su2, d=4, c=0 reduces to the Weil algebra count
-    assert basic_dims(2, SU2, [[[0, 0], [0, 0]] for _ in range(3)], 4, 0) == 1
+    assert WeilModel(2, SU2, [[[0, 0], [0, 0]] for _ in range(3)]).basic_dim(4, 0) == 1
     # rotation invariant 0-forms of degree <= 2: constants and x^2+y^2
-    assert basic_dims(2, AB1, [ROTATION_2D], 0, 2) == 2
+    assert rotation_model().basic_dim(0, 2) == 2
     # constants survive at any setup
-    assert basic_dims(2, AB1, [ROTATION_2D], 0, 0) == 1
-    assert basic_dims(3, SU2, builtin_action("adjoint", SU2)[1], 0, 0) == 1
+    assert rotation_model().basic_dim(0, 0) == 1
+    assert adjoint_model().basic_dim(0, 0) == 1
 
 
 def test_basic_dims_monotone_in_cap():
@@ -253,3 +248,76 @@ def test_total_model_bracket_identities(name, action):
         bracket = model.algebra.bracket(xi, eta)
         assert lie(xi, iota(eta, w)) - iota(eta, lie(xi, w)) == iota(bracket, w)
         assert lie(xi, lie(eta, w)) - lie(eta, lie(xi, w)) == lie(bracket, w)
+
+
+# -- operator rows keyed by the image, against codomain-indexed rows ------------
+
+
+def codomain_operator_rows(op, zero, domain_keys, codomain_keys):
+    """The previous operator_rows: rows indexed by an enumerated codomain basis,
+    which must contain every key ``op`` reaches."""
+    codomain_index = {k: i for i, k in enumerate(codomain_keys)}
+    rows = {}
+    for j, key in enumerate(domain_keys):
+        for k2, c in op(zero.with_terms({key: Fraction(1)})).terms.items():
+            rows.setdefault(codomain_index[k2], {})[j] = c
+    return [rows[i] for i in sorted(rows)]
+
+
+def row_multiset(rows):
+    return sorted(sorted(row.items()) for row in rows)
+
+
+def codomain_constraint_rows(model, d, cap):
+    """basic_constraint_rows as it was, against codomain bases with cap + 1."""
+    dom = model.basis(d, cap)
+    cod_iota = model.basis(d - 1, cap + 1) if d > 0 else []
+    cod_lie = model.basis(d, cap + 1)
+    rows = []
+    for i in range(model.n):
+        xi = [Fraction(int(k == i)) for k in range(model.n)]
+        rows += codomain_operator_rows(lambda w: model.total_contract(xi, w), model.zero(),
+                                       dom, cod_iota)
+        rows += codomain_operator_rows(lambda w: model.total_lie(xi, w), model.zero(),
+                                       dom, cod_lie)
+    return dom, rows
+
+
+@pytest.mark.parametrize("name, action", CARTAN_MODELS)
+@pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
+def test_constraint_rows_match_codomain_indexed_rows(name, action, degree, cap):
+    model = cartan_model(name, action)
+    dom, rows = model.basic_constraint_rows(degree, cap)
+    old_dom, old_rows = codomain_constraint_rows(model, degree, cap)
+    assert dom == old_dom
+    assert row_multiset(rows) == row_multiset(old_rows)
+
+
+def test_contraction_rows_reach_past_the_cap():
+    # iota sends dx_t to the linear 0-form xi-hat_t, so at cap 2 some image
+    # has coefficient degree 3: a codomain truncated at the cap would lose it
+    model = adjoint_model()
+    reached = {image for key in model.basis(2, 2) for i in range(3)
+               for image in model.total_contract([Fraction(int(k == i)) for k in range(3)],
+                                                 WeilModelElement(model, {key: 1})).terms}
+    assert max(sum(model.split(image)[0][1]) for image in reached) == 3
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_koszul_rows_match_codomain_indexed_rows(degree):
+    dom = weil_basis(3, degree)
+    rows = operator_rows(d_K, WeilElement(3), dom)
+    assert row_multiset(rows) == row_multiset(
+        codomain_operator_rows(d_K, WeilElement(3), dom, weil_basis(3, degree + 1)))
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
+def test_invariant_rows_match_codomain_indexed_rows(name):
+    L = builtin(name)
+    for k in range(5):
+        dom = sorted(((0, s) for s in sym_exponents(3, k)), key=term_sort_key)
+        for i in range(3):
+            xi = [Fraction(int(a == i)) for a in range(3)]
+            op = partial(lie_derivative, L, xi)
+            assert row_multiset(operator_rows(op, WeilElement(3), dom)) == row_multiset(
+                codomain_operator_rows(op, WeilElement(3), dom, dom)), (name, k, i)

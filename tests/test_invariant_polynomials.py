@@ -6,8 +6,8 @@ from weil.equivariant import WeilModel
 from weil.invariant_polynomials import (in_invariant_span, invariant_basis,
                                         invariant_dims, is_sym_element)
 from weil.liealg import BUILTIN_NAMES, builtin
-from weil.weil_algebra import (WeilElement, curvature_generator, in_span,
-                               multiply, substitute)
+from weil.superalg import substitute
+from weil.weil_algebra import WeilElement, curvature_generator, in_span, multiply
 
 
 def casimir(n=3):
@@ -90,7 +90,7 @@ def test_bridge_substitution_lands_in_basic():
         for k in (1, 2):
             basic = point_model(L).basic_basis(2 * k, 0)
             for P in invariant_basis(L, k):
-                image = substitute(P, lam_images, omega_images)
+                image = substitute(P, lam_images, omega_images, WeilElement.unit(n))
                 assert in_span(basic, image), (name, k)
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from weil import jsonio
+from weil.equivariant import builtin_action
 from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, basis_vector,
-                         builtin, coadjoint, from_brackets, make_lie_algebra,
-                         validate)
+                         builtin, check_representation, coadjoint, from_brackets,
+                         make_lie_algebra, validate)
 
 
 def test_abelian_validates():
@@ -228,3 +229,82 @@ def test_validate_visits_only_the_stored_brackets(monkeypatch):
     brackets.append({"i": 39, "j": 40, "k": 3, "c": "1"})
     with pytest.raises(ValueError, match=r"violate jacobi at basis indices \[3, 17, 39, 3\]"):
         jsonio.algebra_from_json({"dim": 40, "brackets": brackets})
+
+
+# -- check_representation against the dense O(n^2 m^3) check ---------------------
+
+
+def dense_check_representation(L, mats):
+    """The previous check: dense products for every (i, j), row-major."""
+    size = len(mats[0]) if mats else 0
+    idx = range(size)
+
+    def prod(a, b):
+        return [[sum(a[r][t] * b[t][s] for t in idx) for s in idx] for r in idx]
+
+    for i in range(L.dim):
+        for j in range(L.dim):
+            ab, ba = prod(mats[i], mats[j]), prod(mats[j], mats[i])
+            bracket = L.bracket_basis(i, j)
+            expect = [[sum(c * mats[k][r][s] for k, c in bracket.items()) for s in idx] for r in idx]
+            if [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)] != expect:
+                raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
+
+
+def check_outcome(check, L, mats):
+    try:
+        check(L, mats)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_representation_matches_dense_check():
+    rng = random.Random(43)
+    failures = 0
+    for L in random_valid_algebras(rng):
+        mats = builtin_action("adjoint", L)[1]
+        assert check_representation(L, mats) is None
+        assert dense_check_representation(L, mats) is None
+        for _ in range(4):
+            bad = [[list(row) for row in mat] for mat in mats]
+            i, r, s = rng.randrange(L.dim), rng.randrange(L.dim), rng.randrange(L.dim)
+            bad[i][r][s] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            expected = check_outcome(dense_check_representation, L, bad)
+            assert check_outcome(check_representation, L, bad) == expected, (L.structure, bad)
+            failures += expected is not None
+    assert failures > 0
+
+
+class CountingFraction(Fraction):
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__rmul__(self, other)
+
+
+def test_check_representation_multiplies_only_nonzero_pairs():
+    # the adjoint action of gl(2) + heisenberg3 on itself: 7 x 7 matrices with
+    # few nonzero entries, every entry (zeros too) counting its products
+    L = make_lie_algebra(7, {**gl_subalgebra(2, False).structure,
+                             **{(i + 4, j + 4, k + 4): c for (i, j, k), c
+                                in builtin("heisenberg3").structure.items()}})
+    assert validate(L) is None
+    _, adjoint = builtin_action("adjoint", L)
+    mats = [[[CountingFraction(x) for x in row] for row in mat] for mat in adjoint]
+    nonzero = [[(r, s) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
+               for mat in mats]
+
+    def pairs(a, b):
+        return sum(1 for r, t in nonzero[a] for t2, _ in nonzero[b] if t == t2)
+
+    bound = sum(pairs(i, j) + pairs(j, i) + sum(len(nonzero[k]) for k in L.bracket_basis(i, j))
+                for i in range(L.dim) for j in range(L.dim))
+    CountingFraction.products = 0
+    check_representation(L, mats)
+    assert 0 < CountingFraction.products <= bound < L.dim ** 2 * 7 ** 3

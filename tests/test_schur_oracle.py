@@ -128,7 +128,7 @@ def test_all_bidegrees_up_to_six_at_default_cap():
         for p in range(7):
             for q in range(4):
                 if 4 < p + 2 * q <= 6:
-                    assert verify_bidegree(p, q, dim_v, cap=DEFAULT_CAP).match, (p, q, dim_v)
+                    assert verify_bidegree(p, q, dim_v).match, (p, q, dim_v)
 
 
 def test_dim_v_zero_and_negative():
