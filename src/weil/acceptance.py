@@ -109,8 +109,8 @@ def criterion_4():
         invertible = True
         for deg in range(9):
             keys = weil_basis(n, deg)
-            rows = operator_rows(lambda a: change_of_basis(L, a), WeilElement(n), keys)
-            if linalg.rank(rows) != len(keys):
+            images = operator_rows([lambda a: change_of_basis(L, a)], WeilElement(n), keys)
+            if linalg.rank(images) != len(keys):
                 invertible = False
         details[name] = {"iota_omega_zero": horizontal, "change_of_basis_invertible": invertible}
         passed = passed and horizontal and invertible

@@ -62,20 +62,25 @@ class LieValuedForm:
         return "LieValuedForm(" + ", ".join(repr(c) for c in self.components) + ")"
 
 
+def _characteristic_images(A: LieValuedForm):
+    """lam_i -> A^i, lamt_i -> (dA)^i and the unit, as arguments of superalg.substitute."""
+    return A.components, [d(c) for c in A.components], ChartForm.unit(A.chart_dim)
+
+
 def weil_to_chart(a: WeilElement, A: LieValuedForm) -> ChartForm:
     """The characteristic map of A: lam_i -> A^i, lamt_i -> (dA)^i."""
     if a.n != A.algebra.dim:
         raise ValueError("element dimension does not match the connection algebra")
-    dA = [d(c) for c in A.components]
-    return substitute(a, A.components, dA, ChartForm.unit(A.chart_dim))
+    return substitute(a, *_characteristic_images(A))
 
 
 def curvature(A: LieValuedForm) -> LieValuedForm:
-    """F = dA + 1/2 [A, A], the characteristic map applied to the Weil curvature Omega."""
+    """F = dA + 1/2 [A, A], the characteristic map applied to the Weil curvature
+    Omega; dA is taken once for all components."""
     if A.degree() not in (0, 1):
         raise ValueError("curvature needs a 1-form connection")
-    L = A.algebra
-    return LieValuedForm(L, A.chart_dim, [weil_to_chart(curvature_generator(L, k), A)
+    L, images = A.algebra, _characteristic_images(A)
+    return LieValuedForm(L, A.chart_dim, [substitute(curvature_generator(L, k), *images)
                                           for k in range(L.dim)])
 
 

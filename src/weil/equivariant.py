@@ -10,8 +10,8 @@ derivative are derivations given by their values on generators.
 
 Everything is computed inside explicit truncations of the domain: a total
 degree d and a polynomial coefficient degree cap c.  The codomain is never
-truncated: each constraint row is keyed by a key the operator reaches, so
-no codomain basis is enumerated.
+truncated: each domain key gets one integer vector of its images, indexed by
+the keys the operators reach, so no codomain basis is enumerated.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .chart_forms import ChartForm, d as chart_d
 from .liealg import LieAlgebra, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import ONE, SuperElement, derivation, operator_rows, unit_exponent
+from .superalg import (ONE, SuperElement, derivation, integer_images,
+                       operator_rows, unit_exponent)
 from .weil_algebra import (WeilElement, contraction_images, key_degree,
                            koszul_dim, lie_images, sym_exponents,
                            term_sort_key, weil_basis)
@@ -43,6 +44,8 @@ class WeilModel:
             if len(mat) != chart_dim or any(len(row) != chart_dim for row in mat):
                 raise ValueError("action matrices must be chart_dim x chart_dim")
         check_representation(algebra, self.action)
+        self._entries = [[(r, s, x) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
+                         for mat in self.action]
 
     # -- elements and keys -----------------------------------------------
 
@@ -80,11 +83,17 @@ class WeilModel:
     # -- operators: generator images for superalg.derivation ------------------
 
     def vector_field(self, xi):
-        """Components of the fundamental field x -> rho(xi) x as linear 0-forms."""
+        """Components of the fundamental field x -> rho(xi) x as linear 0-forms,
+        summed over the nonzero coefficients of xi and nonzero action entries."""
         m = self.m
-        return [ChartForm(m, {(0, unit_exponent(m, s)):
-                              sum(frac(xi[k]) * self.action[k][r][s] for k in range(self.n))
-                              for s in range(m)}) for r in range(m)]
+        comps = [{} for _ in range(m)]
+        for k, x in enumerate(xi):
+            if x:
+                x = frac(x)
+                for r, s, a in self._entries[k]:
+                    comps[r][s] = comps[r].get(s, 0) + x * a
+        return [ChartForm(m, {(0, unit_exponent(m, s)): c for s, c in sorted(comp.items())})
+                for comp in comps]
 
     def _d_images(self):
         """D (odd): x_t -> dx_t, lam_i -> lamt_i; dx_t and lamt_i are closed."""
@@ -93,18 +102,17 @@ class WeilModel:
         return ([None] * m + [{(0, unit_exponent(m + n, m + i)): ONE} for i in range(n)],
                 [{(1 << t, zero): ONE} for t in range(m)] + [None] * n)
 
-    def _contract_images(self, xi):
-        """iota (odd): dx_t -> xi-hat_t, x_t -> 0, and iota_xi on the Weil generators."""
+    def _contract_images(self, xi, fields):
+        """iota (odd): dx_t -> xi-hat_t, x_t -> 0, and iota_xi on the Weil generators;
+        ``fields`` is ``vector_field(xi)``."""
         weil_odd, weil_even = contraction_images(self.algebra, xi)
-        fields = self.vector_field(xi)
         return ([self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_odd],
                 [None] * self.m + [self._lift_weil(t) for t in weil_even])
 
-    def _lie_images(self, xi):
+    def _lie_images(self, xi, fields):
         """L = D iota + iota D (even): dx_t -> d(xi-hat_t), x_t -> xi-hat_t,
-        and L_xi on the Weil generators."""
+        and L_xi on the Weil generators; ``fields`` is ``vector_field(xi)``."""
         weil_odd, weil_even = lie_images(self.algebra, xi)
-        fields = self.vector_field(xi)
         return ([self._lift_chart(chart_d(f).terms) for f in fields]
                 + [self._lift_weil(t) for t in weil_odd],
                 [self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_even])
@@ -115,11 +123,11 @@ class WeilModel:
 
     def total_contract(self, xi, w: "WeilModelElement") -> "WeilModelElement":
         """iota(omega x a) = iota_{xi-hat} omega x a + (-1)^{deg omega} omega x iota_xi a."""
-        return derivation(w, *self._contract_images(xi), True)
+        return derivation(w, *self._contract_images(xi, self.vector_field(xi)), True)
 
     def total_lie(self, xi, w: "WeilModelElement") -> "WeilModelElement":
         """The Lie derivative, the even derivation [D, iota_xi]."""
-        return derivation(w, *self._lie_images(xi), False)
+        return derivation(w, *self._lie_images(xi, self.vector_field(xi)), False)
 
     # -- truncated bases and kernels --------------------------------------
 
@@ -142,26 +150,30 @@ class WeilModel:
         return (total, sum(mono), fmask, mono, term_sort_key(wk))
 
     def basic_constraint_rows(self, total_degree, poly_cap):
+        """The domain keys and, per key, one integer vector of its images under
+        iota_{e_i} and L_{e_i} for every i (see ``superalg.operator_rows``)."""
         if total_degree < 0 or poly_cap < 0:
             raise ValueError("degree and poly_cap must be >= 0")
         dom = self.basis(total_degree, poly_cap)
-        zero = self.zero()
-        rows = []
+        ops = []
         for i in range(self.n):
             xi = basis_vector(self.n, i)
-            iota, lie = self._contract_images(xi), self._lie_images(xi)
-            rows += operator_rows(lambda w, t=iota: derivation(w, *t, True), zero, dom)
-            rows += operator_rows(lambda w, t=lie: derivation(w, *t, False), zero, dom)
-        return dom, rows
+            fields = self.vector_field(xi)
+            iota = integer_images(*self._contract_images(xi, fields))
+            lie = integer_images(*self._lie_images(xi, fields))
+            ops += [lambda w, t=iota: derivation(w, *t, True),
+                    lambda w, t=lie: derivation(w, *t, False)]
+        return dom, operator_rows(ops, self.zero(), dom)
 
     def basic_basis(self, total_degree, poly_cap):
-        dom, rows = self.basic_constraint_rows(total_degree, poly_cap)
-        kernel = linalg.nullspace(rows, len(dom))
+        dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
+        kernel = linalg.nullspace(linalg.transpose(vectors), len(dom))
         return [WeilModelElement(self, {dom[i]: c for i, c in vec.items()}) for vec in kernel]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
-        dom, rows = self.basic_constraint_rows(total_degree, poly_cap)
-        return len(dom) - linalg.rank(rows)
+        """len(dom) minus the rank of the image vectors, which is the rank of the system."""
+        dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
+        return len(dom) - linalg.rank(vectors)
 
 
 class WeilModelElement(SuperElement):

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are sparse dicts ``{column: Fraction}``.  Elimination is fraction-free:
-each row is scaled to integer entries, row combinations use integer
-cross-multiplication, and the content gcd is divided out after every update,
-so no rational normalization happens in the inner loop.  Reduced echelon
-forms (and hence kernel bases) are canonical, which is what makes every
-dimension report in this package reproducible.
+Rows are sparse dicts ``{column: value}`` with int or Fraction values.
+Elimination is fraction-free: each row is scaled to integer entries, row
+combinations use integer cross-multiplication, and the content gcd is
+divided out after every update, so no rational normalization happens in the
+inner loop.  Reduced echelon forms (and hence kernel bases) are canonical,
+which is what makes every dimension report in this package reproducible.
 """
 
 from __future__ import annotations
@@ -101,6 +101,15 @@ def nullspace(rows, ncols):
     return list(basis.values())
 
 
+def transpose(vectors):
+    """The rows, by ascending index, of the matrix whose j-th column is ``vectors[j]``."""
+    rows: dict[int, Row] = {}
+    for j, vec in enumerate(vectors):
+        for r, v in vec.items():
+            rows.setdefault(r, {})[j] = v
+    return [rows[r] for r in sorted(rows)]
+
+
 def solve(columns, targets):
     """Solve ``sum_j x_j * columns[j] = t`` exactly for every ``t`` in ``targets``.
 
@@ -110,12 +119,7 @@ def solve(columns, targets):
     column, or None if some target is not in the span of the columns.
     """
     ncols = len(columns)
-    aug: dict[int, Row] = {}
-    for j, vec in enumerate([*columns, *targets]):
-        for r, v in vec.items():
-            if v:
-                aug.setdefault(r, {})[j] = Fraction(v)
-    piv_cols, reduced = rref([aug[r] for r in sorted(aug)])
+    piv_cols, reduced = rref(transpose([*columns, *targets]))
     if piv_cols and piv_cols[-1] >= ncols:
         return None  # a pivot in a target column: inconsistent
     sols = [[Fraction(0)] * ncols for _ in targets]

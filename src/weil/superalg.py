@@ -16,6 +16,7 @@ is fixed by its values on generators and goes through :func:`derivation`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from . import linalg
@@ -215,18 +216,39 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
     return out
 
 
-def operator_rows(op, zero: SuperElement, domain_keys):
-    """Constraint rows of the matrix of ``op`` on the given domain basis.
+def integer_images(odd_images, even_images):
+    """Generator-image tables scaled to integers by the lcm of their denominators.
 
-    ``op`` maps elements of the algebra of ``zero`` to elements; there is one
-    row per key that ``op`` reaches, in ascending key order, and columns are
-    indexed by domain keys.  No codomain basis is needed.
+    The derivation they define is that multiple of the original one, so it has
+    the same kernel and rank, and it maps integer elements to integer elements.
     """
-    rows: dict[Key, dict[int, Fraction]] = {}
-    for j, key in enumerate(domain_keys):
-        for k2, c in op(zero.with_terms({key: ONE})).terms.items():
-            rows.setdefault(k2, {})[j] = c
-    return [rows[k] for k in sorted(rows)]
+    tables = (odd_images, even_images)
+    scale = lcm(*(c.denominator for table in tables for img in table if img
+                  for c in img.values()))
+    return tuple([{k: c.numerator * (scale // c.denominator) for k, c in img.items()}
+                  if img else None for img in table] for table in tables)
+
+
+def operator_rows(ops, zero: SuperElement, domain_keys):
+    """One vector per domain key: its images under every operator in ``ops``.
+
+    Each operator maps elements of the algebra of ``zero`` to elements, and is
+    applied to the key with coefficient 1.  A vector maps column indices to
+    coefficients; a column stands for a pair (operator, image key), numbered in
+    order of first appearance.  The vectors are the rows of the transpose of
+    the stacked operator matrix, so no codomain basis is needed: they have its
+    rank, and ``linalg.transpose`` gives back its rows and with them its kernel.
+    """
+    index: dict[tuple[int, Key], int] = {}
+    vectors = []
+    for key in domain_keys:
+        unit = zero.with_terms({key: 1})
+        vec = {}
+        for o, op in enumerate(ops):
+            for k2, c in op(unit).terms.items():
+                vec[index.setdefault((o, k2), len(index))] = c
+        vectors.append(vec)
+    return vectors
 
 
 def in_span(candidates, element: SuperElement) -> bool:

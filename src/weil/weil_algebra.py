@@ -21,7 +21,8 @@ from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
 from .masks import indices_of, mask_of
 from .schur_oracle import capped_comb, check_size
 from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
-                       in_span, multiply, operator_rows, unit_exponent)
+                       in_span, integer_images, multiply, operator_rows,
+                       unit_exponent)
 
 
 def key_degree(key: Key) -> int:
@@ -209,16 +210,18 @@ def graded_dims(n, max_degree):
 
 
 def koszul_cohomology_dims(n, max_degree):
-    """dim H^d(Koss, d_K) for d = 0..max_degree, by exact rank computation."""
+    """dim H^d(Koss, d_K) for d = 0..max_degree, from the rank of the image
+    vectors of d_K on each Koss^d."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
-    zero, images = WeilElement(n), koszul_images(n)
+    zero, images = WeilElement(n), integer_images(*koszul_images(n))
+    ops = [lambda a: odd_derivation(a, *images)]
     dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
     for d in range(max_degree + 1):
         basis = weil_basis(n, d)
         dims.append(len(basis))
-        ranks.append(linalg.rank(operator_rows(lambda a: odd_derivation(a, *images), zero, basis)))
+        ranks.append(linalg.rank(operator_rows(ops, zero, basis)))
     return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]

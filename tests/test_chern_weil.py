@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil import linalg
+from weil import chern_weil, linalg
 from weil.chart_forms import ChartForm, PolyMap, d, pullback, wedge
 from weil.chern_weil import (LieValuedForm, _form_mat_mul,
                              builtin_rep, conjugate,
@@ -48,6 +48,17 @@ def test_curvature_abelian():
     A = LieValuedForm(AB1, 2, [ChartForm.dx(2, 1, ChartForm.x(2, 0))])
     F = curvature(A)
     assert F.components[0] == ChartForm.monomial(2, (0, 1), (0, 0))
+
+
+def test_curvature_takes_one_d_per_component(monkeypatch):
+    calls = []
+    monkeypatch.setattr(chern_weil, "d", lambda form: calls.append(form) or d(form))
+    rng = random.Random(83)
+    for L in (AB1, SU2, H3, builtin("sl2")):
+        A = rand_connection(rng, L, 4)
+        calls.clear()
+        curvature(A)
+        assert calls == A.components
 
 
 def test_curvature_su2_example():

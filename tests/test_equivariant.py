@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 
@@ -10,11 +11,13 @@ from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
 from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
-from weil.superalg import operator_rows
+from weil.superalg import operator_rows, unit_exponent
 from weil.weil_algebra import (WeilElement, contract as weil_contract, d_K,
                                lie_derivative, sym_exponents, term_sort_key,
                                weil_basis)
 from weil import linalg
+
+from test_liealg import CountingFraction
 
 AB1 = builtin("abelian(1)")
 SU2 = builtin("su2")
@@ -184,22 +187,25 @@ def test_basis_size_is_the_closed_form(monkeypatch):
 # -- the Cartan identities on the total Weil model ------------------------
 
 
-def conjugated(mats, rng):
-    """Q^-1 M Q for a seeded unit upper-triangular integer Q, so that
-    Q^-1 = I - N + N^2 - ... is integral too."""
+def conjugated(mats, rng, diagonal=None):
+    """Q^-1 M Q for Q = (I + N) D: N seeded strictly upper-triangular integer,
+    so that (I + N)^-1 = I - N + N^2 - ... is integral too, and D a diagonal
+    drawn from ``diagonal`` (the identity if None), which makes Q^-1 non-integral."""
     n = len(mats[0])
     N = [[Fraction(rng.randint(-2, 2)) if i < j else Fraction(0) for j in range(n)]
          for i in range(n)]
+    D = [rng.choice(diagonal) for _ in range(n)] if diagonal else [1] * n
 
     def mul(a, b):
         return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    Q = [[eye[i][j] + N[i][j] for j in range(n)] for i in range(n)]
-    Q_inv, power = eye, eye
+    Q = [[(eye[i][j] + N[i][j]) * D[j] for j in range(n)] for i in range(n)]
+    U_inv, power = eye, eye
     for k in range(1, n):
         power = mul(power, N)
-        Q_inv = [[Q_inv[i][j] + (-1) ** k * power[i][j] for j in range(n)] for i in range(n)]
+        U_inv = [[U_inv[i][j] + (-1) ** k * power[i][j] for j in range(n)] for i in range(n)]
+    Q_inv = [[U_inv[i][j] / D[i] for j in range(n)] for i in range(n)]
     return [mul(mul(Q_inv, m), Q) for m in mats]
 
 
@@ -250,7 +256,84 @@ def test_total_model_bracket_identities(name, action):
         assert lie(xi, lie(eta, w)) - lie(eta, lie(xi, w)) == lie(bracket, w)
 
 
-# -- operator rows keyed by the image, against codomain-indexed rows ------------
+# -- the Cartan identities on the chart factor alone ---------------------------
+
+CHART_MODELS = [("su2", "adjoint"), ("sl2", "adjoint"), ("heisenberg3", "adjoint"),
+                ("abelian(1)", "rot2")]
+
+
+def chart_cases(model, count=20):
+    """Seeded omega (x) 1 with coefficients of degree <= 2, and xi, eta."""
+    rng = random.Random(211 + model.m + model.n)
+    unit = (0, (0,) * model.n)
+    keys = [key for deg in range(model.m + 1) for key in model.basis(deg, 2)
+            if model.split(key)[1] == unit]
+    for _ in range(count):
+        w = model.zero()
+        for key in rng.sample(keys, 3):
+            w = w + WeilModelElement(model, {key: Fraction(rng.randint(-3, 3) or 1)})
+        xi, eta = ([Fraction(rng.randint(-2, 2)) for _ in range(model.n)] for _ in range(2))
+        yield w, xi, eta
+
+
+@pytest.mark.parametrize("name, action", CHART_MODELS)
+def test_chart_factor_cartan_identities(name, action):
+    model = cartan_model(name, action)
+    D, iota, lie = model.total_d, model.total_contract, model.total_lie
+    for w, xi, eta in chart_cases(model):
+        assert not D(D(w))
+        assert D(iota(xi, w)) + iota(xi, D(w)) == lie(xi, w)
+        assert not iota(xi, iota(eta, w)) + iota(eta, iota(xi, w))
+
+
+@pytest.mark.parametrize("name, action", [
+    pytest.param(name, action, marks=[SIGN_DEFECT] if name in ("su2", "sl2") else [])
+    for name, action in CHART_MODELS])
+def test_chart_factor_bracket_identity(name, action):
+    model = cartan_model(name, action)
+    iota, lie = model.total_contract, model.total_lie
+    for w, xi, eta in chart_cases(model):
+        bracket = model.algebra.bracket(xi, eta)
+        assert lie(xi, iota(eta, w)) - iota(eta, lie(xi, w)) == iota(bracket, w)
+
+
+# -- the fundamental vector field ------------------------------------------------
+
+
+def dense_vector_field(model, xi):
+    """The previous vector_field: a sum over all n coefficients of xi and all
+    m^2 action entries."""
+    m = model.m
+    return [ChartForm(m, {(0, unit_exponent(m, s)):
+                          sum(Fraction(xi[k]) * model.action[k][r][s] for k in range(model.n))
+                          for s in range(m)}) for r in range(m)]
+
+
+def test_vector_field_matches_dense_sum():
+    rng = random.Random(59)
+    models = [cartan_model(name, action) for name, action in CARTAN_MODELS + CHART_MODELS]
+    models += list(seeded_models(rng))
+    for model in models:
+        for _ in range(10):
+            xi = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(model.n)]
+            assert model.vector_field(xi) == dense_vector_field(model, xi), model.action
+
+
+def test_constraint_rows_multiply_each_nonzero_action_entry_once():
+    # a basis vector xi has one nonzero coefficient, so the fields of all xi
+    # take one product per nonzero action entry; the zero adjoint of an
+    # abelian algebra takes none
+    for name in ("su2", "heisenberg3", "abelian(6)"):
+        L = builtin(name)
+        m, mats = builtin_action("adjoint", L)
+        model = WeilModel(m, L, [[[CountingFraction(x) for x in row] for row in mat]
+                                 for mat in mats])
+        CountingFraction.products = 0
+        model.basic_constraint_rows(1, 1)
+        assert CountingFraction.products == sum(1 for mat in mats for row in mat for x in row if x)
+
+
+# -- image vectors, against the previous codomain-indexed Fraction rows ---------
 
 
 def codomain_operator_rows(op, zero, domain_keys, codomain_keys):
@@ -268,29 +351,54 @@ def row_multiset(rows):
     return sorted(sorted(row.items()) for row in rows)
 
 
+def table_scale(odd_images, even_images):
+    """The lcm of the denominators of a generator-image table."""
+    return lcm(*(c.denominator for table in (odd_images, even_images) for img in table
+                 if img for c in img.values()))
+
+
 def codomain_constraint_rows(model, d, cap):
-    """basic_constraint_rows as it was, against codomain bases with cap + 1."""
+    """basic_constraint_rows as it was, against codomain bases with cap + 1,
+    each operator's rows also returned scaled by its table's integer scale."""
     dom = model.basis(d, cap)
     cod_iota = model.basis(d - 1, cap + 1) if d > 0 else []
     cod_lie = model.basis(d, cap + 1)
-    rows = []
+    rows, scaled = [], []
     for i in range(model.n):
         xi = [Fraction(int(k == i)) for k in range(model.n)]
-        rows += codomain_operator_rows(lambda w: model.total_contract(xi, w), model.zero(),
-                                       dom, cod_iota)
-        rows += codomain_operator_rows(lambda w: model.total_lie(xi, w), model.zero(),
-                                       dom, cod_lie)
-    return dom, rows
+        fields = model.vector_field(xi)
+        for op, table, cod in ((partial(model.total_contract, xi),
+                                model._contract_images(xi, fields), cod_iota),
+                               (partial(model.total_lie, xi),
+                                model._lie_images(xi, fields), cod_lie)):
+            block = codomain_operator_rows(op, model.zero(), dom, cod)
+            rows += block
+            scale = table_scale(*table)
+            scaled += [{j: c * scale for j, c in row.items()} for row in block]
+    return dom, rows, scaled
 
 
 @pytest.mark.parametrize("name, action", CARTAN_MODELS)
 @pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
 def test_constraint_rows_match_codomain_indexed_rows(name, action, degree, cap):
+    # the image vectors are the transposed system, each operator scaled to integers
     model = cartan_model(name, action)
-    dom, rows = model.basic_constraint_rows(degree, cap)
-    old_dom, old_rows = codomain_constraint_rows(model, degree, cap)
+    dom, vectors = model.basic_constraint_rows(degree, cap)
+    old_dom, _, scaled = codomain_constraint_rows(model, degree, cap)
     assert dom == old_dom
-    assert row_multiset(rows) == row_multiset(old_rows)
+    assert len(vectors) == len(dom)
+    assert row_multiset(linalg.transpose(vectors)) == row_multiset(scaled)
+
+
+def test_constraint_vectors_hold_only_ints():
+    # a conjugate whose Q^-1 is not integral gives the tables denominators
+    model = WeilModel(3, SU2, conjugated(builtin_action("adjoint", SU2)[1], random.Random(5),
+                                         diagonal=(2, 3)))
+    assert any(isinstance(x, Fraction) and x.denominator > 1
+               for mat in model.action for row in mat for x in row)
+    for degree, cap in ((1, 1), (2, 1)):
+        _, vectors = model.basic_constraint_rows(degree, cap)
+        assert vectors and all(type(c) is int for vec in vectors for c in vec.values())
 
 
 def test_contraction_rows_reach_past_the_cap():
@@ -306,8 +414,8 @@ def test_contraction_rows_reach_past_the_cap():
 @pytest.mark.parametrize("degree", range(9))
 def test_koszul_rows_match_codomain_indexed_rows(degree):
     dom = weil_basis(3, degree)
-    rows = operator_rows(d_K, WeilElement(3), dom)
-    assert row_multiset(rows) == row_multiset(
+    vectors = operator_rows([d_K], WeilElement(3), dom)
+    assert row_multiset(linalg.transpose(vectors)) == row_multiset(
         codomain_operator_rows(d_K, WeilElement(3), dom, weil_basis(3, degree + 1)))
 
 
@@ -316,8 +424,33 @@ def test_invariant_rows_match_codomain_indexed_rows(name):
     L = builtin(name)
     for k in range(5):
         dom = sorted(((0, s) for s in sym_exponents(3, k)), key=term_sort_key)
-        for i in range(3):
-            xi = [Fraction(int(a == i)) for a in range(3)]
-            op = partial(lie_derivative, L, xi)
-            assert row_multiset(operator_rows(op, WeilElement(3), dom)) == row_multiset(
-                codomain_operator_rows(op, WeilElement(3), dom, dom)), (name, k, i)
+        ops = [partial(lie_derivative, L, [Fraction(int(a == i)) for a in range(3)])
+               for i in range(3)]
+        old = [row for op in ops for row in codomain_operator_rows(op, WeilElement(3), dom, dom)]
+        assert row_multiset(linalg.transpose(operator_rows(ops, WeilElement(3), dom))) == \
+            row_multiset(old), (name, k)
+
+
+def seeded_models(rng):
+    """Validated random nilpotent and solvable R x| R^k with the adjoint action
+    and a seeded conjugate whose Q^-1 has non-integer entries."""
+    for k, nilpotent in ((2, True), (3, True), (2, False), (3, False)):
+        L = semidirect(rng, k, nilpotent)
+        m, mats = builtin_action("adjoint", L)
+        yield WeilModel(m, L, mats)
+        yield WeilModel(m, L, conjugated(mats, rng, diagonal=(2, 3)))
+
+
+def test_image_vectors_match_the_codomain_indexed_system_on_random_algebras():
+    scales = set()
+    for model in seeded_models(random.Random(47)):
+        for degree, cap in ((1, 1), (2, 1), (2, 2), (3, 1))[:4 if model.n == 3 else 2]:
+            dom, vectors = model.basic_constraint_rows(degree, cap)
+            old_dom, rows, scaled = codomain_constraint_rows(model, degree, cap)
+            assert dom == old_dom
+            assert row_multiset(linalg.transpose(vectors)) == row_multiset(scaled)
+            assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows)
+            assert [v.terms for v in model.basic_basis(degree, cap)] == \
+                [{dom[j]: c for j, c in vec.items()} for vec in linalg.nullspace(rows, len(dom))]
+            scales |= {row[j] / old[j] for row, old in zip(scaled, rows) for j in row}
+    assert max(scales) > 1  # the integer scaling was exercised

@@ -41,6 +41,12 @@ def test_nullspace_empty_rows():
     assert len(linalg.nullspace([], 4)) == 4
 
 
+def test_transpose():
+    vectors = [{0: F(1), 2: 5}, {}, {2: F(-1, 2), 1: 3}]
+    assert linalg.transpose(vectors) == [{0: F(1)}, {2: 3}, {0: 5, 2: F(-1, 2)}]
+    assert linalg.transpose(linalg.transpose(vectors)) == [v for v in vectors if v]
+
+
 def test_solve_consistent_and_not():
     cols = [{0: F(1), 1: F(1)}, {1: F(1)}]
     assert linalg.solve(cols, [{0: F(2), 1: F(5)}]) == [[F(2), F(3)]]
@@ -238,5 +244,8 @@ def test_reduction_matches_previous_elimination_on_random_systems():
 def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degree, cap):
     L = builtin(name)
     m, mats = builtin_action("adjoint", L)
-    dom, rows = WeilModel(m, L, mats).basic_constraint_rows(degree, cap)
+    dom, vectors = WeilModel(m, L, mats).basic_constraint_rows(degree, cap)
+    # the constraint rows are the transpose of the image vectors; both have the rank
+    rows = linalg.transpose(vectors)
     assert_matches_oracle(rows, len(dom))
+    assert linalg.rank(vectors) == len(old_forward_eliminate(rows))
