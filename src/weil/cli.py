@@ -9,6 +9,7 @@ success, 1 on a domain error (structured error JSON), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import re
 import sys
@@ -391,7 +392,13 @@ def _cmd_verify_all(args, payloads):
 # -- parser wiring -------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The ``weil`` argument parser, built once per process.
+
+    The returned parser is shared by every ``main`` call and must not be
+    mutated; ``parse_args`` reads it and returns a fresh namespace.
+    """
     p = argparse.ArgumentParser(prog="weil",
                                 description="Exact Weil-algebra and Chern-Weil calculator")
     sub = p.add_subparsers(dest="command", required=True)
@@ -461,8 +468,7 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     payloads: dict[str, str] = {}
     try:
         out = args.handler(args, payloads)

@@ -23,7 +23,9 @@ def _primitive(ints) -> dict[int, int]:
 
 
 def _int_row(row) -> dict[int, int]:
-    """Clear denominators and divide out the content."""
+    """Clear denominators (an all-``int`` row has none) and divide out the content."""
+    if all(type(v) is int for v in row.values()):
+        return _primitive({c: v for c, v in row.items() if v})
     scale = lcm(*(v.denominator for v in row.values()))
     return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
 

@@ -168,11 +168,13 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
             grid[lam] = f(point)
 
         def interp(mu):
+            # table[k][j] = l_j(mu_k): one weight per coordinate and node
+            table = [[_lagrange_weight(nodes, j, x) for j in range(d + 1)] for x in mu]
             acc = tuple(Fraction(0) for _ in range(f.target_dim))
             for lam, val in grid.items():
                 w = Fraction(1)
-                for x, j in zip(mu, lam):
-                    w *= _lagrange_weight(nodes, j, x)
+                for weights, j in zip(table, lam):
+                    w *= weights[j]
                 if w:
                     acc = _vec_add(acc, _vec_scale(val, w))
             return acc

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -334,3 +335,30 @@ def test_untyped_input_files_are_domain_errors(tmp_path, capsys, content):
                                  "--degree", "1", "--poly-cap", "1"])
     assert_domain_error(capsys, ["polyfunc", "decompose", "--expr", "x", "--dim", "1",
                                  "--degree", "1", "--probes", path])
+
+
+def test_one_parser_per_process_with_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    probes = write_json(tmp_path, "probes.json", [["1", "2"], ["-3", "1/2"]])
+    conn = write_json(tmp_path, "conn.json", {
+        "algebra": "su2", "chart_dim": 2,
+        "components": [{"dim": 2, "terms": [{"dx": [1], "mono": [0, 1], "c": "1"}]},
+                       {"dim": 2, "terms": [{"dx": [2], "mono": [1, 0], "c": "2"}]},
+                       {"dim": 2, "terms": []}]})
+    decompose = ["polyfunc", "decompose", "--expr", "x + x*y", "--degree", "2", "--dim", "2"]
+    argvs = [[*decompose, "--probes", probes], decompose,
+             ["cw", "--algebra", "su2", "--connection", conn], ["cw", "--connection", conn]]
+    expected = [run_cli(capsys, *argv) for argv in argvs]  # the first call warms the parser
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    got = [run_cli(capsys, *argv) for argv in argvs[:2]]
+    with pytest.raises(SystemExit) as exc:
+        main(["basic", "--degree", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    got += [run_cli(capsys, *argv) for argv in argvs[2:]]
+    assert got == expected
+    with_probes, without = (json.loads(out)["results"]["probes"] for _, out in expected[:2])
+    assert with_probes != without

@@ -249,3 +249,13 @@ def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degr
     rows = linalg.transpose(vectors)
     assert_matches_oracle(rows, len(dom))
     assert linalg.rank(vectors) == len(old_forward_eliminate(rows))
+
+
+@pytest.mark.parametrize("row", [
+    {0: 6, 2: -4, 5: 10, 7: 0},
+    {0: 3, 1: F(3, 4), 3: -6, 4: F(-1, 2), 6: 0},
+], ids=["all-int-content-2", "mixed-int-fraction"])
+def test_int_row_matches_previous_scaling(row):
+    ints = linalg._int_row(row)
+    assert ints == _old_int_row(row)
+    assert all(type(n) is int for n in ints.values())

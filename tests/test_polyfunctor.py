@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -229,3 +229,63 @@ def test_sym_square_transformation_is_polynomial_of_degree_2():
         trials.append(units)
         trials.append([tuple(F(-x) for x in units[0]), units[0]])
         assert is_polynomial(box, 2, trials).consistent
+
+
+def per_grid_point_is_polynomial(f, d, trial_sets):
+    """The previous detector, kept as the oracle: one Lagrange weight per grid
+    point and coordinate, l_j(x) = prod_{k != j} (x - k) / (j - k)."""
+    def weight(j, x):
+        w = F(1)
+        for k in range(d + 1):
+            if k != j:
+                w *= (x - k) / F(j - k)
+        return w
+
+    for ti, vs in enumerate(trial_sets):
+        grid = {lam: f(tuple(sum(li * v[s] for li, v in zip(lam, vs))
+                             for s in range(f.source_dim)))
+                for lam in product(range(d + 1), repeat=len(vs))}
+        for pat in polyfunctor.CHECKPOINT_PATTERNS:
+            mu = pat[:len(vs)] + (F(1, 2),) * (len(vs) - len(pat))
+            expected = f(tuple(sum(x * v[s] for x, v in zip(mu, vs))
+                               for s in range(f.source_dim)))
+            got = [F(0)] * f.target_dim
+            for lam, val in grid.items():
+                w = F(1)
+                for x, j in zip(mu, lam):
+                    w *= weight(j, x)
+                got = [g + w * y for g, y in zip(got, val)]
+            if expected != tuple(got):
+                return polyfunctor.PolynomialVerdict(False, (ti, mu, expected, tuple(got)))
+    return polyfunctor.PolynomialVerdict(True)
+
+
+def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
+    rng = random.Random(113)
+    calls = []
+    weight = polyfunctor._lagrange_weight
+    monkeypatch.setattr(polyfunctor, "_lagrange_weight",
+                        lambda nodes, j, x: calls.append(j) or weight(nodes, j, x))
+    for _ in range(12):
+        src, deg = rng.randint(1, 3), rng.randint(1, 3)
+        polys = []
+        for _ in range(rng.randint(1, 2)):
+            p = {tuple(deg if i == 0 else 0 for i in range(src)): F(rng.randint(1, 4))}
+            for _ in range(3):
+                e = [0] * src
+                for _ in range(rng.randint(0, deg)):
+                    e[rng.randrange(src)] += 1
+                p[tuple(e)] = p.get(tuple(e), F(0)) + F(rng.randint(-3, 3), rng.randint(1, 3))
+            polys.append({k: v for k, v in p.items() if v})
+        f = box(src, *polys)
+        units = [tuple(F(int(i == j)) for i in range(src)) for j in range(src)]
+        mixed = [tuple(F(rng.randint(-2, 2)) for _ in range(src)) for _ in range(2)]
+        trials = [units, [tuple(-x for x in units[0]), *mixed]]
+        for d in (deg, deg - 1):
+            calls.clear()
+            verdict = is_polynomial(f, d, trials)
+            assert verdict == per_grid_point_is_polynomial(f, d, trials)
+            assert verdict.consistent == (d == deg)
+            if verdict.consistent:  # one weight per checkpoint coordinate and node
+                coords = sum(len(polyfunctor.CHECKPOINT_PATTERNS) * len(vs) for vs in trials)
+                assert len(calls) == coords * (d + 1)
