@@ -140,16 +140,11 @@ def check_representation(L: LieAlgebra, mats):
 def coadjoint(L: LieAlgebra, xi):
     """Matrix M of ad*_xi on g* in the dual basis: (M c)_j = coords of ad*_xi(sum c_a l^a).
 
-    M[j][a] = -sum_i xi^i f^a_{ij}, from (ad*_xi l^a)(e_j) = -l^a([xi, e_j]).
+    M[j][a] = -sum_i xi^i f^a_{ij}, from (ad*_xi l^a)(e_j) = -l^a([xi, e_j]);
+    column a is coadjoint_dual_basis(L, xi, a).
     """
-    n = L.dim
-    if len(xi) != n:
-        raise ValueError("vector dimension does not match algebra")
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, a), c in L.structure.items():
-        if xi[i]:
-            M[j][a] -= frac(xi[i]) * c
-    return M
+    cols = [coadjoint_dual_basis(L, xi, a) for a in range(L.dim)]
+    return [[col.get(j, Fraction(0)) for col in cols] for j in range(L.dim)]
 
 
 def coadjoint_dual_basis(L: LieAlgebra, xi, a) -> dict[int, Fraction]:

@@ -29,6 +29,7 @@ an entry 0); no other monomial is enumerated.  Every action coefficient is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -41,7 +42,9 @@ class ResourceCapError(ValueError):
     """Raised when a problem is too large to enumerate."""
 
 
-BASES = ("W", "WV", "L2W", "L2WV")
+# each base space with its W*-weight, the number of W*-indices of a monomial
+W_WEIGHT = {"W": 1, "WV": 1, "L2W": 2, "L2WV": 2}
+BASES = tuple(W_WEIGHT)
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Factor:
 
     @property
     def w_weight(self):
-        return 2 if self.base.startswith("L2") else 1
+        return W_WEIGHT[self.base]
 
 
 @dataclass(frozen=True)
@@ -74,74 +77,27 @@ class EquivHomProblem:
         return sum(f.degree * f.w_weight for f in self.domain)
 
 
-# -- base spaces -------------------------------------------------------
+# -- base spaces and the one action rule ------------------------------
 
 
 def base_elements(base, dim_w, dim_v):
-    """Monomial basis, every element encoded as a tuple (uniformly orderable)."""
-    if base == "W":
-        return [(i,) for i in range(dim_w)]
-    if base == "WV":
-        return [(i, a) for i in range(dim_w) for a in range(dim_v)]
-    if base == "L2W":
-        return [(i, j) for i, j in combinations(range(dim_w), 2)]
-    return [(i, j, a) for i, j in combinations(range(dim_w), 2) for a in range(dim_v)]
+    """Monomial basis as tuples: the ascending W*-indices, then a V index
+    for the bases that carry one."""
+    tails = [(i,) for i in range(dim_v)] if base.endswith("V") else [()]
+    return [w + t for w in combinations(range(dim_w), W_WEIGHT[base]) for t in tails]
 
 
-def slot_indices(base, elem):
-    """The W*-indices of a base monomial; its weight counts each once."""
-    return elem[:1] if base in ("W", "WV") else elem[:2]
-
-
-def base_action(base, a, b, elem):
-    """E_ab acting on a base monomial (w*_a -> -w*_b); list of (elem, coeff)."""
-    out = []
-    if base == "W":
-        if elem[0] == a:
-            out.append(((b,), -1))
-    elif base == "WV":
-        if elem[0] == a:
-            out.append(((b, elem[1]), -1))
-    else:
-        i, j = elem[0], elem[1]
-        tail = elem[2:]
-        if i == a:
-            c = _wedge2(b, j)
-            if c:
-                out.append((c[0] + tail, -c[1]))
-        if j == a:
-            c = _wedge2(i, b)
-            if c:
-                out.append((c[0] + tail, -c[1]))
-    return out
-
-
-def _wedge2(x, y):
-    if x == y:
+def _ext_action(w, a, b):
+    """E_ab (w*_a -> -w*_b) on the Lambda W* monomial ``w``, an ascending
+    tuple of W*-indices, as (monomial, coeff), or None if it vanishes: b
+    takes the place of a and moves to its sorted position, and each index it
+    passes, strictly between a and b, costs a sign."""
+    if a not in w or b in w:
         return None
-    return ((x, y), 1) if x < y else ((y, x), -1)
-
-
-# -- factor and domain bases -------------------------------------------
-
-
-def factor_action(factor: Factor, a, b, elem):
-    """Derivation action of E_ab across the slots of one factor monomial."""
-    out = {}
-    for t, slot in enumerate(elem):
-        for img, coeff in base_action(factor.base, a, b, slot):
-            slots = list(elem)
-            slots[t] = img
-            canon = canonical(factor.op, slots)
-            if canon is None:
-                continue
-            key, sign = canon
-            v = out.get(key, 0) + sign * coeff
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return list(out.items())
+    i = w.index(a)
+    rest = w[:i] + w[i + 1:]
+    j = bisect_left(rest, b)
+    return rest[:j] + (b,) + rest[j:], -1 if (i - j) % 2 == 0 else 1
 
 
 def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
@@ -154,7 +110,11 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
     Slots are filled one at a time, the weight is kept up to date from each
     factor's table of slot indices, and a partial monomial is dropped once its
     excess, the sum over entries of max(entry - 1, 0), passes 0 (or 1 for
-    neighbours): weights only grow as slots are added.
+    neighbours): weights only grow as slots are added.  In a sorted factor
+    the slots after one with first W*-index i start at W*-indices >= i, and
+    each first index used twice costs one unit of excess, so a slot is placed
+    only if the n - i first indices and the excess still allowed leave room
+    for the factor's remaining slots.
     """
     n = problem.dim_w
     max_excess = 1 if neighbours else 0
@@ -164,7 +124,7 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
         # where the next slot of the factor starts: sorted with repeats,
         # strictly increasing, or anywhere
         step = {"sym": 0, "ext": 1, "ten": None}[f.op]
-        tables.append((f.degree, step, elems, [slot_indices(f.base, e) for e in elems]))
+        tables.append((f.degree, step, elems, [e[:f.w_weight] for e in elems]))
     weight = [0] * n
     found = []
 
@@ -185,6 +145,7 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
         if len(slots) == degree:
             fill(fi + 1, parts + (tuple(slots),), [], 0, excess)
             return
+        short = degree - len(slots) - n - max_excess
         for k in range(start, len(elems)):
             idx = indices[k]
             more = excess
@@ -192,7 +153,7 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
                 if weight[i]:
                     more += 1
                 weight[i] += 1
-            if more <= max_excess:
+            if more <= max_excess and (step is None or short + idx[0] + more <= 0):
                 slots.append(elems[k])
                 fill(fi, parts, slots, 0 if step is None else k + step, more)
                 slots.pop()
@@ -207,19 +168,29 @@ def domain_weight(problem: EquivHomProblem, elem):
     w = [0] * problem.dim_w
     for f, part in zip(problem.domain, elem):
         for slot in part:
-            for i in slot_indices(f.base, slot):
+            for i in slot[:f.w_weight]:
                 w[i] += 1
     return tuple(w)
 
 
 def domain_action(problem: EquivHomProblem, a, b, elem):
+    """E_ab as a derivation across the factors and slots of a domain
+    monomial; list of (monomial, coeff)."""
     out = {}
     for t, (f, part) in enumerate(zip(problem.domain, elem)):
-        for img, coeff in factor_action(f, a, b, part):
-            new = list(elem)
-            new[t] = img
-            key = tuple(new)
-            v = out.get(key, 0) + coeff
+        k = f.w_weight
+        for s, slot in enumerate(part):
+            # a V index can equal a too: the membership test only saves the slicing
+            img = _ext_action(slot[:k], a, b) if a in slot else None
+            if img is None:
+                continue
+            slots = list(part)
+            slots[s] = img[0] + slot[k:]
+            canon = canonical(f.op, slots)
+            if canon is None:
+                continue
+            key = elem[:t] + (canon[0],) + elem[t + 1:]
+            v = out.get(key, 0) + canon[1] * img[1]
             if v:
                 out[key] = v
             else:
@@ -229,9 +200,8 @@ def domain_action(problem: EquivHomProblem, a, b, elem):
 
 def codomain_action(a, b, elem):
     """E_ab on a Lambda^r W* monomial, a sorted tuple of W*-indices."""
-    ext = Factor("ext", len(elem), "W")
-    return [(tuple(slot[0] for slot in key), coeff)
-            for key, coeff in factor_action(ext, a, b, tuple((i,) for i in elem))]
+    img = _ext_action(elem, a, b)
+    return [] if img is None else [img]
 
 
 # -- the solver --------------------------------------------------------

@@ -280,15 +280,23 @@ def test_negative_size_is_a_domain_error(capsys, argv):
      "--poly-cap", "0"],
     ["equivariant", "--algebra", "su2", "--action", "adjoint", "--degree", "12",
      "--poly-cap", "8"],
+    # 21^3 grid points of 3 coordinates; 61^3 of them
+    ["polyfunc", "check", "--expr", "x", "--degree", "20", "--dim", "3"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "60", "--dim", "3"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "2", "--dim", "1000000"],
+    # a 401-square Vandermonde inverse
+    ["polyfunc", "decompose", "--expr", "x", "--degree", "400", "--dim", "1"],
+    ["polyfunc", "decompose", "--expr", "x", "--degree", "2", "--dim", "1000000"],
 ], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
-        "equivariant-adjoint"])
+        "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim", "decompose-degree",
+        "decompose-dim"])
 def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated before the size was checked")
 
     for name, module in list(sys.modules.items()):
         if name == "weil" or name.startswith("weil."):
-            for attr in ("sym_exponents", "weil_basis", "builtin_action"):
+            for attr in ("sym_exponents", "weil_basis", "builtin_action", "parse_poly_exprs"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, enumerated)
     error = assert_domain_error(capsys, argv)
