@@ -26,10 +26,11 @@ from .polyfunctor import (BlackBoxMap, FunctorSpec, homogeneous_decompose,
                           restriction_injectivity)
 from .schur_oracle import (antisymmetrization_problem,
                            equivariant_hom_dim, verify_bidegree)
+from .superalg import vectors
 from .weil_algebra import (WeilElement, change_of_basis,
                            contract, curvature_generator, d_K, graded_dims,
                            in_span, koszul_cohomology_dims, lie_derivative,
-                           operator_rows, weil_basis)
+                           weil_basis)
 
 
 @dataclass
@@ -109,7 +110,7 @@ def criterion_4():
         invertible = True
         for deg in range(9):
             keys = weil_basis(n, deg)
-            images = operator_rows([lambda a: change_of_basis(L, a)], WeilElement(n), keys)
+            images = vectors(change_of_basis(L, WeilElement(n, {key: 1})) for key in keys)
             if linalg.rank(images) != len(keys):
                 invertible = False
         details[name] = {"iota_omega_zero": horizontal, "change_of_basis_invertible": invertible}

@@ -74,7 +74,7 @@ wedge = multiply
 def d(a: ChartForm) -> ChartForm:
     """Exterior derivative: the odd derivation x_i -> dx_i, dx_i -> 0."""
     m = a.n
-    return derivation(a, [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)], True)
+    return derivation(a, [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)])
 
 
 def evaluate(form: ChartForm, point) -> Fraction:

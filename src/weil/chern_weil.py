@@ -286,17 +286,19 @@ def _matrix_to_lie_valued(M, rep: MatrixRep, algebra, chart_dim) -> LieValuedFor
 def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
     """Ad_{g^{-1}} B = g^{-1} B g, decomposed back into algebra coordinates."""
     _check_gauge(g, B)
-    M = _form_mat_mul(_form_mat_mul(g.inverse, _lie_valued_to_matrix(B, g.rep)), g.entries)
-    return _matrix_to_lie_valued(M, g.rep, B.algebra, B.chart_dim)
+    return _left_divide(g, _form_mat_mul(_lie_valued_to_matrix(B, g.rep), g.entries), B)
 
 
 def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
-    """alpha . g = g^{-1} dg + g^{-1} alpha g, all arithmetic exact."""
+    """alpha . g = g^{-1} (dg + alpha g), all arithmetic exact."""
     _check_gauge(g, A)
-    maurer = _form_mat_mul(g.inverse, [[d(p) for p in row] for row in g.entries])
-    conj = _form_mat_mul(_form_mat_mul(g.inverse, _lie_valued_to_matrix(A, g.rep)), g.entries)
-    total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(maurer, conj)]
-    return _matrix_to_lie_valued(total, g.rep, A.algebra, A.chart_dim)
+    Ag = _form_mat_mul(_lie_valued_to_matrix(A, g.rep), g.entries)
+    return _left_divide(g, [[d(p) + b for p, b in zip(*rows)] for rows in zip(g.entries, Ag)], A)
+
+
+def _left_divide(g: GaugeTransform, M, B: LieValuedForm) -> LieValuedForm:
+    """g^{-1} M for an r x r form matrix M, in the algebra coordinates of B."""
+    return _matrix_to_lie_valued(_form_mat_mul(g.inverse, M), g.rep, B.algebra, B.chart_dim)
 
 
 def _check_gauge(g: GaugeTransform, B: LieValuedForm):

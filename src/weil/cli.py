@@ -329,13 +329,14 @@ def _cmd_equivariant(args, payloads):
 def _cmd_polyfunc(args, payloads):
     if args.mode != "inject" and min(args.degree, args.dim) >= 0:
         # check: (d+1)^min(dim, 3) grid points of dim coordinates; decompose:
-        # a (d+1)-square Vandermonde inverse and d+1 scalings of each probe
+        # a (d+1)-square Vandermonde inverse, whose exact entries grow in bit
+        # length with d, so its cost tracks (d+1)^3, and d+1 scalings of each probe
         n = args.degree + 1
         if args.mode == "check":
             check_size(n ** min(args.dim, 3) * args.dim, f"an interpolation grid of {n} nodes "
                        f"per direction in dimension {args.dim}")
         else:
-            check_size(n * max(n, args.dim),
+            check_size(max(n ** 3, n * args.dim),
                        f"a decomposition at {n} nodes in dimension {args.dim}")
     if args.mode == "decompose":
         polys = parse_poly_exprs(args.expr, args.dim)

@@ -23,8 +23,7 @@ from .chart_forms import ChartForm, d as chart_d
 from .liealg import LieAlgebra, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import (ONE, SuperElement, derivation, integer_images,
-                       operator_rows, unit_exponent)
+from .superalg import ONE, SuperElement, derivation, operator_rows, unit_exponent
 from .weil_algebra import (WeilElement, contraction_images, key_degree,
                            koszul_dim, lie_images, sym_exponents,
                            term_sort_key, weil_basis)
@@ -119,15 +118,15 @@ class WeilModel:
 
     def total_d(self, w: "WeilModelElement") -> "WeilModelElement":
         """D(omega x a) = d_X omega x a + (-1)^{deg omega} omega x d_K a."""
-        return derivation(w, *self._d_images(), True)
+        return derivation(w, *self._d_images())
 
     def total_contract(self, xi, w: "WeilModelElement") -> "WeilModelElement":
         """iota(omega x a) = iota_{xi-hat} omega x a + (-1)^{deg omega} omega x iota_xi a."""
-        return derivation(w, *self._contract_images(xi, self.vector_field(xi)), True)
+        return derivation(w, *self._contract_images(xi, self.vector_field(xi)))
 
     def total_lie(self, xi, w: "WeilModelElement") -> "WeilModelElement":
         """The Lie derivative, the even derivation [D, iota_xi]."""
-        return derivation(w, *self._lie_images(xi, self.vector_field(xi)), False)
+        return derivation(w, *self._lie_images(xi, self.vector_field(xi)))
 
     # -- truncated bases and kernels --------------------------------------
 
@@ -155,15 +154,12 @@ class WeilModel:
         if total_degree < 0 or poly_cap < 0:
             raise ValueError("degree and poly_cap must be >= 0")
         dom = self.basis(total_degree, poly_cap)
-        ops = []
+        tables = []
         for i in range(self.n):
             xi = basis_vector(self.n, i)
             fields = self.vector_field(xi)
-            iota = integer_images(*self._contract_images(xi, fields))
-            lie = integer_images(*self._lie_images(xi, fields))
-            ops += [lambda w, t=iota: derivation(w, *t, True),
-                    lambda w, t=lie: derivation(w, *t, False)]
-        return dom, operator_rows(ops, self.zero(), dom)
+            tables += [self._contract_images(xi, fields), self._lie_images(xi, fields)]
+        return dom, operator_rows(tables, self.zero(), dom)
 
     def basic_basis(self, total_degree, poly_cap):
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)

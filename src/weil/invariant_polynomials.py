@@ -17,9 +17,8 @@ from __future__ import annotations
 from . import linalg
 from .liealg import LieAlgebra, basis_vector
 from .schur_oracle import capped_comb, check_size
-from .weil_algebra import (WeilElement, change_of_basis, derivation, in_span,
-                           integer_images, lie_images, operator_rows,
-                           sym_exponents, term_sort_key)
+from .weil_algebra import (WeilElement, change_of_basis, in_span, lie_images,
+                           operator_rows, sym_exponents, term_sort_key)
 
 
 def is_sym_element(a: WeilElement) -> bool:
@@ -49,8 +48,7 @@ def invariant_basis(L: LieAlgebra, k):
     n = L.dim
     _check_sym_size(n, k)
     dom = sorted(((0, s) for s in sym_exponents(n, k)), key=term_sort_key)
-    tables = [integer_images(*lie_images(L, basis_vector(n, i))) for i in range(n)]
-    vectors = operator_rows([lambda a, t=t: derivation(a, *t, False) for t in tables],
+    vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in range(n)],
                             WeilElement(n), dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
             for vec in linalg.nullspace(linalg.transpose(vectors), len(dom))]

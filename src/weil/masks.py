@@ -30,13 +30,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 def merge_sign(a: int, b: int):
-    """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap."""
+    """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap.
+
+    The loop runs over a, which in a derivation is a generator's image mask.
+    """
     if a & b:
         return None
     sign = 1
-    for i in indices_of(b):
-        # indices of a strictly above i contribute one transposition each
-        higher = a >> (i + 1)
-        if bin(higher).count("1") % 2:
+    for i in indices_of(a):
+        # indices of b strictly below i contribute one transposition each
+        if bin(b & ((1 << i) - 1)).count("1") % 2:
             sign = -sign
     return a | b, sign

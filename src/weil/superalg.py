@@ -138,63 +138,44 @@ def _acc(out, key, v):
             del out[key]
 
 
+def _left_multiply(out, img, mask, exps, c):
+    """Accumulate c * img * o_mask e^exps into ``out``; ``img`` is a term dict."""
+    for (im, ie), ic in img.items():
+        merged = merge_sign(im, mask)
+        if merged is None:
+            continue
+        v = c * ic
+        _acc(out, (merged[0], tuple(map(add, ie, exps))), v if merged[1] > 0 else -v)
+
+
 def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
     """Graded-commutative product; signs come from the odd generators only."""
     a._compat(b)
     out: dict[Key, Fraction] = {}
-    for (m1, e1), c1 in a.terms.items():
-        for (m2, e2), c2 in b.terms.items():
-            merged = merge_sign(m1, m2)
-            if merged is None:
-                continue
-            mask, sign = merged
-            v = c1 * c2
-            _acc(out, (mask, tuple(map(add, e1, e2))), v if sign > 0 else -v)
+    for (mask, exps), c in b.terms.items():
+        _left_multiply(out, a.terms, mask, exps, c)
     return a.with_terms(out)
 
 
-def derivation(a: SuperElement, odd_images, even_images, odd: bool) -> SuperElement:
-    """D(a) for the derivation with D(o_i) = odd_images[i], D(e_i) = even_images[i].
+def derivation(a: SuperElement, odd_images, even_images) -> SuperElement:
+    """D(a) = sum_g D(g) da/dg, where D(o_i) = odd_images[i], D(e_i) = even_images[i].
 
-    Images are term dicts {key: Fraction}; None or {} stands for zero.  An
-    odd D picks up (-1)^p when it passes p odd generators, an even D passes
-    them freely.  On the canonical factorization o_S e^k, D(o_i) replaces
-    o_i in place, and D(e_i) is put after the remaining factors, which are
-    even at that point of the sum, so only the odd prefix costs a sign.
+    Images are term dicts {key: Fraction}; None or {} stands for zero, and
+    each image has the parity of D.  da/dg is the left derivative: o_i at
+    position p of o_S e^k leaves (-1)^p o_{S - i} e^k, e_i leaves
+    k_i o_S e^{k - 1_i}.  Moving D(g) to the front costs exactly the sign D
+    would pick up passing the same factors, so the parity of D never enters.
     """
     out: dict[Key, Fraction] = {}
     for (mask, exps), c in a.terms.items():
         for p, i in enumerate(indices_of(mask)):
             img = odd_images[i]
-            if not img:
-                continue
-            cs = -c if odd and p % 2 else c
-            prefix = mask & ((1 << i) - 1)
-            suffix = mask & ~((2 << i) - 1)
-            for (im, ie), ic in img.items():
-                if im:
-                    left = merge_sign(prefix, im)
-                    if left is None or left[0] & suffix:
-                        continue
-                    merged, sign = merge_sign(left[0], suffix)
-                    sign *= left[1]
-                else:
-                    merged, sign = prefix | suffix, 1
-                v = cs * ic
-                _acc(out, (merged, tuple(map(add, exps, ie))), v if sign > 0 else -v)
-        cs = -c if odd and bin(mask).count("1") % 2 else c
+            if img:
+                _left_multiply(out, img, mask & ~(1 << i), exps, -c if p % 2 else c)
         for i, q in enumerate(exps):
             img = even_images[i]
-            if not q or not img:
-                continue
-            lowered = exps[:i] + (q - 1,) + exps[i + 1:]
-            cq = cs * q
-            for (im, ie), ic in img.items():
-                merged = merge_sign(mask, im)
-                if merged is None:
-                    continue
-                v = cq * ic
-                _acc(out, (merged[0], tuple(map(add, lowered, ie))), v if merged[1] > 0 else -v)
+            if q and img:
+                _left_multiply(out, img, mask, exps[:i] + (q - 1,) + exps[i + 1:], q * c)
     return a.with_terms(out)
 
 
@@ -216,7 +197,7 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
     return out
 
 
-def integer_images(odd_images, even_images):
+def _integer_images(odd_images, even_images):
     """Generator-image tables scaled to integers by the lcm of their denominators.
 
     The derivation they define is that multiple of the original one, so it has
@@ -229,33 +210,36 @@ def integer_images(odd_images, even_images):
                   if img else None for img in table] for table in tables)
 
 
-def operator_rows(ops, zero: SuperElement, domain_keys):
-    """One vector per domain key: its images under every operator in ``ops``.
+def operator_rows(tables, zero: SuperElement, domain_keys):
+    """One vector per domain key: its images under every derivation in ``tables``.
 
-    Each operator maps elements of the algebra of ``zero`` to elements, and is
-    applied to the key with coefficient 1.  A vector maps column indices to
-    coefficients; a column stands for a pair (operator, image key), numbered in
-    order of first appearance.  The vectors are the rows of the transpose of
-    the stacked operator matrix, so no codomain basis is needed: they have its
-    rank, and ``linalg.transpose`` gives back its rows and with them its kernel.
+    Each derivation is an (odd_images, even_images) pair, scaled to integers
+    and applied to the key with coefficient 1 in the algebra of ``zero``.  A
+    vector maps columns, one per pair (derivation, image key) numbered in
+    order of first appearance, to coefficients.  The vectors are the rows of
+    the transposed operator matrix, so no codomain basis is needed: they have
+    its rank, and ``linalg.transpose`` gives back its rows and kernel.
     """
+    tables = [_integer_images(*t) for t in tables]
     index: dict[tuple[int, Key], int] = {}
-    vectors = []
+    out = []
     for key in domain_keys:
         unit = zero.with_terms({key: 1})
         vec = {}
-        for o, op in enumerate(ops):
-            for k2, c in op(unit).terms.items():
+        for o, t in enumerate(tables):
+            for k2, c in derivation(unit, *t).terms.items():
                 vec[index.setdefault((o, k2), len(index))] = c
-        vectors.append(vec)
-    return vectors
+        out.append(vec)
+    return out
+
+
+def vectors(elements):
+    """Coefficient vectors of ``elements``, one column per key in order of first appearance."""
+    index: dict[Key, int] = {}
+    return [{index.setdefault(k, len(index)): c for k, c in e.terms.items()} for e in elements]
 
 
 def in_span(candidates, element: SuperElement) -> bool:
     """Exact membership of ``element`` in the span of ``candidates``."""
-    index: dict[Key, int] = {}
-
-    def vector(e):
-        return {index.setdefault(k, len(index)): c for k, c in e.terms.items()}
-
-    return linalg.solve([vector(e) for e in candidates], [vector(element)]) is not None
+    *columns, target = vectors([*candidates, element])
+    return linalg.solve(columns, [target]) is not None

@@ -21,8 +21,7 @@ from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
 from .masks import indices_of, mask_of
 from .schur_oracle import capped_comb, check_size
 from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
-                       in_span, integer_images, multiply, operator_rows,
-                       unit_exponent)
+                       in_span, multiply, operator_rows, unit_exponent)
 
 
 def key_degree(key: Key) -> int:
@@ -114,10 +113,7 @@ def lie_images(L: LieAlgebra, xi):
             [{(0, unit_exponent(n, j)): c for j, c in co.items()} for co in coadj])
 
 
-def odd_derivation(a: WeilElement, ext_images, sym_images) -> WeilElement:
-    """The odd derivation with D(lam_i) = ext_images[i], D(lamt_i) = sym_images[i]
-    (term dicts; None for zero)."""
-    return derivation(a, ext_images, sym_images, True)
+odd_derivation = derivation  # the name d_K and contract apply their tables by
 
 
 def d_K(a: WeilElement) -> WeilElement:
@@ -134,7 +130,7 @@ def contract(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
 def lie_derivative(L: LieAlgebra, xi, a: WeilElement) -> WeilElement:
     """Lie derivative L_xi, see :func:`lie_images`."""
     _check_algebra(L, a)
-    return derivation(a, *lie_images(L, xi), False)
+    return derivation(a, *lie_images(L, xi))
 
 
 # -- distinguished elements ------------------------------------------
@@ -217,11 +213,10 @@ def koszul_cohomology_dims(n, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
-    zero, images = WeilElement(n), integer_images(*koszul_images(n))
-    ops = [lambda a: odd_derivation(a, *images)]
+    zero, tables = WeilElement(n), [koszul_images(n)]
     dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
     for d in range(max_degree + 1):
         basis = weil_basis(n, d)
         dims.append(len(basis))
-        ranks.append(linalg.rank(operator_rows(ops, zero, basis)))
+        ranks.append(linalg.rank(operator_rows(tables, zero, basis)))
     return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]

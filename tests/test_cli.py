@@ -284,12 +284,14 @@ def test_negative_size_is_a_domain_error(capsys, argv):
     ["polyfunc", "check", "--expr", "x", "--degree", "20", "--dim", "3"],
     ["polyfunc", "check", "--expr", "x", "--degree", "60", "--dim", "3"],
     ["polyfunc", "check", "--expr", "x", "--degree", "2", "--dim", "1000000"],
-    # a 401-square Vandermonde inverse
+    # a 401-square Vandermonde inverse; a 141-square one, within a (d+1) max(d+1, dim)
+    # size but not (d+1)^3: its exact entries grow in bit length with the degree
     ["polyfunc", "decompose", "--expr", "x", "--degree", "400", "--dim", "1"],
+    ["polyfunc", "decompose", "--expr", "x", "--degree", "140", "--dim", "1"],
     ["polyfunc", "decompose", "--expr", "x", "--degree", "2", "--dim", "1000000"],
 ], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
         "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim", "decompose-degree",
-        "decompose-dim"])
+        "decompose-degree-140", "decompose-dim"])
 def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated before the size was checked")

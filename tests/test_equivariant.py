@@ -13,8 +13,8 @@ from weil.invariant_polynomials import basic_subspace
 from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
 from weil.superalg import operator_rows, unit_exponent
 from weil.weil_algebra import (WeilElement, contract as weil_contract, d_K,
-                               lie_derivative, sym_exponents, term_sort_key,
-                               weil_basis)
+                               koszul_images, lie_derivative, lie_images,
+                               sym_exponents, term_sort_key, weil_basis)
 from weil import linalg
 
 from test_liealg import CountingFraction
@@ -413,21 +413,27 @@ def test_contraction_rows_reach_past_the_cap():
 
 @pytest.mark.parametrize("degree", range(9))
 def test_koszul_rows_match_codomain_indexed_rows(degree):
+    # operator_rows takes the table; the oracle applies d_K itself
     dom = weil_basis(3, degree)
-    vectors = operator_rows([d_K], WeilElement(3), dom)
+    vectors = operator_rows([koszul_images(3)], WeilElement(3), dom)
     assert row_multiset(linalg.transpose(vectors)) == row_multiset(
         codomain_operator_rows(d_K, WeilElement(3), dom, weil_basis(3, degree + 1)))
 
 
 @pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
 def test_invariant_rows_match_codomain_indexed_rows(name):
+    # operator_rows takes the tables, scaled to integers; the oracle applies
+    # lie_derivative itself, and its rows are scaled by each table's lcm
     L = builtin(name)
+    xis = [[Fraction(int(a == i)) for a in range(3)] for i in range(3)]
+    tables = [lie_images(L, xi) for xi in xis]
     for k in range(5):
         dom = sorted(((0, s) for s in sym_exponents(3, k)), key=term_sort_key)
-        ops = [partial(lie_derivative, L, [Fraction(int(a == i)) for a in range(3)])
-               for i in range(3)]
-        old = [row for op in ops for row in codomain_operator_rows(op, WeilElement(3), dom, dom)]
-        assert row_multiset(linalg.transpose(operator_rows(ops, WeilElement(3), dom))) == \
+        old = [{j: c * table_scale(*table) for j, c in row.items()}
+               for xi, table in zip(xis, tables)
+               for row in codomain_operator_rows(partial(lie_derivative, L, xi),
+                                                 WeilElement(3), dom, dom)]
+        assert row_multiset(linalg.transpose(operator_rows(tables, WeilElement(3), dom))) == \
             row_multiset(old), (name, k)
 
 

@@ -1,0 +1,175 @@
+"""The algebra core against the two-loop rules it replaced.
+
+``superalg.derivation`` writes the Leibniz rule once, D(a) = sum_g D(g) da/dg
+with every image multiplied in from the left, and ``multiply`` is the same
+loop with the left factor as the image.  The oracles below are the previous
+forms: a derivation that puts D(o_i) in place of o_i and D(e_i) after the odd
+factors and reads the sign of an odd D from a parity flag, and the double
+loop over both factors.  Their signs come from an inversion count, not from
+``masks.merge_sign``, which is checked against the same count.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+from operator import add
+
+import pytest
+
+from weil.chart_forms import ChartForm, d as chart_d
+from weil.equivariant import WeilModel, builtin_action
+from weil.liealg import basis_vector, builtin
+from weil.masks import indices_of, merge_sign
+from weil.superalg import ONE, derivation, in_span, multiply, vectors
+from weil.weil_algebra import (WeilElement, contraction_images, koszul_images,
+                               lie_images)
+
+from test_equivariant import conjugated
+
+
+def inversion_merge(a, b):
+    """(a | b, (-1)^#{(i, j) : i in a, j in b, i > j}), or None on overlap."""
+    if a & b:
+        return None
+    inversions = sum(i > j for i in indices_of(a) for j in indices_of(b))
+    return a | b, -1 if inversions % 2 else 1
+
+
+def accumulate(out, key, v):
+    """superalg's accumulation: a key that cancels is dropped, so it re-enters last."""
+    v += out.get(key, 0)
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def signed_derivation(a, odd_images, even_images, odd):
+    """The previous derivation: D(o_i) replaces o_i in place, D(e_i) goes after
+    the odd factors, and an odd D picks up (-1)^p passing p odd generators."""
+    out = {}
+    for (mask, exps), c in a.terms.items():
+        for p, i in enumerate(indices_of(mask)):
+            img = odd_images[i]
+            if not img:
+                continue
+            cs = -c if odd and p % 2 else c
+            prefix, suffix = mask & ((1 << i) - 1), mask & ~((2 << i) - 1)
+            for (im, ie), ic in img.items():
+                left = inversion_merge(prefix, im)
+                if left is None or left[0] & suffix:
+                    continue
+                merged, sign = inversion_merge(left[0], suffix)
+                accumulate(out, (merged, tuple(map(add, exps, ie))), cs * ic * sign * left[1])
+        cs = -c if odd and bin(mask).count("1") % 2 else c
+        for i, q in enumerate(exps):
+            img = even_images[i]
+            if not q or not img:
+                continue
+            lowered = exps[:i] + (q - 1,) + exps[i + 1:]
+            for (im, ie), ic in img.items():
+                merged = inversion_merge(mask, im)
+                if merged is not None:
+                    accumulate(out, (merged[0], tuple(map(add, lowered, ie))),
+                               cs * q * ic * merged[1])
+    return a.with_terms(out)
+
+
+def double_loop_multiply(a, b):
+    """The previous product: every term of a times every term of b."""
+    out = {}
+    for (m1, e1), c1 in a.terms.items():
+        for (m2, e2), c2 in b.terms.items():
+            merged = inversion_merge(m1, m2)
+            if merged is not None:
+                accumulate(out, (merged[0], tuple(map(add, e1, e2))), c1 * c2 * merged[1])
+    return a.with_terms(out)
+
+
+def rand_element(rng, zero, terms=6, max_exp=2):
+    """Seeded element of the algebra of ``zero``, of mixed degree and parity."""
+    n = zero.n
+    out = {}
+    for _ in range(terms):
+        key = (rng.randrange(1 << n), tuple(rng.randint(0, max_exp) for _ in range(n)))
+        out[key] = Fraction(rng.randint(-5, 5) or 1, rng.choice((1, 2, 3)))
+    return zero.with_terms(out)
+
+
+def chart_d_images(m):
+    """The table of ``chart_forms.d``: x_i -> dx_i, dx_i -> 0."""
+    return [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)]
+
+
+def weil_tables():
+    """(name, zero, table, odd) for d_K, iota_xi and L_xi on su2, sl2 and heisenberg3."""
+    rng = random.Random(7)
+    yield "d_K", WeilElement(3), koszul_images(3), True
+    for name in ("su2", "sl2", "heisenberg3"):
+        L = builtin(name)
+        for xi in (basis_vector(3, 0), [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                        for _ in range(3)]):
+            yield f"iota-{name}", WeilElement(3), contraction_images(L, xi), True
+            yield f"lie-{name}", WeilElement(3), lie_images(L, xi), False
+
+
+def chart_tables():
+    for m in (1, 3):
+        yield f"chart-d-{m}", ChartForm(m), chart_d_images(m), True
+
+
+def model_tables():
+    """D, iota and L of the adjoint model and a conjugate with non-integral Q^-1."""
+    for name in ("su2", "heisenberg3"):
+        L = builtin(name)
+        m, mats = builtin_action("adjoint", L)
+        for label, action in (("adjoint", mats),
+                              ("conjugate", conjugated(mats, random.Random(3), (2, 3)))):
+            model = WeilModel(m, L, action)
+            tag = f"{name}-{label}"
+            yield f"D-{tag}", model.zero(), model._d_images(), True
+            for xi in (basis_vector(3, 1), [Fraction(1, 2), Fraction(-1), Fraction(2, 3)]):
+                fields = model.vector_field(xi)
+                yield f"iota-{tag}", model.zero(), model._contract_images(xi, fields), True
+                yield f"lie-{tag}", model.zero(), model._lie_images(xi, fields), False
+
+
+TABLES = [*weil_tables(), *chart_tables(), *model_tables()]
+
+
+@pytest.mark.parametrize("name, zero, table, odd", TABLES, ids=[t[0] for t in TABLES])
+def test_derivation_matches_signed_two_loop_rule(name, zero, table, odd):
+    # same terms in the same order, so operator_rows numbers its columns as before
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(40):
+        a = rand_element(rng, zero)
+        got, expected = derivation(a, *table), signed_derivation(a, *table, odd)
+        assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def test_chart_d_is_its_table():
+    rng = random.Random(13)
+    for _ in range(20):
+        a = rand_element(rng, ChartForm(3))
+        assert chart_d(a) == signed_derivation(a, *chart_d_images(3), True)
+
+
+@pytest.mark.parametrize("zero", [WeilElement(3), ChartForm(5), WeilElement(1)],
+                         ids=["weil-3", "chart-5", "weil-1"])
+def test_multiply_matches_double_loop(zero):
+    rng = random.Random(zero.n)
+    for _ in range(60):
+        a, b = rand_element(rng, zero, 4), rand_element(rng, zero, 4)
+        assert multiply(a, b) == double_loop_multiply(a, b)
+
+
+def test_merge_sign_counts_inversions():
+    for a, b in product(range(1 << 7), repeat=2):
+        assert merge_sign(a, b) == inversion_merge(a, b), (a, b)
+
+
+def test_vectors_number_keys_by_first_appearance():
+    x = [ChartForm.x(2, i) for i in range(2)]
+    assert vectors([x[1] + x[0].scale(3), x[0].scale(-1)]) == [{0: 1, 1: 3}, {1: -1}]
+    assert in_span([x[1] + x[0], x[0]], x[1].scale(2))
+    assert not in_span([x[1] + x[0]], x[1])
