@@ -110,7 +110,7 @@ def criterion_4():
         invertible = True
         for deg in range(9):
             keys = weil_basis(n, deg)
-            images = vectors(change_of_basis(L, WeilElement(n, {key: 1})) for key in keys)
+            images = vectors(change_of_basis(L, [WeilElement(n, {key: 1}) for key in keys]))
             if linalg.rank(images) != len(keys):
                 invertible = False
         details[name] = {"iota_omega_zero": horizontal, "change_of_basis_invertible": invertible}

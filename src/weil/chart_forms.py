@@ -71,10 +71,14 @@ class ChartForm(SuperElement):
 wedge = multiply
 
 
+def d_images(m):
+    """The generator images of d on R^m: dx_i -> 0, x_i -> dx_i (odd)."""
+    return [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)]
+
+
 def d(a: ChartForm) -> ChartForm:
-    """Exterior derivative: the odd derivation x_i -> dx_i, dx_i -> 0."""
-    m = a.n
-    return derivation(a, [None] * m, [{(1 << i, (0,) * m): ONE} for i in range(m)])
+    """Exterior derivative, see :func:`d_images`."""
+    return derivation(a, *d_images(a.n))
 
 
 def evaluate(form: ChartForm, point) -> Fraction:

@@ -19,14 +19,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .chart_forms import ChartForm, d as chart_d
+from .chart_forms import ChartForm, d as chart_d, d_images
 from .liealg import LieAlgebra, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import ONE, SuperElement, derivation, operator_rows, unit_exponent
-from .weil_algebra import (WeilElement, contraction_images, key_degree,
-                           koszul_dim, lie_images, sym_exponents,
-                           term_sort_key, weil_basis)
+from .superalg import SuperElement, derivation, operator_rows, unit_exponent
+from .weil_algebra import (WeilElement, contraction_images, key_degree, koszul_dim,
+                           koszul_images, lie_images, sym_exponents, weil_basis)
 
 
 class WeilModel:
@@ -65,19 +64,8 @@ class WeilModel:
     def from_pair(self, form: ChartForm, weil: WeilElement):
         if form.m != self.m or weil.n != self.n:
             raise ValueError("factor dimensions do not match the model")
-        terms = {}
-        for fk, fc in form.terms.items():
-            for wk, wc in weil.terms.items():
-                terms[self.join(fk, wk)] = fc * wc
-        return WeilModelElement(self, terms)
-
-    def _lift_chart(self, terms):
-        one = (0, (0,) * self.n)
-        return {self.join(k, one): c for k, c in terms.items()}
-
-    def _lift_weil(self, terms):
-        one = (0, (0,) * self.m)
-        return {self.join(one, k): c for k, c in (terms or {}).items()}
+        return WeilModelElement(self, {self.join(fk, wk): fc * wc for fk, fc in form.terms.items()
+                                       for wk, wc in weil.terms.items()})
 
     # -- operators: generator images for superalg.derivation ------------------
 
@@ -94,27 +82,30 @@ class WeilModel:
         return [ChartForm(m, {(0, unit_exponent(m, s)): c for s, c in sorted(comp.items())})
                 for comp in comps]
 
+    def _tensor(self, chart_table, weil_table):
+        """The table of (chart derivation) x 1 + 1 x (Weil derivation): each
+        factor's (odd, even) images lifted through ``join``, chart generators first."""
+        units = (0, (0,) * self.m), (0, (0,) * self.n)
+        lifts = (lambda k: self.join(k, units[1]), lambda k: self.join(units[0], k))
+        return tuple([{lift(k): c for k, c in img.items()} if img else None
+                      for table, lift in zip(tables, lifts) for img in table]
+                     for tables in zip(chart_table, weil_table))
+
     def _d_images(self):
-        """D (odd): x_t -> dx_t, lam_i -> lamt_i; dx_t and lamt_i are closed."""
-        m, n = self.m, self.n
-        zero = (0,) * (m + n)
-        return ([None] * m + [{(0, unit_exponent(m + n, m + i)): ONE} for i in range(n)],
-                [{(1 << t, zero): ONE} for t in range(m)] + [None] * n)
+        """D = d_X + d_K (odd): x_t -> dx_t, lam_i -> lamt_i."""
+        return self._tensor(d_images(self.m), koszul_images(self.n))
 
     def _contract_images(self, xi, fields):
         """iota (odd): dx_t -> xi-hat_t, x_t -> 0, and iota_xi on the Weil generators;
         ``fields`` is ``vector_field(xi)``."""
-        weil_odd, weil_even = contraction_images(self.algebra, xi)
-        return ([self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_odd],
-                [None] * self.m + [self._lift_weil(t) for t in weil_even])
+        return self._tensor(([f.terms for f in fields], [None] * self.m),
+                            contraction_images(self.algebra, xi))
 
     def _lie_images(self, xi, fields):
         """L = D iota + iota D (even): dx_t -> d(xi-hat_t), x_t -> xi-hat_t,
         and L_xi on the Weil generators; ``fields`` is ``vector_field(xi)``."""
-        weil_odd, weil_even = lie_images(self.algebra, xi)
-        return ([self._lift_chart(chart_d(f).terms) for f in fields]
-                + [self._lift_weil(t) for t in weil_odd],
-                [self._lift_chart(f.terms) for f in fields] + [self._lift_weil(t) for t in weil_even])
+        return self._tensor(([chart_d(f).terms for f in fields], [f.terms for f in fields]),
+                            lie_images(self.algebra, xi))
 
     def total_d(self, w: "WeilModelElement") -> "WeilModelElement":
         """D(omega x a) = d_X omega x a + (-1)^{deg omega} omega x d_K a."""
@@ -131,22 +122,14 @@ class WeilModel:
     # -- truncated bases and kernels --------------------------------------
 
     def basis(self, total_degree, poly_cap):
-        """Keys of total degree d with coefficient degree <= cap, canonical order."""
-        keys = []
-        for r in range(min(self.m, total_degree) + 1):
-            wdeg = total_degree - r
-            for wk in weil_basis(self.n, wdeg):
-                for fmask in combinations(range(self.m), r):
-                    for deg in range(poly_cap + 1):
-                        for mono in sym_exponents(self.m, deg):
-                            keys.append(self.join((mask_of(fmask), mono), wk))
-        keys.sort(key=self._sort_key)
-        return keys
-
-    def _sort_key(self, key):
-        (fmask, mono), wk = self.split(key)
-        total = bin(fmask).count("1") + key_degree(wk)
-        return (total, sum(mono), fmask, mono, term_sort_key(wk))
+        """Keys of total degree d with coefficient degree <= cap, in canonical order:
+        by coefficient degree, then chart mask, monomial and Weil key."""
+        m, d = self.m, total_degree
+        weil = [weil_basis(self.n, d - r) for r in range(min(m, d) + 1)]
+        masks = sorted(mask_of(f) for r in range(len(weil)) for f in combinations(range(m), r))
+        monos = [sym_exponents(m, deg) for deg in range(poly_cap + 1)]
+        return [self.join((fmask, mono), wk) for deg_monos in monos for fmask in masks
+                for mono in deg_monos for wk in weil[bin(fmask).count("1")]]
 
     def basic_constraint_rows(self, total_degree, poly_cap):
         """The domain keys and, per key, one integer vector of its images under
@@ -222,12 +205,13 @@ def builtin_action(name: str, algebra: LieAlgebra):
 
 
 def check_basis_size(chart_dim, n, total_degree, poly_cap):
-    """Refuse a truncation from the closed-form size of its basis,
-    sum_r C(m, r) dim Koss^{d-r}(n) C(m + cap, cap), before any action matrix
-    or key is built.  The sum stops once it passes the cap; negative sizes are
-    left to the model to refuse."""
+    """Refuse a truncation from closed-form sizes before any action matrix or key
+    is built: n(m + n) for its generator tables (n images on keys of m + n
+    exponents), then its basis, sum_r C(m, r) dim Koss^{d-r}(n) C(m + cap, cap),
+    a sum stopped once past the cap.  Negative sizes are left to the model."""
     if min(chart_dim, total_degree, poly_cap) < 0:
         return
+    check_size(n * (chart_dim + n), f"each generator table of {n} fields on R^{chart_dim}")
     polys, size = capped_comb(chart_dim + poly_cap, poly_cap), 0
     for r in range(min(chart_dim, total_degree) + 1):
         size += capped_comb(chart_dim, r) * koszul_dim(n, total_degree - r) * polys

@@ -8,8 +8,8 @@ structure constants alone, so the output is labelled as g-invariants.
 The derivation action is weil_algebra's Lie derivative restricted to
 bidegree (0, k): one code path, one sign convention.  The horizontal
 subalgebra of the Weil algebra is Sym(Omega) and lamt -> Omega is
-g-equivariant, so the basic elements of degree 2k are
-change_of_basis((Sym^k g*)^g), and there are none in odd degree.
+g-equivariant, so the basic elements of degree 2k are the change_of_basis
+image of (Sym^k g*)^g, and there are none in odd degree.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ def invariant_bases(L: LieAlgebra, max_k):
 
 def _check_sym_size(n, k):
     check_size(capped_comb(n + k - 1, k), f"Sym^{k} of a {n}-dimensional algebra")
+    # the n tables of L hold n images on keys of n exponents
+    check_size(n * n, f"each generator table of a {n}-dimensional algebra")
 
 
 def invariant_basis(L: LieAlgebra, k):
     """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements."""
     n = L.dim
     _check_sym_size(n, k)
-    dom = sorted(((0, s) for s in sym_exponents(n, k)), key=term_sort_key)
+    dom = [(0, s) for s in sym_exponents(n, k)]
     vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in range(n)],
                             WeilElement(n), dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
@@ -62,7 +64,7 @@ def basic_subspace(L: LieAlgebra, total_degree):
         raise ValueError("degree must be >= 0")
     if total_degree % 2:
         return []
-    images = [change_of_basis(L, P) for P in invariant_basis(L, total_degree // 2)]
+    images = change_of_basis(L, invariant_basis(L, total_degree // 2))
     keys = sorted({key for a in images for key in a.terms}, key=term_sort_key, reverse=True)
     col = {key: j for j, key in enumerate(keys)}
     _, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()} for a in images])

@@ -13,7 +13,7 @@ kernel solvers.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import linalg, superalg
@@ -156,39 +156,34 @@ def horizontal_project(L: LieAlgebra, a: WeilElement) -> WeilElement:
     return h
 
 
-def change_of_basis(L: LieAlgebra, a: WeilElement) -> WeilElement:
-    """Algebra endomorphism lam_i -> lam_i, lamt_i -> Omega^i."""
+def change_of_basis(L: LieAlgebra, elements) -> list[WeilElement]:
+    """The algebra map lam_i -> lam_i, lamt_i -> Omega^i on each of ``elements``."""
     n = L.dim
-    return superalg.substitute(a, [WeilElement.lam(n, i) for i in range(n)],
-                               [curvature_generator(L, i) for i in range(n)], WeilElement.unit(n))
+    lams = [WeilElement.lam(n, i) for i in range(n)]
+    omegas = [curvature_generator(L, i) for i in range(n)]
+    return [superalg.substitute(a, lams, omegas, WeilElement.unit(n)) for a in elements]
 
 
 # -- bases and matrices ----------------------------------------------
 
 
 def sym_exponents(n, q):
-    """Exponent vectors of length n summing to q, lexicographically."""
-    if n == 0:
-        if q == 0:
-            yield ()
-        return
-    for first in range(q, -1, -1):
-        for rest in sym_exponents(n - 1, q - first):
-            yield (first,) + rest
+    """Exponent vectors of length n summing to q, in ascending lexicographic order:
+    the reverse of the lexicographic order of their multisets of q indices."""
+    out = []
+    for indices in combinations_with_replacement(range(n), q):
+        exps = [0] * n
+        for i in indices:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out[::-1]
 
 
 def weil_basis(n, d):
-    """Basis keys of total degree d, in canonical term order."""
-    keys = []
-    for p in range(min(n, d) + 1):
-        if (d - p) % 2:
-            continue
-        q = (d - p) // 2
-        for ext in combinations(range(n), p):
-            for s in sym_exponents(n, q):
-                keys.append((mask_of(ext), s))
-    keys.sort(key=term_sort_key)
-    return keys
+    """Basis keys of total degree d in canonical term order: by ext mask, then sym exponents."""
+    syms = {p: sym_exponents(n, (d - p) // 2) for p in range(d % 2, min(n, d) + 1, 2)}
+    masks = sorted(mask_of(ext) for p in syms for ext in combinations(range(n), p))
+    return [(mask, s) for mask in masks for s in syms[bin(mask).count("1")]]
 
 
 def koszul_dim(n, d):
@@ -213,6 +208,7 @@ def koszul_cohomology_dims(n, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
+    check_size(n * n, f"each generator table of a {n}-dimensional algebra")
     zero, tables = WeilElement(n), [koszul_images(n)]
     dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
     for d in range(max_degree + 1):

@@ -289,16 +289,24 @@ def test_negative_size_is_a_domain_error(capsys, argv):
     ["polyfunc", "decompose", "--expr", "x", "--degree", "400", "--dim", "1"],
     ["polyfunc", "decompose", "--expr", "x", "--degree", "140", "--dim", "1"],
     ["polyfunc", "decompose", "--expr", "x", "--degree", "2", "--dim", "1000000"],
+    # one key in degree 0, but generator tables of 20000 images on 20000-long keys
+    ["cohomology", "--dim", "20000", "--max-degree", "0"],
+    ["invariants", "--algebra", "abelian20000", "--max-degree", "0"],
+    ["basic", "--algebra", "abelian20000", "--degree", "0"],
+    ["equivariant", "--algebra", "abelian20000", "--action", "trivial:1", "--degree", "0",
+     "--poly-cap", "0"],
 ], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
         "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim", "decompose-degree",
-        "decompose-degree-140", "decompose-dim"])
+        "decompose-degree-140", "decompose-dim", "cohomology-n20000", "invariants-n20000",
+        "basic-n20000", "equivariant-n20000"])
 def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated before the size was checked")
 
     for name, module in list(sys.modules.items()):
         if name == "weil" or name.startswith("weil."):
-            for attr in ("sym_exponents", "weil_basis", "builtin_action", "parse_poly_exprs"):
+            for attr in ("sym_exponents", "weil_basis", "koszul_images", "builtin_action",
+                         "parse_poly_exprs"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, enumerated)
     error = assert_domain_error(capsys, argv)

@@ -1,23 +1,27 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import lcm
 
 import pytest
 
-from weil.chart_forms import ChartForm
+from weil.chart_forms import ChartForm, d as chart_d
 from weil import equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
 from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
-from weil.superalg import operator_rows, unit_exponent
-from weil.weil_algebra import (WeilElement, contract as weil_contract, d_K,
-                               koszul_images, lie_derivative, lie_images,
+from weil.masks import mask_of
+from weil.schur_oracle import ResourceCapError
+from weil.superalg import ONE, operator_rows, unit_exponent
+from weil.weil_algebra import (WeilElement, contract as weil_contract, contraction_images,
+                               d_K, key_degree, koszul_images, lie_derivative, lie_images,
                                sym_exponents, term_sort_key, weil_basis)
 from weil import linalg
 
 from test_liealg import CountingFraction
+from test_weil_algebra import recursive_sym_exponents, sorted_weil_basis
 
 AB1 = builtin("abelian(1)")
 SU2 = builtin("su2")
@@ -184,6 +188,13 @@ def test_basis_size_is_the_closed_form(monkeypatch):
                 assert sizes[-1] == len(model.basis(d, cap)), (name, action, d, cap)
 
 
+def test_generator_tables_are_refused_by_n_times_m_plus_n():
+    check_basis_size(3, 3, 8, 4)  # su2 adjoint at (8, 4) stays admitted
+    check_basis_size(1, 140, 0, 0)  # 140 * 141 = 19,740 table entries
+    with pytest.raises(ResourceCapError, match="141 fields on R"):
+        check_basis_size(1, 141, 0, 0)  # 141 * 142 = 20,022
+
+
 # -- the Cartan identities on the total Weil model ------------------------
 
 
@@ -211,7 +222,7 @@ def conjugated(mats, rng, diagonal=None):
 
 def cartan_model(name, action):
     L = builtin(name)
-    m, mats = builtin_action("rot2" if action == "rot2" else "adjoint", L)
+    m, mats = builtin_action("adjoint" if action == "conjugate" else action, L)
     if action == "conjugate":
         mats = conjugated(mats, random.Random(sum(map(ord, name))))
     return WeilModel(m, L, mats)
@@ -295,6 +306,72 @@ def test_chart_factor_bracket_identity(name, action):
     for w, xi, eta in chart_cases(model):
         bracket = model.algebra.bracket(xi, eta)
         assert lie(xi, iota(eta, w)) - iota(eta, lie(xi, w)) == iota(bracket, w)
+
+
+# -- the model from its factors, against the previous sorted and concatenated routes --
+
+FACTOR_MODELS = [(name, action) for name in BUILTIN_NAMES
+                 for action in ("adjoint", "conjugate", "trivial:2")] + [("abelian(1)", "rot2")]
+
+
+def sorted_model_basis(model, d, cap):
+    """The previous WeilModel.basis: every key of the product, then a key sort."""
+    keys = [model.join((mask_of(f), mono), wk) for r in range(min(model.m, d) + 1)
+            for wk in sorted_weil_basis(model.n, d - r) for f in combinations(range(model.m), r)
+            for deg in range(cap + 1) for mono in recursive_sym_exponents(model.m, deg)]
+
+    def sort_key(key):
+        (fmask, mono), wk = model.split(key)
+        return (bin(fmask).count("1") + key_degree(wk), sum(mono), fmask, mono, term_sort_key(wk))
+    return sorted(keys, key=sort_key)
+
+
+def concatenated_tables(model, xi):
+    """The previous D, iota and L tables, each image lifted and concatenated by hand."""
+    m, n, fields = model.m, model.n, model.vector_field(xi)
+
+    def chart(terms):
+        return {model.join(k, (0, (0,) * n)): c for k, c in terms.items()}
+
+    def weil(terms):
+        return {model.join((0, (0,) * m), k): c for k, c in (terms or {}).items()}
+
+    d = ([None] * m + [{(0, unit_exponent(m + n, m + i)): ONE} for i in range(n)],
+         [{(1 << t, (0,) * (m + n)): ONE} for t in range(m)] + [None] * n)
+    odd, even = contraction_images(model.algebra, xi)
+    iota = ([chart(f.terms) for f in fields] + [weil(t) for t in odd],
+            [None] * m + [weil(t) for t in even])
+    odd, even = lie_images(model.algebra, xi)
+    lie = ([chart(chart_d(f).terms) for f in fields] + [weil(t) for t in odd],
+           [chart(f.terms) for f in fields] + [weil(t) for t in even])
+    return d, iota, lie
+
+
+def table_items(table):
+    """A table's images as item lists, in insertion order; None and {} are both zero."""
+    return [[list(img.items()) if img else None for img in images] for images in table]
+
+
+@pytest.mark.parametrize("name, action", FACTOR_MODELS)
+def test_model_basis_is_built_in_the_sorted_order(name, action):
+    model = cartan_model(name, action)
+    for d in range(5):
+        for cap in range(3):
+            assert model.basis(d, cap) == sorted_model_basis(model, d, cap), (d, cap)
+
+
+@pytest.mark.parametrize("name, action", FACTOR_MODELS)
+def test_model_tables_are_the_lifted_factor_tables(name, action):
+    model = cartan_model(name, action)
+    rng = random.Random(17 + model.m + model.n)
+    xis = [[Fraction(int(k == i)) for k in range(model.n)] for i in range(model.n)]
+    xis.append([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(model.n)])
+    for xi in xis:
+        fields = model.vector_field(xi)
+        tables = (model._d_images(), model._contract_images(xi, fields),
+                  model._lie_images(xi, fields))
+        assert [table_items(t) for t in tables] == \
+            [table_items(t) for t in concatenated_tables(model, xi)], xi
 
 
 # -- the fundamental vector field ------------------------------------------------

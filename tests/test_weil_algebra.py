@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -7,11 +8,14 @@ import pytest
 from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
                          coadjoint_dual_basis)
 from weil.invariant_polynomials import basic_subspace
+from weil.masks import mask_of
+from weil.schur_oracle import ResourceCapError
+from weil.superalg import unit_exponent
 from weil.weil_algebra import (WeilElement, change_of_basis, contract,
                                curvature_generator, d_K, graded_dims,
                                horizontal_project, in_span,
                                koszul_cohomology_dims, lie_derivative,
-                               multiply, weil_basis)
+                               multiply, sym_exponents, term_sort_key, weil_basis)
 from weil import linalg
 
 SU2 = builtin("su2")
@@ -287,8 +291,8 @@ def test_change_of_basis_invertible():
             keys = weil_basis(n, deg)
             index = {k: i for i, k in enumerate(keys)}
             rows = {}
-            for j, key in enumerate(keys):
-                img = change_of_basis(L, WeilElement(n, {key: Fraction(1)}))
+            images = change_of_basis(L, [WeilElement(n, {key: Fraction(1)}) for key in keys])
+            for j, img in enumerate(images):
                 for k2, c in img.terms.items():
                     rows.setdefault(index[k2], {})[j] = c
             assert linalg.rank(list(rows.values())) == len(keys)
@@ -325,3 +329,63 @@ def test_bidegree_cardinality():
                 by_bidegree[(p, q)] = by_bidegree.get((p, q), 0) + 1
             for (p, q), count in by_bidegree.items():
                 assert count == comb(n, p) * comb(n + q - 1, q)
+
+
+# -- bases built in order, against the previous recursive and sorted routes ----
+
+
+def recursive_sym_exponents(n, q):
+    """The previous sym_exponents: one recursion level per variable, in
+    descending lexicographic order."""
+    if n == 0:
+        if q == 0:
+            yield ()
+        return
+    for first in range(q, -1, -1):
+        for rest in recursive_sym_exponents(n - 1, q - first):
+            yield (first,) + rest
+
+
+def sorted_weil_basis(n, d):
+    """The previous weil_basis: every (mask, exponents) pair, then a key sort."""
+    keys = [(mask_of(ext), s) for p in range(min(n, d) + 1) if (d - p) % 2 == 0
+            for ext in combinations(range(n), p)
+            for s in recursive_sym_exponents(n, (d - p) // 2)]
+    keys.sort(key=term_sort_key)
+    return keys
+
+
+def test_sym_exponents_ascend_and_match_the_recursion():
+    for n in range(5):
+        for q in range(6):
+            exps = sym_exponents(n, q)
+            assert exps == list(reversed(list(recursive_sym_exponents(n, q)))), (n, q)
+            assert exps == sorted(set(exps))
+            assert len(exps) == (comb(n + q - 1, q) if n else int(q == 0))
+
+
+def test_weil_basis_matches_the_sorted_route():
+    for n in range(1, 5):
+        for d in range(9):
+            assert weil_basis(n, d) == sorted_weil_basis(n, d), (n, d)
+
+
+def test_thousands_of_variables_need_no_recursion():
+    # the recursive route overran the interpreter's recursion limit here
+    exps = sym_exponents(3000, 1)
+    assert len(exps) == 3000
+    assert exps[0] == unit_exponent(3000, 2999) and exps[-1] == unit_exponent(3000, 0)
+    assert sym_exponents(3000, 0) == [(0,) * 3000]
+    keys = weil_basis(1500, 1)
+    assert [mask for mask, _ in keys] == [1 << i for i in range(1500)]
+    assert all(s == (0,) * 1500 for _, s in keys)
+
+
+def test_generator_tables_are_refused_by_n_squared():
+    # 141^2 = 19,881 table entries are admitted, 142^2 = 20,164 are not
+    assert koszul_cohomology_dims(141, 0) == [1]
+    assert len(basic_subspace(builtin("abelian(141)"), 0)) == 1
+    for refused in (lambda: koszul_cohomology_dims(142, 0),
+                    lambda: basic_subspace(builtin("abelian(142)"), 0)):
+        with pytest.raises(ResourceCapError, match="142-dimensional algebra"):
+            refused()
