@@ -50,11 +50,11 @@ class ChartForm(SuperElement):
 
     @staticmethod
     def key_degree(key):
-        return bin(key[0]).count("1")
+        return key[0].bit_count()
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
-                      key=lambda kv: (bin(kv[0][0]).count("1"), kv[0][0], sum(kv[0][1]), kv[0][1]))
+                      key=lambda kv: (kv[0][0].bit_count(), kv[0][0], sum(kv[0][1]), kv[0][1]))
 
     def __repr__(self):
         if not self.terms:
@@ -77,8 +77,11 @@ def d_images(m):
 
 
 def d(a: ChartForm) -> ChartForm:
-    """Exterior derivative, see :func:`d_images`."""
-    return derivation(a, *d_images(a.n))
+    """Exterior derivative, see :func:`d_images`.  Only the images of the x_i
+    that occur in ``a`` are built, not all m of them."""
+    zeros = (0,) * a.n
+    even = {i: {(1 << i, zeros): ONE} for _, exps in a.terms for i, q in enumerate(exps) if q}
+    return derivation(a, [None] * a.n, even)
 
 
 def evaluate(form: ChartForm, point) -> Fraction:

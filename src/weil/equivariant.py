@@ -129,7 +129,7 @@ class WeilModel:
         masks = sorted(mask_of(f) for r in range(len(weil)) for f in combinations(range(m), r))
         monos = [sym_exponents(m, deg) for deg in range(poly_cap + 1)]
         return [self.join((fmask, mono), wk) for deg_monos in monos for fmask in masks
-                for mono in deg_monos for wk in weil[bin(fmask).count("1")]]
+                for mono in deg_monos for wk in weil[fmask.bit_count()]]
 
     def basic_constraint_rows(self, total_degree, poly_cap):
         """The domain keys and, per key, one integer vector of its images under
@@ -142,7 +142,7 @@ class WeilModel:
             xi = basis_vector(self.n, i)
             fields = self.vector_field(xi)
             tables += [self._contract_images(xi, fields), self._lie_images(xi, fields)]
-        return dom, operator_rows(tables, self.zero(), dom)
+        return dom, operator_rows(tables, dom)
 
     def basic_basis(self, total_degree, poly_cap):
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
@@ -171,7 +171,7 @@ class WeilModelElement(SuperElement):
 
     def key_degree(self, key):
         (fmask, _), wk = self.model.split(key)
-        return bin(fmask).count("1") + key_degree(wk)
+        return fmask.bit_count() + key_degree(wk)
 
     def __repr__(self):
         return f"WeilModelElement({len(self.terms)} terms)"

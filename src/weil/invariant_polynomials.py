@@ -50,8 +50,7 @@ def invariant_basis(L: LieAlgebra, k):
     n = L.dim
     _check_sym_size(n, k)
     dom = [(0, s) for s in sym_exponents(n, k)]
-    vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in range(n)],
-                            WeilElement(n), dom)
+    vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in range(n)], dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
             for vec in linalg.nullspace(linalg.transpose(vectors), len(dom))]
 

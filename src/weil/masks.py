@@ -32,13 +32,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
 def merge_sign(a: int, b: int):
     """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap.
 
-    The loop runs over a, which in a derivation is a generator's image mask.
+    The loop runs over the bits of a, lowest first; in a derivation a is a
+    generator's image mask, so it has few bits.  Each bit of b below a bit of
+    a is one transposition.
     """
     if a & b:
         return None
-    sign = 1
-    for i in indices_of(a):
-        # indices of b strictly below i contribute one transposition each
-        if bin(b & ((1 << i) - 1)).count("1") % 2:
-            sign = -sign
-    return a | b, sign
+    swaps, rest = 0, a
+    while rest:
+        low = rest & -rest
+        swaps += (b & (low - 1)).bit_count()
+        rest ^= low
+    return a | b, -1 if swaps % 2 else 1

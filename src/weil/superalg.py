@@ -157,25 +157,40 @@ def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
     return a.with_terms(out)
 
 
+def _partials(mask, exps):
+    """The left derivatives of o_mask e^exps, in generator order: one
+    (table, i, mask', exps', coefficient) per generator g it contains, where
+    table is 0 for g = o_i and 1 for g = e_i.  o_i at position p leaves
+    (-1)^p o_{mask - i} e^exps; e_i leaves exps_i o_mask e^{exps - 1_i}."""
+    out = [(0, i, mask & ~(1 << i), exps, -1 if p % 2 else 1)
+           for p, i in enumerate(indices_of(mask))]
+    for i, q in enumerate(exps):
+        if q:
+            out.append((1, i, mask, exps[:i] + (q - 1,) + exps[i + 1:], q))
+    return out
+
+
+def _apply(out, partials, table, c):
+    """Accumulate c * sum_g D(g) da/dg into ``out``, D given by ``table``."""
+    for t, i, mask, exps, q in partials:
+        img = table[t][i]
+        if img:
+            _left_multiply(out, img, mask, exps, q * c)
+
+
 def derivation(a: SuperElement, odd_images, even_images) -> SuperElement:
     """D(a) = sum_g D(g) da/dg, where D(o_i) = odd_images[i], D(e_i) = even_images[i].
 
     Images are term dicts {key: Fraction}; None or {} stands for zero, and
-    each image has the parity of D.  da/dg is the left derivative: o_i at
-    position p of o_S e^k leaves (-1)^p o_{S - i} e^k, e_i leaves
-    k_i o_S e^{k - 1_i}.  Moving D(g) to the front costs exactly the sign D
+    each image has the parity of D.  Only the images of generators that occur
+    in ``a`` are looked up.  da/dg is the left derivative (see
+    :func:`_partials`).  Moving D(g) to the front costs exactly the sign D
     would pick up passing the same factors, so the parity of D never enters.
     """
     out: dict[Key, Fraction] = {}
+    table = odd_images, even_images
     for (mask, exps), c in a.terms.items():
-        for p, i in enumerate(indices_of(mask)):
-            img = odd_images[i]
-            if img:
-                _left_multiply(out, img, mask & ~(1 << i), exps, -c if p % 2 else c)
-        for i, q in enumerate(exps):
-            img = even_images[i]
-            if q and img:
-                _left_multiply(out, img, mask, exps[:i] + (q - 1,) + exps[i + 1:], q * c)
+        _apply(out, _partials(mask, exps), table, c)
     return a.with_terms(out)
 
 
@@ -210,24 +225,27 @@ def _integer_images(odd_images, even_images):
                   if img else None for img in table] for table in tables)
 
 
-def operator_rows(tables, zero: SuperElement, domain_keys):
+def operator_rows(tables, domain_keys):
     """One vector per domain key: its images under every derivation in ``tables``.
 
     Each derivation is an (odd_images, even_images) pair, scaled to integers
-    and applied to the key with coefficient 1 in the algebra of ``zero``.  A
-    vector maps columns, one per pair (derivation, image key) numbered in
-    order of first appearance, to coefficients.  The vectors are the rows of
-    the transposed operator matrix, so no codomain basis is needed: they have
-    its rank, and ``linalg.transpose`` gives back its rows and kernel.
+    and applied to the key with coefficient 1; the key's left derivatives are
+    taken once and shared by every derivation.  A vector maps columns, one
+    per pair (derivation, image key) numbered in order of first appearance,
+    to coefficients.  The vectors are the rows of the transposed operator
+    matrix, so no codomain basis is needed: they have its rank, and
+    ``linalg.transpose`` gives back its rows and kernel.
     """
     tables = [_integer_images(*t) for t in tables]
     index: dict[tuple[int, Key], int] = {}
     out = []
-    for key in domain_keys:
-        unit = zero.with_terms({key: 1})
+    for mask, exps in domain_keys:
+        partials = _partials(mask, exps)
         vec = {}
-        for o, t in enumerate(tables):
-            for k2, c in derivation(unit, *t).terms.items():
+        for o, table in enumerate(tables):
+            image: dict[Key, int] = {}
+            _apply(image, partials, table, 1)
+            for k2, c in image.items():
                 vec[index.setdefault((o, k2), len(index))] = c
         out.append(vec)
     return out

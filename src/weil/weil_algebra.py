@@ -26,7 +26,7 @@ from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
 
 def key_degree(key: Key) -> int:
     e, s = key
-    return bin(e).count("1") + 2 * sum(s)
+    return e.bit_count() + 2 * sum(s)
 
 
 def term_sort_key(key: Key):
@@ -52,7 +52,7 @@ class WeilElement(SuperElement):
     key_degree = staticmethod(key_degree)
 
     def bidegree(self):
-        bids = {(bin(e).count("1"), sum(s)) for e, s in self.terms}
+        bids = {(e.bit_count(), sum(s)) for e, s in self.terms}
         if len(bids) != 1:
             raise ValueError("element is not bihomogeneous (or is zero)")
         return bids.pop()
@@ -183,7 +183,7 @@ def weil_basis(n, d):
     """Basis keys of total degree d in canonical term order: by ext mask, then sym exponents."""
     syms = {p: sym_exponents(n, (d - p) // 2) for p in range(d % 2, min(n, d) + 1, 2)}
     masks = sorted(mask_of(ext) for p in syms for ext in combinations(range(n), p))
-    return [(mask, s) for mask in masks for s in syms[bin(mask).count("1")]]
+    return [(mask, s) for mask in masks for s in syms[mask.bit_count()]]
 
 
 def koszul_dim(n, d):
@@ -209,10 +209,10 @@ def koszul_cohomology_dims(n, max_degree):
         raise ValueError("max_degree must be >= 0")
     check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
     check_size(n * n, f"each generator table of a {n}-dimensional algebra")
-    zero, tables = WeilElement(n), [koszul_images(n)]
+    tables = [koszul_images(n)]
     dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
     for d in range(max_degree + 1):
         basis = weil_basis(n, d)
         dims.append(len(basis))
-        ranks.append(linalg.rank(operator_rows(tables, zero, basis)))
+        ranks.append(linalg.rank(operator_rows(tables, basis)))
     return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]

@@ -7,14 +7,14 @@ from math import lcm
 import pytest
 
 from weil.chart_forms import ChartForm, d as chart_d
-from weil import equivariant
+from weil import chart_forms, equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
 from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
-from weil.superalg import ONE, operator_rows, unit_exponent
+from weil.superalg import ONE, derivation, operator_rows, unit_exponent
 from weil.weil_algebra import (WeilElement, contract as weil_contract, contraction_images,
                                d_K, key_degree, koszul_images, lie_derivative, lie_images,
                                sym_exponents, term_sort_key, weil_basis)
@@ -410,6 +410,29 @@ def test_constraint_rows_multiply_each_nonzero_action_entry_once():
         assert CountingFraction.products == sum(1 for mat in mats for row in mat for x in row if x)
 
 
+def test_lie_tables_build_d_images_only_for_field_terms(monkeypatch):
+    # chart_d is called once per fundamental field; it once built all m images
+    # x_i -> dx_i each time, O(m^3) per model, and now builds one per
+    # coordinate its form meets: none for the zero action, one per nonzero
+    # entry of a shift matrix
+    m = 60
+    shift = [[Fraction(int(s == r + 1)) for s in range(m)] for r in range(m)]
+    zeros = [[Fraction(0)] * m for _ in range(m)]
+    for mat, entries in ((zeros, 0), (shift, m - 1)):
+        built, terms = [], []
+
+        def counting(a, odd_images, even_images):
+            built.append(sum(1 for table in (odd_images, even_images) for img in
+                             (table.values() if isinstance(table, dict) else table) if img))
+            terms.append(len(a.terms))
+            return derivation(a, odd_images, even_images)
+
+        monkeypatch.setattr(chart_forms, "derivation", counting)
+        WeilModel(m, AB1, [mat]).basic_constraint_rows(1, 1)
+        assert len(built) == m
+        assert sum(built) == sum(terms) == entries
+
+
 # -- image vectors, against the previous codomain-indexed Fraction rows ---------
 
 
@@ -492,7 +515,7 @@ def test_contraction_rows_reach_past_the_cap():
 def test_koszul_rows_match_codomain_indexed_rows(degree):
     # operator_rows takes the table; the oracle applies d_K itself
     dom = weil_basis(3, degree)
-    vectors = operator_rows([koszul_images(3)], WeilElement(3), dom)
+    vectors = operator_rows([koszul_images(3)], dom)
     assert row_multiset(linalg.transpose(vectors)) == row_multiset(
         codomain_operator_rows(d_K, WeilElement(3), dom, weil_basis(3, degree + 1)))
 
@@ -510,7 +533,7 @@ def test_invariant_rows_match_codomain_indexed_rows(name):
                for xi, table in zip(xis, tables)
                for row in codomain_operator_rows(partial(lie_derivative, L, xi),
                                                  WeilElement(3), dom, dom)]
-        assert row_multiset(linalg.transpose(operator_rows(tables, WeilElement(3), dom))) == \
+        assert row_multiset(linalg.transpose(operator_rows(tables, dom))) == \
             row_multiset(old), (name, k)
 
 

@@ -7,6 +7,8 @@ forms: a derivation that puts D(o_i) in place of o_i and D(e_i) after the odd
 factors and reads the sign of an odd D from a parity flag, and the double
 loop over both factors.  Their signs come from an inversion count, not from
 ``masks.merge_sign``, which is checked against the same count.
+``operator_rows``, which takes a key's left derivatives once for all its
+tables, is checked against one ``derivation`` per key and table.
 """
 
 import random
@@ -19,12 +21,13 @@ import pytest
 from weil.chart_forms import ChartForm, d as chart_d
 from weil.equivariant import WeilModel, builtin_action
 from weil.liealg import basis_vector, builtin
-from weil.masks import indices_of, merge_sign
-from weil.superalg import ONE, derivation, in_span, multiply, vectors
+from weil.masks import indices_of, mask_of, merge_sign
+from weil.superalg import (ONE, _integer_images, derivation, in_span, multiply,
+                           operator_rows, vectors)
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_images,
                                lie_images)
 
-from test_equivariant import conjugated
+from test_equivariant import CARTAN_MODELS, cartan_model, conjugated
 
 
 def inversion_merge(a, b):
@@ -134,7 +137,29 @@ def model_tables():
                 yield f"lie-{tag}", model.zero(), model._lie_images(xi, fields), False
 
 
-TABLES = [*weil_tables(), *chart_tables(), *model_tables()]
+def random_tables():
+    """Seeded tables whose images carry 2 or 3 odd bits, which no table in the
+    package has: an odd D sends o_i to 2-bit and e_i to 3-bit images, an even
+    D the other way round, so merge_sign counts past several image bits."""
+    for seed, zero, odd in ((1, WeilElement(5), True), (2, WeilElement(5), False),
+                            (3, ChartForm(4), True), (4, ChartForm(4), False)):
+        rng = random.Random(seed)
+        n = zero.n
+
+        def image(bits):
+            if rng.random() < 0.2:
+                return None
+            return {(mask_of(rng.sample(range(n), bits)),
+                     tuple(rng.randint(0, 1) for _ in range(n))):
+                    Fraction(rng.randint(-4, 4) or 1, rng.choice((1, 2, 3)))
+                    for _ in range(rng.randint(1, 3))}
+
+        table = [image(2 if odd else 3) for _ in range(n)], [image(3 if odd else 2)
+                                                            for _ in range(n)]
+        yield f"random-{'odd' if odd else 'even'}-{type(zero).__name__}-{n}", zero, table, odd
+
+
+TABLES = [*weil_tables(), *chart_tables(), *model_tables(), *random_tables()]
 
 
 @pytest.mark.parametrize("name, zero, table, odd", TABLES, ids=[t[0] for t in TABLES])
@@ -145,6 +170,50 @@ def test_derivation_matches_signed_two_loop_rule(name, zero, table, odd):
         a = rand_element(rng, zero)
         got, expected = derivation(a, *table), signed_derivation(a, *table, odd)
         assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def per_key_rows(tables, zero, domain_keys):
+    """The previous operator_rows: one derivation per key and table, on the key
+    with coefficient 1, with columns numbered by first appearance of (table, key)."""
+    tables = [_integer_images(*t) for t in tables]
+    index, out = {}, []
+    for key in domain_keys:
+        unit = zero.with_terms({key: 1})
+        vec = {}
+        for o, table in enumerate(tables):
+            for k2, c in derivation(unit, *table).terms.items():
+                vec[index.setdefault((o, k2), len(index))] = c
+        out.append(vec)
+    return out
+
+
+def assert_same_vectors(got, expected):
+    # same columns, values and insertion order: column numbering is what
+    # fixes every pivot choice of the elimination that follows
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in expected]
+
+
+@pytest.mark.parametrize("name, zero, table, odd", TABLES, ids=[t[0] for t in TABLES])
+def test_operator_rows_match_one_derivation_per_key(name, zero, table, odd):
+    rng = random.Random(sum(map(ord, name)) + 1)
+    keys = list(dict.fromkeys(k for _ in range(10) for k in rand_element(rng, zero).terms))
+    assert_same_vectors(operator_rows([table], keys), per_key_rows([table], zero, keys))
+    # two tables share the key's derivatives and number their columns apart
+    tables = [table, _integer_images(*table)]
+    assert_same_vectors(operator_rows(tables, keys), per_key_rows(tables, zero, keys))
+
+
+@pytest.mark.parametrize("name, action", CARTAN_MODELS)
+@pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
+def test_constraint_rows_match_one_derivation_per_key(name, action, degree, cap):
+    model = cartan_model(name, action)
+    tables = []
+    for i in range(model.n):
+        xi = basis_vector(model.n, i)
+        fields = model.vector_field(xi)
+        tables += [model._contract_images(xi, fields), model._lie_images(xi, fields)]
+    dom, vectors = model.basic_constraint_rows(degree, cap)
+    assert_same_vectors(vectors, per_key_rows(tables, model.zero(), dom))
 
 
 def test_chart_d_is_its_table():
