@@ -309,16 +309,18 @@ def _cmd_gauge(args, payloads):
 def _cmd_equivariant(args, payloads):
     L = _algebra_arg(args.algebra)
     if args.action_json:
-        mats = [[jsonio.rationals(row, "an action matrix row")
-                 for row in jsonio.typed(mat, list, "an action matrix")]
-                for mat in jsonio.typed(_read_json(args.action_json, payloads), list,
-                                        "an action file")]
-        m = len(mats[0]) if mats else 0
+        # the size is read off the raw JSON, so an oversized file is refused unparsed
+        raw = [jsonio.typed(mat, list, "an action matrix")
+               for mat in jsonio.typed(_read_json(args.action_json, payloads), list,
+                                       "an action file")]
+        m = len(raw[0]) if raw else 0
     else:
         m = action_dim(args.action, L)
-        check_size(L.dim * m * m, f"{L.dim} action matrices of size {m}")
+    check_size(L.dim * m * m, f"{L.dim} action matrices of size {m}")
     check_basis_size(m, L.dim, args.degree, args.poly_cap)
-    if not args.action_json:
+    if args.action_json:
+        mats = [[jsonio.rationals(row, "an action matrix row") for row in mat] for mat in raw]
+    else:
         mats = builtin_action(args.action, L)[1]
     model = WeilModel(m, L, mats)
     dim = model.basic_dim(args.degree, args.poly_cap)

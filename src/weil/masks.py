@@ -29,18 +29,26 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def merge_sign(a: int, b: int):
-    """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap.
+def swap_mask(a: int) -> int:
+    """The xor of (bit - 1) over the bits of a.
 
-    The loop runs over the bits of a, lowest first; in a derivation a is a
-    generator's image mask, so it has few bits.  Each bit of b below a bit of
-    a is one transposition.
+    A bit of b below a bit of a is one transposition of concatenating a then
+    b, and a popcount's parity is linear over GF(2), so
+    ``(b & swap_mask(a)).bit_count()`` has the parity of all of them.  The
+    loop runs over the bits of a, lowest first; in a derivation a is a
+    generator's image mask, so it has few bits, and a caller that puts one
+    image in front of many masks takes it once.
     """
+    out = 0
+    while a:
+        low = a & -a
+        out ^= low - 1
+        a ^= low
+    return out
+
+
+def merge_sign(a: int, b: int):
+    """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap."""
     if a & b:
         return None
-    swaps, rest = 0, a
-    while rest:
-        low = rest & -rest
-        swaps += (b & (low - 1)).bit_count()
-        rest ^= low
-    return a | b, -1 if swaps % 2 else 1
+    return a | b, -1 if (b & swap_mask(a)).bit_count() & 1 else 1

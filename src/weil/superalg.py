@@ -10,7 +10,11 @@ A monomial o_S e^k is keyed by (mask of S, exponent tuple k) and stands for
 the odd factors in ascending order followed by the even factors; an element
 maps keys to nonzero Fractions.  Every derivation used in the package (d_K,
 contraction, Lie derivative, the de Rham d, the total D of the Weil model)
-is fixed by its values on generators and goes through :func:`derivation`.
+is fixed by its values on generators and goes through :func:`derivation`,
+or, to assemble a linear system, through :func:`operator_rows`, which runs
+the same Leibniz rule on keys packed into single ints (mask in the low n
+bits, each exponent in a field of bits above it), so that a product of
+monomials is one integer addition.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from operator import add
 
 from . import linalg
 from .liealg import frac
-from .masks import indices_of, mask_of, merge_sign
+from .masks import indices_of, mask_of, merge_sign, swap_mask
 
 Key = tuple[int, tuple[int, ...]]  # (odd bitmask, even exponent vector)
 ONE = Fraction(1)
@@ -170,14 +174,6 @@ def _partials(mask, exps):
     return out
 
 
-def _apply(out, partials, table, c):
-    """Accumulate c * sum_g D(g) da/dg into ``out``, D given by ``table``."""
-    for t, i, mask, exps, q in partials:
-        img = table[t][i]
-        if img:
-            _left_multiply(out, img, mask, exps, q * c)
-
-
 def derivation(a: SuperElement, odd_images, even_images) -> SuperElement:
     """D(a) = sum_g D(g) da/dg, where D(o_i) = odd_images[i], D(e_i) = even_images[i].
 
@@ -190,7 +186,10 @@ def derivation(a: SuperElement, odd_images, even_images) -> SuperElement:
     out: dict[Key, Fraction] = {}
     table = odd_images, even_images
     for (mask, exps), c in a.terms.items():
-        _apply(out, _partials(mask, exps), table, c)
+        for t, i, rest, rest_exps, q in _partials(mask, exps):
+            img = table[t][i]
+            if img:
+                _left_multiply(out, img, rest, rest_exps, q * c)
     return a.with_terms(out)
 
 
@@ -229,24 +228,66 @@ def operator_rows(tables, domain_keys):
     """One vector per domain key: its images under every derivation in ``tables``.
 
     Each derivation is an (odd_images, even_images) pair, scaled to integers
-    and applied to the key with coefficient 1; the key's left derivatives are
-    taken once and shared by every derivation.  A vector maps columns, one
+    and applied to the key with coefficient 1.  A vector maps columns, one
     per pair (derivation, image key) numbered in order of first appearance,
     to coefficients.  The vectors are the rows of the transposed operator
     matrix, so no codomain basis is needed: they have its rank, and
     ``linalg.transpose`` gives back its rows and kernel.
+
+    This is the Leibniz rule of :func:`derivation` on packed keys: a key
+    (mask, exps) is the int ``mask | sum_i exps[i] << (n + w*i)``, the odd
+    mask in the low n bits and each exponent in a w-bit field above it.  w is
+    the bit length of the largest domain exponent sum plus the largest image
+    exponent sum, so no field of a product can carry, and a product of
+    monomials is one integer addition (the odd masks are disjoint there).  A
+    left derivative is a subtraction, and the sign of putting an image with
+    odd mask im in front is the parity of ``rest & masks.swap_mask(im)``.
+    Packing is a bijection, so the vectors are those of one
+    :func:`derivation` per key and table, in value and insertion order.
     """
     tables = [_integer_images(*t) for t in tables]
-    index: dict[tuple[int, Key], int] = {}
+    n = len(tables[0][0]) if tables else 0
+    image_top = max((sum(e) for table in tables for side in table for img in side if img
+                     for _, e in img), default=0)
+    width = (max((sum(e) for _, e in domain_keys), default=0) + image_top).bit_length()
+    shifts = [n + width * i for i in range(n)]
+
+    def pack(mask, exps):
+        for e, s in zip(exps, shifts):
+            mask += e << s
+        return mask
+
+    # per derivation, the images of o_0..o_{n-1} then e_0..e_{n-1}, each a
+    # list of (odd mask, sign mask, packed key, coefficient)
+    packed = [[[(im, swap_mask(im), pack(im, ie), c) for (im, ie), c in img.items()]
+               if img else None for side in table for img in side] for table in tables]
+    index: dict[tuple[int, int], int] = {}
     out = []
     for mask, exps in domain_keys:
-        partials = _partials(mask, exps)
+        key = pack(mask, exps)
+        partials = [(i, key - (1 << i), -1 if p % 2 else 1)
+                    for p, i in enumerate(indices_of(mask))]
+        partials += [(n + i, key - (1 << s), q) for i, (q, s) in enumerate(zip(exps, shifts)) if q]
         vec = {}
-        for o, table in enumerate(tables):
-            image: dict[Key, int] = {}
-            _apply(image, partials, table, 1)
-            for k2, c in image.items():
-                vec[index.setdefault((o, k2), len(index))] = c
+        for o, table in enumerate(packed):
+            image: dict[int, int] = {}
+            for g, rest, q in partials:
+                img = table[g]
+                if img:
+                    for im, below, k, c in img:
+                        if im & rest:
+                            continue
+                        k += rest
+                        v = -q * c if (rest & below).bit_count() & 1 else q * c
+                        old = image.get(k)  # inline _acc
+                        if old is not None:
+                            v += old
+                            if not v:
+                                del image[k]
+                                continue
+                        image[k] = v
+            for k, c in image.items():
+                vec[index.setdefault((o, k), len(index))] = c
         out.append(vec)
     return out
 

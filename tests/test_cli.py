@@ -313,6 +313,24 @@ def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
     assert error["type"] == "ResourceCapError" and "over the cap 20000" in error["message"]
 
 
+def test_action_json_over_cap_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    # 142^2 = 20,164 entries for abelian1 is over the cap of 20,000; 141^2 is not
+    def small(m):
+        return write_json(tmp_path, f"zeros{m}.json", [[[0] * m for _ in range(m)]])
+
+    code, out = run_cli(capsys, "equivariant", "--algebra", "abelian1", "--action-json",
+                        small(141), "--degree", "0", "--poly-cap", "0")
+    assert code == 0 and json.loads(out)["results"]["basic_dim"] == 1
+
+    def parsed(*args, **kwargs):
+        raise AssertionError("parsed before the size was checked")
+    monkeypatch.setattr(jsonio, "rationals", parsed)
+    error = assert_domain_error(capsys, ["equivariant", "--algebra", "abelian1", "--action-json",
+                                         small(142), "--degree", "0", "--poly-cap", "0"])
+    assert error["type"] == "ResourceCapError"
+    assert error["message"] == "1 action matrices of size 142 is over the cap 20000"
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
                          ids=["parentheses", "minus-signs"])
 def test_deeply_nested_expression_is_a_domain_error(capsys, expr):

@@ -7,8 +7,9 @@ forms: a derivation that puts D(o_i) in place of o_i and D(e_i) after the odd
 factors and reads the sign of an odd D from a parity flag, and the double
 loop over both factors.  Their signs come from an inversion count, not from
 ``masks.merge_sign``, which is checked against the same count.
-``operator_rows``, which takes a key's left derivatives once for all its
-tables, is checked against one ``derivation`` per key and table.
+``operator_rows``, the same rule on keys packed into ints, is checked
+against one ``derivation`` per key and table, also at the exponent sums where
+the packing width steps.
 """
 
 import random
@@ -201,6 +202,43 @@ def test_operator_rows_match_one_derivation_per_key(name, zero, table, odd):
     # two tables share the key's derivatives and number their columns apart
     tables = [table, _integer_images(*table)]
     assert_same_vectors(operator_rows(tables, keys), per_key_rows(tables, zero, keys))
+
+
+def boundary_keys(n, s):
+    """Every key of exponent sum at most 2, then keys of sum s: the whole sum
+    on one coordinate, or spread over all n, each with no, one and all odd
+    generators.  Packed one bit too narrow, a key of sum s carries into a
+    neighbouring field and meets the packed key of a small one, so two
+    columns merge."""
+    keys = [(mask, e) for e in product(range(3), repeat=n) if sum(e) <= 2
+            for mask in range(1 << n)]
+    exps = [tuple(s if j == i else 0 for j in range(n)) for i in range(n)]
+    exps.append(tuple(s // n + (i < s % n) for i in range(n)))
+    keys += [(mask, e) for e in exps for mask in (0, 1, (1 << n) - 1)]
+    return list(dict.fromkeys(keys))
+
+
+WIDTH_TABLES = [("d_K", koszul_images(3)),
+                ("lie-su2", lie_images(builtin("su2"), [Fraction(1), Fraction(-2, 3), Fraction(3)]))]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8, 15, 16])
+@pytest.mark.parametrize("name, table", WIDTH_TABLES, ids=[t[0] for t in WIDTH_TABLES])
+def test_operator_rows_at_packing_width_boundaries(name, table, s):
+    # the width is the bit length of the largest domain exponent sum s plus
+    # the largest image exponent sum, 1 for both tables: at s = 2^k - 1 the
+    # sum s + 1 just needs k + 1 bits, at s = 2^k it just fits in them
+    keys = boundary_keys(3, s)
+    assert_same_vectors(operator_rows([table], keys), per_key_rows([table], WeilElement(3), keys))
+    tables = [table for _, table in WIDTH_TABLES]
+    assert_same_vectors(operator_rows(tables, keys), per_key_rows(tables, WeilElement(3), keys))
+
+
+def test_operator_rows_edge_cases():
+    keys = [(0, (0, 0, 0)), (0b101, (2, 0, 1))]
+    assert operator_rows([koszul_images(3)], []) == []
+    assert operator_rows([], keys) == [{}, {}]
+    assert operator_rows([([None] * 3, [None] * 3), ([{}] * 3, [None] * 3)], keys) == [{}, {}]
 
 
 @pytest.mark.parametrize("name, action", CARTAN_MODELS)
