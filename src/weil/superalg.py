@@ -279,7 +279,7 @@ def operator_rows(tables, domain_keys):
                             continue
                         k += rest
                         v = -q * c if (rest & below).bit_count() & 1 else q * c
-                        old = image.get(k)  # inline _acc
+                        old = image.get(k)  # _acc, inlined: the hot loop of the package
                         if old is not None:
                             v += old
                             if not v:

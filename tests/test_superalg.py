@@ -219,7 +219,8 @@ def boundary_keys(n, s):
 
 
 WIDTH_TABLES = [("d_K", koszul_images(3)),
-                ("lie-su2", lie_images(builtin("su2"), [Fraction(1), Fraction(-2, 3), Fraction(3)]))]
+                ("lie-su2", lie_images(builtin("su2"),
+                                       [Fraction(1), Fraction(-2, 3), Fraction(3)]))]
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 8, 15, 16])
