@@ -113,10 +113,6 @@ class PolyMap:
         self.target_dim = target_dim
         self.components = components
 
-    @classmethod
-    def identity(cls, m):
-        return cls(m, m, [ChartForm.x(m, i) for i in range(m)])
-
     def __call__(self, point):
         return tuple(evaluate(p, point) for p in self.components)
 

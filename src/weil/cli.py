@@ -314,9 +314,12 @@ def _cmd_equivariant(args, payloads):
                for mat in jsonio.typed(_read_json(args.action_json, payloads), list,
                                        "an action file")]
         m = len(raw[0]) if raw else 0
+        # m is read off the first matrix; a longer row or a later matrix can hold more
+        entries = sum(len(row) for mat in raw for row in mat if isinstance(row, list))
     else:
-        m = action_dim(args.action, L)
+        m, entries = action_dim(args.action, L), 0
     check_size(L.dim * m * m, f"{L.dim} action matrices of size {m}")
+    check_size(entries, f"an action file of {entries} entries")
     check_basis_size(m, L.dim, args.degree, args.poly_cap)
     if args.action_json:
         mats = [[jsonio.rationals(row, "an action matrix row") for row in mat] for mat in raw]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import linalg
 from .liealg import LieAlgebra, basis_vector
 from .schur_oracle import capped_comb, check_size
-from .weil_algebra import (WeilElement, change_of_basis, in_span, lie_images,
+from .weil_algebra import (WeilElement, change_of_basis, lie_images,
                            operator_rows, sym_exponents, term_sort_key)
 
 
@@ -68,11 +68,3 @@ def basic_subspace(L: LieAlgebra, total_degree):
     col = {key: j for j, key in enumerate(keys)}
     _, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()} for a in images])
     return [WeilElement(L.dim, {keys[j]: c for j, c in row.items()}) for row in reversed(rows)]
-
-
-def in_invariant_span(L: LieAlgebra, element: WeilElement) -> bool:
-    """Membership of a bidegree-(0,k) element in (Sym^k g*)^g."""
-    if not is_sym_element(element):
-        raise ValueError("element has a nonzero exterior part")
-    _, k = element.bidegree()
-    return in_span(invariant_basis(L, k), element)

@@ -30,14 +30,6 @@ class LieAlgebra:
     def f(self, i, j, k) -> Fraction:
         return self.structure.get((i, j, k), Fraction(0))
 
-    def bracket_basis(self, i, j) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse coordinate dict."""
-        out = {}
-        for (a, b, k), c in self.structure.items():
-            if a == i and b == j:
-                out[k] = c
-        return out
-
     def bracket(self, xi, eta):
         """[xi, eta] for coordinate vectors."""
         if len(xi) != self.dim or len(eta) != self.dim:

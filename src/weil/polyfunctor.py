@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import product
 from math import comb
 
 from . import linalg
@@ -103,23 +103,6 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     return HomogeneousDecomposition(probes, components)
 
 
-def homogeneous_component(f: BlackBoxMap, i: int, d: int) -> BlackBoxMap:
-    """The idempotent e_i applied to f, as a new black box."""
-    if not 0 <= i <= d:
-        raise ValueError("component index out of range")
-    nodes, weights = _vandermonde_inverse(d)
-    row = weights[i]
-
-    def ev(v):
-        acc = tuple(Fraction(0) for _ in range(f.target_dim))
-        for r, w in enumerate(row):
-            if w:
-                acc = _vec_add(acc, _vec_scale(f(_vec_scale(v, nodes[r])), w))
-        return acc
-
-    return BlackBoxMap(f.source_dim, f.target_dim, ev)
-
-
 # -- polynomiality detector -------------------------------------------
 
 
@@ -206,16 +189,6 @@ class FunctorSpec:
             raise ValueError("functors here are reduced: degree must be >= 1")
 
 
-def monomials(kind, elems, degree):
-    """Monomial basis of Sym/Lambda/Tensor^degree over ``elems`` ("sym", "ext",
-    "ten"), each monomial the tuple of its slots in canonical order."""
-    if kind == "sym":
-        return list(combinations_with_replacement(elems, degree))
-    if kind == "ext":
-        return list(combinations(elems, degree))
-    return list(product(elems, repeat=degree))
-
-
 def canonical(kind, slots):
     """(canonical monomial, sign) of a sequence of slots; None if it vanishes.
 
@@ -236,49 +209,10 @@ def canonical(kind, slots):
     return tuple(sorted(slots)), sign
 
 
-def functor_basis(spec: FunctorSpec, n: int):
-    """Monomial basis of F(R^n) as index tuples."""
-    return monomials(spec.kind, range(n), spec.degree)
-
-
 def functor_dim(spec: FunctorSpec, n: int) -> int:
     """dim F(R^n) in closed form: C(n+d-1, d), C(n, d) or n^d."""
     d = spec.degree
     return {"sym": comb(n + d - 1, d), "ext": comb(n, d), "ten": n ** d}[spec.kind]
-
-
-def apply_functor_matrix(spec: FunctorSpec, matrix, vector, n_in, n_out):
-    """F(A) applied to a coordinate vector over functor_basis(spec, n_in).
-
-    ``matrix`` is n_out x n_in; returns coordinates over functor_basis(spec, n_out).
-    """
-    basis_in = functor_basis(spec, n_in)
-    index_out = {b: i for i, b in enumerate(functor_basis(spec, n_out))}
-    out = {}
-    for coord, b in zip(vector, basis_in):
-        if not coord:
-            continue
-        # multilinear expansion of (A e_{b_1}) ... (A e_{b_d})
-        factor_images = []
-        for idx in b:
-            img = [(r, matrix[r][idx]) for r in range(n_out) if matrix[r][idx]]
-            factor_images.append(img)
-        for choice in product(*factor_images):
-            idxs = tuple(r for r, _ in choice)
-            coeff = coord
-            for _, v in choice:
-                coeff *= v
-            canon = canonical(spec.kind, idxs)
-            if canon is None:
-                continue
-            key, sign = canon
-            i = index_out[key]
-            v = out.get(i, Fraction(0)) + sign * coeff
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-    return out
 
 
 @dataclass(frozen=True)
@@ -311,19 +245,3 @@ def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> In
 def poly_black_box(polys, source_dim) -> BlackBoxMap:
     """BlackBoxMap evaluating explicit polynomials, given as 0-forms."""
     return BlackBoxMap(source_dim, len(polys), PolyMap(source_dim, len(polys), polys))
-
-
-def sym_square_box(base_dim: int) -> BlackBoxMap:
-    """The set-theoretic transformation Sym^2 V -> Sym^4 V, x -> x*x."""
-    sym2 = functor_basis(FunctorSpec("sym", 2), base_dim)
-    sym4_index = {b: i for i, b in enumerate(functor_basis(FunctorSpec("sym", 4), base_dim))}
-
-    def ev(v):
-        out = [Fraction(0)] * len(sym4_index)
-        for c1, b1 in zip(v, sym2):
-            for c2, b2 in zip(v, sym2):
-                if c1 and c2:
-                    out[sym4_index[tuple(sorted(b1 + b2))]] += c1 * c2
-        return tuple(out)
-
-    return BlackBoxMap(len(sym2), len(sym4_index), ev)

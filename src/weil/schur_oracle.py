@@ -20,11 +20,21 @@ weight-0 vector; if the raising operators kill it, it is a highest weight
 vector of weight 0 and spans a trivial submodule, so all of gl(W) kills it.
 The X in gl(W) that commute with a map form a Lie subalgebra, and the simple
 root vectors E_{a,a+1} generate the raising operators, so only these
-dim W - 1 generators give constraints.  E_{a,a+1} moves a weight by
--e_a + e_{a+1}, so its constraint rows meet only the weight-matched
-monomials and their simple-root neighbours (one entry 2 directly followed by
-an entry 0); no other monomial is enumerated.  Every action coefficient is
-+-1 or +-2, so the rows are integer, and their kernel is computed exactly.
+dim W - 1 generators give constraints.
+
+A map T commutes with E_{a,a+1} when [T(E_{a,a+1} u)] - [E_{a,a+1} T(u)]
+vanishes at every codomain monomial, for every domain monomial u.  Taken by
+columns, one per unknown v, these constraints put at (a, u) the coefficient
+of v in E_{a,a+1} u, less E_{a,a+1}'s coefficient on v's codomain monomial
+where u = v.  Under the contravariant form the monomials are orthogonal with
+norms n_u = prod (slot multiplicity)! over the Sym factors, and E_{a+1,a} is
+the adjoint of E_{a,a+1}: c(v in E_{a,a+1} u) n_v = c(u in E_{a+1,a} v) n_u
+(Weyl, The Classical Groups).  So the column of v may hold its lowering
+images E_{a+1,a} v instead: the matrix changes by diagonal row and column
+scalings only, and keeps its rank.  Only the unknowns are enumerated, and
+only their lowering images are built.  An unknown has a 0/1 weight, so
+E_{a+1,a} moves at most one of its slots, and every entry is +-1: the
+columns are integer, and their rank is computed exactly.
 """
 
 from __future__ import annotations
@@ -100,24 +110,18 @@ def _ext_action(w, a, b):
     return rest[:j] + (b,) + rest[j:], -1 if (i - j) % 2 == 0 else 1
 
 
-def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
-    """Domain monomials that meet a codomain weight, as (monomial, weight).
+def domain_basis(problem: EquivHomProblem, cap=None):
+    """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight);
+    more than ``cap`` of them raise ResourceCapError.
 
-    By default these are the weight-matched monomials (0/1 weights), and more
-    than ``cap`` of them raise ResourceCapError.  With ``neighbours`` they are
-    the simple-root neighbours instead: one weight entry 2, directly followed
-    by an entry 0.
     Slots are filled one at a time, the weight is kept up to date from each
-    factor's table of slot indices, and a partial monomial is dropped once its
-    excess, the sum over entries of max(entry - 1, 0), passes 0 (or 1 for
-    neighbours): weights only grow as slots are added.  In a sorted factor
-    the slots after one with first W*-index i start at W*-indices >= i, and
-    each first index used twice costs one unit of excess, so a slot is placed
-    only if the n - i first indices and the excess still allowed leave room
-    for the factor's remaining slots.
+    factor's table of slot indices, and a slot that would raise a weight
+    entry to 2 is not placed: weights only grow as slots are added.  In a
+    sorted factor the first W*-indices of the slots then strictly increase,
+    so a slot with first W*-index i is placed only if the n - i first indices
+    from i on leave room for the factor's remaining slots.
     """
     n = problem.dim_w
-    max_excess = 1 if neighbours else 0
     tables = []
     for f in problem.domain:
         elems = base_elements(f.base, n, problem.dim_v)
@@ -128,14 +132,8 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
     weight = [0] * n
     found = []
 
-    def fill(fi, parts, slots, start, excess):
+    def fill(fi, parts, slots, start):
         if fi == len(tables):
-            if excess < max_excess:
-                return
-            if neighbours:
-                a = weight.index(2)
-                if not (a + 1 < n and weight[a + 1] == 0):
-                    return
             found.append((parts, tuple(weight)))
             if cap is not None and len(found) > cap:
                 raise ResourceCapError(
@@ -143,24 +141,22 @@ def domain_basis(problem: EquivHomProblem, neighbours=False, cap=None):
             return
         degree, step, elems, indices = tables[fi]
         if len(slots) == degree:
-            fill(fi + 1, parts + (tuple(slots),), [], 0, excess)
+            fill(fi + 1, parts + (tuple(slots),), [], 0)
             return
-        short = degree - len(slots) - n - max_excess
+        short = degree - len(slots) - n
         for k in range(start, len(elems)):
             idx = indices[k]
-            more = excess
+            if any(weight[i] for i in idx) or (step is not None and short + idx[0] > 0):
+                continue
             for i in idx:
-                if weight[i]:
-                    more += 1
-                weight[i] += 1
-            if more <= max_excess and (step is None or short + idx[0] + more <= 0):
-                slots.append(elems[k])
-                fill(fi, parts, slots, 0 if step is None else k + step, more)
-                slots.pop()
+                weight[i] = 1
+            slots.append(elems[k])
+            fill(fi, parts, slots, 0 if step is None else k + step)
+            slots.pop()
             for i in idx:
-                weight[i] -= 1
+                weight[i] = 0
 
-    fill(0, (), [], 0, 0)
+    fill(0, (), [], 0)
     return found
 
 
@@ -198,12 +194,6 @@ def domain_action(problem: EquivHomProblem, a, b, elem):
     return list(out.items())
 
 
-def codomain_action(a, b, elem):
-    """E_ab on a Lambda^r W* monomial, a sorted tuple of W*-indices."""
-    img = _ext_action(elem, a, b)
-    return [] if img is None else [img]
-
-
 # -- the solver --------------------------------------------------------
 
 
@@ -234,30 +224,24 @@ def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     if problem.total_w_weight() != problem.codomain_degree:
         return 0
     n = problem.dim_w
-    matched = domain_basis(problem, cap=DEFAULT_CAP)
-    if not matched:
-        return 0
     # a 0/1 weight has one codomain monomial, so a matched v is one unknown
-    unknown = {v: k for k, (v, _) in enumerate(matched)}
-
-    # row (E_{a,a+1}, v): [T(E v)]_c' - [E T(v)]_c' = 0 for the codomain
-    # monomial c' of weight w(v) - e_a + e_{a+1}; it is nonzero only when
-    # that weight is 0/1, so w(v)_a is a 1 of a matched v or the 2 of a
-    # neighbour, and w(v)_{a+1} is 0
-    rows = []
-    for group, top in ((matched, 1), (domain_basis(problem, neighbours=True), 2)):
-        for v, w in group:
-            for a in range(n - 1):
-                if w[a] != top or w[a + 1]:
-                    continue
-                row = {unknown[v2]: c for v2, c in domain_action(problem, a, a + 1, v)}
-                if top == 1:
-                    support = tuple(i for i in range(n) if w[i])
-                    for _, c in codomain_action(a, a + 1, support):
-                        row[unknown[v]] = -c
-                if row:
-                    rows.append(row)
-    return len(unknown) - linalg.rank(rows)
+    matched = domain_basis(problem, cap=DEFAULT_CAP)
+    # the column of v holds E_{a+1,a} v, at (a, u) for each image monomial u;
+    # where w(v) reads 1, 0 at a, a + 1 instead, E_{a,a+1} maps v's codomain
+    # monomial to c times another, and the column holds -c at (a, v)
+    index = {}
+    columns = []
+    for v, w in matched:
+        column = {}
+        for a in range(n - 1):
+            if w[a + 1]:
+                for u, c in domain_action(problem, a + 1, a, v):
+                    column[index.setdefault((a, u), len(index))] = c
+            elif w[a]:
+                support = tuple(i for i in range(n) if w[i])
+                column[index.setdefault((a, v), len(index))] = -_ext_action(support, a, a + 1)[1]
+        columns.append(column)
+    return len(matched) - linalg.rank(columns)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,6 @@ class WeilElement(SuperElement):
 
     key_degree = staticmethod(key_degree)
 
-    def bidegree(self):
-        bids = {(e.bit_count(), sum(s)) for e, s in self.terms}
-        if len(bids) != 1:
-            raise ValueError("element is not bihomogeneous (or is zero)")
-        return bids.pop()
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 

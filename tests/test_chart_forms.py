@@ -62,7 +62,7 @@ def test_pullback_examples():
     a = ChartForm.dx(2, 1, ChartForm.x(2, 0))
     assert pullback(phi, a) == ChartForm.monomial(1, (0,), (2,), 2)
     # identity
-    ident = PolyMap.identity(3)
+    ident = PolyMap(3, 3, [ChartForm.x(3, i) for i in range(3)])
     rng = random.Random(31)
     for degree in (0, 1, 2):
         f = rand_form(rng, 3, degree)

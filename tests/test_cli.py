@@ -329,6 +329,12 @@ def test_action_json_over_cap_is_refused_before_parsing(tmp_path, capsys, monkey
                                          small(142), "--degree", "0", "--poly-cap", "0"])
     assert error["type"] == "ResourceCapError"
     assert error["message"] == "1 action matrices of size 142 is over the cap 20000"
+    # one 1-row matrix reads as m = 1; its 200,000 entries are counted before parsing
+    long_row = write_json(tmp_path, "long_row.json", [[[0] * 200_000]])
+    error = assert_domain_error(capsys, ["equivariant", "--algebra", "abelian1", "--action-json",
+                                         long_row, "--degree", "0", "--poly-cap", "0"])
+    assert error["type"] == "ResourceCapError"
+    assert error["message"] == "an action file of 200000 entries is over the cap 20000"
 
 
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],

@@ -3,11 +3,19 @@ from fractions import Fraction
 import pytest
 
 from weil.equivariant import WeilModel
-from weil.invariant_polynomials import (in_invariant_span, invariant_basis,
-                                        invariant_dims, is_sym_element)
+from weil.invariant_polynomials import invariant_basis, invariant_dims, is_sym_element
 from weil.liealg import BUILTIN_NAMES, builtin
 from weil.superalg import substitute
 from weil.weil_algebra import WeilElement, curvature_generator, in_span, multiply
+
+
+def in_invariant_span(L, element):
+    """Membership of a bidegree-(0,k) element in (Sym^k g*)^g."""
+    if not is_sym_element(element):
+        raise ValueError("element has a nonzero exterior part")
+    degrees = {sum(exps) for _, exps in element.terms}
+    assert len(degrees) == 1, "element is not homogeneous (or is zero)"
+    return in_span(invariant_basis(L, degrees.pop()), element)
 
 
 def casimir(n=3):

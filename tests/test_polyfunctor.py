@@ -1,16 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from weil import linalg, polyfunctor
 from weil.chart_forms import ChartForm
-from weil.polyfunctor import (BlackBoxMap, FunctorSpec, apply_functor_matrix,
-                              functor_basis, functor_dim,
-                              homogeneous_component, homogeneous_decompose,
-                              is_polynomial, poly_black_box,
-                              restriction_injectivity, sym_square_box)
+from weil.polyfunctor import (BlackBoxMap, FunctorSpec, canonical, functor_dim,
+                              homogeneous_decompose, is_polynomial,
+                              poly_black_box, restriction_injectivity)
 
 
 def F(a, b=1):
@@ -20,6 +18,61 @@ def F(a, b=1):
 def box(src, *polys):
     """poly_black_box of polynomials given as {exponent: coefficient} dicts."""
     return poly_black_box([ChartForm.from_poly(src, p) for p in polys], src)
+
+
+def functor_basis(spec, n):
+    """Monomial basis of F(R^n) as index tuples, each in canonical order."""
+    if spec.kind == "ten":
+        return list(product(range(n), repeat=spec.degree))
+    pick = combinations_with_replacement if spec.kind == "sym" else combinations
+    return list(pick(range(n), spec.degree))
+
+
+def apply_functor_matrix(spec, matrix, vector, n_in, n_out):
+    """F(A) applied to a coordinate vector over functor_basis(spec, n_in).
+
+    ``matrix`` is n_out x n_in; returns coordinates over functor_basis(spec, n_out).
+    """
+    basis_in = functor_basis(spec, n_in)
+    index_out = {b: i for i, b in enumerate(functor_basis(spec, n_out))}
+    out = {}
+    for coord, b in zip(vector, basis_in):
+        if not coord:
+            continue
+        # multilinear expansion of (A e_{b_1}) ... (A e_{b_d})
+        factor_images = [[(r, matrix[r][idx]) for r in range(n_out) if matrix[r][idx]]
+                         for idx in b]
+        for choice in product(*factor_images):
+            coeff = coord
+            for _, v in choice:
+                coeff *= v
+            canon = canonical(spec.kind, tuple(r for r, _ in choice))
+            if canon is None:
+                continue
+            key, sign = canon
+            i = index_out[key]
+            v = out.get(i, F(0)) + sign * coeff
+            if v:
+                out[i] = v
+            else:
+                out.pop(i, None)
+    return out
+
+
+def sym_square_box(base_dim):
+    """The set-theoretic transformation Sym^2 V -> Sym^4 V, x -> x*x."""
+    sym2 = functor_basis(FunctorSpec("sym", 2), base_dim)
+    sym4_index = {b: i for i, b in enumerate(functor_basis(FunctorSpec("sym", 4), base_dim))}
+
+    def ev(v):
+        out = [F(0)] * len(sym4_index)
+        for c1, b1 in zip(v, sym2):
+            for c2, b2 in zip(v, sym2):
+                if c1 and c2:
+                    out[sym4_index[tuple(sorted(b1 + b2))]] += c1 * c2
+        return tuple(out)
+
+    return BlackBoxMap(len(sym2), len(sym4_index), ev)
 
 
 def test_decompose_x_plus_xy():
@@ -81,21 +134,6 @@ def test_decompose_flags_ray_degree_overflow():
     f = box(1, {(4,): F(1)})
     with pytest.raises(ValueError):
         homogeneous_decompose(f, 2, [(F(1),)])
-
-
-def test_idempotent_concentration():
-    rng = random.Random(89)
-    f = box(2, {(1, 0): F(2), (0, 2): F(3), (2, 1): F(-1)})
-    for i in range(4):
-        ei = homogeneous_component(f, i, 3)
-        probes = [tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(3)]
-        dec = homogeneous_decompose(ei, 3, probes)
-        for j in range(4):
-            for pi in range(len(probes)):
-                if j != i:
-                    assert dec.components[j][pi] == (F(0),)
-                else:
-                    assert dec.components[j][pi] == ei(probes[pi])
 
 
 def test_is_polynomial_examples():
@@ -192,13 +230,13 @@ def test_functor_dims():
                 assert functor_dim(spec, n) == len(functor_basis(spec, n)), (kind, degree, n)
 
 
-def test_inject_answers_without_enumerating(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("monomials enumerated")
-
-    monkeypatch.setattr(polyfunctor, "monomials", refuse)
+def test_inject_answers_without_enumerating():
+    # the package has no monomial enumerator; the answer is the closed form,
+    # also where an enumeration would never end (10^36 monomials)
     r = restriction_injectivity(FunctorSpec("ten", 3), 30, 2)
     assert (r.dim, r.rank, r.injective) == (216_000, 216_000, True)
+    r = restriction_injectivity(FunctorSpec("ten", 3), 10 ** 6, 10 ** 6)
+    assert (r.dim, r.rank, r.injective) == (10 ** 36, 10 ** 36, True)
 
 
 def test_functoriality_of_matrix_action():

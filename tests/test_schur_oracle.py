@@ -1,14 +1,15 @@
-from itertools import combinations, product
-from math import comb
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import pytest
 
 import weil.schur_oracle as schur_oracle
 from weil import linalg
-from weil.polyfunctor import canonical, monomials
+from weil.polyfunctor import canonical
 from weil.schur_oracle import (BASES, DEFAULT_CAP, EquivHomProblem, Factor,
                                ResourceCapError, antisymmetrization_problem,
-                               base_elements, bidegree_problem, capped_comb, codomain_action,
+                               _ext_action, base_elements, bidegree_problem, capped_comb,
                                domain_action, domain_basis, domain_weight, equivariant_hom_dim,
                                verify_bidegree)
 
@@ -91,9 +92,17 @@ def _reflection_sign(weight):
     return -1 if weight and weight[0] % 2 else 1
 
 
+def _monomials(op, elems, degree):
+    """Sym/Lambda/Tensor^degree monomials over ``elems``, slots in canonical order."""
+    if op == "ten":
+        return list(product(elems, repeat=degree))
+    pick = combinations_with_replacement if op == "sym" else combinations
+    return list(pick(elems, degree))
+
+
 def _domain(problem):
-    return product(*(monomials(f.op, base_elements(f.base, problem.dim_w, problem.dim_v),
-                               f.degree) for f in problem.domain))
+    return product(*(_monomials(f.op, base_elements(f.base, problem.dim_w, problem.dim_v),
+                                f.degree) for f in problem.domain))
 
 
 def _brute_hom_dim(problem):
@@ -189,18 +198,54 @@ def test_action_matches_layered_action():
         for r in range(n + 1):
             for c in combinations(range(n), r):
                 for a, b in pairs:
-                    assert codomain_action(a, b, c) == _layered_codomain_action(a, b, c)
+                    img = _ext_action(c, a, b)
+                    assert ([] if img is None else [img]) == _layered_codomain_action(a, b, c)
+
+
+def _norm(problem, elem):
+    """The contravariant norm of a monomial: prod (slot multiplicity)! over the Sym factors."""
+    return prod(factorial(m) for f, part in zip(problem.domain, elem) if f.op == "sym"
+                for m in Counter(part).values())
+
+
+def test_lowering_is_the_scaled_transpose_of_raising():
+    # c(v in E_{a,a+1} u) n_v = c(u in E_{a+1,a} v) n_u, with the same support:
+    # the lemma that lets the oracle take its columns from lowering images
+    seen = set()
+    for problem in _grid():
+        shape = (problem.dim_w, problem.dim_v, problem.domain)
+        if shape in seen:
+            continue
+        seen.add(shape)
+        dom = list(_domain(problem))
+        for a in range(problem.dim_w - 1):
+            raising = {(v, u): c for u in dom
+                       for v, c in _layered_domain_action(problem, a, a + 1, u)}
+            lowering = {(v, u): c for v in dom
+                        for u, c in _layered_domain_action(problem, a + 1, a, v)}
+            assert raising.keys() == lowering.keys(), (problem, a)
+            for (v, u), c in raising.items():
+                assert c * _norm(problem, v) == lowering[(v, u)] * _norm(problem, u), (v, u)
+
+
+def test_one_column_per_unknown(monkeypatch):
+    # one enumeration, and one vector per unknown handed to the rank
+    enumerations, handed = [], []
+    basis, rank = schur_oracle.domain_basis, linalg.rank
+    monkeypatch.setattr(schur_oracle, "domain_basis",
+                        lambda *args, **kw: enumerations.append(basis(*args, **kw))
+                        or enumerations[-1])
+    monkeypatch.setattr(linalg, "rank", lambda rows: handed.append(list(rows)) or rank(handed[-1]))
+    assert verify_bidegree(2, 2, 2).match
+    assert len(enumerations) == 1 and len(handed) == 1
+    assert len(handed[0]) == len(enumerations[0]) == 720
+    assert all(max(w) <= 1 for _, w in enumerations[0])
 
 
 def test_domain_basis_is_the_weight_filter_of_all_monomials():
     for problem in _grid():
-        n = problem.dim_w
         weighted = [(v, domain_weight(problem, v)) for v in _domain(problem)]
         assert domain_basis(problem) == [(v, w) for v, w in weighted if max(w, default=0) <= 1]
-        assert domain_basis(problem, neighbours=True) == [
-            (v, w) for v, w in weighted
-            if any(w[a] == 2 and w[a + 1] == 0 and max(w[:a] + w[a + 1:], default=0) <= 1
-                   for a in range(n - 1))]
 
 
 def test_domain_basis_places_only_slots_that_can_complete(monkeypatch):
