@@ -232,10 +232,17 @@ def test_one_column_per_unknown(monkeypatch):
     # one enumeration, and one vector per unknown handed to the rank
     enumerations, handed = [], []
     basis, rank = schur_oracle.domain_basis, linalg.rank
-    monkeypatch.setattr(schur_oracle, "domain_basis",
-                        lambda *args, **kw: enumerations.append(basis(*args, **kw))
-                        or enumerations[-1])
-    monkeypatch.setattr(linalg, "rank", lambda rows: handed.append(list(rows)) or rank(handed[-1]))
+
+    def counted_basis(*args, **kwargs):
+        enumerations.append(basis(*args, **kwargs))
+        return enumerations[-1]
+
+    def counted_rank(rows):
+        handed.append(list(rows))
+        return rank(handed[-1])
+
+    monkeypatch.setattr(schur_oracle, "domain_basis", counted_basis)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
     assert verify_bidegree(2, 2, 2).match
     assert len(enumerations) == 1 and len(handed) == 1
     assert len(handed[0]) == len(enumerations[0]) == 720
