@@ -64,6 +64,14 @@ class HomogeneousDecomposition:
     components: list  # components[i][probe_index] = output tuple
 
 
+def _horner(comps, t):
+    """sum_i comps[i] t^i for a list of vectors comps."""
+    acc = comps[-1]
+    for c in reversed(comps[:-1]):
+        acc = _vec_add(_vec_scale(acc, t), c)
+    return acc
+
+
 def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecomposition:
     """Split f into homogeneous components f_0..f_d, tabulated on the probes.
 
@@ -71,7 +79,11 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     system per probe.  The reconstruction sum f_i(v) = f(v) is exact by
     construction (lambda = 1 is a node); the scalars mu = 2, 3 check the
     ray-degree precondition through f_i(mu v) = mu^i f_i(v) and raises with
-    a witness when it fails.
+    a witness when it fails.  The Vandermonde matrix is invertible, so that
+    holds for every i exactly when f(t v) = sum_i f_i(v) t^i at t = mu
+    lambda for every node lambda; at a t that is itself a node it holds by
+    construction, so f is evaluated only at the other t, and the components
+    at mu v are solved for only to name the failing one.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
@@ -93,7 +105,11 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
 
     for mu in (Fraction(2), Fraction(3)):
+        ts = [mu * lam for lam in nodes if mu * lam > nodes[-1]]
         for pi, v in enumerate(probes):
+            comps = table[pi]
+            if all(f(_vec_scale(v, t)) == _horner(comps, t) for t in ts):
+                continue
             scaled = components_at(_vec_scale(v, mu))
             for i in range(d + 1):
                 if scaled[i] != _vec_scale(components[i][pi], mu ** i):

@@ -33,8 +33,9 @@ the adjoint of E_{a,a+1}: c(v in E_{a,a+1} u) n_v = c(u in E_{a+1,a} v) n_u
 images E_{a+1,a} v instead: the matrix changes by diagonal row and column
 scalings only, and keeps its rank.  Only the unknowns are enumerated, and
 only their lowering images are built.  An unknown has a 0/1 weight, so
-E_{a+1,a} moves at most one of its slots, and every entry is +-1: the
-columns are integer, and their rank is computed exactly.
+E_{a+1,a} moves only the one slot holding a + 1, and every entry is +-1: the
+columns are integer, and their rank is computed exactly.  ``domain_action``,
+the derivation over every slot, is the slow route the tests compare with.
 """
 
 from __future__ import annotations
@@ -114,12 +115,14 @@ def domain_basis(problem: EquivHomProblem, cap=None):
     """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight);
     more than ``cap`` of them raise ResourceCapError.
 
-    Slots are filled one at a time, the weight is kept up to date from each
-    factor's table of slot indices, and a slot that would raise a weight
-    entry to 2 is not placed: weights only grow as slots are added.  In a
+    Slots are filled one at a time, and the W*-indices in use are kept as
+    one int bitmask; a slot whose mask meets it would raise a weight entry
+    to 2 and is not placed: weights only grow as slots are added.  In a
     sorted factor the first W*-indices of the slots then strictly increase,
-    so a slot with first W*-index i is placed only if the n - i first indices
-    from i on leave room for the factor's remaining slots.
+    so a slot with first W*-index i is placed only if the n - i first
+    indices from i on leave room for the factor's remaining slots; the
+    elements are in ascending order of first index, so the first slot that
+    leaves no room ends the loop.
     """
     n = problem.dim_w
     tables = []
@@ -128,35 +131,36 @@ def domain_basis(problem: EquivHomProblem, cap=None):
         # where the next slot of the factor starts: sorted with repeats,
         # strictly increasing, or anywhere
         step = {"sym": 0, "ext": 1, "ten": None}[f.op]
-        tables.append((f.degree, step, elems, [e[:f.w_weight] for e in elems]))
-    weight = [0] * n
+        masks = [sum(1 << i for i in e[:f.w_weight]) for e in elems]
+        tables.append((f.degree, step, elems, masks, [e[0] for e in elems]))
+    weights = {}
     found = []
 
-    def fill(fi, parts, slots, start):
+    def fill(fi, parts, slots, start, used):
         if fi == len(tables):
-            found.append((parts, tuple(weight)))
+            w = weights.get(used)
+            if w is None:
+                w = weights[used] = tuple((used >> i) & 1 for i in range(n))
+            found.append((parts, w))
             if cap is not None and len(found) > cap:
                 raise ResourceCapError(
                     f"problem needs at least {len(found)} unknowns, over the cap {cap}")
             return
-        degree, step, elems, indices = tables[fi]
+        degree, step, elems, masks, firsts = tables[fi]
         if len(slots) == degree:
-            fill(fi + 1, parts + (tuple(slots),), [], 0)
+            fill(fi + 1, parts + (tuple(slots),), [], 0, used)
             return
         short = degree - len(slots) - n
         for k in range(start, len(elems)):
-            idx = indices[k]
-            if any(weight[i] for i in idx) or (step is not None and short + idx[0] > 0):
+            if step is not None and short + firsts[k] > 0:
+                break
+            if masks[k] & used:
                 continue
-            for i in idx:
-                weight[i] = 1
             slots.append(elems[k])
-            fill(fi, parts, slots, 0 if step is None else k + step)
+            fill(fi, parts, slots, 0 if step is None else k + step, used | masks[k])
             slots.pop()
-            for i in idx:
-                weight[i] = 0
 
-    fill(0, (), [], 0)
+    fill(0, (), [], 0, 0)
     return found
 
 
@@ -219,28 +223,60 @@ def check_size(size, what):
         raise ResourceCapError(f"{what} is over the cap {DEFAULT_CAP}")
 
 
+def lowering_columns(problem: EquivHomProblem, matched):
+    """The integer column of each unknown v in ``matched``, and the (a, u)
+    key of each row index.
+
+    The column of v holds E_{a+1,a} v at (a, u), u its one image monomial:
+    W*-index a + 1 sits in one slot of v, and a takes its place there.  A
+    Lambda^2 slot (a, a + 1) vanishes; otherwise, as a and a + 1 are
+    adjacent, the slot stays sorted with coefficient -1, and only its factor
+    is re-sorted, with that factor's sign.  Where w(v) reads
+    1, 0 at a, a + 1 instead, E_{a,a+1} maps v's codomain monomial to -1
+    times another (a and a + 1 are adjacent), and the column holds 1 at
+    (a, v).
+    """
+    n = problem.dim_w
+    k = [f.w_weight for f in problem.domain]
+    ops = [f.op for f in problem.domain]
+    index = {}
+    columns = []
+    for v, w in matched:
+        # the factor and slot of each W*-index of v
+        factor, place = [0] * n, [0] * n
+        for t, part in enumerate(v):
+            for s, slot in enumerate(part):
+                for i in slot[:k[t]]:
+                    factor[i] = t
+                    place[i] = s
+        column = {}
+        for a in range(n - 1):
+            if w[a + 1]:
+                t, s = factor[a + 1], place[a + 1]
+                part = v[t]
+                slot = part[s]
+                if slot[0] == a:
+                    continue  # a Lambda^2 slot (a, a + 1) vanishes
+                slots = list(part)
+                slots[s] = ((a,) + slot[1:] if slot[0] == a + 1
+                            else (slot[0], a) + slot[2:])
+                canon = canonical(ops[t], slots)
+                if canon is not None:
+                    u = v[:t] + (canon[0],) + v[t + 1:]
+                    column[index.setdefault((a, u), len(index))] = -canon[1]
+            elif w[a]:
+                column[index.setdefault((a, v), len(index))] = 1
+        columns.append(column)
+    return columns, index
+
+
 def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     """Exact dimension of the GL(W)-equivariant maps D -> Lambda^r W*."""
     if problem.total_w_weight() != problem.codomain_degree:
         return 0
-    n = problem.dim_w
     # a 0/1 weight has one codomain monomial, so a matched v is one unknown
     matched = domain_basis(problem, cap=DEFAULT_CAP)
-    # the column of v holds E_{a+1,a} v, at (a, u) for each image monomial u;
-    # where w(v) reads 1, 0 at a, a + 1 instead, E_{a,a+1} maps v's codomain
-    # monomial to c times another, and the column holds -c at (a, v)
-    index = {}
-    columns = []
-    for v, w in matched:
-        column = {}
-        for a in range(n - 1):
-            if w[a + 1]:
-                for u, c in domain_action(problem, a + 1, a, v):
-                    column[index.setdefault((a, u), len(index))] = c
-            elif w[a]:
-                support = tuple(i for i in range(n) if w[i])
-                column[index.setdefault((a, v), len(index))] = -_ext_action(support, a, a + 1)[1]
-        columns.append(column)
+    columns, _ = lowering_columns(problem, matched)
     return len(matched) - linalg.rank(columns)
 
 

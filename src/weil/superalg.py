@@ -20,8 +20,9 @@ monomials is one integer addition.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import add
+from operator import add, or_
 
 from . import linalg
 from .liealg import frac
@@ -242,7 +243,8 @@ def operator_rows(tables, domain_keys):
     monomials is one integer addition (the odd masks are disjoint there).  A
     left derivative is a subtraction, and the sign of putting an image with
     odd mask im in front is the parity of ``rest & masks.swap_mask(im)``.
-    Packing is a bijection, so the vectors are those of one
+    An image is used, and packed, only if some domain key holds its
+    generator.  Packing is a bijection, so the vectors are those of one
     :func:`derivation` per key and table, in value and insertion order.
     """
     tables = [_integer_images(*t) for t in tables]
@@ -257,14 +259,20 @@ def operator_rows(tables, domain_keys):
             mask += e << s
         return mask
 
-    # per derivation, the images of o_0..o_{n-1} then e_0..e_{n-1}, each a
-    # list of (odd mask, sign mask, packed key, coefficient)
+    keys = [pack(mask, exps) for mask, exps in domain_keys]
+    # the generators some domain key holds, o_0..o_{n-1} then e_0..e_{n-1},
+    # read off the or of the packed keys: no other generator has a left
+    # derivative, so no other image is used
+    held = reduce(or_, keys, 0)
+    flags = [held >> i & 1 for i in range(n)] + [held >> s & ((1 << width) - 1) for s in shifts]
+    # per derivation, the used images of o_0..o_{n-1} then e_0..e_{n-1}, each
+    # a list of (odd mask, sign mask, packed key, coefficient)
     packed = [[[(im, swap_mask(im), pack(im, ie), c) for (im, ie), c in img.items()]
-               if img else None for side in table for img in side] for table in tables]
+               if img and h else None for h, img in zip(flags, table[0] + table[1])]
+              for table in tables]
     index: dict[tuple[int, int], int] = {}
     out = []
-    for mask, exps in domain_keys:
-        key = pack(mask, exps)
+    for (mask, exps), key in zip(domain_keys, keys):
         partials = [(i, key - (1 << i), -1 if p % 2 else 1)
                     for p, i in enumerate(indices_of(mask))]
         partials += [(n + i, key - (1 << s), q) for i, (q, s) in enumerate(zip(exps, shifts)) if q]

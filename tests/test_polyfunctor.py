@@ -136,6 +136,62 @@ def test_decompose_flags_ray_degree_overflow():
         homogeneous_decompose(f, 2, [(F(1),)])
 
 
+def decompose_by_components(f, d, probes):
+    """The previous homogeneous_decompose: f_i(mu v) = mu^i f_i(v) checked
+    component by component, solving the Vandermonde system at every mu v."""
+    nodes, weights = polyfunctor._vandermonde_inverse(d)
+    probes = [tuple(F(x) for x in p) for p in probes]
+
+    def components_at(v):
+        values = [f(tuple(lam * x for x in v)) for lam in nodes]
+        return [tuple(sum((w * val[t] for w, val in zip(weights[i], values)), F(0))
+                      for t in range(f.target_dim)) for i in range(d + 1)]
+
+    table = [components_at(v) for v in probes]
+    components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
+    for mu in (F(2), F(3)):
+        for pi, v in enumerate(probes):
+            scaled = components_at(tuple(mu * x for x in v))
+            for i in range(d + 1):
+                if scaled[i] != tuple(mu ** i * x for x in components[i][pi]):
+                    raise ValueError(
+                        f"map is not polynomial of degree <= {d} along rays: "
+                        f"component {i} fails homogeneity at probe {v} with mu={mu}")
+    return polyfunctor.HomogeneousDecomposition(probes, components)
+
+
+def outcome(decompose, f, d, probes):
+    try:
+        return decompose(f, d, probes)
+    except ValueError as e:
+        return str(e)
+
+
+def test_decompose_matches_component_check():
+    # random maps of degree up to d + 3: the same components, or the same message
+    rng = random.Random(29)
+    raised = 0
+    for _ in range(60):
+        d = rng.randint(0, 4)
+        src, dst = rng.randint(1, 3), rng.randint(1, 2)
+        top = rng.randint(0, d + 3)
+        polys = []
+        for _ in range(dst):
+            p = {}
+            for _ in range(4):
+                e = tuple(rng.randint(0, top) for _ in range(src))
+                if sum(e) <= top:
+                    p[e] = p.get(e, F(0)) + F(rng.randint(-3, 3), rng.choice((1, 2)))
+            polys.append({k: v for k, v in p.items() if v})
+        f = box(src, *polys)
+        probes = [tuple(F(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(src))
+                  for _ in range(3)]
+        got = outcome(homogeneous_decompose, f, d, probes)
+        assert got == outcome(decompose_by_components, f, d, probes), (d, polys, probes)
+        raised += isinstance(got, str)
+    assert 10 <= raised <= 50
+
+
 def test_is_polynomial_examples():
     assert is_polynomial(box(1, {(3,): F(1)}), 3,
                          [[(F(1),)], [(F(-2),)]]).consistent

@@ -7,11 +7,11 @@ import pytest
 import weil.schur_oracle as schur_oracle
 from weil import linalg
 from weil.polyfunctor import canonical
-from weil.schur_oracle import (BASES, DEFAULT_CAP, EquivHomProblem, Factor,
+from weil.schur_oracle import (BASES, DEFAULT_CAP, W_WEIGHT, EquivHomProblem, Factor,
                                ResourceCapError, antisymmetrization_problem,
                                _ext_action, base_elements, bidegree_problem, capped_comb,
                                domain_action, domain_basis, domain_weight, equivariant_hom_dim,
-                               verify_bidegree)
+                               lowering_columns, verify_bidegree)
 
 
 # -- the layered action: E_ab on each base space, then on one factor, then
@@ -228,6 +228,49 @@ def test_lowering_is_the_scaled_transpose_of_raising():
                 assert c * _norm(problem, v) == lowering[(v, u)] * _norm(problem, u), (v, u)
 
 
+# the schur-oracle benchmark's (p, q, dim V) configurations
+ORACLE_CONFIGS = ((3, 1, 2), (1, 2, 2), (2, 1, 3), (2, 1, 2), (4, 0, 2), (1, 1, 3))
+
+
+def _lowering_grid():
+    """Every one-factor problem up to dim W 5 and dim V 2 with unknowns, and the
+    benchmark's bidegree problems."""
+    for op in ("sym", "ext", "ten"):
+        for base in BASES:
+            k = W_WEIGHT[base]
+            for dim_w in range(1, 6):
+                for dim_v in ((1, 2) if base.endswith("V") else (0,)):
+                    for degree in range(dim_w // k + 1):
+                        yield EquivHomProblem(dim_w, dim_v, (Factor(op, degree, base),), degree * k)
+    for p, q, dim_v in ORACLE_CONFIGS:
+        yield bidegree_problem(p, q, dim_v)
+
+
+def test_lowering_columns_match_domain_action():
+    # the column built from the slot of a + 1 against the derivation over every slot
+    for problem in _lowering_grid():
+        n = problem.dim_w
+        matched = domain_basis(problem)
+        columns, index = lowering_columns(problem, matched)
+        assert len(columns) == len(matched)
+        key = {i: ak for ak, i in index.items()}
+        for (v, w), column in zip(matched, columns):
+            entries = {}
+            for i, c in column.items():
+                a, u = key[i]
+                entries.setdefault(a, []).append((u, c))
+            for a in range(n - 1):
+                if w[a + 1]:
+                    expected = domain_action(problem, a + 1, a, v)
+                elif w[a]:
+                    support = tuple(i for i in range(n) if w[i])
+                    expected = [(v, -_ext_action(support, a, a + 1)[1])]
+                else:
+                    expected = []
+                assert entries.pop(a, []) == expected, (problem, v, a)
+            assert not entries, (problem, v)
+
+
 def test_one_column_per_unknown(monkeypatch):
     # one enumeration, and one vector per unknown handed to the rank
     enumerations, handed = [], []
@@ -349,11 +392,12 @@ def test_resource_cap():
 
 
 def test_resource_cap_refuses_before_any_action(monkeypatch):
-    # Tensor^8 W* -> Lambda^8 W* at dim W 8: one unknown per permutation, 8! = 40,320
+    # Tensor^8 W* -> Lambda^8 W* at dim W 8: one unknown per permutation, 8! = 40,320;
+    # every lowering image is re-sorted by canonical, so no call means no image
     calls = []
-    action = schur_oracle.domain_action
-    monkeypatch.setattr(schur_oracle, "domain_action",
-                        lambda *args: calls.append(args) or action(*args))
+    canon = schur_oracle.canonical
+    monkeypatch.setattr(schur_oracle, "canonical",
+                        lambda *args: calls.append(args) or canon(*args))
     over = EquivHomProblem(8, 0, (Factor("ten", 8, "W"),), 8)
     with pytest.raises(ResourceCapError, match="over the cap 20000"):
         equivariant_hom_dim(over)

@@ -22,7 +22,8 @@ import pytest
 from weil.chart_forms import ChartForm, d as chart_d
 from weil.equivariant import WeilModel, builtin_action
 from weil.liealg import basis_vector, builtin
-from weil.masks import indices_of, mask_of, merge_sign
+from weil import superalg
+from weil.masks import indices_of, mask_of, merge_sign, swap_mask
 from weil.superalg import (ONE, _integer_images, derivation, in_span, multiply,
                            operator_rows, vectors)
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_images,
@@ -233,6 +234,19 @@ def test_operator_rows_at_packing_width_boundaries(name, table, s):
     assert_same_vectors(operator_rows([table], keys), per_key_rows([table], WeilElement(3), keys))
     tables = [table for _, table in WIDTH_TABLES]
     assert_same_vectors(operator_rows(tables, keys), per_key_rows(tables, WeilElement(3), keys))
+
+
+def test_operator_rows_packs_only_held_generators(monkeypatch):
+    # the keys hold o_0 and e_2 only: L_xi on su2 has images for all six
+    # generators, and only the terms of the two held images are packed
+    table = WIDTH_TABLES[1][1]
+    keys = [(0b001, (0, 0, 0)), (0b001, (0, 0, 2)), (0, (0, 0, 1))]
+    packed = []
+    monkeypatch.setattr(superalg, "swap_mask", lambda im: packed.append(im) or swap_mask(im))
+    assert_same_vectors(operator_rows([table], keys), per_key_rows([table], WeilElement(3), keys))
+    odd, even = _integer_images(*table)
+    assert all(odd) and all(even)
+    assert len(packed) == len(odd[0]) + len(even[2])
 
 
 def test_operator_rows_edge_cases():
