@@ -56,7 +56,10 @@ def _tokenize(text):
             break
         num, name, op = m.groups()
         if num:
-            out.append(("num", Fraction(num)))
+            try:
+                out.append(("num", Fraction(num)))
+            except ZeroDivisionError:
+                raise ExprError(f"zero denominator in {num!r}") from None
         elif name:
             out.append(("var", name))
         else:

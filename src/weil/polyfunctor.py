@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
+from operator import getitem
 
 from . import linalg
 from .chart_forms import PolyMap
@@ -37,12 +38,19 @@ class BlackBoxMap:
         return out
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _combine(coeffs, vectors):
+    """sum_k coeffs[k] vectors[k], coordinate by coordinate, in exact arithmetic.
 
-
-def _vec_scale(a, c):
-    return tuple(c * x for x in a)
+    Every sum of the procedures below is taken here; a zero coefficient is
+    skipped, and the sum has the length of the shortest vector.  A sum starts
+    from its first term, not from zero: one Fraction addition less per
+    coordinate, which is most of the cost of scaling a vector.
+    """
+    out = []
+    for column in zip(*vectors):
+        terms = [c * x for c, x in zip(coeffs, column) if c]
+        out.append(sum(terms[1:], terms[0]) if terms else Fraction(0))
+    return tuple(out)
 
 
 def _vandermonde_inverse(d):
@@ -64,14 +72,6 @@ class HomogeneousDecomposition:
     components: list  # components[i][probe_index] = output tuple
 
 
-def _horner(comps, t):
-    """sum_i comps[i] t^i for a list of vectors comps."""
-    acc = comps[-1]
-    for c in reversed(comps[:-1]):
-        acc = _vec_add(_vec_scale(acc, t), c)
-    return acc
-
-
 def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecomposition:
     """Split f into homogeneous components f_0..f_d, tabulated on the probes.
 
@@ -91,28 +91,23 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     probes = [tuple(frac(x) for x in p) for p in probes]
 
     def components_at(v):
-        values = [f(_vec_scale(v, lam)) for lam in nodes]
-        comps = []
-        for i in range(d + 1):
-            acc = tuple(Fraction(0) for _ in range(f.target_dim))
-            for r, w in enumerate(weights[i]):
-                if w:
-                    acc = _vec_add(acc, _vec_scale(values[r], w))
-            comps.append(acc)
-        return comps
+        values = [f(_combine([lam], [v])) for lam in nodes]
+        return [_combine(row, values) for row in weights]
 
     table = [components_at(v) for v in probes]
     components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
 
     for mu in (Fraction(2), Fraction(3)):
-        ts = [mu * lam for lam in nodes if mu * lam > nodes[-1]]
+        # the powers t^0..t^d of each t that is not a node, shared by the probes
+        rays = [(t, [t ** i for i in range(d + 1)]) for t in (mu * lam for lam in nodes)
+                if t > nodes[-1]]
         for pi, v in enumerate(probes):
             comps = table[pi]
-            if all(f(_vec_scale(v, t)) == _horner(comps, t) for t in ts):
+            if all(f(_combine([t], [v])) == _combine(powers, comps) for t, powers in rays):
                 continue
-            scaled = components_at(_vec_scale(v, mu))
+            scaled = components_at(_combine([mu], [v]))
             for i in range(d + 1):
-                if scaled[i] != _vec_scale(components[i][pi], mu ** i):
+                if scaled[i] != _combine([mu ** i], [comps[i]]):
                     raise ValueError(
                         f"map is not polynomial of degree <= {d} along rays: "
                         f"component {i} fails homogeneity at probe {v} with mu={mu}")
@@ -156,35 +151,17 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     nodes = [Fraction(k) for k in range(d + 1)]
+    origin = (Fraction(0),) * f.source_dim
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
-        nvars = len(vs)
-        grid = {}
-        for lam in product(range(d + 1), repeat=nvars):
-            point = tuple(Fraction(0) for _ in range(f.source_dim))
-            for li, v in zip(lam, vs):
-                point = _vec_add(point, _vec_scale(v, Fraction(li)))
-            grid[lam] = f(point)
-
-        def interp(mu):
+        grid = list(product(range(d + 1), repeat=len(vs)))
+        values = [f(_combine(lam, vs) if vs else origin) for lam in grid]
+        for pat in CHECKPOINT_PATTERNS:
+            mu = pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
+            expected = f(_combine(mu, vs) if vs else origin)
             # table[k][j] = l_j(mu_k): one weight per coordinate and node
             table = [[_lagrange_weight(nodes, j, x) for j in range(d + 1)] for x in mu]
-            acc = tuple(Fraction(0) for _ in range(f.target_dim))
-            for lam, val in grid.items():
-                w = Fraction(1)
-                for weights, j in zip(table, lam):
-                    w *= weights[j]
-                if w:
-                    acc = _vec_add(acc, _vec_scale(val, w))
-            return acc
-
-        for pat in CHECKPOINT_PATTERNS:
-            mu = pat[:nvars] + (Fraction(1, 2),) * (nvars - len(pat))
-            point = tuple(Fraction(0) for _ in range(f.source_dim))
-            for x, v in zip(mu, vs):
-                point = _vec_add(point, _vec_scale(v, x))
-            expected = f(point)
-            got = interp(mu)
+            got = _combine([prod(map(getitem, table, lam)) for lam in grid], values)
             if expected != got:
                 return PolynomialVerdict(False, (ti, mu, expected, got))
     return PolynomialVerdict(True)

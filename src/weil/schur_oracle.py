@@ -111,9 +111,9 @@ def _ext_action(w, a, b):
     return rest[:j] + (b,) + rest[j:], -1 if (i - j) % 2 == 0 else 1
 
 
-def domain_basis(problem: EquivHomProblem, cap=None):
+def domain_basis(problem: EquivHomProblem):
     """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight);
-    more than ``cap`` of them raise ResourceCapError.
+    more than DEFAULT_CAP of them raise ResourceCapError.
 
     Slots are filled one at a time, and the W*-indices in use are kept as
     one int bitmask; a slot whose mask meets it would raise a weight entry
@@ -142,9 +142,9 @@ def domain_basis(problem: EquivHomProblem, cap=None):
             if w is None:
                 w = weights[used] = tuple((used >> i) & 1 for i in range(n))
             found.append((parts, w))
-            if cap is not None and len(found) > cap:
+            if len(found) > DEFAULT_CAP:
                 raise ResourceCapError(
-                    f"problem needs at least {len(found)} unknowns, over the cap {cap}")
+                    f"problem needs at least {len(found)} unknowns, over the cap {DEFAULT_CAP}")
             return
         degree, step, elems, masks, firsts = tables[fi]
         if len(slots) == degree:
@@ -275,7 +275,7 @@ def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     if problem.total_w_weight() != problem.codomain_degree:
         return 0
     # a 0/1 weight has one codomain monomial, so a matched v is one unknown
-    matched = domain_basis(problem, cap=DEFAULT_CAP)
+    matched = domain_basis(problem)
     columns, _ = lowering_columns(problem, matched)
     return len(matched) - linalg.rank(columns)
 

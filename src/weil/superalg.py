@@ -212,26 +212,14 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
     return out
 
 
-def _integer_images(odd_images, even_images):
-    """Generator-image tables scaled to integers by the lcm of their denominators.
-
-    The derivation they define is that multiple of the original one, so it has
-    the same kernel and rank, and it maps integer elements to integer elements.
-    """
-    tables = (odd_images, even_images)
-    scale = lcm(*(c.denominator for table in tables for img in table if img
-                  for c in img.values()))
-    return tuple([{k: c.numerator * (scale // c.denominator) for k, c in img.items()}
-                  if img else None for img in table] for table in tables)
-
-
 def operator_rows(tables, domain_keys):
     """One vector per domain key: its images under every derivation in ``tables``.
 
     Each derivation is an (odd_images, even_images) pair, scaled to integers
-    and applied to the key with coefficient 1.  A vector maps columns, one
-    per pair (derivation, image key) numbered in order of first appearance,
-    to coefficients.  The vectors are the rows of the transposed operator
+    by the lcm of its denominators (a multiple of the derivation, with the
+    same kernel and rank) and applied to the key with coefficient 1.  A
+    vector maps columns, one per pair (derivation, image key) numbered in
+    order of first appearance, to coefficients.  The vectors are the rows of the transposed operator
     matrix, so no codomain basis is needed: they have its rank, and
     ``linalg.transpose`` gives back its rows and kernel.
 
@@ -243,11 +231,12 @@ def operator_rows(tables, domain_keys):
     monomials is one integer addition (the odd masks are disjoint there).  A
     left derivative is a subtraction, and the sign of putting an image with
     odd mask im in front is the parity of ``rest & masks.swap_mask(im)``.
-    An image is used, and packed, only if some domain key holds its
-    generator.  Packing is a bijection, so the vectors are those of one
+    An image is used, and packed and scaled, only if some domain key holds
+    its generator.  Packing is a bijection, so the vectors are those of one
     :func:`derivation` per key and table, in value and insertion order.
     """
-    tables = [_integer_images(*t) for t in tables]
+    scales = [lcm(*(c.denominator for side in table for img in side if img
+                    for c in img.values())) for table in tables]
     n = len(tables[0][0]) if tables else 0
     image_top = max((sum(e) for table in tables for side in table for img in side if img
                      for _, e in img), default=0)
@@ -266,10 +255,11 @@ def operator_rows(tables, domain_keys):
     held = reduce(or_, keys, 0)
     flags = [held >> i & 1 for i in range(n)] + [held >> s & ((1 << width) - 1) for s in shifts]
     # per derivation, the used images of o_0..o_{n-1} then e_0..e_{n-1}, each
-    # a list of (odd mask, sign mask, packed key, coefficient)
-    packed = [[[(im, swap_mask(im), pack(im, ie), c) for (im, ie), c in img.items()]
-               if img and h else None for h, img in zip(flags, table[0] + table[1])]
-              for table in tables]
+    # a list of (odd mask, sign mask, packed key, integer coefficient)
+    packed = [[[(im, swap_mask(im), pack(im, ie), c.numerator * (scale // c.denominator))
+                for (im, ie), c in img.items()]
+               if img and h else None for h, img in zip(flags, odd + even)]
+              for scale, (odd, even) in zip(scales, tables)]
     index: dict[tuple[int, int], int] = {}
     out = []
     for (mask, exps), key in zip(domain_keys, keys):

@@ -345,6 +345,16 @@ def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
     assert error["type"] == "ExprError"
 
 
+@pytest.mark.parametrize("expr,literal", [("1/0", "1/0"), ("x^2/0", "2/0"),
+                                          ("x/(3/0)", "3/0"), ("x + 2/00", "2/00")])
+@pytest.mark.parametrize("mode", ["check", "decompose"])
+def test_zero_denominator_is_a_domain_error(capsys, mode, expr, literal):
+    # a rational literal with a zero denominator, also after '^' or inside a divisor
+    error = assert_domain_error(capsys, ["polyfunc", mode, "--expr", expr,
+                                         "--dim", "1", "--degree", "1"])
+    assert error == {"type": "ExprError", "message": f"zero denominator in {literal!r}"}
+
+
 @pytest.mark.parametrize("expr", ["x^2000000000", "x^20001", "2^20001", "(x + y)^200",
                                   "(x^100)^201", "(2^20000)^20000", "(2^20000*x)^19999",
                                   "(x/1099511627776)^1000", "(x+y+z+w+u+v)^9*(x+y+z+w+u+v)^9"])

@@ -1,11 +1,12 @@
-"""Fuzz the CLI's JSON inputs: a gauge, connection, action or probes file of
-any shape either works (exit 0) or is refused with exit 1 and a lone
-{"error"} object; nothing escapes as an exception.
+"""Fuzz the CLI's inputs: a gauge, connection, action or probes file of any
+shape, or a polynomial expression, either works (exit 0) or is refused with
+exit 1 and a lone {"error"} object; nothing escapes as an exception.
 
 Shapes are arbitrary, sizes are not: integers stay in -2..4 and strings are
 short, so no input asks for a large chart or algebra.  Half of the inputs are
 a valid file with one nested value replaced or deleted, which reaches the
-checks behind the top-level ones.
+checks behind the top-level ones.  An expression is at most 8 pieces of the
+grammar's alphabet, at --degree and --dim of at most 3.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weil.cli import main
 
@@ -108,3 +109,16 @@ def test_fuzz_action(workdir, action):
 def test_fuzz_probes(workdir, probes):
     run(workdir, ["polyfunc", "decompose", "--expr", "x*y + x", "--dim", "2", "--degree", "2",
                   "--probes", "probes.json"], {"probes.json": probes})
+
+
+EXPR_PIECES = (*"0123456789/^+-*() xy", "**", "x1")
+
+
+@FUZZ
+@example(mode="check", expr="1/0", degree=1, dim=1)
+@given(mode=st.sampled_from(["check", "decompose"]),
+       expr=st.lists(st.sampled_from(EXPR_PIECES), max_size=8).map("".join),
+       degree=st.integers(0, 3), dim=st.integers(0, 3))
+def test_fuzz_expr(workdir, mode, expr, degree, dim):
+    run(workdir, ["polyfunc", mode, "--expr=" + expr, "--degree", str(degree), "--dim", str(dim)],
+        {})

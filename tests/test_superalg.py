@@ -15,6 +15,7 @@ the packing width steps.
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import add
 
 import pytest
@@ -24,8 +25,7 @@ from weil.equivariant import WeilModel, builtin_action
 from weil.liealg import basis_vector, builtin
 from weil import superalg
 from weil.masks import indices_of, mask_of, merge_sign, swap_mask
-from weil.superalg import (ONE, _integer_images, derivation, in_span, multiply,
-                           operator_rows, vectors)
+from weil.superalg import ONE, derivation, in_span, multiply, operator_rows, vectors
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_images,
                                lie_images)
 
@@ -172,6 +172,16 @@ def test_derivation_matches_signed_two_loop_rule(name, zero, table, odd):
         a = rand_element(rng, zero)
         got, expected = derivation(a, *table), signed_derivation(a, *table, odd)
         assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def _integer_images(odd_images, even_images):
+    """Generator-image tables scaled to integers by the lcm of their denominators,
+    every image copied: the scaling ``operator_rows`` applies as it packs."""
+    tables = (odd_images, even_images)
+    scale = lcm(*(c.denominator for table in tables for img in table if img
+                  for c in img.values()))
+    return tuple([{k: c.numerator * (scale // c.denominator) for k, c in img.items()}
+                  if img else None for img in table] for table in tables)
 
 
 def per_key_rows(tables, zero, domain_keys):
