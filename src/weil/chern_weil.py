@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge
-from .liealg import LieAlgebra, builtin, check_representation, frac
+from .liealg import LieAlgebra, adjoint_matrices, builtin, check_representation, frac
 from .superalg import ONE, substitute
 from .weil_algebra import WeilElement, curvature_generator
 from .invariant_polynomials import is_sym_element
@@ -51,12 +51,6 @@ class LieValuedForm:
     def __eq__(self, other):
         return (isinstance(other, LieValuedForm) and self.algebra == other.algebra
                 and self.chart_dim == other.chart_dim and self.components == other.components)
-
-    def __add__(self, other):
-        if self.algebra != other.algebra:
-            raise ValueError("algebra mismatch")
-        return LieValuedForm(self.algebra, self.chart_dim,
-                             [a + b for a, b in zip(self.components, other.components)])
 
     def __repr__(self):
         return "LieValuedForm(" + ", ".join(repr(c) for c in self.components) + ")"
@@ -116,9 +110,6 @@ class MatrixRep:
     size: int
     mats: tuple  # n matrices, each tuple of row tuples of Fraction
 
-    def validate(self):
-        check_representation(self.algebra, self.mats)
-
     def flat_columns(self):
         """Flattened generator matrices as sparse columns for coordinate extraction."""
         cols = []
@@ -134,9 +125,8 @@ class MatrixRep:
 
 def make_rep(algebra, mats) -> MatrixRep:
     tidy = tuple(tuple(tuple(frac(x) for x in row) for row in m) for m in mats)
-    rep = MatrixRep(algebra=algebra, size=len(tidy[0]), mats=tidy)
-    rep.validate()
-    return rep
+    check_representation(algebra, tidy)
+    return MatrixRep(algebra=algebra, size=len(tidy[0]), mats=tidy)
 
 
 def _realify(complex_mat):
@@ -169,11 +159,7 @@ def builtin_rep(name: str) -> MatrixRep:
         f = [[0, 0], [1, 0]]
         return make_rep(L, [h, e, f])
     if name == "so3":
-        mats = []
-        for i in range(3):
-            m = [[L.f(i, j, k) for j in range(3)] for k in range(3)]
-            mats.append(m)
-        return make_rep(L, mats)
+        return make_rep(L, adjoint_matrices(L))
     if name == "su2":
         # X_k = -(i/2) sigma_k, realified to exact 4x4 rational blocks
         half = Fraction(1, 2)

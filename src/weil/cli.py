@@ -14,7 +14,7 @@ import hashlib
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, lcm, log2
 
 from . import __version__, jsonio
 from .acceptance import run_all
@@ -24,9 +24,9 @@ from .chern_weil import (builtin_rep, constant_gauge, cw_form,
 from .equivariant import WeilModel, action_dim, builtin_action, check_basis_size
 from .invariant_polynomials import basic_subspace, invariant_bases, invariant_basis
 from .liealg import builtin
-from .polyfunctor import (FunctorSpec, homogeneous_decompose, is_polynomial,
-                          poly_black_box, restriction_injectivity)
-from .schur_oracle import DEFAULT_CAP, check_size, verify_bidegree
+from .polyfunctor import (CHECKPOINT_PATTERNS, FunctorSpec, homogeneous_decompose,
+                          is_polynomial, poly_black_box, restriction_injectivity)
+from .schur_oracle import DEFAULT_CAP, ResourceCapError, check_size, verify_bidegree
 from .weil_algebra import (WeilElement, graded_dims, koszul_cohomology_dims,
                            multiply)
 
@@ -184,6 +184,26 @@ def _check_product(factors):
                             for c in p.terms.values())
     if bits > DEFAULT_CAP or comb(len(used) + degree, len(used)) > DEFAULT_CAP:
         raise ExprError(f"product is over the size cap {DEFAULT_CAP}")
+
+
+def _check_values(polys, top, denominators):
+    """Refuse polynomials whose values at the sample points could be over the cap or
+    too long to print.  A sample coordinate is at most ``top`` in absolute value with
+    a denominator dividing Q = lcm(``denominators``); with L the lcm of the coefficient
+    denominators, A the largest numerator, T the terms and D the total degree, a
+    value has at most bits(A L) + D bits(top Q) + bits(T) bits."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if not coeffs:
+        return
+    degree = max(sum(exps) for p in polys for _, exps in p.terms)
+    scale = max(abs(c.numerator) for c in coeffs) * lcm(*(c.denominator for c in coeffs))
+    point = ceil(top) * lcm(*denominators)
+    bits = scale.bit_length() + degree * point.bit_length() + len(coeffs).bit_length()
+    check_size(bits, f"a value of up to {bits} bits at the sample points")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and bits > digits * log2(10):
+        raise ResourceCapError(f"a value of up to {bits} bits at the sample points "
+                               f"is too long to print in {digits} digits")
 
 
 def _constant_of(p):
@@ -348,23 +368,34 @@ def _cmd_polyfunc(args, payloads):
                        f"a decomposition at {n} nodes in dimension {args.dim}")
     if args.mode == "decompose":
         polys = parse_poly_exprs(args.expr, args.dim)
-        f = poly_black_box(polys, args.dim)
         if args.probes:
-            probes = [jsonio.rationals(p, "a probe")
-                      for p in jsonio.typed(_read_json(args.probes, payloads), list,
-                                            "a probes file")]
+            # the size is read off the raw JSON, so an oversized file is refused unparsed
+            raw = jsonio.typed(_read_json(args.probes, payloads), list, "a probes file")
+            entries = sum(len(p) for p in raw if isinstance(p, list))
+            check_size((args.degree + 1) * (len(raw) + entries),
+                       f"a decomposition of {len(raw)} probes of {entries} coordinates "
+                       f"at {args.degree + 1} nodes")
+            probes = [jsonio.rationals(p, "a probe") for p in raw]
         else:
             probes = _default_probes(args.dim)
-        dec = homogeneous_decompose(f, args.degree, probes)
+        # f is evaluated at t v for t up to 3 (d + 1): the nodes, times 2 and 3 on the rays
+        coords = [x for p in probes for x in p]
+        _check_values(polys, 3 * (args.degree + 1) * max(map(abs, coords), default=0),
+                      [x.denominator for x in coords])
+        dec = homogeneous_decompose(poly_black_box(polys, args.dim), args.degree, probes)
         return {"expr": args.expr, "degree": args.degree,
                 "probes": [[jsonio.rational_str(x) for x in p] for p in dec.probes],
                 "components": [[[jsonio.rational_str(x) for x in val] for val in comp]
                                for comp in dec.components]}
     if args.mode == "check":
         polys = parse_poly_exprs(args.expr, args.dim)
-        f = poly_black_box(polys, args.dim)
-        trials = _default_trials(args.dim)
-        verdict = is_polynomial(f, args.degree, trials)
+        # a grid coordinate is an integer in -d..d, a checkpoint coordinate mu_0 or
+        # mu_1 - mu_0 (see _default_trials)
+        mus = [x for pattern in CHECKPOINT_PATTERNS for x in pattern]
+        _check_values(polys, max(args.degree, 2 * max(map(abs, mus))),
+                      [x.denominator for x in mus])
+        verdict = is_polynomial(poly_black_box(polys, args.dim), args.degree,
+                                _default_trials(args.dim))
         out = {"expr": args.expr, "degree": args.degree,
                "consistent": verdict.consistent}
         if verdict.witness:
@@ -401,7 +432,7 @@ def _cmd_oracle(args, payloads):
 
 
 def _cmd_verify_all(args, payloads):
-    results = run_all(report=lambda line: print(line, file=sys.stderr))
+    results = run_all()
     payload = [{"id": r.ident, "title": r.title, "passed": r.passed, "details": r.details}
                for r in results]
     all_passed = all(r.passed for r in results)

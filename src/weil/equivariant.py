@@ -20,7 +20,7 @@ from itertools import combinations
 
 from . import linalg
 from .chart_forms import ChartForm, d as chart_d, d_images
-from .liealg import LieAlgebra, basis_vector, check_representation, frac
+from .liealg import LieAlgebra, adjoint_matrices, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
 from .superalg import SuperElement, derivation, operator_rows, unit_exponent
@@ -187,7 +187,10 @@ def action_dim(name: str, algebra: LieAlgebra) -> int:
             raise ValueError("rot2 is an action of a 1-dimensional algebra")
         return 2
     if name.startswith("trivial:"):
-        return int(name.split(":", 1)[1])
+        m = name[len("trivial:"):]
+        if not (m.isascii() and m.isdigit()):
+            raise ValueError(f"action {name!r} needs a chart dimension m >= 0, as trivial:<m>")
+        return int(m)
     if name == "adjoint":
         return algebra.dim
     raise ValueError(f"unknown action name: {name!r}")
@@ -196,12 +199,12 @@ def action_dim(name: str, algebra: LieAlgebra) -> int:
 def builtin_action(name: str, algebra: LieAlgebra):
     """Named actions for the CLI: 'trivial:<m>', 'rot2' (abelian(1) on R^2),
     'adjoint' (the algebra acting on itself)."""
-    m, n = action_dim(name, algebra), algebra.dim
+    m = action_dim(name, algebra)
     if name == "rot2":
         return m, [ROTATION_2D]
     if name == "adjoint":
-        return m, [[[algebra.f(i, j, k) for j in range(n)] for k in range(n)] for i in range(n)]
-    return m, [[[0] * m for _ in range(m)] for _ in range(n)]
+        return m, adjoint_matrices(algebra)
+    return m, [[[0] * m for _ in range(m)] for _ in range(algebra.dim)]
 
 
 def check_basis_size(chart_dim, n, total_degree, poly_cap):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
-from .liealg import LieAlgebra, builtin, make_lie_algebra, validate
+from .liealg import LieAlgebra, builtin, from_brackets, validate
 from .masks import indices_of, mask_of
 from .weil_algebra import WeilElement
 
@@ -79,17 +79,15 @@ def algebra_from_json(obj) -> LieAlgebra:
     dim = typed(obj["dim"], int, "an algebra dim")
     if dim < 1:
         raise ValueError("an algebra dim must be positive")
-    table = {}
+    brackets = {}
     for entry in typed(obj.get("brackets", []), list, "brackets"):
         entry = typed(entry, dict, "a bracket entry")
         i, j, k = (typed(entry[f], int, f"bracket index {f}") - 1 for f in "ijk")
         if not 0 <= i < j < dim or not 0 <= k < dim:
             raise ValueError(f"bracket entries need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
-        c = parse_rational(entry["c"])
-        table[(i, j, k)] = c
-        table[(j, i, k)] = -c
+        brackets.setdefault((i, j), {})[k] = parse_rational(entry["c"])
     name = obj.get("name")
-    L = make_lie_algebra(dim, table, name=None if name is None else typed(name, str, "name"))
+    L = from_brackets(dim, brackets, name=None if name is None else typed(name, str, "name"))
     violation = validate(L)
     if violation:
         raise ValueError(f"brackets violate {violation.kind} at basis indices "
@@ -127,15 +125,17 @@ def _terms_from_json(obj, odd_field, even_field, n):
     return terms
 
 
+def _terms_to_json(a, odd_field, even_field):
+    """The JSON term list of an element, in its canonical term order."""
+    return [{odd_field: [i + 1 for i in indices_of(mask)], even_field: list(exps),
+             "c": rational_str(c)} for (mask, exps), c in a.sorted_terms()]
+
+
 # -- Weil elements -----------------------------------------------------
 
 
 def weil_element_to_json(a: WeilElement) -> list:
-    out = []
-    for (e, s), c in a.sorted_terms():
-        out.append({"ext": [i + 1 for i in indices_of(e)], "sym": list(s),
-                    "c": rational_str(c)})
-    return out
+    return _terms_to_json(a, "ext", "sym")
 
 
 def weil_element_from_json(n, obj) -> WeilElement:
@@ -146,11 +146,7 @@ def weil_element_from_json(n, obj) -> WeilElement:
 
 
 def chart_form_to_json(a: ChartForm) -> dict:
-    terms = []
-    for (mask, e), c in a.sorted_terms():
-        terms.append({"dx": [i + 1 for i in indices_of(mask)], "mono": list(e),
-                      "c": rational_str(c)})
-    return {"dim": a.m, "terms": terms}
+    return {"dim": a.m, "terms": _terms_to_json(a, "dx", "mono")}
 
 
 def chart_form_from_json(obj) -> ChartForm:

@@ -129,6 +129,12 @@ def check_representation(L: LieAlgebra, mats):
                 raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
 
 
+def adjoint_matrices(L: LieAlgebra):
+    """The adjoint representation: one matrix per basis vector, (ad e_i)[k][j] = f^k_ij."""
+    n = L.dim
+    return [[[L.f(i, j, k) for j in range(n)] for k in range(n)] for i in range(n)]
+
+
 def coadjoint(L: LieAlgebra, xi):
     """Matrix M of ad*_xi on g* in the dual basis: (M c)_j = coords of ad*_xi(sum c_a l^a).
 

@@ -108,9 +108,10 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
             scaled = components_at(_combine([mu], [v]))
             for i in range(d + 1):
                 if scaled[i] != _combine([mu ** i], [comps[i]]):
+                    point = ", ".join(map(str, v))
                     raise ValueError(
                         f"map is not polynomial of degree <= {d} along rays: "
-                        f"component {i} fails homogeneity at probe {v} with mu={mu}")
+                        f"component {i} fails homogeneity at probe ({point}) with mu={mu}")
     return HomogeneousDecomposition(probes, components)
 
 

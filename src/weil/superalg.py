@@ -118,13 +118,8 @@ class SuperElement:
         c = frac(c)
         return self.with_terms({k: v * c for k, v in self.terms.items()} if c else {})
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __mul__(self, other):
-        if isinstance(other, SuperElement):
-            return multiply(self, other)
-        return self.scale(other)
+        return multiply(self, other) if isinstance(other, SuperElement) else NotImplemented
 
     def _compat(self, other):
         if self.n != other.n:

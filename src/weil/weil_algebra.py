@@ -40,14 +40,14 @@ class WeilElement(SuperElement):
     __slots__ = ()
 
     @classmethod
-    def lam(cls, n, i, c=1):
+    def lam(cls, n, i):
         _check_index(n, i)
-        return cls(n, {(1 << i, (0,) * n): c})
+        return cls(n, {(1 << i, (0,) * n): ONE})
 
     @classmethod
-    def lamt(cls, n, i, c=1):
+    def lamt(cls, n, i):
         _check_index(n, i)
-        return cls(n, {(0, unit_exponent(n, i)): c})
+        return cls(n, {(0, unit_exponent(n, i)): ONE})
 
     key_degree = staticmethod(key_degree)
 

@@ -7,8 +7,11 @@ or `weil verify-all` for the JSON report.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from weil import acceptance
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-all.out"
 
 BUDGETS = {1: 10, 2: 1, 3: 60, 4: 30, 5: 60, 6: 300, 7: 300, 8: 60, 9: 60}
 
@@ -73,6 +76,8 @@ def test_criterion_10_verify_all_determinism():
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)
     elapsed = time.time() - t0
-    print(f"PASS criterion 10: verify-all byte-identical twice  [{elapsed:.2f}s]")
+    print(f"PASS criterion 10: verify-all byte-identical twice and to its golden file  "
+          f"[{elapsed:.2f}s]")
     assert runs[0] == runs[1]
+    assert runs[0] == GOLDEN.read_bytes()  # and to the committed report
     assert elapsed < 600

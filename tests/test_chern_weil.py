@@ -12,7 +12,7 @@ from weil.chern_weil import (LieValuedForm, _form_mat_mul, _lie_valued_to_matrix
                              quaternion_matrix, unipotent_gauge,
                              weil_to_chart)
 from weil.invariant_polynomials import invariant_basis
-from weil.liealg import builtin, from_brackets, validate
+from weil.liealg import builtin, check_representation, from_brackets, validate
 from weil.weil_algebra import WeilElement, curvature_generator, multiply
 
 SU2 = builtin("su2")
@@ -249,7 +249,8 @@ def test_bad_representation_rejected():
 
 def test_builtin_reps_validate():
     for name in ("abelian(1)", "heisenberg3", "sl2", "so3", "su2"):
-        builtin_rep(name).validate()
+        rep = builtin_rep(name)
+        check_representation(rep.algebra, rep.mats)
 
 
 def test_builtin_rep_flat_columns_are_independent():

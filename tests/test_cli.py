@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil import jsonio
+from weil import chart_forms, jsonio
 from weil.chart_forms import ChartForm
 from weil.chern_weil import LieValuedForm
 from weil.cli import main, parse_poly_exprs
@@ -137,22 +137,30 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("component", [
-    {"dim": 2, "terms": [{"dx": [1], "mono": None, "c": "1"}]},
-    {"dim": 2, "terms": [{"dx": [1], "mono": [0, -1], "c": "1"}]},
-    {"dim": 2, "terms": [{"dx": [5], "mono": [0, 0], "c": "1"}]},
-    {"dim": 2, "terms": [{"dx": [1], "mono": [0, 0], "c": True}]},
-    {"dim": "2", "terms": [{"dx": [1], "c": "1"}]},
-], ids=["mono-null", "negative-exponent", "dx-out-of-range", "bool-coefficient", "string-dim"])
-def test_malformed_term_is_a_domain_error(tmp_path, capsys, component):
+@pytest.mark.parametrize("component,message", [
+    ({"dim": 2, "terms": [{"dx": [1], "mono": None, "c": "1"}]},
+     "mono must be a list of integers"),
+    ({"dim": 2, "terms": [{"dx": [1], "mono": [0, -1], "c": "1"}]},
+     "mono must hold 2 nonnegative exponents"),
+    ({"dim": 2, "terms": [{"dx": [5], "mono": [0, 0], "c": "1"}]}, "dx index out of range 1..2"),
+    ({"dim": 2, "terms": [{"dx": [1], "mono": [0, 0], "c": True}]},
+     "rationals must be strings or integers, got bool"),
+    ({"dim": "2", "terms": [{"dx": [1], "c": "1"}]},
+     "a chart form dim must be a nonnegative integer"),
+    ({"dim": 2, "terms": [{"dx": [1], "c": "1/0"}]}, "rational '1/0' has a zero denominator"),
+    ({"dim": 2, "terms": 5}, "a term list must be a JSON array of objects"),
+    ({"dim": 3, "terms": []}, "component chart dimension disagrees with chart_dim"),
+    ({"dim": 2, "terms": [{"dx": [1, 2], "c": "1"}]}, "cw_form needs a 1-form connection"),
+    ({"dim": 2, "terms": [{"dx": [1], "c": "1"}, {"c": "1"}]},
+     "components are not of a single form degree"),
+], ids=["mono-null", "negative-exponent", "dx-out-of-range", "bool-coefficient", "string-dim",
+        "zero-denominator", "terms-int", "component-dim", "two-form", "mixed-degrees"])
+def test_malformed_term_is_a_domain_error(tmp_path, capsys, component, message):
     conn = {"algebra": "abelian(1)", "chart_dim": 2, "components": [component]}
     path = tmp_path / "conn.json"
     path.write_text(json.dumps(conn))
-    code = main(["cw", "--connection", str(path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert list(json.loads(captured.out)) == ["error"]
-    assert "Traceback" not in captured.err
+    error = assert_domain_error(capsys, ["cw", "--connection", str(path)])
+    assert error == {"type": "ValueError", "message": message}
 
 
 def test_usage_error_exit_code(capsys):
@@ -232,7 +240,13 @@ def test_unipotent_entry_outside_the_triangle_is_refused(tmp_path, capsys, row, 
     ({"kind": "unipotent", "entries": [{"row": "1", "col": 2, "poly": []}]},
      HEISENBERG_CONNECTION),
     ({"kind": "unipotent", "entries": []}, {**HEISENBERG_CONNECTION, "components": 3}),
-], ids=["gauge-list", "entries-int", "short-quaternion", "string-row", "components-int"])
+    ({"kind": "constant", "quaternion": ["0", "0", "0", "0"]},
+     {**HEISENBERG_CONNECTION, "algebra": "su2"}),
+    ({"kind": "unipotent", "entries": []},
+     {**HEISENBERG_CONNECTION, "algebra": "abelian(2)",
+      "components": HEISENBERG_CONNECTION["components"][:2]}),
+], ids=["gauge-list", "entries-int", "short-quaternion", "string-row", "components-int",
+        "zero-quaternion", "no-representation"])
 def test_malformed_gauge_input_is_a_domain_error(tmp_path, capsys, gauge, connection):
     conn = write_json(tmp_path, "conn.json", connection)
     path = write_json(tmp_path, "gauge.json", gauge)
@@ -256,16 +270,74 @@ def test_json_algebra_must_satisfy_jacobi(tmp_path, capsys):
     assert code == 0 and "chern_weil_form" in json.loads(out)["results"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["invariants", "--algebra", "su2", "--max-degree", "-1"],
-    ["equivariant", "--algebra", "abelian1", "--degree", "-1", "--poly-cap", "1"],
-    ["equivariant", "--algebra", "abelian1", "--degree", "1", "--poly-cap", "-1"],
-    ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3", "--base-dim", "-1"],
-    ["polyfunc", "check", "--expr", "x", "--dim", "1", "--degree", "-1"],
+@pytest.mark.parametrize("argv,message", [
+    (["invariants", "--algebra", "su2", "--max-degree", "-1"], "max_degree must be >= 0"),
+    (["equivariant", "--algebra", "abelian1", "--degree", "-1", "--poly-cap", "1"],
+     "degree and poly_cap must be >= 0"),
+    (["equivariant", "--algebra", "abelian1", "--degree", "1", "--poly-cap", "-1"],
+     "degree and poly_cap must be >= 0"),
+    (["polyfunc", "inject", "--functor", "Sym2", "--copies", "3", "--base-dim", "-1"],
+     "base_dim must be >= 0"),
+    (["polyfunc", "check", "--expr", "x", "--dim", "1", "--degree", "-1"],
+     "degree bound must be >= 0"),
+    (["basic", "--algebra", "su2", "--degree", "-1"], "degree must be >= 0"),
+    (["cohomology", "--dim", "0", "--max-degree", "2"], "dimension must be >= 1"),
+    (["cohomology", "--dim", "2", "--max-degree", "-1"], "max_degree must be >= 0"),
+    (["oracle", "--p", "-1", "--q", "0", "--dimV", "1"], "bidegrees must be nonnegative"),
+    (["polyfunc", "decompose", "--expr", "x", "--dim", "1", "--degree", "-1"],
+     "degree bound must be >= 0"),
 ], ids=["invariants-max-degree", "equivariant-degree", "equivariant-poly-cap",
-        "inject-base-dim", "check-degree"])
-def test_negative_size_is_a_domain_error(capsys, argv):
-    assert assert_domain_error(capsys, argv)["type"] == "ValueError"
+        "inject-base-dim", "check-degree", "basic-degree", "cohomology-dim",
+        "cohomology-max-degree", "oracle-p", "decompose-degree"])
+def test_negative_size_is_a_domain_error(capsys, argv, message):
+    assert assert_domain_error(capsys, argv) == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["basic", "--algebra", "abelian0", "--degree", "2"], "abelian(n) needs n >= 1"),
+    (["equivariant", "--algebra", "su2", "--action", "rot2", "--degree", "1", "--poly-cap", "1"],
+     "rot2 is an action of a 1-dimensional algebra"),
+    (["equivariant", "--algebra", "su2", "--action", "bogus", "--degree", "1", "--poly-cap", "1"],
+     "unknown action name: 'bogus'"),
+    (["equivariant", "--algebra", "su2", "--action", "trivial:x", "--degree", "1",
+      "--poly-cap", "1"], "action 'trivial:x' needs a chart dimension m >= 0, as trivial:<m>"),
+    (["equivariant", "--algebra", "su2", "--action", "trivial:-1", "--degree", "1",
+      "--poly-cap", "1"], "action 'trivial:-1' needs a chart dimension m >= 0, as trivial:<m>"),
+    (["cw", "--connection", "CONN", "--invariant", "basis:1:9"],
+     "invariant basis of degree 1 has only 2 elements"),
+    (["cw", "--connection", "CONN", "--invariant", "foo"],
+     "unknown invariant name 'foo' (use 'casimir' or 'basis:<k>:<i>')"),
+    (["polyfunc", "inject", "--functor", "Foo2", "--copies", "3", "--base-dim", "1"],
+     "functor must look like Sym2, Lambda2, or Tensor1"),
+], ids=["abelian0", "rot2-on-su2", "unknown-action", "trivial-letter", "trivial-negative",
+        "invariant-index", "unknown-invariant", "unknown-functor"])
+def test_unknown_name_is_a_domain_error(tmp_path, capsys, argv, message):
+    """A named argument the package cannot read is refused in its own words."""
+    conn = write_json(tmp_path, "conn.json", HEISENBERG_CONNECTION)
+    error = assert_domain_error(capsys, [conn if a == "CONN" else a for a in argv])
+    assert error == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("expr,message", [("(x", "expected ')'"),
+                                          ("x^-1", "exponents must be nonnegative integers")],
+                         ids=["open-parenthesis", "negative-exponent"])
+def test_malformed_expression_is_a_domain_error(capsys, expr, message):
+    error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", expr, "--dim", "1",
+                                         "--degree", "1"])
+    assert error == {"type": "ExprError", "message": message}
+
+
+@pytest.mark.parametrize("algebra,flag,message", [
+    ({"dim": 0, "brackets": []}, [], "an algebra dim must be positive"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 4, "k": 3, "c": "1"}]}, [],
+     "bracket entries need 1 <= i < j <= 3 and 1 <= k <= 3"),
+    ("heisenberg3", ["--algebra", "su2"],
+     "connection file algebra disagrees with the requested algebra"),
+], ids=["dim-0", "bracket-index", "disagrees-with-flag"])
+def test_connection_algebra_is_checked(tmp_path, capsys, algebra, flag, message):
+    conn = write_json(tmp_path, "conn.json", {**HEISENBERG_CONNECTION, "algebra": algebra})
+    error = assert_domain_error(capsys, ["cw", *flag, "--connection", conn])
+    assert error == {"type": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,6 +442,52 @@ def test_huge_power_is_refused_before_expanding(monkeypatch, capsys, expr):
     error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", expr,
                                          "--dim", "6", "--degree", "1"])
     assert error["type"] == "ExprError"
+
+
+def refuse_evaluation(*args, **kwargs):
+    raise AssertionError("evaluated before the size was checked")
+
+
+@pytest.mark.parametrize("mode,expr,bits", [("check", "x^19999", 119996),
+                                            ("decompose", "x^19999", 119996),
+                                            ("check", "(2/3*x)^9100", 78125)])
+def test_huge_values_are_refused_before_evaluating(monkeypatch, capsys, mode, expr, bits):
+    # the expressions pass the product check; their values at the sample points
+    # have thousands of digits, beyond what Python prints
+    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    error = assert_domain_error(capsys, ["polyfunc", mode, "--expr", expr, "--degree", "3",
+                                         "--dim", "3"])
+    assert error == {"type": "ResourceCapError", "message": f"a value of up to {bits} bits "
+                     "at the sample points is over the cap 20000"}
+
+
+def test_values_too_long_to_print_are_refused(monkeypatch, capsys):
+    # under the cap, but over the digits Python converts: 1 + 400 * 6 + 1 bits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", "x^400", "--degree", "3",
+                                         "--dim", "1"])
+    assert error == {"type": "ResourceCapError", "message": "a value of up to 2402 bits at the "
+                     "sample points is too long to print in 640 digits"}
+
+
+def test_probe_count_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    def parsed(*args, **kwargs):
+        raise AssertionError("parsed before the size was checked")
+    monkeypatch.setattr(jsonio, "rationals", parsed)
+    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    probes = write_json(tmp_path, "probes.json", [[str(i)] for i in range(1, 100_001)])
+    error = assert_domain_error(capsys, ["polyfunc", "decompose", "--expr", "x^2+x", "--degree",
+                                         "2", "--dim", "1", "--probes", probes])
+    assert error == {"type": "ResourceCapError", "message": "a decomposition of 100000 probes "
+                     "of 100000 coordinates at 3 nodes is over the cap 20000"}
+
+
+def test_ray_failure_prints_the_probe_as_rationals(capsys):
+    error = assert_domain_error(capsys, ["polyfunc", "decompose", "--expr", "x^5", "--degree", "3",
+                                         "--dim", "3"])
+    assert error["message"] == ("map is not polynomial of degree <= 3 along rays: "
+                                "component 0 fails homogeneity at probe (1, -2, 3) with mu=2")
 
 
 def test_power_size_counts_the_variables_of_the_base():

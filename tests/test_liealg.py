@@ -5,7 +5,7 @@ import pytest
 
 from weil import jsonio
 from weil.equivariant import builtin_action
-from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, basis_vector,
+from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, adjoint_matrices, basis_vector,
                          builtin, check_representation, coadjoint, from_brackets,
                          make_lie_algebra, validate)
 
@@ -262,6 +262,18 @@ def check_outcome(check, L, mats):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def test_adjoint_matrices_act_by_the_bracket():
+    # column j of ad e_i is [e_i, e_j], and ad is a representation (Jacobi)
+    for name in BUILTIN_NAMES:
+        L = builtin(name)
+        mats, n = adjoint_matrices(L), L.dim
+        for i in range(n):
+            for j in range(n):
+                assert [row[j] for row in mats[i]] == L.bracket(basis_vector(n, i),
+                                                                basis_vector(n, j))
+        assert check_representation(L, mats) is None
 
 
 def test_check_representation_matches_dense_check():

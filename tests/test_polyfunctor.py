@@ -154,9 +154,10 @@ def decompose_by_components(f, d, probes):
             scaled = components_at(tuple(mu * x for x in v))
             for i in range(d + 1):
                 if scaled[i] != tuple(mu ** i * x for x in components[i][pi]):
+                    point = ", ".join(map(str, v))
                     raise ValueError(
                         f"map is not polynomial of degree <= {d} along rays: "
-                        f"component {i} fails homogeneity at probe {v} with mu={mu}")
+                        f"component {i} fails homogeneity at probe ({point}) with mu={mu}")
     return polyfunctor.HomogeneousDecomposition(probes, components)
 
 

@@ -295,6 +295,16 @@ def test_multiply_matches_double_loop(zero):
         assert multiply(a, b) == double_loop_multiply(a, b)
 
 
+def test_star_is_the_product_and_scale_takes_numbers():
+    x, y = ChartForm.x(2, 0), ChartForm.x(2, 1)
+    assert x * y == superalg.multiply(x, y)
+    assert x.scale(3) == ChartForm.from_poly(2, {(1, 0): 3})
+    with pytest.raises(TypeError):
+        x * 3
+    with pytest.raises(TypeError):
+        3 * x
+
+
 def test_merge_sign_counts_inversions():
     for a, b in product(range(1 << 7), repeat=2):
         assert merge_sign(a, b) == inversion_merge(a, b), (a, b)
