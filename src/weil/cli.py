@@ -142,11 +142,7 @@ class _Parser:
         if self.peek()[0] == "op" and self.peek()[1] in ("^", "**"):
             self.take()
             kind, val = self.take()
-            neg = False
-            if (kind, val) == ("op", "-"):
-                neg = True
-                kind, val = self.take()
-            if kind != "num" or val.denominator != 1 or neg:
+            if kind != "num" or val.denominator != 1:
                 raise ExprError("exponents must be nonnegative integers")
             e = int(val)
             _check_product([(base, e)])  # bounds every partial power too
@@ -225,6 +221,14 @@ def parse_poly_exprs(text, dim):
 # -- report plumbing ----------------------------------------------------
 
 
+def _check_digits(text, what):
+    """Refuse ``text`` if a run of digits in it is longer than int() converts
+    (``sys.get_int_max_str_digits()``; 0 means no limit), in a message naming ``what``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        raise ValueError(f"{what} holds a number of more than {limit} digits")
+
+
 def _emit(args_list, file_payloads, results):
     digest = jsonio.digest({"argv": args_list, "files": file_payloads})
     report = {"command": args_list, "inputs_digest": digest,
@@ -238,7 +242,9 @@ def _read_json(path, payloads):
     with open(path, "rb") as fh:
         raw = fh.read()
     payloads[path] = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode())
+    text = raw.decode()
+    _check_digits(text, path)  # bare integers and rational strings alike
+    return json.loads(text)
 
 
 def _algebra_arg(name):
@@ -356,13 +362,17 @@ def _cmd_equivariant(args, payloads):
 
 def _cmd_polyfunc(args, payloads):
     if args.mode != "inject" and min(args.degree, args.dim) >= 0:
-        # check: (d+1)^min(dim, 3) grid points of dim coordinates; decompose:
-        # a (d+1)-square Vandermonde inverse, whose exact entries grow in bit
-        # length with d, so its cost tracks (d+1)^3, and d+1 scalings of each probe
+        # check: each trial set of k vectors (k = min(dim, 3), then 2; see
+        # _default_trials) is interpolated on (d+1)^k grid points, and a point costs
+        # its dim coordinates and a product of k Lagrange weights, whose bit length
+        # grows with d; decompose: a (d+1)-square Vandermonde inverse, whose exact
+        # entries grow in bit length with d, so its cost tracks (d+1)^3, and d+1
+        # scalings of each probe
         n = args.degree + 1
         if args.mode == "check":
-            check_size(n ** min(args.dim, 3) * args.dim, f"an interpolation grid of {n} nodes "
-                       f"per direction in dimension {args.dim}")
+            sets = (min(args.dim, 3), 2 * min(args.dim, 1))
+            check_size(sum(n ** k * (k * n + args.dim) for k in sets), f"an interpolation "
+                       f"grid of {n} nodes per direction in dimension {args.dim}")
         else:
             check_size(max(n ** 3, n * args.dim),
                        f"a decomposition at {n} nodes in dimension {args.dim}")
@@ -521,6 +531,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     payloads: dict[str, str] = {}
     try:
+        for name in ("expr", "algebra", "invariant", "action", "functor"):
+            _check_digits(getattr(args, name, None) or "", f"--{name}")
         out = args.handler(args, payloads)
     except (ValueError, OSError, KeyError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -46,9 +46,3 @@ def swap_mask(a: int) -> int:
         a ^= low
     return out
 
-
-def merge_sign(a: int, b: int):
-    """(merged_mask, sign) for concatenating ordered sets a then b; None on overlap."""
-    if a & b:
-        return None
-    return a | b, -1 if (b & swap_mask(a)).bit_count() & 1 else 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import getitem
 
 from . import linalg
@@ -124,12 +124,11 @@ class PolynomialVerdict:
     witness: tuple | None = None  # (trial_index, point, expected, interpolated)
 
 
-def _lagrange_weight(nodes, j, x):
-    w = Fraction(1)
-    for k, nk in enumerate(nodes):
-        if k != j:
-            w *= (x - nk) / (nodes[j] - nk)
-    return w
+def _lagrange_weights(d, x):
+    """l_j(x) = prod_{k != j} (x - k)/(j - k) for the nodes j = 0..d, at an x that is no
+    node, in closed form: P(x) (-1)^(d-j) / (j! (d-j)! (x - j)), P(x) = prod_k (x - k)."""
+    p = prod(x - k for k in range(d + 1))
+    return [p / ((x - j) * factorial(j) * factorial(d - j) * (-1) ** (d - j)) for j in range(d + 1)]
 
 
 CHECKPOINT_PATTERNS = (
@@ -151,7 +150,6 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    nodes = [Fraction(k) for k in range(d + 1)]
     origin = (Fraction(0),) * f.source_dim
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
@@ -160,8 +158,8 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
         for pat in CHECKPOINT_PATTERNS:
             mu = pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
             expected = f(_combine(mu, vs) if vs else origin)
-            # table[k][j] = l_j(mu_k): one weight per coordinate and node
-            table = [[_lagrange_weight(nodes, j, x) for j in range(d + 1)] for x in mu]
+            # table[k][j] = l_j(mu_k); no checkpoint coordinate is an integer node
+            table = [_lagrange_weights(d, x) for x in mu]
             got = _combine([prod(map(getitem, table, lam)) for lam in grid], values)
             if expected != got:
                 return PolynomialVerdict(False, (ti, mu, expected, got))

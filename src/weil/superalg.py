@@ -26,7 +26,7 @@ from operator import add, or_
 
 from . import linalg
 from .liealg import frac
-from .masks import indices_of, mask_of, merge_sign, swap_mask
+from .masks import indices_of, mask_of, swap_mask
 
 Key = tuple[int, tuple[int, ...]]  # (odd bitmask, even exponent vector)
 ONE = Fraction(1)
@@ -139,13 +139,14 @@ def _acc(out, key, v):
 
 
 def _left_multiply(out, img, mask, exps, c):
-    """Accumulate c * img * o_mask e^exps into ``out``; ``img`` is a term dict."""
+    """Accumulate c * img * o_mask e^exps into ``out``; ``img`` is a term dict.  An image
+    term with odd mask im is zero if im meets mask, else signed by ``mask & swap_mask(im)``."""
     for (im, ie), ic in img.items():
-        merged = merge_sign(im, mask)
-        if merged is None:
+        if im & mask:
             continue
         v = c * ic
-        _acc(out, (merged[0], tuple(map(add, ie, exps))), v if merged[1] > 0 else -v)
+        _acc(out, (im | mask, tuple(map(add, ie, exps))),
+             -v if (mask & swap_mask(im)).bit_count() & 1 else v)
 
 
 def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
@@ -157,35 +158,26 @@ def multiply(a: SuperElement, b: SuperElement) -> SuperElement:
     return a.with_terms(out)
 
 
-def _partials(mask, exps):
-    """The left derivatives of o_mask e^exps, in generator order: one
-    (table, i, mask', exps', coefficient) per generator g it contains, where
-    table is 0 for g = o_i and 1 for g = e_i.  o_i at position p leaves
-    (-1)^p o_{mask - i} e^exps; e_i leaves exps_i o_mask e^{exps - 1_i}."""
-    out = [(0, i, mask & ~(1 << i), exps, -1 if p % 2 else 1)
-           for p, i in enumerate(indices_of(mask))]
-    for i, q in enumerate(exps):
-        if q:
-            out.append((1, i, mask, exps[:i] + (q - 1,) + exps[i + 1:], q))
-    return out
-
-
 def derivation(a: SuperElement, odd_images, even_images) -> SuperElement:
     """D(a) = sum_g D(g) da/dg, where D(o_i) = odd_images[i], D(e_i) = even_images[i].
 
     Images are term dicts {key: Fraction}; None or {} stands for zero, and
     each image has the parity of D.  Only the images of generators that occur
-    in ``a`` are looked up.  da/dg is the left derivative (see
-    :func:`_partials`).  Moving D(g) to the front costs exactly the sign D
-    would pick up passing the same factors, so the parity of D never enters.
+    in ``a`` are looked up.  da/dg is the left derivative: o_i at position p
+    leaves (-1)^p o_{mask - i} e^exps, e_i leaves exps_i o_mask e^{exps - 1_i}.
+    Moving D(g) to the front costs exactly the sign D would pick up passing
+    the same factors, so the parity of D never enters.
     """
     out: dict[Key, Fraction] = {}
-    table = odd_images, even_images
     for (mask, exps), c in a.terms.items():
-        for t, i, rest, rest_exps, q in _partials(mask, exps):
-            img = table[t][i]
+        for p, i in enumerate(indices_of(mask)):
+            img = odd_images[i]
             if img:
-                _left_multiply(out, img, rest, rest_exps, q * c)
+                _left_multiply(out, img, mask & ~(1 << i), exps, -c if p & 1 else c)
+        for i, q in enumerate(exps):
+            img = q and even_images[i]
+            if img:
+                _left_multiply(out, img, mask, exps[:i] + (q - 1,) + exps[i + 1:], q * c)
     return a.with_terms(out)
 
 

@@ -356,6 +356,15 @@ def test_connection_algebra_is_checked(tmp_path, capsys, algebra, flag, message)
     ["polyfunc", "check", "--expr", "x", "--degree", "20", "--dim", "3"],
     ["polyfunc", "check", "--expr", "x", "--degree", "60", "--dim", "3"],
     ["polyfunc", "check", "--expr", "x", "--degree", "2", "--dim", "1000000"],
+    # at dim 1 the second trial set has (d+1)^2 grid points, each a product of
+    # weights that grow with d: 1.9 s at degree 100, 392 s at 800 before this was counted
+    ["polyfunc", "check", "--expr", "x", "--degree", "21", "--dim", "1"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "100", "--dim", "1"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "140", "--dim", "1"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "800", "--dim", "1"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "19999", "--dim", "1"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "99", "--dim", "2"],
+    ["polyfunc", "check", "--expr", "x", "--degree", "8", "--dim", "3"],
     # a 401-square Vandermonde inverse; a 141-square one, within a (d+1) max(d+1, dim)
     # size but not (d+1)^3: its exact entries grow in bit length with the degree
     ["polyfunc", "decompose", "--expr", "x", "--degree", "400", "--dim", "1"],
@@ -368,7 +377,10 @@ def test_connection_algebra_is_checked(tmp_path, capsys, algebra, flag, message)
     ["equivariant", "--algebra", "abelian20000", "--action", "trivial:1", "--degree", "0",
      "--poly-cap", "0"],
 ], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
-        "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim", "decompose-degree",
+        "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim",
+        "check-dim1-degree-21", "check-dim1-degree-100", "check-dim1-degree-140",
+        "check-dim1-degree-800", "check-dim1-degree-19999", "check-dim2-degree-99",
+        "check-dim3-degree-8", "decompose-degree",
         "decompose-degree-140", "decompose-dim", "cohomology-n20000", "invariants-n20000",
         "basic-n20000", "equivariant-n20000"])
 def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
@@ -383,6 +395,14 @@ def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
                     monkeypatch.setattr(module, attr, enumerated)
     error = assert_domain_error(capsys, argv)
     assert error["type"] == "ResourceCapError" and "over the cap 20000" in error["message"]
+
+
+@pytest.mark.parametrize("dim,degree", [(0, 19999), (1, 20), (2, 15), (3, 7)])
+def test_check_runs_up_to_its_size_rule(capsys, dim, degree):
+    # the largest degrees sum_k (d+1)^k (k (d+1) + dim) admits, k = min(dim, 3) and 2 min(dim, 1)
+    code, out = run_cli(capsys, "polyfunc", "check", "--expr", "x" if dim else "1",
+                        "--degree", str(degree), "--dim", str(dim))
+    assert code == 0 and json.loads(out)["results"]["consistent"]
 
 
 def test_action_json_over_cap_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
@@ -488,6 +508,38 @@ def test_ray_failure_prints_the_probe_as_rationals(capsys):
                                          "--dim", "3"])
     assert error["message"] == ("map is not polynomial of degree <= 3 along rays: "
                                 "component 0 fails homogeneity at probe (1, -2, 3) with mu=2")
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv,file_text,what", [
+    (["polyfunc", "check", "--expr", "x + " + LONG, "--degree", "1", "--dim", "1"], None,
+     "--expr"),
+    (["basic", "--algebra", "abelian" + LONG, "--degree", "1"], None, "--algebra"),
+    (["cw", "--connection", "CONN", "--invariant", f"basis:{LONG}:1"], None, "--invariant"),
+    (["equivariant", "--algebra", "su2", "--action", f"trivial:{LONG}", "--degree", "1",
+      "--poly-cap", "1"], None, "--action"),
+    (["polyfunc", "inject", "--functor", "Sym" + LONG, "--copies", "3", "--base-dim", "1"], None,
+     "--functor"),
+    (["polyfunc", "decompose", "--expr", "x", "--degree", "1", "--dim", "1", "--probes", "FILE"],
+     f"[[{LONG}]]", "FILE"),
+    (["polyfunc", "decompose", "--expr", "x", "--degree", "1", "--dim", "1", "--probes", "FILE"],
+     f'[["{LONG}"]]', "FILE"),
+], ids=["expr", "algebra", "invariant", "action", "functor", "json-integer", "json-rational"])
+def test_long_number_literals_get_a_package_message(tmp_path, capsys, monkeypatch, argv,
+                                                    file_text, what):
+    # 5,000 digits are over int()'s default limit of 4,300; without a check, Python's
+    # own "Exceeds the limit" message was the reply
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    conn = write_json(tmp_path, "conn.json", HEISENBERG_CONNECTION)
+    path = tmp_path / "probes.json"
+    if file_text:
+        path.write_text(file_text)
+    argv = [{"CONN": conn, "FILE": str(path)}.get(a, a) for a in argv]
+    error = assert_domain_error(capsys, argv)
+    assert error == {"type": "ValueError", "message": f"{str(path) if what == 'FILE' else what} "
+                     "holds a number of more than 4300 digits"}
 
 
 def test_power_size_counts_the_variables_of_the_base():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -358,9 +359,9 @@ def per_grid_point_is_polynomial(f, d, trial_sets):
 def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
     rng = random.Random(113)
     calls = []
-    weight = polyfunctor._lagrange_weight
-    monkeypatch.setattr(polyfunctor, "_lagrange_weight",
-                        lambda nodes, j, x: calls.append(j) or weight(nodes, j, x))
+    weights = polyfunctor._lagrange_weights
+    monkeypatch.setattr(polyfunctor, "_lagrange_weights",
+                        lambda d, x: calls.append(weights(d, x)) or calls[-1])
     for _ in range(12):
         src, deg = rng.randint(1, 3), rng.randint(1, 3)
         polys = []
@@ -383,4 +384,15 @@ def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
             assert verdict.consistent == (d == deg)
             if verdict.consistent:  # one weight per checkpoint coordinate and node
                 coords = sum(len(polyfunctor.CHECKPOINT_PATTERNS) * len(vs) for vs in trials)
-                assert len(calls) == coords * (d + 1)
+                assert [len(w) for w in calls] == [d + 1] * coords
+
+
+def test_lagrange_weights_match_the_product_definition():
+    # every checkpoint coordinate, and the 1/2 that pads a pattern to more directions
+    points = {x for pattern in polyfunctor.CHECKPOINT_PATTERNS for x in pattern} | {F(1, 2)}
+    # the closed form divides by x - j: no checkpoint coordinate may be a node
+    assert all(x.denominator != 1 for x in points)
+    for d in range(13):
+        for x in points:
+            assert polyfunctor._lagrange_weights(d, x) == [
+                prod((x - k) / F(j - k) for k in range(d + 1) if k != j) for j in range(d + 1)]

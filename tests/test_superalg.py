@@ -6,7 +6,8 @@ loop with the left factor as the image.  The oracles below are the previous
 forms: a derivation that puts D(o_i) in place of o_i and D(e_i) after the odd
 factors and reads the sign of an odd D from a parity flag, and the double
 loop over both factors.  Their signs come from an inversion count, not from
-``masks.merge_sign``, which is checked against the same count.
+the parity of ``mask & masks.swap_mask(image mask)``, which is checked
+against the same count.
 ``operator_rows``, the same rule on keys packed into ints, is checked
 against one ``derivation`` per key and table, also at the exponent sums where
 the packing width steps.
@@ -24,7 +25,7 @@ from weil.chart_forms import ChartForm, d as chart_d
 from weil.equivariant import WeilModel, builtin_action
 from weil.liealg import basis_vector, builtin
 from weil import superalg
-from weil.masks import indices_of, mask_of, merge_sign, swap_mask
+from weil.masks import indices_of, mask_of, swap_mask
 from weil.superalg import ONE, derivation, in_span, multiply, operator_rows, vectors
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_images,
                                lie_images)
@@ -142,7 +143,7 @@ def model_tables():
 def random_tables():
     """Seeded tables whose images carry 2 or 3 odd bits, which no table in the
     package has: an odd D sends o_i to 2-bit and e_i to 3-bit images, an even
-    D the other way round, so merge_sign counts past several image bits."""
+    D the other way round, so the sign counts past several image bits."""
     for seed, zero, odd in ((1, WeilElement(5), True), (2, WeilElement(5), False),
                             (3, ChartForm(4), True), (4, ChartForm(4), False)):
         rng = random.Random(seed)
@@ -251,9 +252,11 @@ def test_operator_rows_packs_only_held_generators(monkeypatch):
     # generators, and only the terms of the two held images are packed
     table = WIDTH_TABLES[1][1]
     keys = [(0b001, (0, 0, 0)), (0b001, (0, 0, 2)), (0, (0, 0, 1))]
+    # the oracle first: derivation signs by swap_mask too, and the spy counts packing only
+    expected = per_key_rows([table], WeilElement(3), keys)
     packed = []
     monkeypatch.setattr(superalg, "swap_mask", lambda im: packed.append(im) or swap_mask(im))
-    assert_same_vectors(operator_rows([table], keys), per_key_rows([table], WeilElement(3), keys))
+    assert_same_vectors(operator_rows([table], keys), expected)
     odd, even = _integer_images(*table)
     assert all(odd) and all(even)
     assert len(packed) == len(odd[0]) + len(even[2])
@@ -306,8 +309,11 @@ def test_star_is_the_product_and_scale_takes_numbers():
 
 
 def test_merge_sign_counts_inversions():
+    # the sign rule of _left_multiply and operator_rows: o_a in front of o_b
+    # costs the parity of b & swap_mask(a), and an overlap is zero
     for a, b in product(range(1 << 7), repeat=2):
-        assert merge_sign(a, b) == inversion_merge(a, b), (a, b)
+        merged = None if a & b else (a | b, -1 if (b & swap_mask(a)).bit_count() & 1 else 1)
+        assert merged == inversion_merge(a, b), (a, b)
 
 
 def test_vectors_number_keys_by_first_appearance():
