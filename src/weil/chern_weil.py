@@ -40,20 +40,18 @@ class LieValuedForm:
     def zero(cls, algebra, chart_dim):
         return cls(algebra, chart_dim, [ChartForm.zero(chart_dim) for _ in range(algebra.dim)])
 
-    def degree(self):
-        degs = set()
-        for c in self.components:
-            degs |= c.degrees()
-        if len(degs) > 1:
-            raise ValueError("components are not of a single form degree")
-        return degs.pop() if degs else 0
-
     def __eq__(self, other):
         return (isinstance(other, LieValuedForm) and self.algebra == other.algebra
                 and self.chart_dim == other.chart_dim and self.components == other.components)
 
     def __repr__(self):
         return "LieValuedForm(" + ", ".join(repr(c) for c in self.components) + ")"
+
+
+def _check_connection(A: LieValuedForm):
+    """Refuse A unless it is a g-valued 1-form: every term has exactly one dx."""
+    if any(mask.bit_count() != 1 for c in A.components for mask, _ in c.terms):
+        raise ValueError("a connection must be a g-valued 1-form")
 
 
 def _characteristic_images(A: LieValuedForm):
@@ -71,8 +69,7 @@ def weil_to_chart(a: WeilElement, A: LieValuedForm) -> ChartForm:
 def curvature(A: LieValuedForm) -> LieValuedForm:
     """F = dA + 1/2 [A, A], the characteristic map applied to the Weil curvature
     Omega; dA is taken once for all components."""
-    if A.degree() not in (0, 1):
-        raise ValueError("curvature needs a 1-form connection")
+    _check_connection(A)
     L, images = A.algebra, _characteristic_images(A)
     return LieValuedForm(L, A.chart_dim, [substitute(curvature_generator(L, k), *images)
                                           for k in range(L.dim)])
@@ -94,8 +91,6 @@ def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
         raise ValueError("cw_form needs a symmetric-factor element")
     if not P.is_homogeneous() or not P:
         raise ValueError("cw_form needs a homogeneous nonzero polynomial")
-    if A.degree() not in (0, 1):
-        raise ValueError("cw_form needs a 1-form connection")
     return substitute(P, A.components, curvature(A).components, ChartForm.unit(A.chart_dim))
 
 
@@ -277,6 +272,7 @@ def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
 
 def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
     """alpha . g = g^{-1} (dg + alpha g), all arithmetic exact."""
+    _check_connection(A)
     _check_gauge(g, A)
     Ag = _form_mat_mul(_lie_valued_to_matrix(A, g.rep), g.entries)
     return _left_divide(g, [[d(p) + b for p, b in zip(*rows)] for rows in zip(g.entries, Ag)], A)

@@ -23,20 +23,21 @@ from .chern_weil import (builtin_rep, constant_gauge, cw_form,
                          gauge_transform, quaternion_matrix, unipotent_gauge)
 from .equivariant import WeilModel, action_dim, builtin_action, check_basis_size
 from .invariant_polynomials import basic_subspace, invariant_bases, invariant_basis
-from .liealg import builtin
+from .liealg import basis_vector, builtin
 from .polyfunctor import (CHECKPOINT_PATTERNS, FunctorSpec, homogeneous_decompose,
                           is_polynomial, poly_black_box, restriction_injectivity)
 from .schur_oracle import DEFAULT_CAP, ResourceCapError, check_size, verify_bidegree
 from .weil_algebra import (WeilElement, graded_dims, koszul_cohomology_dims,
-                           multiply)
+                           lie_derivative, multiply)
 
 
 # -- polynomial expression grammar -------------------------------------
 # exprs := expr (',' expr)* ; expr := term (('+'|'-') term)*
 # term := unary (('*'|'/') unary)* ; unary := '-' unary | power
-# power := atom (('^'|'**') int)? ; atom := rational | variable | '(' expr ')'
+# power := atom (('^'|'**') int)? ; atom := int | variable | '(' expr ')'
+# Numbers are integers only, so p/q is p divided by q and '^' binds tighter than '/'.
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([a-zA-Z_]\w*)|(\*\*|[-+*/^(),]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([a-zA-Z_]\w*)|(\*\*|[-+*/^(),]))")
 
 _VAR_ALIASES = "xyzwuv"
 
@@ -55,15 +56,7 @@ def _tokenize(text):
                 raise ExprError(f"cannot tokenize {text[pos:]!r}")
             break
         num, name, op = m.groups()
-        if num:
-            try:
-                out.append(("num", Fraction(num)))
-            except ZeroDivisionError:
-                raise ExprError(f"zero denominator in {num!r}") from None
-        elif name:
-            out.append(("var", name))
-        else:
-            out.append(("op", op))
+        out.append(("num", int(num)) if num else ("var", name) if name else ("op", op))
         pos = m.end()
     out.append(("end", None))
     return out
@@ -88,7 +81,7 @@ class _Parser:
             raise ExprError(f"expected {op!r}")
 
     def var_index(self, name):
-        m = re.fullmatch(r"x(\d+)", name)
+        m = re.fullmatch(r"x([0-9]+)", name)
         if m:
             i = int(m.group(1)) - 1
         elif len(name) == 1 and name in _VAR_ALIASES:
@@ -141,10 +134,9 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[0] == "op" and self.peek()[1] in ("^", "**"):
             self.take()
-            kind, val = self.take()
-            if kind != "num" or val.denominator != 1:
+            kind, e = self.take()
+            if kind != "num":
                 raise ExprError("exponents must be nonnegative integers")
-            e = int(val)
             _check_product([(base, e)])  # bounds every partial power too
             out = ChartForm.constant(self.dim)
             for _ in range(e):
@@ -247,18 +239,14 @@ def _read_json(path, payloads):
     return json.loads(text)
 
 
-def _algebra_arg(name):
-    # accept both abelian(2) and the flag-friendly abelian2
-    m = re.fullmatch(r"abelian(\d+)", name)
-    if m:
-        name = f"abelian({m.group(1)})"
-    return builtin(name)
-
-
 def _named_invariant(L, name):
     if name == "casimir":
-        return sum((multiply(WeilElement.lamt(L.dim, i), WeilElement.lamt(L.dim, i))
-                    for i in range(L.dim)), WeilElement.zero(L.dim))
+        P = sum((multiply(WeilElement.lamt(L.dim, i), WeilElement.lamt(L.dim, i))
+                 for i in range(L.dim)), WeilElement.zero(L.dim))
+        if any(lie_derivative(L, basis_vector(L.dim, i), P) for i in range(L.dim)):
+            raise ValueError(f"casimir, the sum of the squares lamt_i^2, is not invariant on "
+                             f"{L.name or 'the given algebra'}; use basis:<k>:<i>")
+        return P
     m = re.fullmatch(r"basis:(\d+):(\d+)", name)
     if m:
         k, idx = int(m.group(1)), int(m.group(2))
@@ -273,7 +261,7 @@ def _named_invariant(L, name):
 
 
 def _cmd_basic(args, payloads):
-    L = _algebra_arg(args.algebra)
+    L = builtin(args.algebra)
     basis = basic_subspace(L, args.degree)
     return {"algebra": jsonio.algebra_to_json(L), "degree": args.degree,
             "dim": len(basis), "basis": [jsonio.weil_element_to_json(b) for b in basis]}
@@ -286,7 +274,7 @@ def _cmd_cohomology(args, payloads):
 
 
 def _cmd_invariants(args, payloads):
-    L = _algebra_arg(args.algebra)
+    L = builtin(args.algebra)
     bases = invariant_bases(L, args.max_degree)
     return {"algebra": jsonio.algebra_to_json(L), "space": "(Sym g*)^g",
             "dims": [len(basis) for basis in bases],
@@ -294,7 +282,7 @@ def _cmd_invariants(args, payloads):
 
 
 def _cmd_cw(args, payloads):
-    L = _algebra_arg(args.algebra) if args.algebra else None
+    L = builtin(args.algebra) if args.algebra else None
     conn = jsonio.connection_from_json(_read_json(args.connection, payloads), L)
     if args.invariant_json:
         P = jsonio.weil_element_from_json(conn.algebra.dim,
@@ -328,7 +316,7 @@ def _parse_gauge(obj, algebra, chart_dim):
 
 
 def _cmd_gauge(args, payloads):
-    L = _algebra_arg(args.algebra) if args.algebra else None
+    L = builtin(args.algebra) if args.algebra else None
     conn = jsonio.connection_from_json(_read_json(args.connection, payloads), L)
     g = _parse_gauge(_read_json(args.gauge, payloads), conn.algebra, conn.chart_dim)
     moved = gauge_transform(conn, g)
@@ -336,7 +324,7 @@ def _cmd_gauge(args, payloads):
 
 
 def _cmd_equivariant(args, payloads):
-    L = _algebra_arg(args.algebra)
+    L = builtin(args.algebra)
     if args.action_json:
         # the size is read off the raw JSON, so an oversized file is refused unparsed
         raw = [jsonio.typed(mat, list, "an action matrix")

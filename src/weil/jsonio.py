@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .chart_forms import ChartForm
@@ -23,17 +24,22 @@ def rational_str(x) -> str:
     return str(x)
 
 
-def parse_rational(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ValueError("rationals must be strings or integers, got bool")
-    if isinstance(s, int):
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(s, what) -> Fraction:
+    """A JSON integer, or a string ``p`` or ``p/q`` matching ``-?[0-9]+(/[0-9]+)?``;
+    any other string is a ValueError naming the field ``what``."""
+    if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"rational {s!r} has a zero denominator") from None
-    raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+    if type(s) is not str:
+        raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"{what} must be a rational p or p/q, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 # -- typed fields ------------------------------------------------------
@@ -51,7 +57,7 @@ def typed(obj, kind, what):
 
 def rationals(obj, what, size=None) -> list:
     """A JSON array of rationals, of ``size`` entries when given."""
-    out = [parse_rational(x) for x in typed(obj, list, what)]
+    out = [parse_rational(x, f"{what} entry") for x in typed(obj, list, what)]
     if size is not None and len(out) != size:
         raise ValueError(f"{what} must hold {size} rationals")
     return out
@@ -85,7 +91,7 @@ def algebra_from_json(obj) -> LieAlgebra:
         i, j, k = (typed(entry[f], int, f"bracket index {f}") - 1 for f in "ijk")
         if not 0 <= i < j < dim or not 0 <= k < dim:
             raise ValueError(f"bracket entries need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
-        brackets.setdefault((i, j), {})[k] = parse_rational(entry["c"])
+        brackets.setdefault((i, j), {})[k] = parse_rational(entry["c"], "a bracket c")
     name = obj.get("name")
     L = from_brackets(dim, brackets, name=None if name is None else typed(name, str, "name"))
     violation = validate(L)
@@ -121,7 +127,7 @@ def _terms_from_json(obj, odd_field, even_field, n):
         if len(exps) != n or any(x < 0 for x in exps):
             raise ValueError(f"{even_field} must hold {n} nonnegative exponents")
         key = (mask_of(i - 1 for i in odd), tuple(exps))
-        terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"])
+        terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"], "a term c")
     return terms
 
 

@@ -164,17 +164,18 @@ def coadjoint_dual_basis(L: LieAlgebra, xi, a) -> dict[int, Fraction]:
 _EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
-_ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
+_ABELIAN_RE = re.compile(r"abelian(?:\(([0-9]+)\)|([0-9]+))")
 
 
 def builtin(name: str) -> LieAlgebra:
-    """Built-in algebras: abelian(n), su2, so3, sl2, heisenberg3."""
-    m = _ABELIAN_RE.match(name)
+    """Built-in algebras: abelian(n) (also spelt abelian<n>, named abelian(n)), su2,
+    so3, sl2, heisenberg3."""
+    m = _ABELIAN_RE.fullmatch(name)
     if m:
-        n = int(m.group(1))
-        if n < 1:
+        digits = m.group(1) or m.group(2)
+        if int(digits) < 1:
             raise ValueError("abelian(n) needs n >= 1")
-        return make_lie_algebra(n, {}, name=name)
+        return make_lie_algebra(int(digits), {}, name=f"abelian({digits})")
     if name in ("su2", "so3"):
         table = {k: Fraction(v) for k, v in _EPS.items()}
         return make_lie_algebra(3, table, name=name)

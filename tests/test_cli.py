@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,11 +151,13 @@ def test_domain_error_exit_code(capsys):
     ({"dim": 2, "terms": [{"dx": [1], "c": "1/0"}]}, "rational '1/0' has a zero denominator"),
     ({"dim": 2, "terms": 5}, "a term list must be a JSON array of objects"),
     ({"dim": 3, "terms": []}, "component chart dimension disagrees with chart_dim"),
-    ({"dim": 2, "terms": [{"dx": [1, 2], "c": "1"}]}, "cw_form needs a 1-form connection"),
+    ({"dim": 2, "terms": [{"dx": [1, 2], "c": "1"}]}, "a connection must be a g-valued 1-form"),
     ({"dim": 2, "terms": [{"dx": [1], "c": "1"}, {"c": "1"}]},
-     "components are not of a single form degree"),
+     "a connection must be a g-valued 1-form"),
+    ({"dim": 2, "terms": [{"mono": [1, 0], "c": "1"}]}, "a connection must be a g-valued 1-form"),
 ], ids=["mono-null", "negative-exponent", "dx-out-of-range", "bool-coefficient", "string-dim",
-        "zero-denominator", "terms-int", "component-dim", "two-form", "mixed-degrees"])
+        "zero-denominator", "terms-int", "component-dim", "two-form", "mixed-degrees",
+        "zero-form"])
 def test_malformed_term_is_a_domain_error(tmp_path, capsys, component, message):
     conn = {"algebra": "abelian(1)", "chart_dim": 2, "components": [component]}
     path = tmp_path / "conn.json"
@@ -319,8 +322,11 @@ def test_unknown_name_is_a_domain_error(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("expr,message", [("(x", "expected ')'"),
-                                          ("x^-1", "exponents must be nonnegative integers")],
-                         ids=["open-parenthesis", "negative-exponent"])
+                                          ("x^-1", "exponents must be nonnegative integers"),
+                                          ("x+\u0663", "cannot tokenize '\u0663'"),
+                                          ("x\u0663", "unknown variable 'x\u0663'")],
+                         ids=["open-parenthesis", "negative-exponent", "non-ascii-number",
+                              "non-ascii-index"])
 def test_malformed_expression_is_a_domain_error(capsys, expr, message):
     error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", expr, "--dim", "1",
                                          "--degree", "1"])
@@ -441,10 +447,97 @@ def test_deeply_nested_expression_is_a_domain_error(capsys, expr):
                                           ("x/(3/0)", "3/0"), ("x + 2/00", "2/00")])
 @pytest.mark.parametrize("mode", ["check", "decompose"])
 def test_zero_denominator_is_a_domain_error(capsys, mode, expr, literal):
-    # a rational literal with a zero denominator, also after '^' or inside a divisor
+    # numbers are integers, so the quotient ``literal`` in ``expr`` is a division
+    # by the constant 0, also after '^' or inside a divisor
+    assert literal in expr
     error = assert_domain_error(capsys, ["polyfunc", mode, "--expr", expr,
                                          "--dim", "1", "--degree", "1"])
-    assert error == {"type": "ExprError", "message": f"zero denominator in {literal!r}"}
+    assert error == {"type": "ExprError",
+                     "message": "division is only defined by nonzero constants"}
+
+
+BAD_RATIONALS = ["1e999999999", "abc", "1.5", " 1/2 ", "1_000", "0x10", "+1"]
+
+
+def rational_sites(bad):
+    """{site: (argv, connection, other file, field)} per place a file holds a rational,
+    with ``bad`` put there; CONN and FILE in argv stand for the two files."""
+    su2 = {**HEISENBERG_CONNECTION, "algebra": "su2"}
+    bad_term = {**HEISENBERG_CONNECTION, "components": [
+        {"dim": 2, "terms": [{"dx": [1], "mono": [0, 1], "c": bad}]}, *HEISENBERG_CONNECTION[
+            "components"][1:]]}
+    bad_bracket = json_algebra_connection([])
+    bad_bracket["algebra"]["brackets"] = [{"i": 1, "j": 2, "k": 3, "c": bad}]
+    gauge = ["gauge", "--connection", "CONN", "--gauge", "FILE"]
+    return {
+        "probe": (["polyfunc", "decompose", "--expr", "x", "--degree", "1", "--dim", "2",
+                   "--probes", "FILE"], HEISENBERG_CONNECTION, [["1", bad]], "a probe entry"),
+        "action-row": (["equivariant", "--algebra", "abelian1", "--action-json", "FILE",
+                        "--degree", "0", "--poly-cap", "0"], HEISENBERG_CONNECTION,
+                       [[["0", bad], ["1", "0"]]], "an action matrix row entry"),
+        "quaternion": (gauge, su2, {"kind": "constant", "quaternion": ["1", bad, "0", "0"]},
+                       "quaternion entry"),
+        "matrix-row": (gauge, HEISENBERG_CONNECTION, {"kind": "constant", "matrix": [
+            ["1", bad, "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "a matrix row entry"),
+        "term-c": (["cw", "--connection", "CONN", "--invariant", "basis:1:0"], bad_term, None,
+                   "a term c"),
+        "bracket-c": (["cw", "--connection", "CONN", "--invariant", "basis:1:0"], bad_bracket,
+                      None, "a bracket c"),
+    }
+
+
+@pytest.mark.parametrize("site", list(rational_sites("1")))
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_rational_strings_are_read_by_one_strict_grammar(tmp_path, capsys, site, bad):
+    # a rational in a file is an integer or a string -?[0-9]+(/[0-9]+)?; anything else
+    # is refused at once in a message naming the field, "1e999999999" included
+    argv, conn, other, field = rational_sites(bad)[site]
+    files = {"CONN": write_json(tmp_path, "conn.json", conn),
+             "FILE": write_json(tmp_path, "file.json", other)}
+    start = time.perf_counter()
+    error = assert_domain_error(capsys, [files.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 1
+    assert error == {"type": "ValueError",
+                     "message": f"{field} must be a rational p or p/q, got {bad!r}"}
+
+
+@pytest.mark.parametrize("terms", [
+    [{"mono": [1, 0], "c": "1"}],
+    [{"dx": [1, 2], "c": "1"}],
+    [{"dx": [1], "c": "1"}, {"dx": [1, 2], "mono": [0, 1], "c": "1"}],
+], ids=["zero-form", "two-form", "mixed"])
+def test_gauge_needs_a_one_form_connection(tmp_path, capsys, terms):
+    conn = write_json(tmp_path, "conn.json", {**HEISENBERG_CONNECTION, "algebra": "su2",
+                                              "components": [{"dim": 2, "terms": terms}] * 3})
+    gauge = write_json(tmp_path, "gauge.json",
+                       {"kind": "constant", "quaternion": ["1", "2", "0", "-1"]})
+    error = assert_domain_error(capsys, ["gauge", "--connection", conn, "--gauge", gauge])
+    assert error == {"type": "ValueError", "message": "a connection must be a g-valued 1-form"}
+
+
+def test_abelian_n_in_a_file_names_abelian_of_n(tmp_path, capsys):
+    assert builtin("abelian2").name == builtin("abelian(2)").name == "abelian(2)"
+    conn = write_json(tmp_path, "conn.json", {
+        "algebra": "abelian2", "chart_dim": 2,
+        "components": [{"dim": 2, "terms": [{"dx": [2], "mono": [1, 0], "c": "1"}]},
+                       {"dim": 2, "terms": []}]})
+    for flag in ([], ["--algebra", "abelian(2)"]):
+        code, out = run_cli(capsys, "cw", *flag, "--connection", conn, "--invariant", "basis:1:1")
+        assert code == 0
+        assert json.loads(out)["results"]["chern_weil_form"]["terms"] == [
+            {"dx": [1, 2], "mono": [0, 0], "c": "1"}]
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "heisenberg3"])
+def test_casimir_is_refused_where_it_is_not_invariant(tmp_path, capsys, algebra):
+    # on sl2 this connection on R^5 got the form -2 x2 dx1^dx3^dx4^dx5, which is not closed
+    conn = write_json(tmp_path, "conn.json", {"algebra": algebra, "chart_dim": 5, "components": [
+        {"dim": 5, "terms": [{"dx": [3], "mono": [1, 0, 0, 0, 0], "c": "1"}]},
+        {"dim": 5, "terms": [{"dx": [5], "c": "1"}]},
+        {"dim": 5, "terms": [{"dx": [4], "mono": [0, 1, 0, 0, 0], "c": "1"}]}]})
+    error = assert_domain_error(capsys, ["cw", "--connection", conn])
+    assert error == {"type": "ValueError", "message": "casimir, the sum of the squares lamt_i^2, "
+                     f"is not invariant on {algebra}; use basis:<k>:<i>"}
 
 
 @pytest.mark.parametrize("expr", ["x^2000000000", "x^20001", "2^20001", "(x + y)^200",
