@@ -10,6 +10,8 @@ polynomial is a 0-form, and :func:`evaluate` gives its value at a point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import getitem
 
 from .masks import indices_of
 from .superalg import ONE, SuperElement, derivation, multiply, substitute, unit_exponent
@@ -85,17 +87,22 @@ def d(a: ChartForm) -> ChartForm:
 
 
 def evaluate(form: ChartForm, point) -> Fraction:
-    """The value of a 0-form at a point of R^m."""
-    total = Fraction(0)
-    for (mask, e), c in form.terms.items():
-        if mask:
-            raise ValueError("only a 0-form has a value at a point")
-        # repeated products are faster than x ** k on Fractions
-        for x, k in zip(point, e):
-            for _ in range(k):
-                c *= x
-        total += c
-    return total
+    """The value of a 0-form at a point of R^m, summed on ints.
+
+    With x_i = p_i/q_i and E_i the largest exponent of x_i in the form, a term
+    c x^e is c p^e q^(E-e) over q^E, and the coefficients are scaled by the
+    lcm of their denominators, so the value is one Fraction.
+    """
+    if any(mask for mask, _ in form.terms):
+        raise ValueError("only a 0-form has a value at a point")
+    top = [max(col) for col in zip(*(e for _, e in form.terms))]
+    scale = lcm(*(c.denominator for c in form.terms.values()))
+    # powers[i][k] = p_i^k q_i^(E_i - k)
+    powers = [[x.numerator ** k * x.denominator ** (t - k) for k in range(t + 1)]
+              for x, t in zip(point, top)]
+    total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, powers, e))
+                for (_, e), c in form.terms.items())
+    return Fraction(total, scale * prod(x.denominator ** t for x, t in zip(point, top)))
 
 
 class PolyMap:

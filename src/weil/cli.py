@@ -247,7 +247,7 @@ def _named_invariant(L, name):
             raise ValueError(f"casimir, the sum of the squares lamt_i^2, is not invariant on "
                              f"{L.name or 'the given algebra'}; use basis:<k>:<i>")
         return P
-    m = re.fullmatch(r"basis:(\d+):(\d+)", name)
+    m = re.fullmatch(r"basis:([0-9]+):([0-9]+)", name)
     if m:
         k, idx = int(m.group(1)), int(m.group(2))
         basis = invariant_basis(L, k)
@@ -403,7 +403,7 @@ def _cmd_polyfunc(args, payloads):
                               "interpolated": [jsonio.rational_str(x) for x in got]}
         return out
     # inject
-    m = re.fullmatch(r"(Sym|Lambda|Tensor)(\d+)", args.functor)
+    m = re.fullmatch(r"(Sym|Lambda|Tensor)([0-9]+)", args.functor)
     if not m:
         raise ValueError("functor must look like Sym2, Lambda2, or Tensor1")
     kind = {"Sym": "sym", "Lambda": "ext", "Tensor": "ten"}[m.group(1)]

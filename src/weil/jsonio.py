@@ -29,17 +29,17 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def parse_rational(s, what) -> Fraction:
     """A JSON integer, or a string ``p`` or ``p/q`` matching ``-?[0-9]+(/[0-9]+)?``;
-    any other string is a ValueError naming the field ``what``."""
+    anything else is a ValueError naming the field ``what``."""
     if type(s) is int:
         return Fraction(s)
     if type(s) is not str:
-        raise ValueError(f"rationals must be strings or integers, got {type(s).__name__}")
+        raise ValueError(f"{what} must be a rational p or p/q, got {type(s).__name__}")
     if not _RATIONAL.fullmatch(s):
         raise ValueError(f"{what} must be a rational p or p/q, got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"rational {s!r} has a zero denominator") from None
+        raise ValueError(f"{what} has a zero denominator") from None
 
 
 # -- typed fields ------------------------------------------------------

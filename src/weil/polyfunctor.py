@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import getitem
 
 from . import linalg
@@ -42,14 +42,19 @@ def _combine(coeffs, vectors):
     """sum_k coeffs[k] vectors[k], coordinate by coordinate, in exact arithmetic.
 
     Every sum of the procedures below is taken here; a zero coefficient is
-    skipped, and the sum has the length of the shortest vector.  A sum starts
-    from its first term, not from zero: one Fraction addition less per
-    coordinate, which is most of the cost of scaling a vector.
+    skipped, and the sum has the length of the shortest vector.  The sum is
+    taken on ints: the coefficients are scaled once by the lcm of their
+    denominators, each coordinate by the lcm of its column's denominators,
+    and each output coordinate is one Fraction.
     """
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     out = []
     for column in zip(*vectors):
-        terms = [c * x for c, x in zip(coeffs, column) if c]
-        out.append(sum(terms[1:], terms[0]) if terms else Fraction(0))
+        terms = [(a, x) for a, x in zip(ints, column) if a]
+        den = lcm(*(x.denominator for _, x in terms))
+        out.append(Fraction(sum(a * x.numerator * (den // x.denominator) for a, x in terms),
+                            scale * den))
     return tuple(out)
 
 
@@ -125,10 +130,14 @@ class PolynomialVerdict:
 
 
 def _lagrange_weights(d, x):
-    """l_j(x) = prod_{k != j} (x - k)/(j - k) for the nodes j = 0..d, at an x that is no
-    node, in closed form: P(x) (-1)^(d-j) / (j! (d-j)! (x - j)), P(x) = prod_k (x - k)."""
-    p = prod(x - k for k in range(d + 1))
-    return [p / ((x - j) * factorial(j) * factorial(d - j) * (-1) ** (d - j)) for j in range(d + 1)]
+    """l_j(x) = prod_{k != j} (x - k)/(j - k) for the nodes j = 0..d, at an x = p/q that
+    is no node, as integer numerators over one denominator: (N, q^d d!) with
+    N_j = (-1)^(d-j) C(d, j) prod_{k != j} (p - kq), the product being P / (p - jq)
+    for P = prod_k (p - kq)."""
+    p, q = x.numerator, x.denominator
+    full = prod(p - k * q for k in range(d + 1))
+    return ([(-1) ** (d - j) * comb(d, j) * (full // (p - j * q)) for j in range(d + 1)],
+            q ** d * factorial(d))
 
 
 CHECKPOINT_PATTERNS = (
@@ -158,9 +167,12 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
         for pat in CHECKPOINT_PATTERNS:
             mu = pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
             expected = f(_combine(mu, vs) if vs else origin)
-            # table[k][j] = l_j(mu_k); no checkpoint coordinate is an integer node
+            # l_j(mu_k) = table[k][0][j] / table[k][1]; no checkpoint coordinate is a node
             table = [_lagrange_weights(d, x) for x in mu]
-            got = _combine([prod(map(getitem, table, lam)) for lam in grid], values)
+            nums = [n for n, _ in table]
+            den = prod(q for _, q in table)
+            got = tuple(y / den for y in
+                        _combine([prod(map(getitem, nums, lam)) for lam in grid], values))
             if expected != got:
                 return PolynomialVerdict(False, (ti, mu, expected, got))
     return PolynomialVerdict(True)

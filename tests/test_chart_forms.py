@@ -122,6 +122,33 @@ def test_evaluate_polynomials():
         ChartForm.x(2, 2)
 
 
+def product_evaluate(form, point):
+    """The previous evaluation, kept as the oracle: repeated Fraction products."""
+    total = Fraction(0)
+    for (mask, e), c in form.terms.items():
+        assert not mask
+        for x, k in zip(point, e):
+            for _ in range(k):
+                c *= x
+        total += c
+    return total
+
+
+def test_evaluate_matches_repeated_products():
+    rng = random.Random(131)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        # empty and constant forms (every largest exponent 0) among them
+        form = rand_poly(rng, m, max_degree=rng.choice((0, 3, 5)), terms=rng.randint(0, 4))
+        point = tuple(rng.choice((rng.randint(-3, 3),
+                                  Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                      for _ in range(m))
+        got = evaluate(form, point)
+        assert type(got) is Fraction and got == product_evaluate(form, point)
+    assert evaluate(ChartForm.zero(3), (1, 2, 3)) == 0
+    assert evaluate(ChartForm.constant(2, Fraction(-5, 6)), (Fraction(1, 7), 2)) == Fraction(-5, 6)
+
+
 def test_graded_commutativity():
     rng = random.Random(47)
     for _ in range(10):

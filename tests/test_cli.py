@@ -145,10 +145,10 @@ def test_domain_error_exit_code(capsys):
      "mono must hold 2 nonnegative exponents"),
     ({"dim": 2, "terms": [{"dx": [5], "mono": [0, 0], "c": "1"}]}, "dx index out of range 1..2"),
     ({"dim": 2, "terms": [{"dx": [1], "mono": [0, 0], "c": True}]},
-     "rationals must be strings or integers, got bool"),
+     "a term c must be a rational p or p/q, got bool"),
     ({"dim": "2", "terms": [{"dx": [1], "c": "1"}]},
      "a chart form dim must be a nonnegative integer"),
-    ({"dim": 2, "terms": [{"dx": [1], "c": "1/0"}]}, "rational '1/0' has a zero denominator"),
+    ({"dim": 2, "terms": [{"dx": [1], "c": "1/0"}]}, "a term c has a zero denominator"),
     ({"dim": 2, "terms": 5}, "a term list must be a JSON array of objects"),
     ({"dim": 3, "terms": []}, "component chart dimension disagrees with chart_dim"),
     ({"dim": 2, "terms": [{"dx": [1, 2], "c": "1"}]}, "a connection must be a g-valued 1-form"),
@@ -312,8 +312,14 @@ def test_negative_size_is_a_domain_error(capsys, argv, message):
      "unknown invariant name 'foo' (use 'casimir' or 'basis:<k>:<i>')"),
     (["polyfunc", "inject", "--functor", "Foo2", "--copies", "3", "--base-dim", "1"],
      "functor must look like Sym2, Lambda2, or Tensor1"),
+    # a digit outside ASCII is no number: U+0662 is ARABIC-INDIC DIGIT TWO
+    (["cw", "--connection", "CONN", "--invariant", "basis:\u0662:0"],
+     "unknown invariant name 'basis:\u0662:0' (use 'casimir' or 'basis:<k>:<i>')"),
+    (["polyfunc", "inject", "--functor", "Sym\u0662", "--copies", "3", "--base-dim", "1"],
+     "functor must look like Sym2, Lambda2, or Tensor1"),
 ], ids=["abelian0", "rot2-on-su2", "unknown-action", "trivial-letter", "trivial-negative",
-        "invariant-index", "unknown-invariant", "unknown-functor"])
+        "invariant-index", "unknown-invariant", "unknown-functor", "non-ascii-invariant-degree",
+        "non-ascii-functor-degree"])
 def test_unknown_name_is_a_domain_error(tmp_path, capsys, argv, message):
     """A named argument the package cannot read is refused in its own words."""
     conn = write_json(tmp_path, "conn.json", HEISENBERG_CONNECTION)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -384,7 +384,7 @@ def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
             assert verdict.consistent == (d == deg)
             if verdict.consistent:  # one weight per checkpoint coordinate and node
                 coords = sum(len(polyfunctor.CHECKPOINT_PATTERNS) * len(vs) for vs in trials)
-                assert [len(w) for w in calls] == [d + 1] * coords
+                assert [len(nums) for nums, _ in calls] == [d + 1] * coords
 
 
 def test_lagrange_weights_match_the_product_definition():
@@ -394,5 +394,36 @@ def test_lagrange_weights_match_the_product_definition():
     assert all(x.denominator != 1 for x in points)
     for d in range(13):
         for x in points:
-            assert polyfunctor._lagrange_weights(d, x) == [
+            nums, den = polyfunctor._lagrange_weights(d, x)
+            assert all(type(n) is int for n in nums)
+            assert den == x.denominator ** d * factorial(d)
+            assert [F(n, den) for n in nums] == [
                 prod((x - k) / F(j - k) for k in range(d + 1) if k != j) for j in range(d + 1)]
+
+
+def fraction_combine(coeffs, vectors):
+    """The previous _combine, kept as the oracle: a Fraction product and sum per term."""
+    out = []
+    for column in zip(*vectors):
+        terms = [c * x for c, x in zip(coeffs, column) if c]
+        out.append(sum(terms[1:], terms[0]) if terms else F(0))
+    return tuple(out)
+
+
+def test_combine_matches_fraction_sums():
+    rng = random.Random(137)
+
+    def number(zero_weight):
+        return rng.choice([0] * zero_weight + [rng.randint(-4, 4),
+                                               F(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    for _ in range(200):
+        k, n = rng.randint(0, 5), rng.randint(0, 4)
+        coeffs = [number(2) for _ in range(k)]
+        vectors = [tuple(number(1) for _ in range(n)) for _ in range(k)]
+        got = polyfunctor._combine(coeffs, vectors)
+        assert got == fraction_combine(coeffs, vectors)
+        assert all(type(x) is Fraction for x in got)
+    # the sum has the length of the shortest vector; an all-zero column is 0
+    assert polyfunctor._combine([F(1, 2), 3], [(1, F(2, 3), 5), (F(1, 6), 0)]) == (1, F(1, 3))
+    assert polyfunctor._combine([0, 0], [(F(1, 3),), (2,)]) == (0,)
