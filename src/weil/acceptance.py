@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import linalg
 from .chart_forms import ChartForm, PolyMap, d as chart_d, evaluate, pullback
@@ -35,12 +35,11 @@ from .weil_algebra import (WeilElement, change_of_basis,
                            weil_basis)
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: int
     title: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def line(self):
         return f"{'PASS' if self.passed else 'FAIL'} criterion {self.ident}: {self.title}"

@@ -10,7 +10,6 @@ in a validated matrix representation, so every inverse is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -100,13 +99,15 @@ def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
 # -- matrix representations -------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixRep:
     """Faithful matrix images of the basis vectors, exact rational entries."""
 
-    algebra: LieAlgebra
-    size: int
-    mats: tuple  # n matrices, each tuple of row tuples of Fraction
+    __slots__ = ("algebra", "size", "mats")
+
+    def __init__(self, algebra: LieAlgebra, size: int, mats: tuple):
+        self.algebra = algebra
+        self.size = size
+        self.mats = mats  # n matrices, each tuple of row tuples of Fraction
 
     def flat_columns(self):
         """Flattened generator matrices as sparse columns for coordinate extraction."""
@@ -180,14 +181,16 @@ def quaternion_matrix(a, b, c, dd):
 # -- gauge transformations --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GaugeTransform:
     """Group-valued map in a matrix representation, with its exact inverse."""
 
-    rep: MatrixRep
-    chart_dim: int
-    entries: tuple  # r x r 0-form ChartForms
-    inverse: tuple  # r x r 0-form ChartForms, entries^{-1}
+    __slots__ = ("rep", "chart_dim", "entries", "inverse")
+
+    def __init__(self, rep: MatrixRep, chart_dim: int, entries: tuple, inverse: tuple):
+        self.rep = rep
+        self.chart_dim = chart_dim
+        self.entries = entries  # r x r 0-form ChartForms
+        self.inverse = inverse  # r x r 0-form ChartForms, entries^{-1}
 
 
 def constant_gauge(rep: MatrixRep, matrix, chart_dim) -> GaugeTransform:

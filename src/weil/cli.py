@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import ceil, comb, lcm, log2
 
 from . import __version__, jsonio
-from .acceptance import run_all
 from .chart_forms import ChartForm
 from .chern_weil import (builtin_rep, constant_gauge, cw_form,
                          gauge_transform, quaternion_matrix, unipotent_gauge)
@@ -239,14 +238,22 @@ def _read_json(path, payloads):
     return json.loads(text)
 
 
+def _check_invariant(L, P, what):
+    """Refuse P unless its Lie derivative along every basis vector e_i is 0,
+    naming the first e_i along which it is not."""
+    for i in range(L.dim):
+        if lie_derivative(L, basis_vector(L.dim, i), P):
+            raise ValueError(f"{what} is not invariant on {L.name or 'the given algebra'}: "
+                             f"its Lie derivative along e_{i + 1} is nonzero; "
+                             f"use basis:<k>:<i>")
+    return P
+
+
 def _named_invariant(L, name):
     if name == "casimir":
         P = sum((multiply(WeilElement.lamt(L.dim, i), WeilElement.lamt(L.dim, i))
                  for i in range(L.dim)), WeilElement.zero(L.dim))
-        if any(lie_derivative(L, basis_vector(L.dim, i), P) for i in range(L.dim)):
-            raise ValueError(f"casimir, the sum of the squares lamt_i^2, is not invariant on "
-                             f"{L.name or 'the given algebra'}; use basis:<k>:<i>")
-        return P
+        return _check_invariant(L, P, "casimir, the sum of the squares lamt_i^2,")
     m = re.fullmatch(r"basis:([0-9]+):([0-9]+)", name)
     if m:
         k, idx = int(m.group(1)), int(m.group(2))
@@ -285,8 +292,9 @@ def _cmd_cw(args, payloads):
     L = builtin(args.algebra) if args.algebra else None
     conn = jsonio.connection_from_json(_read_json(args.connection, payloads), L)
     if args.invariant_json:
-        P = jsonio.weil_element_from_json(conn.algebra.dim,
-                                          _read_json(args.invariant_json, payloads))
+        P = _check_invariant(conn.algebra, jsonio.weil_element_from_json(
+            conn.algebra.dim, _read_json(args.invariant_json, payloads)),
+            f"the element in {args.invariant_json}")
     else:
         P = _named_invariant(conn.algebra, args.invariant)
     form = cw_form(P, conn)
@@ -430,6 +438,8 @@ def _cmd_oracle(args, payloads):
 
 
 def _cmd_verify_all(args, payloads):
+    # the acceptance suite is imported by its one caller, not at start-up
+    from .acceptance import run_all
     results = run_all()
     payload = [{"id": r.ident, "title": r.title, "passed": r.passed, "details": r.details}
                for r in results]

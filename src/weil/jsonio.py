@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
@@ -193,7 +194,49 @@ def connection_from_json(obj, algebra=None) -> LieValuedForm:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``, written
+    directly: with ``indent`` set, ``json`` runs its pure-Python encoder.  A report
+    holds dicts with str keys, lists, str, int, bool and None; any other type is a
+    TypeError."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline, put):
+    """Put the JSON text of ``obj``, whose items go on lines of ``newline`` plus two spaces."""
+    kind = type(obj)
+    if kind is str:
+        put(_quote(obj))
+    elif kind is int:
+        put(int.__repr__(obj))
+    elif kind is bool:
+        put("true" if obj else "false")
+    elif obj is None:
+        put("null")
+    elif kind is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            put(sep)
+            put(_quote(key))
+            put(": ")
+            _write(obj[key], inner, put)
+            sep = "," + inner
+        put(newline + "}" if obj else "{}")
+    elif kind is list:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]" if obj else "[]")
+    else:
+        raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def digest(obj) -> str:

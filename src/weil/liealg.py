@@ -12,8 +12,8 @@ which makes xi -> ad*_xi a Lie algebra homomorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 
@@ -21,11 +21,13 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    dim: int
-    structure: dict = field(repr=False)  # (i, j, k) -> Fraction, sparse
-    name: str | None = None
+    __slots__ = ("dim", "structure", "name")
+
+    def __init__(self, dim: int, structure: dict, name: str | None = None):
+        self.dim = dim
+        self.structure = structure  # (i, j, k) -> Fraction, sparse
+        self.name = name
 
     def f(self, i, j, k) -> Fraction:
         return self.structure.get((i, j, k), Fraction(0))
@@ -44,6 +46,9 @@ class LieAlgebra:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return self.dim == other.dim and _clean(self.structure) == _clean(other.structure)
+
+    def __repr__(self):
+        return f"LieAlgebra(dim={self.dim!r}, name={self.name!r})"
 
 
 def _clean(table):
@@ -100,13 +105,17 @@ def validate(L: LieAlgebra):
 def check_representation(L: LieAlgebra, mats):
     """Raise ValueError unless [rho_i, rho_j] = sum_k f^k_ij rho_k for all i, j.
 
-    Only nonzero entries are multiplied: each matrix is kept as its nonzero
-    entries by row, and the structure constants are grouped by (i, j) once.
+    The check runs on ints: with D the lcm of the matrices' denominators and E
+    that of the structure constants', it is E [D rho_i, D rho_j] =
+    sum_k (D E f^k_ij) (D rho_k).  Only nonzero entries are multiplied: each
+    matrix is kept as its nonzero entries by row, and the structure constants
+    are grouped by (i, j) once.
     """
-    rows = [[[(s, x) for s, x in enumerate(row) if x] for row in mat] for mat in mats]
+    D, rows = _int_rows(mats)
+    E = lcm(*(c.denominator for c in L.structure.values()))
     brackets = {}
     for (i, j, k), c in L.structure.items():
-        brackets.setdefault((i, j), []).append((k, c))
+        brackets.setdefault((i, j), []).append((k, D * c.numerator * (E // c.denominator)))
 
     def product(a, b):
         out = {}
@@ -121,12 +130,21 @@ def check_representation(L: LieAlgebra, mats):
             diff = product(i, j)
             for key, v in product(j, i).items():
                 diff[key] = diff.get(key, 0) - v
+            diff = {key: E * v for key, v in diff.items()}
             for k, c in brackets.get((i, j), ()):
                 for r, row in enumerate(rows[k]):
                     for s, x in row:
                         diff[r, s] = diff.get((r, s), 0) - c * x
             if any(diff.values()):
                 raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
+
+
+def _int_rows(mats):
+    """(D, rows): D the lcm of the entries' denominators, and rows[i][r] the
+    nonzero entries (s, D x) of row r of mats[i], on ints."""
+    D = lcm(*(x.denominator for mat in mats for row in mat for x in row))
+    return D, [[[(s, x.numerator * (D // x.denominator)) for s, x in enumerate(row) if x]
+                for row in mat] for mat in mats]
 
 
 def adjoint_matrices(L: LieAlgebra):

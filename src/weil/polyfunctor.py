@@ -9,19 +9,18 @@ on a degree-d grid matched the map at the extra off-grid check points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import getitem
+from typing import NamedTuple
 
 from . import linalg
 from .chart_forms import PolyMap
 from .liealg import frac
 
 
-@dataclass(frozen=True)
-class BlackBoxMap:
+class BlackBoxMap(NamedTuple):
     """Deterministic map Q^source_dim -> Q^target_dim."""
 
     source_dim: int
@@ -71,8 +70,7 @@ def _vandermonde_inverse(d):
     return nodes, weights
 
 
-@dataclass
-class HomogeneousDecomposition:
+class HomogeneousDecomposition(NamedTuple):
     probes: list
     components: list  # components[i][probe_index] = output tuple
 
@@ -123,8 +121,7 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
 # -- polynomiality detector -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolynomialVerdict:
+class PolynomialVerdict(NamedTuple):
     consistent: bool
     witness: tuple | None = None  # (trial_index, point, expected, interpolated)
 
@@ -181,16 +178,17 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
 # -- concrete polynomial functors --------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctorSpec:
-    kind: str  # "sym" | "ext" | "ten"
-    degree: int
+class FunctorSpec(NamedTuple("FunctorSpec", [("kind", str), ("degree", int)])):
+    """kind "sym", "ext" or "ten", and degree >= 1; refused when built otherwise."""
 
-    def __post_init__(self):
-        if self.kind not in ("sym", "ext", "ten"):
-            raise ValueError(f"unknown functor kind {self.kind!r}")
-        if self.degree < 1:
+    __slots__ = ()
+
+    def __new__(cls, kind, degree):
+        if kind not in ("sym", "ext", "ten"):
+            raise ValueError(f"unknown functor kind {kind!r}")
+        if degree < 1:
             raise ValueError("functors here are reduced: degree must be >= 1")
+        return super().__new__(cls, kind, degree)
 
 
 def canonical(kind, slots):
@@ -219,8 +217,7 @@ def functor_dim(spec: FunctorSpec, n: int) -> int:
     return {"sym": comb(n + d - 1, d), "ext": comb(n, d), "ten": n ** d}[spec.kind]
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     injective: bool
     rank: int
     dim: int

@@ -41,9 +41,9 @@ the derivation over every slot, is the slow route the tests compare with.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .polyfunctor import canonical
@@ -58,27 +58,27 @@ W_WEIGHT = {"W": 1, "WV": 1, "L2W": 2, "L2WV": 2}
 BASES = tuple(W_WEIGHT)
 
 
-@dataclass(frozen=True)
-class Factor:
-    op: str      # "sym" | "ext" | "ten"
-    degree: int  # >= 0; degree 0 is the scalar factor
-    base: str    # one of BASES
+class Factor(NamedTuple("Factor", [("op", str), ("degree", int), ("base", str)])):
+    """op "sym", "ext" or "ten"; degree >= 0, degree 0 being the scalar factor; base
+    one of BASES.  Refused when built otherwise."""
 
-    def __post_init__(self):
-        if self.op not in ("sym", "ext", "ten"):
-            raise ValueError(f"unknown factor op {self.op!r}")
-        if self.degree < 0:
+    __slots__ = ()
+
+    def __new__(cls, op, degree, base):
+        if op not in ("sym", "ext", "ten"):
+            raise ValueError(f"unknown factor op {op!r}")
+        if degree < 0:
             raise ValueError("factor degree must be >= 0")
-        if self.base not in BASES:
-            raise ValueError(f"unknown base space {self.base!r}")
+        if base not in BASES:
+            raise ValueError(f"unknown base space {base!r}")
+        return super().__new__(cls, op, degree, base)
 
     @property
     def w_weight(self):
         return W_WEIGHT[self.base]
 
 
-@dataclass(frozen=True)
-class EquivHomProblem:
+class EquivHomProblem(NamedTuple):
     dim_w: int
     dim_v: int
     domain: tuple  # tuple[Factor, ...]
@@ -280,8 +280,7 @@ def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     return len(matched) - linalg.rank(columns)
 
 
-@dataclass(frozen=True)
-class BidegreeReport:
+class BidegreeReport(NamedTuple):
     p: int
     q: int
     dim_v: int

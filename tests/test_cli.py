@@ -543,7 +543,34 @@ def test_casimir_is_refused_where_it_is_not_invariant(tmp_path, capsys, algebra)
         {"dim": 5, "terms": [{"dx": [4], "mono": [0, 1, 0, 0, 0], "c": "1"}]}]})
     error = assert_domain_error(capsys, ["cw", "--connection", conn])
     assert error == {"type": "ValueError", "message": "casimir, the sum of the squares lamt_i^2, "
-                     f"is not invariant on {algebra}; use basis:<k>:<i>"}
+                     f"is not invariant on {algebra}: its Lie derivative along e_1 is nonzero; "
+                     "use basis:<k>:<i>"}
+
+
+def test_invariant_json_is_refused_unless_invariant(tmp_path, capsys):
+    # on heisenberg3 ([e1, e2] = e3) lamt_1 and lamt_2 are invariant, lamt_3 is not:
+    # its Lie derivative along e_1 is -lamt_2 and along e_2 is lamt_1
+    conn = write_json(tmp_path, "conn.json", {"algebra": "heisenberg3", "chart_dim": 3,
+                                              "components": [
+        {"dim": 3, "terms": [{"dx": [2], "mono": [1, 0, 0], "c": "1"}]},
+        {"dim": 3, "terms": [{"dx": [3], "mono": [0, 1, 0], "c": "2/3"}]},
+        {"dim": 3, "terms": [{"dx": [1], "mono": [0, 0, 2], "c": "-1"}]}]})
+    cases = [([([1, 0, 0], "3/2"), ([0, 1, 0], "-1")], None),
+             ([([0, 1, 0], "1"), ([0, 0, 1], "1")], 1),
+             ([([0, 0, 2], "1")], 1)]
+    for terms, refused_at in cases:
+        element = write_json(tmp_path, "p.json", [{"sym": e, "c": c} for e, c in terms])
+        argv = ["cw", "--connection", conn, "--invariant-json", element]
+        if refused_at is None:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            form = jsonio.chart_form_from_json(json.loads(out)["results"]["chern_weil_form"])
+            assert form and not chart_forms.d(form)  # a nonzero closed 2-form
+        else:
+            error = assert_domain_error(capsys, argv)
+            assert error["message"] == (f"the element in {element} is not invariant on "
+                                        f"heisenberg3: its Lie derivative along e_{refused_at} "
+                                        "is nonzero; use basis:<k>:<i>")
 
 
 @pytest.mark.parametrize("expr", ["x^2000000000", "x^20001", "2^20001", "(x + y)^200",
@@ -683,3 +710,19 @@ def test_one_parser_per_process_with_no_state_between_calls(tmp_path, capsys, mo
     assert got == expected
     with_probes, without = (json.loads(out)["results"]["probes"] for _, out in expected[:2])
     assert with_probes != without
+
+
+def test_start_up_imports_no_dataclasses_and_no_acceptance_suite():
+    # a fresh interpreter without site, with only the checkout's src on the path;
+    # dataclasses pulls in inspect, ast, dis and tokenize, and the acceptance
+    # suite is imported by verify-all alone
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import weil.cli; "
+            "weil.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'weil.acceptance'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -50,8 +50,11 @@ CASES = [
                            "--invariant", "casimir"]),
     ("cw-heisenberg3-basis", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
                                  "--invariant", "basis:1:1"]),
-    ("cw-heisenberg3-json", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
+    ("cw-heisenberg3-json", 1, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
                                 "--invariant-json", INPUTS + "invariant_heisenberg3.json"]),
+    ("cw-heisenberg3-json-invariant", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
+                                          "--invariant-json",
+                                          INPUTS + "invariant_heisenberg3_lamt1_lamt2.json"]),
     ("gauge-su2-quaternion", 0, ["gauge", "--connection", INPUTS + "conn_su2.json",
                                  "--gauge", INPUTS + "gauge_quaternion.json"]),
     ("gauge-heisenberg3-unipotent", 0, ["gauge", "--connection", INPUTS + "conn_heisenberg3.json",

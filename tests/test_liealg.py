@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weil import jsonio
+from weil import jsonio, liealg
+from weil.chern_weil import builtin_rep
 from weil.equivariant import builtin_action
 from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, adjoint_matrices, basis_vector,
                          builtin, check_representation, coadjoint, from_brackets,
@@ -305,23 +306,151 @@ class CountingFraction(Fraction):
         return Fraction.__rmul__(self, other)
 
 
-def test_check_representation_multiplies_only_nonzero_pairs():
+class CountingInt(int):
+    """An int that counts the products it takes part in; a product is a plain int."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingInt.products += 1
+        return int.__rmul__(self, other)
+
+
+def test_check_representation_multiplies_only_nonzero_pairs(monkeypatch):
     # the adjoint action of gl(2) + heisenberg3 on itself: 7 x 7 matrices with
-    # few nonzero entries, every entry (zeros too) counting its products
+    # few nonzero entries.  Every entry of the scaled integer rows is a
+    # CountingInt, so a product of two entries, or of a structure constant and
+    # an entry, counts once; scaling the input once, before any product, does not.
     L = make_lie_algebra(7, {**gl_subalgebra(2, False).structure,
                              **{(i + 4, j + 4, k + 4): c for (i, j, k), c
                                 in builtin("heisenberg3").structure.items()}})
     assert validate(L) is None
-    _, adjoint = builtin_action("adjoint", L)
-    mats = [[[CountingFraction(x) for x in row] for row in mat] for mat in adjoint]
+    _, mats = builtin_action("adjoint", L)
     nonzero = [[(r, s) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
                for mat in mats]
 
     def pairs(a, b):
         return sum(1 for r, t in nonzero[a] for t2, _ in nonzero[b] if t == t2)
 
+    int_rows = liealg._int_rows
+
+    def counting_rows(mats):
+        D, rows = int_rows(mats)
+        return D, [[[(s, CountingInt(x)) for s, x in row] for row in mat] for mat in rows]
+
+    monkeypatch.setattr(liealg, "_int_rows", counting_rows)
     bound = sum(pairs(i, j) + pairs(j, i) + sum(len(nonzero[k]) for k in bracket_basis(L, i, j))
                 for i in range(L.dim) for j in range(L.dim))
-    CountingFraction.products = 0
+    CountingInt.products = 0
     check_representation(L, mats)
-    assert 0 < CountingFraction.products <= bound < L.dim ** 2 * 7 ** 3
+    assert 0 < CountingInt.products <= bound < L.dim ** 2 * 7 ** 3
+
+
+# -- check_representation on ints against the same check in Fractions ------------
+
+
+def fraction_check_representation(L, mats):
+    """The check in Fractions: nonzero entries by row, products and sums exact."""
+    rows = [[[(s, x) for s, x in enumerate(row) if x] for row in mat] for mat in mats]
+    brackets = {}
+    for (i, j, k), c in L.structure.items():
+        brackets.setdefault((i, j), []).append((k, c))
+
+    def product(a, b):
+        out = {}
+        for r, row in enumerate(rows[a]):
+            for t, x in row:
+                for s, y in rows[b][t]:
+                    out[r, s] = out.get((r, s), 0) + x * y
+        return out
+
+    for i in range(L.dim):
+        for j in range(L.dim):
+            diff = product(i, j)
+            for key, v in product(j, i).items():
+                diff[key] = diff.get(key, 0) - v
+            for k, c in brackets.get((i, j), ()):
+                for r, row in enumerate(rows[k]):
+                    for s, x in row:
+                        diff[r, s] = diff.get((r, s), 0) - c * x
+            if any(diff.values()):
+                raise ValueError(f"action matrices violate bracket compatibility at ({i},{j})")
+
+
+def rational_algebras(rng):
+    """Semidirect products R x|_A R^k with rational A, and gl(2), su2 and sl2 on
+    a basis rescaled by rational factors s_i, f'^k_ij = f^k_ij s_i s_j / s_k."""
+    out = []
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)] for _ in range(k)]
+        out.append(from_brackets(k + 1, {(0, j + 1): {i + 1: A[i][j] for i in range(k) if A[i][j]}
+                                         for j in range(k)}))
+    for L in (gl_subalgebra(2, False), builtin("su2"), builtin("sl2")):
+        s = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
+             for _ in range(L.dim)]
+        out.append(make_lie_algebra(L.dim, {(i, j, k): c * s[i] * s[j] / s[k]
+                                            for (i, j, k), c in L.structure.items()}))
+    return out
+
+
+def inverse(Q):
+    """Q^-1 by Gauss-Jordan elimination in Fractions."""
+    n = len(Q)
+    M = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(Q)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c])
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(n):
+            if r != c and M[r][c]:
+                M[r] = [x - M[r][c] * y for x, y in zip(M[r], M[c])]
+    return [row[n:] for row in M]
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def conjugated(rng, mats):
+    """Q^-1 rho_i Q for one random rational Q, upper times lower unitriangular
+    with a rational diagonal, so invertible."""
+    m = len(mats[0])
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    U = [[entry() if c > r else Fraction(rng.choice((1, -2, 3)), rng.randint(1, 2)) if c == r
+          else Fraction(0) for c in range(m)] for r in range(m)]
+    Lo = [[entry() if c < r else Fraction(int(c == r)) for c in range(m)] for r in range(m)]
+    Q = matmul(U, Lo)
+    Qinv = inverse(Q)
+    assert matmul(Q, Qinv) == [[int(r == c) for c in range(m)] for r in range(m)]
+    return [matmul(matmul(Qinv, mat), Q) for mat in mats]
+
+
+def test_check_representation_on_ints_matches_the_fraction_check():
+    rng = random.Random(47)
+    cases = [(builtin("su2"), [list(map(list, mat)) for mat in builtin_rep("su2").mats])]
+    for L in rational_algebras(rng):
+        mats = adjoint_matrices(L)
+        cases += [(L, mats), (L, conjugated(rng, mats))]
+    outcomes, scaled = [], set()
+    for L, mats in cases:
+        # whether D (the matrices) and E (the structure constants) are above 1
+        scaled.add((any(x.denominator > 1 for mat in mats for row in mat for x in row),
+                    any(c.denominator > 1 for c in L.structure.values())))
+        assert check_outcome(check_representation, L, mats) is None
+        assert check_outcome(fraction_check_representation, L, mats) is None
+        size = len(mats[0])
+        for _ in range(4):
+            bad = [[list(row) for row in mat] for mat in mats]
+            i, r, s = rng.randrange(L.dim), rng.randrange(size), rng.randrange(size)
+            bad[i][r][s] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+            expected = check_outcome(fraction_check_representation, L, bad)
+            assert check_outcome(check_representation, L, bad) == expected, (L.structure, bad)
+            outcomes.append(expected)
+    assert {(True, True), (True, False)} <= scaled
+    assert sum(o is not None for o in outcomes) > len(outcomes) // 2
