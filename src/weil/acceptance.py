@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
 
 from . import linalg
 from .chart_forms import ChartForm, PolyMap, d as chart_d, evaluate, pullback
@@ -35,11 +35,8 @@ from .weil_algebra import (WeilElement, change_of_basis,
                            weil_basis)
 
 
-class CriterionResult(NamedTuple):
-    ident: int
-    title: str
-    passed: bool
-    details: dict
+class CriterionResult(namedtuple("CriterionResult", "ident title passed details")):
+    __slots__ = ()
 
     def line(self):
         return f"{'PASS' if self.passed else 'FAIL'} criterion {self.ident}: {self.title}"

@@ -12,9 +12,9 @@ which makes xi -> ad*_xi a Lie algebra homomorphism.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 
 def frac(x) -> Fraction:
@@ -72,9 +72,8 @@ def from_brackets(dim, brackets, name=None) -> LieAlgebra:
     return make_lie_algebra(dim, table, name)
 
 
-class Violation(NamedTuple):
-    kind: str  # "antisymmetry" | "jacobi"
-    indices: tuple
+# kind is "antisymmetry" or "jacobi"; indices is the failing (i, j, k) or (i, j, k, l)
+Violation = namedtuple("Violation", "kind indices")
 
 
 def validate(L: LieAlgebra):

@@ -9,23 +9,22 @@ on a degree-d grid matched the map at the extra off-grid check points.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import getitem
-from typing import NamedTuple
 
 from . import linalg
 from .chart_forms import PolyMap
 from .liealg import frac
 
 
-class BlackBoxMap(NamedTuple):
-    """Deterministic map Q^source_dim -> Q^target_dim."""
+class BlackBoxMap(namedtuple("BlackBoxMap", "source_dim target_dim evaluator")):
+    """Deterministic map Q^source_dim -> Q^target_dim; the evaluator is a
+    callable tuple -> tuple."""
 
-    source_dim: int
-    target_dim: int
-    evaluator: object  # callable tuple -> tuple
+    __slots__ = ()
 
     def __call__(self, v):
         v = tuple(frac(x) for x in v)
@@ -70,9 +69,8 @@ def _vandermonde_inverse(d):
     return nodes, weights
 
 
-class HomogeneousDecomposition(NamedTuple):
-    probes: list
-    components: list  # components[i][probe_index] = output tuple
+# components[i][probe_index] is the output tuple of f_i at that probe
+HomogeneousDecomposition = namedtuple("HomogeneousDecomposition", "probes components")
 
 
 def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecomposition:
@@ -85,8 +83,9 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     a witness when it fails.  The Vandermonde matrix is invertible, so that
     holds for every i exactly when f(t v) = sum_i f_i(v) t^i at t = mu
     lambda for every node lambda; at a t that is itself a node it holds by
-    construction, so f is evaluated only at the other t, and the components
-    at mu v are solved for only to name the failing one.
+    construction, so f is evaluated only at the other t, once per probe and t
+    (6 = 2 * 3 = 3 * 2), and the components at mu v are solved for only to
+    name the failing one.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
@@ -99,6 +98,14 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
 
     table = [components_at(v) for v in probes]
     components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
+    # f(t v) per probe, evaluated once: 6 v is both 2 (3 v) and 3 (2 v)
+    on_ray = [{} for _ in probes]
+
+    def ray_value(pi, t):
+        seen = on_ray[pi]
+        if t not in seen:
+            seen[t] = f(_combine([t], [probes[pi]]))
+        return seen[t]
 
     for mu in (Fraction(2), Fraction(3)):
         # the powers t^0..t^d of each t that is not a node, shared by the probes
@@ -106,7 +113,7 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
                 if t > nodes[-1]]
         for pi, v in enumerate(probes):
             comps = table[pi]
-            if all(f(_combine([t], [v])) == _combine(powers, comps) for t, powers in rays):
+            if all(ray_value(pi, t) == _combine(powers, comps) for t, powers in rays):
                 continue
             scaled = components_at(_combine([mu], [v]))
             for i in range(d + 1):
@@ -121,9 +128,8 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
 # -- polynomiality detector -------------------------------------------
 
 
-class PolynomialVerdict(NamedTuple):
-    consistent: bool
-    witness: tuple | None = None  # (trial_index, point, expected, interpolated)
+# witness is None or (trial_index, point, expected, interpolated)
+PolynomialVerdict = namedtuple("PolynomialVerdict", "consistent witness", defaults=(None,))
 
 
 def _lagrange_weights(d, x):
@@ -178,7 +184,7 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
 # -- concrete polynomial functors --------------------------------------
 
 
-class FunctorSpec(NamedTuple("FunctorSpec", [("kind", str), ("degree", int)])):
+class FunctorSpec(namedtuple("FunctorSpec", "kind degree")):
     """kind "sym", "ext" or "ten", and degree >= 1; refused when built otherwise."""
 
     __slots__ = ()
@@ -217,12 +223,7 @@ def functor_dim(spec: FunctorSpec, n: int) -> int:
     return {"sym": comb(n + d - 1, d), "ext": comb(n, d), "ten": n ** d}[spec.kind]
 
 
-class InjectivityReport(NamedTuple):
-    injective: bool
-    rank: int
-    dim: int
-    copies: int
-    base_dim: int
+InjectivityReport = namedtuple("InjectivityReport", "injective rank dim copies base_dim")
 
 
 def restriction_injectivity(spec: FunctorSpec, copies: int, base_dim: int) -> InjectivityReport:

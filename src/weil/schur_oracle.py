@@ -41,9 +41,9 @@ the derivation over every slot, is the slow route the tests compare with.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from . import linalg
 from .polyfunctor import canonical
@@ -58,7 +58,7 @@ W_WEIGHT = {"W": 1, "WV": 1, "L2W": 2, "L2WV": 2}
 BASES = tuple(W_WEIGHT)
 
 
-class Factor(NamedTuple("Factor", [("op", str), ("degree", int), ("base", str)])):
+class Factor(namedtuple("Factor", "op degree base")):
     """op "sym", "ext" or "ten"; degree >= 0, degree 0 being the scalar factor; base
     one of BASES.  Refused when built otherwise."""
 
@@ -78,11 +78,10 @@ class Factor(NamedTuple("Factor", [("op", str), ("degree", int), ("base", str)])
         return W_WEIGHT[self.base]
 
 
-class EquivHomProblem(NamedTuple):
-    dim_w: int
-    dim_v: int
-    domain: tuple  # tuple[Factor, ...]
-    codomain_degree: int  # r in Lambda^r W*
+class EquivHomProblem(namedtuple("EquivHomProblem", "dim_w dim_v domain codomain_degree")):
+    """Hom(domain, Lambda^r W*) for a tuple of Factors and r = codomain_degree."""
+
+    __slots__ = ()
 
     def total_w_weight(self):
         return sum(f.degree * f.w_weight for f in self.domain)
@@ -280,14 +279,7 @@ def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     return len(matched) - linalg.rank(columns)
 
 
-class BidegreeReport(NamedTuple):
-    p: int
-    q: int
-    dim_v: int
-    dim_w: int
-    expected: int
-    computed: int
-    match: bool
+BidegreeReport = namedtuple("BidegreeReport", "p q dim_v dim_w expected computed match")
 
 
 def bidegree_problem(p, q, dim_v) -> EquivHomProblem:

@@ -14,13 +14,16 @@ is fixed by its values on generators and goes through :func:`derivation`,
 or, to assemble a linear system, through :func:`operator_rows`, which runs
 the same Leibniz rule on keys packed into single ints (mask in the low n
 bits, each exponent in a field of bits above it), so that a product of
-monomials is one integer addition.
+monomials is one integer addition, and which numbers the columns of the
+system fewest holders first, so that its elimination fills in less.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 from operator import add, or_
 
@@ -205,10 +208,17 @@ def operator_rows(tables, domain_keys):
     Each derivation is an (odd_images, even_images) pair, scaled to integers
     by the lcm of its denominators (a multiple of the derivation, with the
     same kernel and rank) and applied to the key with coefficient 1.  A
-    vector maps columns, one per pair (derivation, image key) numbered in
-    order of first appearance, to coefficients.  The vectors are the rows of the transposed operator
+    vector maps columns, one per pair (derivation, image key), to
+    coefficients.  The vectors are the rows of the transposed operator
     matrix, so no codomain basis is needed: they have its rank, and
     ``linalg.transpose`` gives back its rows and kernel.
+
+    Columns are numbered by how many vectors hold them, fewest first, ties
+    in order of first appearance: the static form of Markowitz's rule.  The
+    elimination pivots on the lowest-numbered column, so a rank taken on the
+    vectors fills in less; the transposed rows are sorted by column number
+    and then, by ``linalg``, by length, which is that count, so a kernel
+    eliminates them in the order first appearance gives.
 
     This is the Leibniz rule of :func:`derivation` on packed keys: a key
     (mask, exps) is the int ``mask | sum_i exps[i] << (n + w*i)``, the odd
@@ -219,7 +229,9 @@ def operator_rows(tables, domain_keys):
     left derivative is a subtraction, and the sign of putting an image with
     odd mask im in front is the parity of ``rest & masks.swap_mask(im)``.
     An image is used, and packed and scaled, only if some domain key holds
-    its generator.  Packing is a bijection, so the vectors are those of one
+    its generator.  An image key of table o of t carries o in its low digit,
+    ``pack(image key) * t + o``, so the tables of a domain key fill one dict.
+    Packing is a bijection, so the vectors are those of one
     :func:`derivation` per key and table, in value and insertion order.
     """
     scales = [lcm(*(c.denominator for side in table for img in side if img
@@ -242,27 +254,29 @@ def operator_rows(tables, domain_keys):
     held = reduce(or_, keys, 0)
     flags = [held >> i & 1 for i in range(n)] + [held >> s & ((1 << width) - 1) for s in shifts]
     # per derivation, the used images of o_0..o_{n-1} then e_0..e_{n-1}, each
-    # a list of (odd mask, sign mask, packed key, integer coefficient)
-    packed = [[[(im, swap_mask(im), pack(im, ie), c.numerator * (scale // c.denominator))
+    # a list of (odd mask, sign mask, column key, integer coefficient); no
+    # two tables share a column key
+    t = len(tables)
+    packed = [[[(im, swap_mask(im), pack(im, ie) * t + o, c.numerator * (scale // c.denominator))
                 for (im, ie), c in img.items()]
                if img and h else None for h, img in zip(flags, odd + even)]
-              for scale, (odd, even) in zip(scales, tables)]
-    index: dict[tuple[int, int], int] = {}
+              for o, (scale, (odd, even)) in enumerate(zip(scales, tables))]
     out = []
     for (mask, exps), key in zip(domain_keys, keys):
-        partials = [(i, key - (1 << i), -1 if p % 2 else 1)
+        # (generator, remaining key, the same times t, coefficient)
+        partials = [(i, (rest := key - (1 << i)), rest * t, -1 if p % 2 else 1)
                     for p, i in enumerate(indices_of(mask))]
-        partials += [(n + i, key - (1 << s), q) for i, (q, s) in enumerate(zip(exps, shifts)) if q]
-        vec = {}
-        for o, table in enumerate(packed):
-            image: dict[int, int] = {}
-            for g, rest, q in partials:
+        partials += [(n + i, (rest := key - (1 << s)), rest * t, q)
+                     for i, (q, s) in enumerate(zip(exps, shifts)) if q]
+        image: dict[int, int] = {}
+        for table in packed:
+            for g, rest, shift, q in partials:
                 img = table[g]
                 if img:
                     for im, below, k, c in img:
                         if im & rest:
                             continue
-                        k += rest
+                        k += shift
                         v = -q * c if (rest & below).bit_count() & 1 else q * c
                         old = image.get(k)  # _acc, inlined: the hot loop of the package
                         if old is not None:
@@ -271,10 +285,11 @@ def operator_rows(tables, domain_keys):
                                 del image[k]
                                 continue
                         image[k] = v
-            for k, c in image.items():
-                vec[index.setdefault((o, k), len(index))] = c
-        out.append(vec)
-    return out
+        out.append(image)
+    # number the columns fewest holders first, ties by first appearance
+    count = Counter(chain.from_iterable(out))
+    index = {k: j for j, k in enumerate(sorted(count, key=count.__getitem__))}
+    return [{index[k]: c for k, c in image.items()} for image in out]
 
 
 def vectors(elements):

@@ -714,15 +714,17 @@ def test_one_parser_per_process_with_no_state_between_calls(tmp_path, capsys, mo
 
 def test_start_up_imports_no_dataclasses_and_no_acceptance_suite():
     # a fresh interpreter without site, with only the checkout's src on the path;
-    # dataclasses pulls in inspect, ast, dis and tokenize, and the acceptance
-    # suite is imported by verify-all alone
+    # dataclasses pulls in inspect, ast, dis and tokenize, typing is the
+    # largest standard-library import left (collections.namedtuple builds the
+    # records), and the acceptance suite is imported by verify-all alone
     import subprocess
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import weil.cli; "
             "weil.cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'weil.acceptance'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'weil.acceptance'} "
+            "& set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"

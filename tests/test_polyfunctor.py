@@ -137,6 +137,20 @@ def test_decompose_flags_ray_degree_overflow():
         homogeneous_decompose(f, 2, [(F(1),)])
 
 
+@pytest.mark.parametrize("d, calls", [(0, 3), (1, 5), (2, 6), (3, 8), (4, 11), (5, 12)])
+def test_decompose_evaluates_each_ray_point_once(d, calls):
+    # per probe, the nodes 1..d+1 and every other mu * lambda for mu = 2, 3:
+    # at d = 2 the nodes 1, 2, 3 and 4, 6, 9, where 6 is both 2 * 3 and 3 * 2
+    points = []
+    inner = box(2, {(0, 0): F(1), **{(i, d - i): F(i - 2) for i in range(d + 1)}})
+    f = BlackBoxMap(2, 1, lambda v: points.append(v) or inner(v))
+    probes = [(F(1), F(2)), (F(-3), F(1, 2))]
+    homogeneous_decompose(f, d, probes)
+    nodes = set(range(1, d + 2))
+    assert calls == len(nodes) + len({mu * lam for mu in (2, 3) for lam in nodes} - nodes)
+    assert len(points) == len(set(points)) == len(probes) * calls
+
+
 def decompose_by_components(f, d, probes):
     """The previous homogeneous_decompose: f_i(mu v) = mu^i f_i(v) checked
     component by component, solving the Vandermonde system at every mu v."""
