@@ -34,6 +34,12 @@ CASES = [
     ("invariants-heisenberg3-4", 0, ["invariants", "--algebra", "heisenberg3", "--max-degree", "4"]),
     ("invariants-sl2-4", 0, ["invariants", "--algebra", "sl2", "--max-degree", "4"]),
     ("invariants-su2-6", 0, ["invariants", "--algebra", "su2", "--max-degree", "6"]),
+    ("invariants-su2-10", 0, ["invariants", "--algebra", "su2", "--max-degree", "10"]),
+    ("invariants-sl2-10", 0, ["invariants", "--algebra", "sl2", "--max-degree", "10"]),
+    ("invariants-heisenberg3-10", 0, ["invariants", "--algebra", "heisenberg3",
+                                      "--max-degree", "10"]),
+    ("basic-su2-12", 0, ["basic", "--algebra", "su2", "--degree", "12"]),
+    ("basic-sl2-12", 0, ["basic", "--algebra", "sl2", "--degree", "12"]),
     ("cohomology-2-6", 0, ["cohomology", "--dim", "2", "--max-degree", "6"]),
     ("equivariant-rot2", 0, ["equivariant", "--algebra", "abelian1", "--action", "rot2",
                              "--degree", "1", "--poly-cap", "2"]),
