@@ -3,7 +3,9 @@
 Invariance is infinitesimal: P is invariant when the derivation extension of
 ad*_{e_i} kills it for every basis vector e_i.  For connected groups this
 agrees with group invariance; the component group is not representable from
-structure constants alone, so the output is labelled as g-invariants.
+structure constants alone, so the output is labelled as g-invariants.  As
+xi -> L_xi is a Lie algebra homomorphism, the e_i of ``liealg.lie_generators``
+suffice.
 
 The derivation action is weil_algebra's Lie derivative restricted to
 bidegree (0, k): one code path, one sign convention.  The horizontal
@@ -15,7 +17,7 @@ image of (Sym^k g*)^g, and there are none in odd degree.
 from __future__ import annotations
 
 from . import linalg
-from .liealg import LieAlgebra, basis_vector
+from .liealg import LieAlgebra, basis_vector, lie_generators
 from .schur_oracle import capped_comb, check_size
 from .weil_algebra import (WeilElement, change_of_basis, lie_images,
                            operator_rows, sym_exponents, term_sort_key)
@@ -32,11 +34,13 @@ def invariant_dims(L: LieAlgebra, max_k):
 
 def invariant_bases(L: LieAlgebra, max_k):
     """[invariant_basis(L, k)]_{k=0..max_k}, refused up front when Sym^max_k,
-    the largest of the spaces, is over the cap."""
+    the largest of the spaces, is over the cap; the generator tables are
+    built once for every k."""
     if max_k < 0:
         raise ValueError("max_degree must be >= 0")
     _check_sym_size(L.dim, max_k)
-    return [invariant_basis(L, k) for k in range(max_k + 1)]
+    tables = _generator_tables(L)
+    return [_kernel(L.dim, tables, k) for k in range(max_k + 1)]
 
 
 def _check_sym_size(n, k):
@@ -46,11 +50,26 @@ def _check_sym_size(n, k):
 
 
 def invariant_basis(L: LieAlgebra, k):
-    """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements."""
-    n = L.dim
-    _check_sym_size(n, k)
+    """Deterministic echelon basis of (Sym^k g*)^g as sym-only WeilElements.
+
+    The constraints are L_{e_i} P = 0 for the e_i of ``liealg.lie_generators``
+    only: xi -> L_xi is a Lie algebra homomorphism (the coadjoint convention
+    of :mod:`weil.liealg`), so what a generating set kills, all of g kills.
+    The kernel is the same subspace over the same columns as with all n
+    tables, and ``linalg.nullspace`` returns its canonical RREF basis, so the
+    basis is the same too.
+    """
+    _check_sym_size(L.dim, k)
+    return _kernel(L.dim, _generator_tables(L), k)
+
+
+def _generator_tables(L: LieAlgebra):
+    return [lie_images(L, basis_vector(L.dim, i)) for i in lie_generators(L)]
+
+
+def _kernel(n, tables, k):
     dom = [(0, s) for s in sym_exponents(n, k)]
-    vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in range(n)], dom)
+    vectors = operator_rows(tables, dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
             for vec in linalg.nullspace(linalg.transpose(vectors), len(dom))]
 

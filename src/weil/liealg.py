@@ -146,6 +146,55 @@ def _int_rows(mats):
                 for row in mat] for mat in mats]
 
 
+def lie_generators(L: LieAlgebra):
+    """Ascending basis indices that generate g as a Lie algebra, read off the
+    structure constants alone.
+
+    For k = 0..n-1 in order, e_k is dropped when it lies in the span of the
+    brackets [e_i, e_j] of the indices still kept other than k: those below
+    k that were kept and all those above k.  By induction from k = n-1 down,
+    every e_k lies in the Lie subalgebra the kept set generates, so that
+    subalgebra is g.  Any kernel of a Lie algebra homomorphism xi -> D_xi
+    taken over the kept e_i alone is then the kernel over all of g, since
+    the xi with D_xi P = 0 form a subalgebra.  On the builtins this keeps
+    {e_2, e_3} of su2 and so3, {e, f} of sl2, {e_1, e_2} of heisenberg3 and
+    every index of abelian(n).
+    """
+    brackets = {}
+    for (i, j, k), c in L.structure.items():
+        if i < j:
+            brackets.setdefault((i, j), {})[k] = c
+    kept = set(range(L.dim))
+    for k in range(L.dim):
+        # an echelon basis of the span, each row keyed by its leading
+        # (lowest) column and scaled to 1 there; reduced here, not by linalg,
+        # so that a job's linalg calls stay those of its own systems
+        pivots = {}
+        for (i, j), vec in brackets.items():
+            if i != k != j and i in kept and j in kept:
+                vec = _reduce(pivots, vec)
+                if vec:
+                    lead = min(vec)
+                    pivots[lead] = {c: v / vec[lead] for c, v in vec.items()}
+        if not _reduce(pivots, {k: 1}):
+            kept.discard(k)
+    return sorted(kept)
+
+
+def _reduce(pivots, vec):
+    """vec minus the combination of the rows of ``pivots`` that clears every
+    pivot column it reaches, leading column first."""
+    vec = dict(vec)
+    while vec and (lead := min(vec)) in pivots:
+        f = vec[lead]
+        for c, v in pivots[lead].items():
+            if x := vec.get(c, 0) - f * v:
+                vec[c] = x
+            else:
+                vec.pop(c, None)
+    return vec
+
+
 def adjoint_matrices(L: LieAlgebra):
     """The adjoint representation: one matrix per basis vector, (ad e_i)[k][j] = f^k_ij."""
     n = L.dim

@@ -23,11 +23,21 @@ def _primitive(ints) -> dict[int, int]:
 
 
 def _int_row(row) -> dict[int, int]:
-    """Clear denominators (an all-``int`` row has none) and divide out the content."""
-    if all(type(v) is int for v in row.values()):
-        return _primitive({c: v for c, v in row.items() if v})
-    scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
+    """Clear denominators and divide out the content.
+
+    An all-``int`` row is read by one ``gcd`` (a Fraction entry makes it
+    raise TypeError) and is returned as it is, not copied, unless it holds a
+    zero or its content is above 1.  No caller mutates it afterwards.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        scale = lcm(*(v.denominator for v in row.values()))
+        return _primitive({c: v.numerator * (scale // v.denominator)
+                           for c, v in row.items() if v})
+    if g == 1 and all(row.values()):
+        return row
+    return {c: v // g for c, v in row.items() if v}
 
 
 def _forward_eliminate(rows):

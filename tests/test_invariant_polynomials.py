@@ -1,12 +1,18 @@
 from fractions import Fraction
 
-import pytest
+import random
 
+import pytest
+from test_liealg import generator_algebras
+
+from weil import linalg
 from weil.equivariant import WeilModel
-from weil.invariant_polynomials import invariant_basis, invariant_dims, is_sym_element
-from weil.liealg import BUILTIN_NAMES, builtin
+from weil.invariant_polynomials import (invariant_bases, invariant_basis, invariant_dims,
+                                        is_sym_element)
+from weil.liealg import BUILTIN_NAMES, basis_vector, builtin, lie_generators
 from weil.superalg import substitute
-from weil.weil_algebra import WeilElement, curvature_generator, in_span, multiply
+from weil.weil_algebra import (WeilElement, curvature_generator, in_span, lie_images, multiply,
+                               operator_rows, sym_exponents)
 
 
 def in_invariant_span(L, element):
@@ -110,3 +116,50 @@ def test_invariant_ring_closed_under_products():
     a, b = invariant_basis(h, 1)
     assert in_invariant_span(h, multiply(a, b))
     assert in_invariant_span(h, multiply(a, a))
+
+
+def kernel_over(L, indices, k):
+    """The slow route: the kernel of one lie_images table per e_i, i in indices,
+    on Sym^k, as the canonical nullspace over the same columns."""
+    n = L.dim
+    dom = [(0, s) for s in sym_exponents(n, k)]
+    vectors = operator_rows([lie_images(L, basis_vector(n, i)) for i in indices], dom)
+    return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
+            for vec in linalg.nullspace(linalg.transpose(vectors), len(dom))]
+
+
+def assert_same_basis(got, expected):
+    assert [a.sorted_terms() for a in got] == [b.sorted_terms() for b in expected]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generator_kernel_matches_all_tables_on_builtins(name):
+    L = builtin(name)
+    full = [kernel_over(L, range(L.dim), k) for k in range(9)]
+    for k in range(9):
+        assert_same_basis(invariant_basis(L, k), full[k])
+    for got, expected in zip(invariant_bases(L, 8), full):
+        assert_same_basis(got, expected)
+
+
+def test_generator_kernel_matches_all_tables_on_seeded_algebras():
+    # nilpotent, solvable R x|_A R^k and su2 + abelian(1), each also on a
+    # random basis; where a generator was dropped the two routes differ in
+    # their constraints, not in their kernel
+    rng = random.Random(61)
+    shrunk = 0
+    for L in generator_algebras(rng):
+        shrunk += len(lie_generators(L)) < L.dim
+        for k in range(5 if L.dim <= 4 else 4):
+            assert_same_basis(invariant_basis(L, k), kernel_over(L, range(L.dim), k))
+    assert shrunk >= 4
+
+
+def test_a_non_generating_set_has_a_larger_kernel():
+    # {e_1} does not generate su2: its kernel is strictly larger at some k <= 3,
+    # so agreement with the full kernel is not automatic
+    su2 = builtin("su2")
+    sizes = [(len(kernel_over(su2, [0], k)), len(kernel_over(su2, range(3), k)))
+             for k in range(4)]
+    assert all(part >= full for part, full in sizes)
+    assert any(part > full for part, full in sizes)

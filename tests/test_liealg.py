@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from weil import jsonio, liealg
+from weil import jsonio, liealg, linalg
 from weil.chern_weil import builtin_rep
 from weil.equivariant import builtin_action
 from weil.liealg import (BUILTIN_NAMES, LieAlgebra, Violation, adjoint_matrices, basis_vector,
                          builtin, check_representation, coadjoint, from_brackets,
-                         make_lie_algebra, validate)
+                         lie_generators, make_lie_algebra, validate)
 
 
 def bracket_basis(L, i, j):
@@ -454,3 +454,117 @@ def test_check_representation_on_ints_matches_the_fraction_check():
             outcomes.append(expected)
     assert {(True, True), (True, False)} <= scaled
     assert sum(o is not None for o in outcomes) > len(outcomes) // 2
+
+
+def strictly_upper(k):
+    """The nilpotent strictly upper-triangular matrices, the ideal of the Borel
+    of gl(k) spanned by the units E_ab, a < b, renumbered in order."""
+    units = [(a, b) for a in range(k) for b in range(k) if a <= b]
+    new = {old: i for i, old in enumerate(u for u, (a, b) in enumerate(units) if a < b)}
+    return make_lie_algebra(len(new), {(new[i], new[j], new[l]): c for (i, j, l), c
+                                       in gl_subalgebra(k, True).structure.items()
+                                       if i in new and j in new})
+
+
+def two_step_nilpotent(rng):
+    """[e_i, e_j] for i < j < a lands in the span of e_a..e_{n-1}, which is
+    central: every double bracket vanishes, so Jacobi holds."""
+    a, b = rng.randint(2, 4), rng.randint(1, 2)
+    return from_brackets(a + b, {(i, j): {l: c for l in range(a, a + b) if (c := rng.randint(-2, 2))}
+                                 for i in range(a) for j in range(i + 1, a)})
+
+
+def semidirect(rng):
+    """R x|_A R^k: [e_0, e_j] = sum_i A_ij e_i, the ideal R^k abelian."""
+    k = rng.randint(1, 4)
+    A = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    return from_brackets(k + 1, {(0, j + 1): {i + 1: A[i][j] for i in range(k) if A[i][j]}
+                                 for j in range(k)})
+
+
+def su2_plus_abelian():
+    return make_lie_algebra(4, dict(builtin("su2").structure))
+
+
+def rebased(rng, L):
+    """L on the basis e'_a = sum_i P_ia e_i, P upper times lower unitriangular
+    on ints (so invertible): f'^c_ab = (P^-1 [e'_a, e'_b])_c."""
+    n = L.dim
+    U = [[Fraction(rng.randint(-2, 2) if c > r else int(c == r)) for c in range(n)]
+         for r in range(n)]
+    Lo = [[Fraction(rng.randint(-2, 2) if c < r else int(c == r)) for c in range(n)]
+          for r in range(n)]
+    P = matmul(U, Lo)
+    Pinv = inverse(P)
+    cols = [list(col) for col in zip(*P)]
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            br = L.bracket(cols[a], cols[b])
+            for c in range(n):
+                if v := sum(x * y for x, y in zip(Pinv[c], br)):
+                    table[a, b, c] = v
+    return make_lie_algebra(n, table)
+
+
+def generator_algebras(rng):
+    """Seeded valid algebras for the generating-set tests: 2-step nilpotent
+    ones, the strictly upper-triangular 4 x 4 matrices, semidirect products
+    R x|_A R^k, su2 + abelian(1), gl(2) and the Borel of gl(3), each also on
+    a random basis."""
+    out = [two_step_nilpotent(rng) for _ in range(3)] + [semidirect(rng) for _ in range(4)]
+    out += [strictly_upper(4), su2_plus_abelian(), gl_subalgebra(2, False),
+            gl_subalgebra(3, True)]
+    out += [rebased(rng, L) for L in out if L.dim <= 6]
+    for L in out:
+        assert validate(L) is None
+    return out
+
+
+def spans(L, indices, target):
+    """Whether e_target lies in the span of the [e_i, e_j], i < j in indices."""
+    columns = [bracket_basis(L, i, j) for i in indices for j in indices if i < j]
+    return linalg.solve([c for c in columns if c] or [{}], [{target: Fraction(1)}]) is not None
+
+
+def generated_dim(L, indices):
+    """dim of the Lie subalgebra the e_i, i in indices, generate: brackets of
+    an echelon basis are added until its rank stops growing."""
+    n = L.dim
+    basis = [{i: Fraction(1)} for i in indices]
+    while True:
+        dense = [[row.get(c, Fraction(0)) for c in range(n)] for row in basis]
+        grown = basis + [dict(enumerate(L.bracket(x, y))) for x in dense for y in dense]
+        _, reduced = linalg.rref(grown)
+        if len(reduced) == len(basis):
+            return len(basis)
+        basis = reduced
+
+
+def test_lie_generators_of_the_builtins():
+    expected = {"abelian(1)": [0], "abelian(2)": [0, 1], "abelian(3)": [0, 1, 2],
+                "su2": [1, 2], "so3": [1, 2], "sl2": [1, 2], "heisenberg3": [0, 1]}
+    assert {name: lie_generators(builtin(name)) for name in BUILTIN_NAMES} == expected
+
+
+def test_lie_generators_generate_and_follow_the_drop_rule():
+    rng = random.Random(59)
+    algebras = [builtin(name) for name in BUILTIN_NAMES] + generator_algebras(rng)
+    shrunk = 0
+    for L in algebras:
+        kept = lie_generators(L)
+        assert kept == sorted(set(kept))
+        assert generated_dim(L, kept) == L.dim, L.structure
+        # e_k is dropped exactly when it lies in the span of the brackets of
+        # the kept indices below k and all indices above it
+        for k in range(L.dim):
+            others = [i for i in kept if i < k] + list(range(k + 1, L.dim))
+            assert (k not in kept) == spans(L, others, k), (L.structure, k)
+        shrunk += len(kept) < L.dim
+    # a generic basis vector lies outside [g, g] and is never dropped, so
+    # only some algebras shrink; enough of them must for the rule to be tested
+    assert shrunk >= len(algebras) // 4
+
+
+def test_lie_generators_keep_the_abelian_summand():
+    assert lie_generators(su2_plus_abelian()) == [1, 2, 3]

@@ -259,3 +259,33 @@ def test_int_row_matches_previous_scaling(row):
     ints = linalg._int_row(row)
     assert ints == _old_int_row(row)
     assert all(type(n) is int for n in ints.values())
+
+
+def test_solvers_never_mutate_their_input_rows():
+    # an all-int row with content 1 and no zero is not copied by _int_row and
+    # may be stored as a pivot row as it is; every other kind is copied
+    rng = random.Random(2025)
+    systems = []
+    for kind in ("ints-content-1", "ints-with-zeros", "ints-content-above-1", "fractions"):
+        for _ in range(20):
+            ncols = rng.randint(1, 10)
+            rows = random_system(rng, rng.randint(1, 12), ncols, 0.5)
+            if kind != "fractions":
+                rows = [{c: v.numerator for c, v in row.items()} for row in rows]
+            if kind == "ints-with-zeros":
+                rows = [{**row, rng.randrange(ncols + 2): 0} for row in rows]
+            elif kind == "ints-content-above-1":
+                rows = [{c: 6 * v for c, v in row.items()} for row in rows]
+            systems.append((rows, ncols))
+    m, mats = builtin_action("adjoint", builtin("su2"))
+    dom, vectors = WeilModel(m, builtin("su2"), mats).basic_constraint_rows(2, 2)
+    systems += [(vectors, 1 + max(c for row in vectors for c in row)),
+                (linalg.transpose(vectors), len(dom))]
+    for rows, ncols in systems:
+        before = [dict(row) for row in rows]
+        linalg.rank(rows)
+        linalg.rref(rows)
+        linalg.nullspace(rows, ncols)
+        linalg.solve(rows, rows[:2])
+        assert rows == before
+        assert all(list(row.items()) == list(old.items()) for row, old in zip(rows, before))
