@@ -146,8 +146,8 @@ class WeilModel:
 
     def basic_basis(self, total_degree, poly_cap):
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
-        kernel = linalg.nullspace(linalg.transpose(vectors), len(dom))
-        return [WeilModelElement(self, {dom[i]: c for i, c in vec.items()}) for vec in kernel]
+        return [WeilModelElement(self, {dom[i]: c for i, c in vec.items()})
+                for vec in linalg.relations(vectors)]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
         """len(dom) minus the rank of the image vectors, which is the rank of the system."""

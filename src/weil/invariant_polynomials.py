@@ -56,8 +56,8 @@ def invariant_basis(L: LieAlgebra, k):
     only: xi -> L_xi is a Lie algebra homomorphism (the coadjoint convention
     of :mod:`weil.liealg`), so what a generating set kills, all of g kills.
     The kernel is the same subspace over the same columns as with all n
-    tables, and ``linalg.nullspace`` returns its canonical RREF basis, so the
-    basis is the same too.
+    tables, and ``linalg.relations`` of the image vectors returns its
+    canonical RREF basis, so the basis is the same too.
     """
     _check_sym_size(L.dim, k)
     return _kernel(L.dim, _generator_tables(L), k)
@@ -71,13 +71,14 @@ def _kernel(n, tables, k):
     dom = [(0, s) for s in sym_exponents(n, k)]
     vectors = operator_rows(tables, dom)
     return [WeilElement(n, {dom[j]: c for j, c in vec.items()})
-            for vec in linalg.nullspace(linalg.transpose(vectors), len(dom))]
+            for vec in linalg.relations(vectors)]
 
 
 def basic_subspace(L: LieAlgebra, total_degree):
     """Echelon basis of {a : iota_{e_i} a = 0 and L_{e_i} a = 0 for all i}: the RREF
     of the images over the Weil keys in reversed term order, read backwards, is
-    the kernel basis ``linalg.nullspace`` gives the full iota/L system."""
+    the canonical kernel basis of the full iota/L system, which
+    ``linalg.relations`` gives its image vectors."""
     if total_degree < 0:
         raise ValueError("degree must be >= 0")
     if total_degree % 2:

@@ -151,14 +151,14 @@ def lie_generators(L: LieAlgebra):
     structure constants alone.
 
     For k = 0..n-1 in order, e_k is dropped when it lies in the span of the
-    brackets [e_i, e_j] of the indices still kept other than k: those below
-    k that were kept and all those above k.  By induction from k = n-1 down,
-    every e_k lies in the Lie subalgebra the kept set generates, so that
-    subalgebra is g.  Any kernel of a Lie algebra homomorphism xi -> D_xi
-    taken over the kept e_i alone is then the kernel over all of g, since
-    the xi with D_xi P = 0 form a subalgebra.  On the builtins this keeps
-    {e_2, e_3} of su2 and so3, {e, f} of sl2, {e_1, e_2} of heisenberg3 and
-    every index of abelian(n).
+    indices still kept other than k (those below k that were kept and all
+    those above k) and of their brackets [e_i, e_j].  By induction from
+    k = n-1 down, every e_k lies in the Lie subalgebra the kept set
+    generates, so that subalgebra is g.  Any kernel of a Lie algebra
+    homomorphism xi -> D_xi taken over the kept e_i alone is then the kernel
+    over all of g, since the xi with D_xi P = 0 form a subalgebra.  On the
+    builtins this keeps {e_2, e_3} of su2 and so3, {e, f} of sl2,
+    {e_1, e_2} of heisenberg3 and every index of abelian(n).
     """
     brackets = {}
     for (i, j, k), c in L.structure.items():
@@ -167,11 +167,13 @@ def lie_generators(L: LieAlgebra):
     kept = set(range(L.dim))
     for k in range(L.dim):
         # an echelon basis of the span, each row keyed by its leading
-        # (lowest) column and scaled to 1 there; reduced here, not by linalg,
-        # so that a job's linalg calls stay those of its own systems
-        pivots = {}
+        # (lowest) column and scaled to 1 there, starting from the unit rows
+        # of the other kept indices; reduced here, not by linalg, so that a
+        # job's linalg calls stay those of its own systems
+        others = kept - {k}
+        pivots = {i: {i: 1} for i in others}
         for (i, j), vec in brackets.items():
-            if i != k != j and i in kept and j in kept:
+            if i in others and j in others:
                 vec = _reduce(pivots, vec)
                 if vec:
                     lead = min(vec)

@@ -95,22 +95,38 @@ def rref(rows):
     return piv_cols, [reduced[c] for c in piv_cols]
 
 
+def relations(vectors):
+    """Canonical basis of the relations {x : sum_j x_j * vectors[j] = 0}.
+
+    The same vectors, term for term and in insertion order (the free index
+    first, then the others ascending), as the standard RREF kernel basis of
+    the matrix whose j-th column is ``vectors[j]``.  Vector j is tagged with
+    1 in column ``top + n - 1 - j``, past every real column, and the tagged
+    vectors are eliminated once.  The pivot rows that lead with a tag hold
+    tags only and span the relations; their RREF, in this reversed order of
+    the indices and read backwards, is that canonical basis.
+    """
+    top = max((c for vec in vectors for c in vec), default=-1) + 1
+    end = top + len(vectors) - 1
+    tagged = [{**vec, end - j: 1} for j, vec in enumerate(vectors)]
+    piv_cols, reduced = rref([row for col, row in _forward_eliminate(tagged) if col >= top])
+    return [{end - c: row[c] for c in (col, *sorted(row.keys() - {col}, reverse=True))}
+            for col, row in zip(reversed(piv_cols), reversed(reduced))]
+
+
 def nullspace(rows, ncols):
-    """Canonical kernel basis.
+    """Canonical kernel basis: the ``relations`` of the ``ncols`` columns.
 
     One vector per free column (ascending), with entry 1 at the free column
     and the back-substituted pivot entries, i.e. the standard RREF kernel
-    basis, read off the reduced rows in one pass.
+    basis.
     """
-    piv_cols, reduced = rref(rows)
-    basis = {free: {free: Fraction(1)} for free in range(ncols)}
-    for col in piv_cols:
-        basis.pop(col, None)
-    for col, row in zip(piv_cols, reduced):
+    columns = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
         for c, v in row.items():
-            if c in basis:
-                basis[c][col] = -v
-    return list(basis.values())
+            if v:
+                columns[c][r] = v
+    return relations(columns)
 
 
 def transpose(vectors):

@@ -210,15 +210,13 @@ def operator_rows(tables, domain_keys):
     same kernel and rank) and applied to the key with coefficient 1.  A
     vector maps columns, one per pair (derivation, image key), to
     coefficients.  The vectors are the rows of the transposed operator
-    matrix, so no codomain basis is needed: they have its rank, and
-    ``linalg.transpose`` gives back its rows and kernel.
+    matrix, so no codomain basis is needed: they have its rank, and its
+    kernel is their ``linalg.relations``.
 
     Columns are numbered by how many vectors hold them, fewest first, ties
     in order of first appearance: the static form of Markowitz's rule.  The
-    elimination pivots on the lowest-numbered column, so a rank taken on the
-    vectors fills in less; the transposed rows are sorted by column number
-    and then, by ``linalg``, by length, which is that count, so a kernel
-    eliminates them in the order first appearance gives.
+    elimination pivots on the lowest-numbered column, so a rank, and a
+    kernel, taken on the vectors fills in less.
 
     This is the Leibniz rule of :func:`derivation` on packed keys: a key
     (mask, exps) is the int ``mask | sum_i exps[i] << (n + w*i)``, the odd

@@ -522,8 +522,10 @@ def generator_algebras(rng):
 
 
 def spans(L, indices, target):
-    """Whether e_target lies in the span of the [e_i, e_j], i < j in indices."""
-    columns = [bracket_basis(L, i, j) for i in indices for j in indices if i < j]
+    """Whether e_target lies in the span of the e_i and the [e_i, e_j], i < j
+    in indices."""
+    columns = [{i: Fraction(1)} for i in indices]
+    columns += [bracket_basis(L, i, j) for i in indices for j in indices if i < j]
     return linalg.solve([c for c in columns if c] or [{}], [{target: Fraction(1)}]) is not None
 
 
@@ -555,15 +557,27 @@ def test_lie_generators_generate_and_follow_the_drop_rule():
         kept = lie_generators(L)
         assert kept == sorted(set(kept))
         assert generated_dim(L, kept) == L.dim, L.structure
-        # e_k is dropped exactly when it lies in the span of the brackets of
-        # the kept indices below k and all indices above it
+        # e_k is dropped exactly when it lies in the span of the kept indices
+        # below k and all indices above it and of their brackets
         for k in range(L.dim):
             others = [i for i in kept if i < k] + list(range(k + 1, L.dim))
             assert (k not in kept) == spans(L, others, k), (L.structure, k)
         shrunk += len(kept) < L.dim
-    # a generic basis vector lies outside [g, g] and is never dropped, so
-    # only some algebras shrink; enough of them must for the rule to be tested
+    # only some algebras shrink (abelian ones never do); enough of them must
+    # for the rule to be tested
     assert shrunk >= len(algebras) // 4
+
+
+def test_lie_generators_shrink_on_a_random_basis():
+    # few basis vectors of a random basis lie in the span of brackets alone;
+    # with the other kept basis vectors in the span, the rebased strictly
+    # upper-triangular 4 x 4 matrices keep 3 of 6 and a rebased 2-step
+    # nilpotent algebra 4 of 5, each the dimension of its g/[g, g]
+    algebras = generator_algebras(random.Random(59))
+    nilpotent, upper = algebras[13], algebras[18]
+    assert (nilpotent.dim, upper.dim) == (5, 6) and upper != strictly_upper(4)
+    assert len(lie_generators(nilpotent)) == 4
+    assert len(lie_generators(upper)) == 3
 
 
 def test_lie_generators_keep_the_abelian_summand():

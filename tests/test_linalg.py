@@ -203,12 +203,17 @@ def old_nullspace(rows, ncols):
     return basis
 
 
+def items(vectors):
+    """Each vector's terms in insertion order."""
+    return [list(vec.items()) for vec in vectors]
+
+
 def assert_matches_oracle(rows, ncols):
     old_pivots, new_pivots = old_forward_eliminate(rows), linalg._forward_eliminate(rows)
     assert [c for c, _ in new_pivots] == [c for c, _ in old_pivots]
     assert all(min(row) == c for c, row in new_pivots)
     assert linalg.rref(rows) == old_rref(rows)
-    assert linalg.nullspace(rows, ncols) == old_nullspace(rows, ncols)
+    assert items(linalg.nullspace(rows, ncols)) == items(old_nullspace(rows, ncols))
     assert linalg.rank(rows) == len(old_pivots)
 
 
@@ -239,6 +244,38 @@ def test_reduction_matches_previous_elimination_on_random_systems():
         assert_matches_oracle(rows, ncols)
 
 
+def assert_relations_match_oracle(vectors):
+    expected = old_nullspace(linalg.transpose(vectors), len(vectors))
+    assert items(linalg.relations(vectors)) == items(expected)
+
+
+def test_relations_match_the_transposed_nullspace_on_random_vectors():
+    # the vectors of random systems: Fraction and int entries, duplicates,
+    # combinations of earlier vectors, and empty vectors mixed in
+    rng = random.Random(2026)
+    for trial in range(300):
+        vectors = random_system(rng, rng.randint(0, 16), rng.randint(1, 12),
+                                rng.choice((0.1, 0.3, 0.6)))
+        if trial % 2:
+            vectors = [{c: v.numerator for c, v in vec.items()} for vec in vectors]
+        for _ in range(rng.randint(0, 2)):
+            vectors.insert(rng.randint(0, len(vectors)), {})
+        assert_relations_match_oracle(vectors)
+
+
+def test_relations_edge_cases():
+    assert linalg.relations([]) == []
+    assert items(linalg.relations([{}, {}])) == [[(0, 1)], [(1, 1)]]
+    # full rank: no relation
+    full = [{j: F(j + 1), j + 1: F(-1, 2)} for j in range(5)]
+    assert linalg.relations(full) == []
+    # a duplicate and a multiple of an earlier vector
+    vectors = [{0: 2, 3: 1}, {1: 1}, {0: 2, 3: 1}, {1: F(-3, 2)}]
+    assert items(linalg.relations(vectors)) == [[(2, 1), (0, -1)], [(3, 1), (1, F(3, 2))]]
+    for vectors in ([{}], [{5: 1}], full, full + full[::-1], [{0: 1}] * 4):
+        assert_relations_match_oracle(vectors)
+
+
 @pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
 @pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
 def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degree, cap):
@@ -249,6 +286,7 @@ def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degr
     rows = linalg.transpose(vectors)
     assert_matches_oracle(rows, len(dom))
     assert linalg.rank(vectors) == len(old_forward_eliminate(rows))
+    assert_relations_match_oracle(vectors)
 
 
 @pytest.mark.parametrize("row", [
@@ -286,6 +324,7 @@ def test_solvers_never_mutate_their_input_rows():
         linalg.rank(rows)
         linalg.rref(rows)
         linalg.nullspace(rows, ncols)
+        linalg.relations(rows)
         linalg.solve(rows, rows[:2])
         assert rows == before
         assert all(list(row.items()) == list(old.items()) for row, old in zip(rows, before))

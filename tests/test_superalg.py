@@ -34,7 +34,7 @@ from weil import equivariant, invariant_polynomials, linalg, superalg, weil_alge
 from weil.masks import indices_of, mask_of, swap_mask
 from weil.superalg import ONE, derivation, in_span, multiply, operator_rows, vectors
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_cohomology_dims,
-                               koszul_images, lie_images)
+                               koszul_images, lie_images, sym_exponents)
 
 from test_equivariant import CARTAN_MODELS, cartan_model, conjugated, semidirect
 
@@ -341,8 +341,8 @@ def model_answers(model):
 
 @pytest.mark.parametrize("build", ORDER_MODELS.values(), ids=ORDER_MODELS)
 def test_count_numbering_keeps_every_answer(monkeypatch, build):
-    # rank does not depend on column order, and a kernel's rows are taken in
-    # the same order under both numberings (by length, which is the count)
+    # neither a rank nor the canonical relations of the vectors depends on
+    # the column order, which orders only the pivots of their elimination
     model = build()
     for degree, cap in CAPS:
         dom, vectors = model.basic_constraint_rows(degree, cap)
@@ -356,11 +356,17 @@ def test_count_numbering_keeps_every_answer(monkeypatch, build):
 
 
 def test_count_numbering_fills_in_less():
-    # entries stored in the pivot rows of the elimination: 30,705 under first
-    # appearance, 24,258 under the count on these 12 systems.  Not per system:
-    # heisenberg3 conjugate at (2, 2) goes 1,555 -> 1,583.
+    # entries stored in the pivot rows of the elimination: the ranks of these
+    # 12 systems store 30,705 under first appearance, 24,258 under the count.
+    # Not per system: heisenberg3 conjugate at (2, 2) goes 1,555 -> 1,583.
     def stored(vectors):
         return sum(len(row) for _, row in linalg._forward_eliminate(vectors))
+
+    def tagged(vectors):
+        # the rows linalg.relations eliminates: vector j with 1 in column
+        # top + n - 1 - j, past every column of the vectors
+        end = max((c for vec in vectors for c in vec), default=-1) + len(vectors)
+        return [{**vec, end - j: 1} for j, vec in enumerate(vectors)]
 
     before = after = 0
     for name, action in CARTAN_MODELS:
@@ -372,6 +378,17 @@ def test_count_numbering_fills_in_less():
                 assert new < old, (name, degree, cap, old, new)
             before, after = before + old, after + new
     assert after < before, (before, after)
+    # the tagged kernels of invariant_bases(L, 10): su2 stores 1,292 entries
+    # against 1,324 under first appearance; sl2 and heisenberg3 tie
+    for name in ("su2", "sl2", "heisenberg3"):
+        L = builtin(name)
+        tables = invariant_polynomials._generator_tables(L)
+        old = new = 0
+        for k in range(11):
+            vectors = operator_rows(tables, [(0, s) for s in sym_exponents(L.dim, k)])
+            old += stored(tagged(first_appearance(vectors)))
+            new += stored(tagged(vectors))
+        assert new < old if name == "su2" else new == old, (name, old, new)
 
 
 def test_chart_d_is_its_table():
