@@ -235,7 +235,10 @@ def _read_json(path, payloads):
     payloads[path] = hashlib.sha256(raw).hexdigest()
     text = raw.decode()
     _check_digits(text, path)  # bare integers and rational strings alike
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply") from None
 
 
 def _check_invariant(L, P, what):

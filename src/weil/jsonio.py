@@ -17,6 +17,7 @@ from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
 from .liealg import LieAlgebra, builtin, from_brackets, validate
 from .masks import indices_of, mask_of
+from .schur_oracle import check_size
 from .weil_algebra import WeilElement
 
 
@@ -119,15 +120,18 @@ def _terms_from_json(obj, odd_field, even_field, n):
     """
     if not isinstance(obj, list) or not all(isinstance(t, dict) for t in obj):
         raise ValueError("a term list must be a JSON array of objects")
-    terms = {}
+    terms, zeros = {}, None
     for entry in obj:
         odd = _int_list(entry.get(odd_field, []), odd_field) if odd_field else []
         if any(not 1 <= i <= n for i in odd):
             raise ValueError(f"{odd_field} index out of range 1..{n}")
-        exps = _int_list(entry.get(even_field, [0] * n), even_field)
-        if len(exps) != n or any(x < 0 for x in exps):
-            raise ValueError(f"{even_field} must hold {n} nonnegative exponents")
-        key = (mask_of(i - 1 for i in odd), tuple(exps))
+        if even_field in entry:
+            exps = tuple(_int_list(entry[even_field], even_field))
+            if len(exps) != n or any(x < 0 for x in exps):
+                raise ValueError(f"{even_field} must hold {n} nonnegative exponents")
+        else:
+            exps = zeros = zeros or (0,) * n
+        key = (mask_of(i - 1 for i in odd), exps)
         terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"], "a term c")
     return terms
 
@@ -160,6 +164,7 @@ def chart_form_from_json(obj) -> ChartForm:
     m = typed(obj, dict, "a chart form")["dim"]
     if type(m) is not int or m < 0:
         raise ValueError("a chart form dim must be a nonnegative integer")
+    check_size(m, f"a chart form dim of {m}")
     return ChartForm(m, _terms_from_json(obj.get("terms", []), "dx", "mono", m))
 
 
@@ -183,6 +188,7 @@ def connection_from_json(obj, algebra=None) -> LieValuedForm:
     if algebra is None:
         raise ValueError("no algebra given for the connection")
     m = typed(obj["chart_dim"], int, "chart_dim")
+    check_size(m, f"a chart_dim of {m}")
     comps = [chart_form_from_json(c) for c in typed(obj["components"], list, "components")]
     for c in comps:
         if c.m != m:

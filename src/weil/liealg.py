@@ -16,6 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
+
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -152,7 +154,8 @@ def lie_generators(L: LieAlgebra):
 
     For k = 0..n-1 in order, e_k is dropped when it lies in the span of the
     indices still kept other than k (those below k that were kept and all
-    those above k) and of their brackets [e_i, e_j].  By induction from
+    those above k) and of their brackets [e_i, e_j]: when adding e_k to
+    those rows leaves their ``linalg.rank`` unchanged.  By induction from
     k = n-1 down, every e_k lies in the Lie subalgebra the kept set
     generates, so that subalgebra is g.  Any kernel of a Lie algebra
     homomorphism xi -> D_xi taken over the kept e_i alone is then the kernel
@@ -166,35 +169,12 @@ def lie_generators(L: LieAlgebra):
             brackets.setdefault((i, j), {})[k] = c
     kept = set(range(L.dim))
     for k in range(L.dim):
-        # an echelon basis of the span, each row keyed by its leading
-        # (lowest) column and scaled to 1 there, starting from the unit rows
-        # of the other kept indices; reduced here, not by linalg, so that a
-        # job's linalg calls stay those of its own systems
         others = kept - {k}
-        pivots = {i: {i: 1} for i in others}
-        for (i, j), vec in brackets.items():
-            if i in others and j in others:
-                vec = _reduce(pivots, vec)
-                if vec:
-                    lead = min(vec)
-                    pivots[lead] = {c: v / vec[lead] for c, v in vec.items()}
-        if not _reduce(pivots, {k: 1}):
+        span = [{i: 1} for i in others]
+        span += [vec for (i, j), vec in brackets.items() if i in others and j in others]
+        if linalg.rank(span + [{k: 1}]) == linalg.rank(span):
             kept.discard(k)
     return sorted(kept)
-
-
-def _reduce(pivots, vec):
-    """vec minus the combination of the rows of ``pivots`` that clears every
-    pivot column it reaches, leading column first."""
-    vec = dict(vec)
-    while vec and (lead := min(vec)) in pivots:
-        f = vec[lead]
-        for c, v in pivots[lead].items():
-            if x := vec.get(c, 0) - f * v:
-                vec[c] = x
-            else:
-                vec.pop(c, None)
-    return vec
 
 
 def adjoint_matrices(L: LieAlgebra):

@@ -111,8 +111,9 @@ def _ext_action(w, a, b):
 
 
 def domain_basis(problem: EquivHomProblem):
-    """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight);
-    more than DEFAULT_CAP of them raise ResourceCapError.
+    """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight); more than
+    DEFAULT_CAP of them, more than MAX_SLOTS slots, or a base-element table over
+    DEFAULT_CAP (checked before it is built) raise ResourceCapError.
 
     Slots are filled one at a time, and the W*-indices in use are kept as
     one int bitmask; a slot whose mask meets it would raise a weight entry
@@ -124,9 +125,16 @@ def domain_basis(problem: EquivHomProblem):
     leaves no room ends the loop.
     """
     n = problem.dim_w
+    slots = sum(f.degree for f in problem.domain)
+    if slots > MAX_SLOTS:
+        raise ResourceCapError(f"a domain of {slots} slots is over the cap {MAX_SLOTS}")
     tables = []
     for f in problem.domain:
-        elems = base_elements(f.base, n, problem.dim_v)
+        elems = []
+        if f.degree:
+            check_size(capped_comb(n, f.w_weight) * (problem.dim_v if f.base.endswith("V") else 1),
+                       f"a {f.base} basis at dim W {n} and dim V {problem.dim_v}")
+            elems = base_elements(f.base, n, problem.dim_v)
         # where the next slot of the factor starts: sorted with repeats,
         # strictly increasing, or anywhere
         step = {"sym": 0, "ext": 1, "ten": None}[f.op]
@@ -201,6 +209,7 @@ def domain_action(problem: EquivHomProblem, a, b, elem):
 
 
 DEFAULT_CAP = 20000
+MAX_SLOTS = 500  # domain_basis's fill recurses once per slot; Python's default limit is 1000
 
 
 def capped_comb(a, b):

@@ -97,6 +97,7 @@ class SuperElement:
         return len(self.degrees()) <= 1
 
     def degree(self):
+        """The one degree of a nonzero homogeneous element; bench/checks.py reads it."""
         degs = self.degrees()
         if len(degs) != 1:
             raise ValueError("element is not homogeneous (or is zero)")

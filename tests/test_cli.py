@@ -67,7 +67,13 @@ def test_oracle_at_dim_v_zero(capsys, p, expected):
     (["--p", "0", "--q", "0", "--dimV", "-1"], "ValueError"),
     # 945 perfect matchings of 10 indices x 3^5 V-labels = 229,635 unknowns
     (["--p", "0", "--q", "5", "--dimV", "3"], "ResourceCapError"),
-], ids=["negative-dimV", "over-cap"])
+    # a base-element table of 10^9 V-labels; 5,000 or 100,000 slots, and a table of
+    # 100,000 W*-pairs; 1,200 slots, each one frame of the enumeration's recursion
+    (["--p", "1", "--q", "0", "--dimV", "1000000000"], "ResourceCapError"),
+    (["--p", "5000", "--q", "0", "--dimV", "1"], "ResourceCapError"),
+    (["--p", "0", "--q", "100000", "--dimV", "1"], "ResourceCapError"),
+    (["--p", "1200", "--q", "0", "--dimV", "1"], "ResourceCapError"),
+], ids=["negative-dimV", "over-cap", "dimV-table", "p-5000", "q-100000", "p-1200"])
 def test_oracle_refusal_is_a_domain_error(capsys, argv, kind):
     code = main(["oracle", *argv])
     captured = capsys.readouterr()
@@ -666,6 +672,41 @@ def test_long_number_literals_get_a_package_message(tmp_path, capsys, monkeypatc
     error = assert_domain_error(capsys, argv)
     assert error == {"type": "ValueError", "message": f"{str(path) if what == 'FILE' else what} "
                      "holds a number of more than 4300 digits"}
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+HUGE_CHART = {"algebra": "heisenberg3", "chart_dim": 10 ** 9,
+              "components": [{"dim": 10 ** 9, "terms": [{"dx": [1], "c": "1"}]}] * 3}
+
+
+@pytest.mark.parametrize("argv,file_obj,message", [
+    (["cw", "--algebra", "su2", "--connection", "FILE"], DEEP, "FILE is nested too deeply"),
+    (["gauge", "--connection", "CONN", "--gauge", "FILE"], DEEP, "FILE is nested too deeply"),
+    (["cw", "--connection", "CONN", "--invariant-json", "FILE"], DEEP,
+     "FILE is nested too deeply"),
+    (["equivariant", "--algebra", "abelian1", "--action-json", "FILE", "--degree", "0",
+      "--poly-cap", "0"], DEEP, "FILE is nested too deeply"),
+    (["polyfunc", "decompose", "--expr", "x", "--degree", "1", "--dim", "1", "--probes", "FILE"],
+     DEEP, "FILE is nested too deeply"),
+    (["cw", "--connection", "FILE", "--invariant", "basis:1:0"], HUGE_CHART,
+     "a chart_dim of 1000000000 is over the cap 20000"),
+    (["gauge", "--connection", "FILE", "--gauge", "CONN"], HUGE_CHART,
+     "a chart_dim of 1000000000 is over the cap 20000"),
+    (["cw", "--connection", "FILE", "--invariant", "basis:1:0"], {**HUGE_CHART, "chart_dim": 2},
+     "a chart form dim of 1000000000 is over the cap 20000"),
+], ids=["deep-connection", "deep-gauge", "deep-invariant-json", "deep-action-json",
+        "deep-probes", "chart-dim-cw", "chart-dim-gauge", "component-dim"])
+def test_file_inputs_are_refused_before_they_exhaust_the_interpreter(tmp_path, capsys, argv,
+                                                                    file_obj, message):
+    # nesting past the recursion limit, and chart dimensions that a default exponent
+    # vector per term could not hold in memory
+    conn = write_json(tmp_path, "conn.json", HEISENBERG_CONNECTION)
+    path = tmp_path / "file.json"
+    path.write_text(file_obj if isinstance(file_obj, str) else json.dumps(file_obj))
+    argv = [{"CONN": conn, "FILE": str(path)}.get(a, a) for a in argv]
+    error = assert_domain_error(capsys, argv)
+    assert error == {"type": "ValueError" if file_obj is DEEP else "ResourceCapError",
+                     "message": message.replace("FILE", str(path))}
 
 
 def test_power_size_counts_the_variables_of_the_base():

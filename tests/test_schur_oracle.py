@@ -7,7 +7,7 @@ import pytest
 import weil.schur_oracle as schur_oracle
 from weil import linalg
 from weil.polyfunctor import canonical
-from weil.schur_oracle import (BASES, DEFAULT_CAP, W_WEIGHT, EquivHomProblem, Factor,
+from weil.schur_oracle import (BASES, DEFAULT_CAP, MAX_SLOTS, W_WEIGHT, EquivHomProblem, Factor,
                                ResourceCapError, antisymmetrization_problem,
                                _ext_action, base_elements, bidegree_problem, capped_comb,
                                domain_action, domain_basis, domain_weight, equivariant_hom_dim,
@@ -403,6 +403,17 @@ def test_resource_cap_refuses_before_any_action(monkeypatch):
         equivariant_hom_dim(over)
     assert calls == []
     assert equivariant_hom_dim(antisymmetrization_problem(3, 3, 3)) == 1 and calls
+
+
+def test_closed_form_sizes_refuse_before_any_table(monkeypatch):
+    # MAX_SLOTS slots are answered and one more is refused; a factor of degree 0
+    # builds no table, so 10^9 V-labels cost nothing at p = q = 0
+    assert verify_bidegree(MAX_SLOTS, 0, 1).match
+    assert verify_bidegree(0, 0, 10 ** 9).computed == 1
+    monkeypatch.setattr(schur_oracle, "base_elements", lambda *args: pytest.fail("built a table"))
+    for p, q, dim_v in ((MAX_SLOTS + 1, 0, 1), (1, 0, 10 ** 9), (1, 0, DEFAULT_CAP + 1)):
+        with pytest.raises(ResourceCapError, match="over the cap"):
+            verify_bidegree(p, q, dim_v)
 
 
 def test_factor_validation():
