@@ -33,18 +33,18 @@ def invariant_dims(L: LieAlgebra, max_k):
 
 
 def invariant_bases(L: LieAlgebra, max_k):
-    """[invariant_basis(L, k)]_{k=0..max_k}, refused up front when Sym^max_k,
-    the largest of the spaces, is over the cap; the generator tables are
-    built once for every k."""
+    """[invariant_basis(L, k)]_{k=0..max_k}, refused up front when the spaces
+    together are over the cap; the generator tables are built once for every k."""
     if max_k < 0:
         raise ValueError("max_degree must be >= 0")
-    _check_sym_size(L.dim, max_k)
+    # sum_{k <= K} dim Sym^k = sum_k C(n+k-1, k) = C(n+K, K)
+    _check_sym_size(L.dim, capped_comb(L.dim + max_k, max_k), f"Sym^<={max_k}")
     tables = _generator_tables(L)
     return [_kernel(L.dim, tables, k) for k in range(max_k + 1)]
 
 
-def _check_sym_size(n, k):
-    check_size(capped_comb(n + k - 1, k), f"Sym^{k} of a {n}-dimensional algebra")
+def _check_sym_size(n, size, space):
+    check_size(size, f"{space} of a {n}-dimensional algebra")
     # the n tables of L hold n images on keys of n exponents
     check_size(n * n, f"each generator table of a {n}-dimensional algebra")
 
@@ -59,7 +59,7 @@ def invariant_basis(L: LieAlgebra, k):
     tables, and ``linalg.relations`` of the image vectors returns its
     canonical RREF basis, so the basis is the same too.
     """
-    _check_sym_size(L.dim, k)
+    _check_sym_size(L.dim, capped_comb(L.dim + k - 1, k), f"Sym^{k}")
     return _kernel(L.dim, _generator_tables(L), k)
 
 

@@ -14,8 +14,11 @@ is fixed by its values on generators and goes through :func:`derivation`,
 or, to assemble a linear system, through :func:`operator_rows`, which runs
 the same Leibniz rule on keys packed into single ints (mask in the low n
 bits, each exponent in a field of bits above it), so that a product of
-monomials is one integer addition, and which numbers the columns of the
-system fewest holders first, so that its elimination fills in less.
+monomials is one integer addition.  It gathers each generator's image terms
+from every table into one list, so a key visits only images that exist and
+its vector fills generator-major, and it numbers the columns of the system
+fewest holders first, ties by first appearance in that order, so that its
+elimination fills in less.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import lcm
-from operator import add, or_
+from operator import add, lshift, or_
 
 from . import linalg
 from .liealg import frac
@@ -229,22 +232,27 @@ def operator_rows(tables, domain_keys):
     odd mask im in front is the parity of ``rest & masks.swap_mask(im)``.
     An image is used, and packed and scaled, only if some domain key holds
     its generator.  An image key of table o of t carries o in its low digit,
-    ``pack(image key) * t + o``, so the tables of a domain key fill one dict.
-    Packing is a bijection, so the vectors are those of one
-    :func:`derivation` per key and table, in value and insertion order.
+    ``pack(image key) * t + o``, so no two tables share a column key, and
+    the used image terms of each generator, from every table in table
+    order, form one list.  A domain key walks its left derivatives, odd
+    indices ascending then even, through the lists of the generators that
+    have an image, so each vector fills generator-major: per generator,
+    then per table.  Packing is a bijection, so the vectors have the values
+    and insertion order of one :func:`derivation` per key, generator and
+    table, summed in that order.
     """
+    if not tables:
+        return [{} for _ in domain_keys]
     scales = [lcm(*(c.denominator for side in table for img in side if img
                     for c in img.values())) for table in tables]
-    n = len(tables[0][0]) if tables else 0
+    n = len(tables[0][0])
     image_top = max((sum(e) for table in tables for side in table for img in side if img
                      for _, e in img), default=0)
     width = (max((sum(e) for _, e in domain_keys), default=0) + image_top).bit_length()
     shifts = [n + width * i for i in range(n)]
 
     def pack(mask, exps):
-        for e, s in zip(exps, shifts):
-            mask += e << s
-        return mask
+        return mask + sum(map(lshift, exps, shifts))
 
     keys = [pack(mask, exps) for mask, exps in domain_keys]
     # the generators some domain key holds, o_0..o_{n-1} then e_0..e_{n-1},
@@ -252,38 +260,43 @@ def operator_rows(tables, domain_keys):
     # derivative, so no other image is used
     held = reduce(or_, keys, 0)
     flags = [held >> i & 1 for i in range(n)] + [held >> s & ((1 << width) - 1) for s in shifts]
-    # per derivation, the used images of o_0..o_{n-1} then e_0..e_{n-1}, each
-    # a list of (odd mask, sign mask, column key, integer coefficient); no
-    # two tables share a column key
+    # per generator, the used image terms of every table in table order, each
+    # (odd mask, sign mask, column key, integer coefficient)
     t = len(tables)
-    packed = [[[(im, swap_mask(im), pack(im, ie) * t + o, c.numerator * (scale // c.denominator))
-                for (im, ie), c in img.items()]
-               if img and h else None for h, img in zip(flags, odd + even)]
-              for o, (scale, (odd, even)) in enumerate(zip(scales, tables))]
+    by_gen = [[] for _ in flags]
+    for o, (scale, (odd, even)) in enumerate(zip(scales, tables)):
+        for terms, h, img in zip(by_gen, flags, odd + even):
+            if img and h:
+                terms += [(im, swap_mask(im), pack(im, ie) * t + o,
+                           c.numerator * (scale // c.denominator)) for (im, ie), c in img.items()]
+    # the derivatives that meet an image: (image terms, generator bit, sign)
+    # of the o_i per odd mask, (image terms, generator bit, index) of the e_i
+    odd_walks = {}
+    even_walk = [(terms, 1 << s, i) for i, (terms, s) in enumerate(zip(by_gen[n:], shifts))
+                 if terms]
     out = []
     for (mask, exps), key in zip(domain_keys, keys):
-        # (generator, remaining key, the same times t, coefficient)
-        partials = [(i, (rest := key - (1 << i)), rest * t, -1 if p % 2 else 1)
-                    for p, i in enumerate(indices_of(mask))]
-        partials += [(n + i, (rest := key - (1 << s)), rest * t, q)
-                     for i, (q, s) in enumerate(zip(exps, shifts)) if q]
+        walk = odd_walks.get(mask)
+        if walk is None:
+            walk = odd_walks[mask] = [(by_gen[i], 1 << i, -1 if p & 1 else 1)
+                                      for p, i in enumerate(indices_of(mask)) if by_gen[i]]
         image: dict[int, int] = {}
-        for table in packed:
-            for g, rest, shift, q in partials:
-                img = table[g]
-                if img:
-                    for im, below, k, c in img:
-                        if im & rest:
-                            continue
-                        k += shift
-                        v = -q * c if (rest & below).bit_count() & 1 else q * c
-                        old = image.get(k)  # _acc, inlined: the hot loop of the package
-                        if old is not None:
-                            v += old
-                            if not v:
-                                del image[k]
-                                continue
-                        image[k] = v
+        for terms, bit, q in walk + [(terms, bit, exps[i]) for terms, bit, i in even_walk
+                                     if exps[i]]:
+            rest = key - bit
+            shift = rest * t
+            for im, below, k, c in terms:
+                if im & rest:
+                    continue
+                k += shift
+                v = -q * c if (rest & below).bit_count() & 1 else q * c
+                old = image.get(k)  # _acc, inlined: the hot loop of the package
+                if old is not None:
+                    v += old
+                    if not v:
+                        del image[k]
+                        continue
+                image[k] = v
         out.append(image)
     # number the columns fewest holders first, ties by first appearance
     count = Counter(chain.from_iterable(out))

@@ -201,7 +201,9 @@ def koszul_cohomology_dims(n, max_degree):
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    check_size(koszul_dim(n, max_degree + 1), f"Koss^<={max_degree + 1} of dimension {n}")
+    # the bases of every degree to D + 1: sum_{d <= D+1} dim Koss^d = C(n+D+1, D+1)
+    check_size(capped_comb(n + max_degree + 1, max_degree + 1),
+               f"Koss^<={max_degree + 1} of dimension {n}")
     check_size(n * n, f"each generator table of a {n}-dimensional algebra")
     tables = [koszul_images(n)]
     dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil import chart_forms, jsonio
+from weil import chart_forms, jsonio, schur_oracle
 from weil.chart_forms import ChartForm
 from weil.chern_weil import LieValuedForm
 from weil.cli import main, parse_poly_exprs
@@ -394,13 +394,17 @@ def test_connection_algebra_is_checked(tmp_path, capsys, algebra, flag, message)
     ["basic", "--algebra", "abelian20000", "--degree", "0"],
     ["equivariant", "--algebra", "abelian20000", "--action", "trivial:1", "--degree", "0",
      "--poly-cap", "0"],
+    # every degree has one key, but there are a million of them: their sum is over the cap
+    ["cohomology", "--dim", "1", "--max-degree", "1000000"],
+    ["invariants", "--algebra", "abelian1", "--max-degree", "100000"],
 ], ids=["basic", "invariants", "cohomology", "equivariant-trivial", "equivariant-trivial-matrices",
         "equivariant-adjoint", "check-degree", "check-degree-60", "check-dim",
         "check-dim1-degree-21", "check-dim1-degree-100", "check-dim1-degree-140",
         "check-dim1-degree-800", "check-dim1-degree-19999", "check-dim2-degree-99",
         "check-dim3-degree-8", "decompose-degree",
         "decompose-degree-140", "decompose-dim", "cohomology-n20000", "invariants-n20000",
-        "basic-n20000", "equivariant-n20000"])
+        "basic-n20000", "equivariant-n20000", "cohomology-dim1-degree-1000000",
+        "invariants-dim1-degree-100000"])
 def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated before the size was checked")
@@ -413,6 +417,23 @@ def test_over_cap_is_refused_before_enumerating(capsys, monkeypatch, argv):
                     monkeypatch.setattr(module, attr, enumerated)
     error = assert_domain_error(capsys, argv)
     assert error["type"] == "ResourceCapError" and "over the cap 20000" in error["message"]
+
+
+@pytest.mark.parametrize("command, admitted, what", [
+    (["cohomology", "--dim", "1"], 18, "Koss^<=20 of dimension 1"),
+    (["cohomology", "--dim", "3"], 2, "Koss^<=4 of dimension 3"),
+    (["invariants", "--algebra", "abelian1"], 19, "Sym^<=20 of a 1-dimensional algebra"),
+    (["invariants", "--algebra", "su2"], 3, "Sym^<=4 of a 3-dimensional algebra"),
+], ids=["cohomology-dim1", "cohomology-dim3", "invariants-dim1", "invariants-dim3"])
+def test_every_degree_counts_against_the_cap(capsys, monkeypatch, command, admitted, what):
+    # each degree's basis is built, so the cap bounds their sum, in closed form:
+    # C(n+D+1, D+1) to Koss^(D+1) for cohomology, C(n+K, K) to Sym^K for
+    # invariants.  Under a cap of 20 both sums reach 20 exactly at the admitted degree
+    monkeypatch.setattr(schur_oracle, "DEFAULT_CAP", 20)
+    code, out = run_cli(capsys, *command, "--max-degree", str(admitted))
+    assert code == 0 and "results" in json.loads(out)
+    error = assert_domain_error(capsys, [*command, "--max-degree", str(admitted + 1)])
+    assert error == {"type": "ResourceCapError", "message": f"{what} is over the cap 20"}
 
 
 @pytest.mark.parametrize("dim,degree", [(0, 19999), (1, 20), (2, 15), (3, 7)])

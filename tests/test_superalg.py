@@ -9,9 +9,10 @@ loop over both factors.  Their signs come from an inversion count, not from
 the parity of ``mask & masks.swap_mask(image mask)``, which is checked
 against the same count.
 ``operator_rows``, the same rule on keys packed into ints, is checked
-against one ``derivation`` per key and table, also at the exponent sums where
-the packing width steps, with the columns renumbered by its rule: fewest
-holding vectors first.  Against the previous numbering, by first appearance,
+against one ``derivation`` per key, generator and table, summed
+generator-major, also on tables that split the generators among them and
+at the exponent sums where the packing width steps, with the columns
+renumbered by its rule: fewest holding vectors first.  Against the previous numbering, by first appearance,
 every rank, basis and dimension is the same and the elimination stores fewer
 entries.
 """
@@ -146,6 +147,13 @@ def model_tables():
                 yield f"lie-{tag}", model.zero(), model._lie_images(xi, fields), False
 
 
+def random_image(rng, n, bits):
+    """Seeded image of 1 to 3 terms, each with ``bits`` odd generators."""
+    return {(mask_of(rng.sample(range(n), bits)), tuple(rng.randint(0, 1) for _ in range(n))):
+            Fraction(rng.randint(-4, 4) or 1, rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(1, 3))}
+
+
 def random_tables():
     """Seeded tables whose images carry 2 or 3 odd bits, which no table in the
     package has: an odd D sends o_i to 2-bit and e_i to 3-bit images, an even
@@ -156,12 +164,7 @@ def random_tables():
         n = zero.n
 
         def image(bits):
-            if rng.random() < 0.2:
-                return None
-            return {(mask_of(rng.sample(range(n), bits)),
-                     tuple(rng.randint(0, 1) for _ in range(n))):
-                    Fraction(rng.randint(-4, 4) or 1, rng.choice((1, 2, 3)))
-                    for _ in range(rng.randint(1, 3))}
+            return None if rng.random() < 0.2 else random_image(rng, n, bits)
 
         table = [image(2 if odd else 3) for _ in range(n)], [image(3 if odd else 2)
                                                             for _ in range(n)]
@@ -192,17 +195,24 @@ def _integer_images(odd_images, even_images):
 
 
 def first_appearance_rows(tables, zero, domain_keys):
-    """The previous operator_rows: one derivation per key and table, on the key
-    with coefficient 1, with columns numbered by first appearance of (table, key)."""
+    """operator_rows with columns numbered by first appearance of (table, key):
+    one derivation per key, generator and table, on the key with coefficient
+    1 and that generator's image alone, summed generator-major (o_0..o_{n-1},
+    then e_0..e_{n-1}, each over the tables in order) by ``superalg._acc``,
+    so a column that cancels leaves the vector and re-enters at its end."""
     tables = [_integer_images(*t) for t in tables]
+    n = zero.n
     index, out = {}, []
     for key in domain_keys:
         unit = zero.with_terms({key: 1})
         vec = {}
-        for o, table in enumerate(tables):
-            for k2, c in derivation(unit, *table).terms.items():
-                vec[index.setdefault((o, k2), len(index))] = c
-        out.append(vec)
+        for side, i in product(range(2), range(n)):
+            for o, table in enumerate(tables):
+                images = [None] * n, [None] * n
+                images[side][i] = table[side][i]
+                for k2, c in derivation(unit, *images).terms.items():
+                    superalg._acc(vec, (o, k2), c)
+        out.append({index.setdefault(c, len(index)): v for c, v in vec.items()})
     return out
 
 
@@ -281,6 +291,29 @@ def test_operator_rows_packs_only_held_generators(monkeypatch):
     assert len(packed) == len(odd[0]) + len(even[2])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_operator_rows_on_tables_that_split_the_generators(seed):
+    # the shape of the Weil model's tables: iota_{e_0} has images for 6 of
+    # its 12 generators.  Here each generator has its image in at most one
+    # of 2 to 4 tables, o_0 and e_0 in none, so most (table, generator)
+    # pairs of a key have no image and a generator's list holds one table
+    rng = random.Random(seed)
+    zero = (WeilElement, ChartForm)[seed % 2](4)
+    n, t = zero.n, 2 + seed % 3
+    tables = [([None] * n, [None] * n) for _ in range(t)]
+    for side, i in product(range(2), range(1, n)):
+        o = rng.randrange(t + 1)
+        if o < t:
+            tables[o][side][i] = random_image(rng, n, rng.choice((1, 2) if side else (0, 2)))
+    keys = list(dict.fromkeys(k for _ in range(10) for k in rand_element(rng, zero).terms))
+    vectors = operator_rows(tables, keys)
+    assert_same_vectors(vectors, per_key_rows(tables, zero, keys))
+    assert any(vectors) and sum(map(len, vectors)) > len(keys)
+    # keys that hold o_0 and e_0 only, or nothing, have no image
+    bare = [(0, (0,) * n), (1, (0,) * n), (0, (3,) + (0,) * (n - 1)), (1, (2,) + (0,) * (n - 1))]
+    assert operator_rows(tables, bare) == [{}] * 4 == per_key_rows(tables, zero, bare)
+
+
 def test_operator_rows_edge_cases():
     keys = [(0, (0, 0, 0)), (0b101, (2, 0, 1))]
     assert operator_rows([koszul_images(3)], []) == []
@@ -357,8 +390,8 @@ def test_count_numbering_keeps_every_answer(monkeypatch, build):
 
 def test_count_numbering_fills_in_less():
     # entries stored in the pivot rows of the elimination: the ranks of these
-    # 12 systems store 30,705 under first appearance, 24,258 under the count.
-    # Not per system: heisenberg3 conjugate at (2, 2) goes 1,555 -> 1,583.
+    # 12 systems store 31,562 under first appearance, 24,759 under the count.
+    # Not per system: heisenberg3 conjugate at (2, 2) goes 1,560 -> 1,611.
     def stored(vectors):
         return sum(len(row) for _, row in linalg._forward_eliminate(vectors))
 
@@ -378,8 +411,8 @@ def test_count_numbering_fills_in_less():
                 assert new < old, (name, degree, cap, old, new)
             before, after = before + old, after + new
     assert after < before, (before, after)
-    # the tagged kernels of invariant_bases(L, 10): su2 stores 1,292 entries
-    # against 1,324 under first appearance; sl2 and heisenberg3 tie
+    # the tagged kernels of invariant_bases(L, 10): su2 stores 1,293 entries
+    # against 1,318 under first appearance; sl2 and heisenberg3 tie
     for name in ("su2", "sl2", "heisenberg3"):
         L = builtin(name)
         tables = invariant_polynomials._generator_tables(L)
