@@ -13,7 +13,7 @@ kernel solvers.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from . import linalg, superalg
@@ -162,15 +162,26 @@ def change_of_basis(L: LieAlgebra, elements) -> list[WeilElement]:
 
 
 def sym_exponents(n, q):
-    """Exponent vectors of length n summing to q, in ascending lexicographic order:
-    the reverse of the lexicographic order of their multisets of q indices."""
-    out = []
-    for indices in combinations_with_replacement(range(n), q):
-        exps = [0] * n
-        for i in indices:
-            exps[i] += 1
+    """Exponent vectors of length n summing to q, in ascending lexicographic order.
+
+    Each vector is the next composition of the one before: move one unit
+    from its last nonzero entry t to entry t - 1 and the rest of entry t to
+    the end, O(1) per step and one tuple copy, O(n), per vector.
+    """
+    if not n:
+        return [] if q else [()]
+    exps = [0] * n
+    exps[-1] = q
+    out = [tuple(exps)]
+    last = n - 1  # the last nonzero entry, while q > 0
+    while last and q:
+        v = exps[last]
+        exps[last] = 0
+        exps[last - 1] += 1
+        exps[-1] = v - 1
+        last = n - 1 if v > 1 else last - 1
         out.append(tuple(exps))
-    return out[::-1]
+    return out
 
 
 def weil_basis(n, d):
@@ -196,7 +207,14 @@ def graded_dims(n, max_degree):
 
 def koszul_cohomology_dims(n, max_degree):
     """dim H^d(Koss, d_K) for d = 0..max_degree, from the rank of the image
-    vectors of d_K on each Koss^d."""
+    vectors of d_K on each Koss^d.
+
+    The keys of every degree form one domain and one ``operator_rows`` call.
+    d_K maps Koss^d into Koss^{d+1}, so two degrees never share a column,
+    and the count numbering keeps each degree's own column order: the rank
+    of each degree's contiguous slice of vectors is eliminated as it would
+    be alone.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
@@ -205,10 +223,10 @@ def koszul_cohomology_dims(n, max_degree):
     check_size(capped_comb(n + max_degree + 1, max_degree + 1),
                f"Koss^<={max_degree + 1} of dimension {n}")
     check_size(n * n, f"each generator table of a {n}-dimensional algebra")
-    tables = [koszul_images(n)]
-    dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
-    for d in range(max_degree + 1):
-        basis = weil_basis(n, d)
-        dims.append(len(basis))
-        ranks.append(linalg.rank(operator_rows(tables, basis)))
-    return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]
+    bases = [weil_basis(n, d) for d in range(max_degree + 1)]
+    vectors = operator_rows([koszul_images(n)], [key for basis in bases for key in basis])
+    ranks, start = [0], 0  # ranks[d + 1] = rank of d_K on Koss^d
+    for basis in bases:
+        ranks.append(linalg.rank(vectors[start:start + len(basis)]))
+        start += len(basis)
+    return [len(basis) - ranks[d + 1] - ranks[d] for d, basis in enumerate(bases)]

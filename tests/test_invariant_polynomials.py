@@ -150,8 +150,14 @@ def test_generator_kernel_matches_all_tables_on_seeded_algebras():
     shrunk = 0
     for L in generator_algebras(rng):
         shrunk += len(lie_generators(L)) < L.dim
-        for k in range(5 if L.dim <= 4 else 4):
-            assert_same_basis(invariant_basis(L, k), kernel_over(L, range(L.dim), k))
+        max_k = 4 if L.dim <= 4 else 3
+        full = [kernel_over(L, range(L.dim), k) for k in range(max_k + 1)]
+        for k in range(max_k + 1):
+            assert_same_basis(invariant_basis(L, k), full[k])
+        bases = invariant_bases(L, max_k)
+        assert len(bases) == max_k + 1
+        for got, expected in zip(bases, full):
+            assert_same_basis(got, expected)
     assert shrunk >= 4
 
 
@@ -163,3 +169,27 @@ def test_a_non_generating_set_has_a_larger_kernel():
              for k in range(4)]
     assert all(part >= full for part, full in sizes)
     assert any(part > full for part, full in sizes)
+
+
+def test_one_system_splits_into_empty_and_unit_degrees():
+    # su2 has no invariant of odd degree: those blocks of the one system
+    # yield no relation, and the blocks around them keep theirs
+    su2 = builtin("su2")
+    bases = invariant_bases(su2, 7)
+    assert [len(basis) for basis in bases] == [1, 0, 1, 0, 1, 0, 1, 0]
+    for k, basis in enumerate(bases):
+        assert_same_basis(basis, kernel_over(su2, range(3), k))
+    # K = 0: the constants alone
+    for name in BUILTIN_NAMES:
+        L = builtin(name)
+        assert invariant_bases(L, 0) == [[WeilElement.unit(L.dim)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_abelian_one_system_is_every_monomial(n):
+    # every image vector is zero, so every key is a relation of its own,
+    # and each degree gets its monomials in ascending exponent order
+    L = builtin(f"abelian({n})")
+    expected = [[WeilElement(n, {(0, s): 1}) for s in sym_exponents(n, k)] for k in range(7)]
+    assert invariant_bases(L, 6) == expected
+    assert [invariant_basis(L, k) for k in range(7)] == expected

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
-                         coadjoint_dual_basis)
+                         coadjoint_dual_basis, lie_generators)
 from weil.invariant_polynomials import basic_subspace
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
@@ -14,8 +14,9 @@ from weil.superalg import unit_exponent
 from weil.weil_algebra import (WeilElement, change_of_basis, contract,
                                curvature_generator, d_K, graded_dims,
                                horizontal_project, in_span,
-                               koszul_cohomology_dims, lie_derivative,
-                               multiply, sym_exponents, term_sort_key, weil_basis)
+                               koszul_cohomology_dims, koszul_images, lie_derivative,
+                               lie_images, multiply, operator_rows, sym_exponents,
+                               term_sort_key, weil_basis)
 from weil import linalg
 
 SU2 = builtin("su2")
@@ -307,6 +308,51 @@ def test_koszul_cohomology_trivial():
     assert koszul_cohomology_dims(3, 8) == [1] + [0] * 8
 
 
+def per_degree_cohomology_dims(n, max_degree):
+    """The slow route: one operator_rows call and one rank per degree."""
+    dims, ranks = [], [0]  # ranks[d + 1] = rank of d_K on Koss^d
+    for d in range(max_degree + 1):
+        basis = weil_basis(n, d)
+        dims.append(len(basis))
+        ranks.append(linalg.rank(operator_rows([koszul_images(n)], basis)))
+    return [dims[d] - ranks[d + 1] - ranks[d] for d in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_koszul_cohomology_one_system_matches_per_degree(n):
+    for max_degree in range(9):
+        assert koszul_cohomology_dims(n, max_degree) == per_degree_cohomology_dims(
+            n, max_degree), (n, max_degree)
+
+
+def block_columns_renumbered(vectors):
+    """The vectors with their columns renumbered 0, 1, ... in ascending order."""
+    index = {c: j for j, c in enumerate(sorted({c for vec in vectors for c in vec}))}
+    return [[(index[c], v) for c, v in vec.items()] for vec in vectors]
+
+
+@pytest.mark.parametrize("family", ["koszul", "su2", "sl2", "heisenberg3"])
+def test_one_domain_keeps_each_degree_block(family):
+    # the graded systems are block-diagonal by degree, and the count numbering
+    # of one operator_rows call over every degree keeps each block's own
+    # column order: a degree's slice, renumbered, is that degree's system alone,
+    # entry for entry and in insertion order, so it is eliminated the same way
+    if family == "koszul":
+        cases = [([koszul_images(n)], [weil_basis(n, d) for d in range(9)]) for n in (1, 2, 3, 4)]
+    else:
+        L = builtin(family)
+        tables = [lie_images(L, basis_vector(L.dim, i)) for i in lie_generators(L)]
+        cases = [(tables, [[(0, s) for s in sym_exponents(L.dim, k)] for k in range(9)])]
+    for tables, bases in cases:
+        vectors = operator_rows(tables, [key for basis in bases for key in basis])
+        start = 0
+        for basis in bases:
+            alone = [list(vec.items()) for vec in operator_rows(tables, basis)]
+            assert block_columns_renumbered(vectors[start:start + len(basis)]) == alone
+            start += len(basis)
+        assert start == len(vectors)
+
+
 def test_graded_dims():
     assert graded_dims(1, 5) == [1, 1, 1, 1, 1, 1]
     assert graded_dims(2, 2) == [1, 2, 3]
@@ -356,12 +402,15 @@ def sorted_weil_basis(n, d):
 
 
 def test_sym_exponents_ascend_and_match_the_recursion():
-    for n in range(5):
-        for q in range(6):
+    for n in range(6):
+        for q in range(9):
             exps = sym_exponents(n, q)
             assert exps == list(reversed(list(recursive_sym_exponents(n, q)))), (n, q)
             assert exps == sorted(set(exps))
             assert len(exps) == (comb(n + q - 1, q) if n else int(q == 0))
+    # long vectors of few variables, in closed form
+    assert sym_exponents(1, 19999) == [(19999,)]
+    assert sym_exponents(2, 300) == [(i, 300 - i) for i in range(301)]
 
 
 def test_weil_basis_matches_the_sorted_route():
