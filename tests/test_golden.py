@@ -52,6 +52,17 @@ CASES = [
                                     "--degree", "1", "--poly-cap", "2"]),
     ("equivariant-su2-trivial2", 0, ["equivariant", "--algebra", "su2", "--action", "trivial:2",
                                      "--degree", "2", "--poly-cap", "1"]),
+    # Q^-1 ad Q for Q = [[1,1,1],[1,2,2],[1,2,3]], whose inverse is integral
+    ("equivariant-su2-conjugate-4-2", 0, ["equivariant", "--algebra", "su2", "--action-json",
+                                          INPUTS + "action_su2_conjugate.json",
+                                          "--degree", "4", "--poly-cap", "2"]),
+    ("equivariant-su2-conjugate-5-2", 0, ["equivariant", "--algebra", "su2", "--action-json",
+                                          INPUTS + "action_su2_conjugate.json",
+                                          "--degree", "5", "--poly-cap", "2"]),
+    ("equivariant-heisenberg3-conjugate-5-2", 0, ["equivariant", "--algebra", "heisenberg3",
+                                                  "--action-json",
+                                                  INPUTS + "action_heisenberg3_conjugate.json",
+                                                  "--degree", "5", "--poly-cap", "2"]),
     ("cw-su2-casimir", 0, ["cw", "--connection", INPUTS + "conn_su2.json",
                            "--invariant", "casimir"]),
     ("cw-heisenberg3-basis", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
