@@ -11,7 +11,9 @@ derivative are derivations given by their values on generators.
 Everything is computed inside explicit truncations of the domain: a total
 degree d and a polynomial coefficient degree cap c.  The codomain is never
 truncated: each domain key gets one integer vector of its images, indexed by
-the keys the operators reach, so no codomain basis is enumerated.
+the keys the operators reach, so no codomain basis is enumerated.  The basic
+system reads its keys with the curvature Omega_i in place of lamt_i, where
+iota kills Omega, and its basis is mapped back to lamt coordinates.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .chart_forms import ChartForm, d as chart_d, d_images
 from .liealg import LieAlgebra, adjoint_matrices, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import SuperElement, derivation, operator_rows, unit_exponent
-from .weil_algebra import (WeilElement, contraction_images, key_degree, koszul_dim,
-                           koszul_images, lie_images, sym_exponents, weil_basis)
+from .superalg import SuperElement, derivation, operator_rows, substitute, unit_exponent
+from .weil_algebra import (WeilElement, contraction_images, curvature_generator, key_degree,
+                           koszul_dim, koszul_images, lie_images, sym_exponents, weil_basis)
 
 
 class WeilModel:
@@ -107,6 +109,29 @@ class WeilModel:
         return self._tensor(([chart_d(f).terms for f in fields], [f.terms for f in fields]),
                             lie_images(self.algebra, xi))
 
+    def _curvature_contract_images(self, xi, fields):
+        """iota (odd) in the coordinates (dx, lam; x, Omega), Omega_i the curvature
+        ``curvature_generator(algebra, i)``: dx_t -> xi-hat_t, lam_i -> <xi, lam_i>,
+        x_t -> 0 and Omega_i -> 0, so on the Weil factor it is d/dlam.
+
+        Omega_a = lamt_a + 1/2 sum_{j,k} f^a_{jk} lam_j lam_k, f^a_{jk} = -f^a_{kj}
+        the structure constants, and iota_xi lamt_a = ad*_xi lam_a = -sum_{j,k}
+        xi_j f^a_{jk} lam_k (``coadjoint_dual_basis``).  iota_xi is an odd
+        derivation, so iota_xi (lam_j lam_k) = xi_j lam_k - xi_k lam_j, and
+        iota_xi Omega_a = ad*_xi lam_a + sum_{j,k} f^a_{jk} xi_j lam_k = 0.
+
+        L_xi is the table of ``_lie_images`` read with Omega_b for lamt_b: L_xi
+        Omega_a = sum_b c_b Omega_b, c = ad*_xi lam_a.  For iota_eta L_xi Omega_a
+        = L_xi iota_eta Omega_a - iota_{[xi, eta]} Omega_a = 0 on W(g) for every
+        eta, so L_xi Omega_a is horizontal, in the span of the Omega_b in degree
+        2; and its lamt part is L_xi lamt_a = sum_b c_b lamt_b, while Omega_b has
+        the one lamt term lamt_b.  Both are identities of W(g) alone.  The
+        change lamt -> Omega is triangular and keeps degree and chart factor, so
+        the keys of ``basis`` read in Omega span the same truncation.
+        """
+        return self._tensor(([f.terms for f in fields], [None] * self.m),
+                            (contraction_images(self.algebra, xi)[0], [None] * self.n))
+
     def total_d(self, w: "WeilModelElement") -> "WeilModelElement":
         """D(omega x a) = d_X omega x a + (-1)^{deg omega} omega x d_K a."""
         return derivation(w, *self._d_images())
@@ -133,7 +158,9 @@ class WeilModel:
 
     def basic_constraint_rows(self, total_degree, poly_cap):
         """The domain keys and, per key, one integer vector of its images under
-        iota_{e_i} and L_{e_i} for every i (see ``superalg.operator_rows``)."""
+        iota_{e_i} and L_{e_i} for every i (see ``superalg.operator_rows``).
+        The keys are read in the coordinates (dx, lam; x, Omega), where iota
+        kills Omega (``_curvature_contract_images``)."""
         if total_degree < 0 or poly_cap < 0:
             raise ValueError("degree and poly_cap must be >= 0")
         dom = self.basis(total_degree, poly_cap)
@@ -141,13 +168,30 @@ class WeilModel:
         for i in range(self.n):
             xi = basis_vector(self.n, i)
             fields = self.vector_field(xi)
-            tables += [self._contract_images(xi, fields), self._lie_images(xi, fields)]
+            tables += [self._curvature_contract_images(xi, fields), self._lie_images(xi, fields)]
         return dom, operator_rows(tables, dom)
 
     def basic_basis(self, total_degree, poly_cap):
+        """The canonical kernel basis of the iota/L system on the keys: each
+        relation of the image vectors, a basic element in Omega coordinates, is
+        mapped back by Omega_i -> lamt_i + 1/2 f^i_{jk} lam_j lam_k (x, dx and lam
+        fixed), and the RREF of the images over the keys in reversed order, read
+        backwards, is that basis, terms in the order of ``linalg.relations``."""
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
-        return [WeilModelElement(self, {dom[i]: c for i, c in vec.items()})
-                for vec in linalg.relations(vectors)]
+        m, n, one = self.m, self.n, ChartForm.constant(self.m)
+        odd = [WeilModelElement(self, {(1 << g, (0,) * (m + n)): 1}) for g in range(m + n)]
+        even = [WeilModelElement(self, {(0, unit_exponent(m + n, t)): 1}) for t in range(m)]
+        even += [self.from_pair(one, curvature_generator(self.algebra, i)) for i in range(n)]
+        unit = self.from_pair(one, WeilElement.unit(n))
+        images = [substitute(WeilModelElement(self, {dom[j]: c for j, c in vec.items()}),
+                             odd, even, unit) for vec in linalg.relations(vectors)]
+        end = len(dom) - 1
+        col = {key: end - j for j, key in enumerate(dom)}
+        piv_cols, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()}
+                                      for a in images])
+        return [WeilModelElement(self, {dom[end - c]: row[c] for c in
+                                        (p, *sorted(row.keys() - {p}, reverse=True))})
+                for p, row in zip(reversed(piv_cols), reversed(rows))]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
         """len(dom) minus the rank of the image vectors, which is the rank of the system."""

@@ -11,13 +11,14 @@ from weil import chart_forms, equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
-from weil.liealg import BUILTIN_NAMES, builtin, from_brackets, validate
+from weil.liealg import BUILTIN_NAMES, builtin, coadjoint_dual_basis, from_brackets, validate
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.superalg import ONE, derivation, operator_rows, unit_exponent
 from weil.weil_algebra import (WeilElement, contract as weil_contract, contraction_images,
-                               d_K, key_degree, koszul_images, lie_derivative, lie_images,
-                               sym_exponents, term_sort_key, weil_basis)
+                               curvature_generator, d_K, key_degree, koszul_images,
+                               lie_derivative, lie_images, sym_exponents, term_sort_key,
+                               weil_basis)
 from weil import linalg
 
 from test_liealg import CountingFraction
@@ -457,9 +458,17 @@ def table_scale(odd_images, even_images):
                  if img for c in img.values()))
 
 
-def codomain_constraint_rows(model, d, cap):
+def by_table(table, w):
+    """The derivation with generator-image table ``table``, applied to ``w``."""
+    return derivation(w, *table)
+
+
+def codomain_constraint_rows(model, d, cap, curvature=False):
     """basic_constraint_rows as it was, against codomain bases with cap + 1,
-    each operator's rows also returned scaled by its table's integer scale."""
+    each operator's rows also returned scaled by its table's integer scale:
+    iota is ``total_contract`` on the keys in lamt coordinates.  With
+    ``curvature`` the keys are read in Omega coordinates instead, and iota is
+    ``derivation`` by the table of ``_curvature_contract_images``."""
     dom = model.basis(d, cap)
     cod_iota = model.basis(d - 1, cap + 1) if d > 0 else []
     cod_lie = model.basis(d, cap + 1)
@@ -467,8 +476,12 @@ def codomain_constraint_rows(model, d, cap):
     for i in range(model.n):
         xi = [Fraction(int(k == i)) for k in range(model.n)]
         fields = model.vector_field(xi)
-        for op, table, cod in ((partial(model.total_contract, xi),
-                                model._contract_images(xi, fields), cod_iota),
+        if curvature:
+            iota = model._curvature_contract_images(xi, fields)
+            contract = partial(by_table, iota)
+        else:
+            iota, contract = model._contract_images(xi, fields), partial(model.total_contract, xi)
+        for op, table, cod in ((contract, iota, cod_iota),
                                (partial(model.total_lie, xi),
                                 model._lie_images(xi, fields), cod_lie)):
             block = codomain_operator_rows(op, model.zero(), dom, cod)
@@ -478,16 +491,27 @@ def codomain_constraint_rows(model, d, cap):
     return dom, rows, scaled
 
 
+def assert_lamt_system_answers(model, degree, cap, dom, rows):
+    """basic_dim and basic_basis against the lamt-coordinate system ``rows``: its
+    rank, and its canonical kernel basis term for term."""
+    assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows)
+    assert [list(v.terms.items()) for v in model.basic_basis(degree, cap)] == \
+        [[(dom[j], c) for j, c in vec.items()] for vec in linalg.nullspace(rows, len(dom))]
+
+
 @pytest.mark.parametrize("name, action", CARTAN_MODELS)
 @pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
 def test_constraint_rows_match_codomain_indexed_rows(name, action, degree, cap):
-    # the image vectors are the transposed system, each operator scaled to integers
+    # the image vectors are the transposed system in Omega coordinates, each
+    # operator scaled to integers; the answers are those of the lamt system
     model = cartan_model(name, action)
     dom, vectors = model.basic_constraint_rows(degree, cap)
-    old_dom, _, scaled = codomain_constraint_rows(model, degree, cap)
+    old_dom, _, scaled = codomain_constraint_rows(model, degree, cap, curvature=True)
     assert dom == old_dom
     assert len(vectors) == len(dom)
     assert row_multiset(linalg.transpose(vectors)) == row_multiset(scaled)
+    assert_lamt_system_answers(model, degree, cap, dom,
+                               codomain_constraint_rows(model, degree, cap)[1])
 
 
 def test_constraint_vectors_hold_only_ints():
@@ -552,11 +576,55 @@ def test_image_vectors_match_the_codomain_indexed_system_on_random_algebras():
     for model in seeded_models(random.Random(47)):
         for degree, cap in ((1, 1), (2, 1), (2, 2), (3, 1))[:4 if model.n == 3 else 2]:
             dom, vectors = model.basic_constraint_rows(degree, cap)
-            old_dom, rows, scaled = codomain_constraint_rows(model, degree, cap)
+            old_dom, rows, scaled = codomain_constraint_rows(model, degree, cap, curvature=True)
             assert dom == old_dom
             assert row_multiset(linalg.transpose(vectors)) == row_multiset(scaled)
-            assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows)
-            assert [v.terms for v in model.basic_basis(degree, cap)] == \
-                [{dom[j]: c for j, c in vec.items()} for vec in linalg.nullspace(rows, len(dom))]
+            assert_lamt_system_answers(model, degree, cap, dom,
+                                       codomain_constraint_rows(model, degree, cap)[1])
             scales |= {row[j] / old[j] for row, old in zip(scaled, rows) for j in row}
     assert max(scales) > 1  # the integer scaling was exercised
+
+
+# -- the basic system's coordinates: iota kills the curvature ---------------------
+
+
+def curvature_models():
+    """Every builtin with its adjoint action and a conjugate of it, rot2, and the
+    seeded algebras of ``seeded_models``."""
+    for name in BUILTIN_NAMES:
+        for action in ("adjoint", "conjugate"):
+            yield cartan_model(name, action)
+    yield rotation_model()
+    yield from seeded_models(random.Random(83))
+
+
+def test_contraction_kills_the_curvature_and_lie_moves_it_coadjointly():
+    # the two identities of W(g) behind _curvature_contract_images, on the
+    # curvature lifted into the model: iota_xi Omega_i = 0 and L_xi Omega_i =
+    # sum_j (ad*_xi lam_i)_j Omega_j
+    rng = random.Random(89)
+    for model in curvature_models():
+        L, unit = model.algebra, ChartForm.constant(model.m)
+        omegas = [model.from_pair(unit, curvature_generator(L, i)) for i in range(model.n)]
+        xis = [[Fraction(int(k == i)) for k in range(model.n)] for i in range(model.n)]
+        xis += [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(model.n)]
+                for _ in range(3)]
+        for xi in xis:
+            for i, omega in enumerate(omegas):
+                assert not model.total_contract(xi, omega), (L.structure, xi, i)
+                coadjoint = model.zero()
+                for j, c in coadjoint_dual_basis(L, xi, i).items():
+                    coadjoint = coadjoint + omegas[j].scale(c)
+                assert model.total_lie(xi, omega) == coadjoint, (L.structure, xi, i)
+
+
+def test_basic_dim_is_the_lamt_system_rank_on_seeded_algebras():
+    # from_brackets algebras R x|_A R^2, with the adjoint action and a conjugate
+    # whose Q^-1 is not integral, at truncations past those of the row checks
+    rng = random.Random(61)
+    L = semidirect(rng, 2, False)
+    mats = builtin_action("adjoint", L)[1]
+    for model in (WeilModel(3, L, mats), WeilModel(3, L, conjugated(mats, rng, diagonal=(2, 3)))):
+        for degree, cap in ((4, 1), (3, 2)):
+            dom, rows, _ = codomain_constraint_rows(model, degree, cap)
+            assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows), (degree, cap)

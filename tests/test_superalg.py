@@ -322,12 +322,13 @@ def test_operator_rows_edge_cases():
 
 
 def basic_tables(model):
-    """The tables of ``WeilModel.basic_constraint_rows``: iota and L of each e_i."""
+    """The tables of ``WeilModel.basic_constraint_rows``: iota and L of each e_i, in
+    the coordinates (dx, lam; x, Omega) where iota kills Omega."""
     tables = []
     for i in range(model.n):
         xi = basis_vector(model.n, i)
         fields = model.vector_field(xi)
-        tables += [model._contract_images(xi, fields), model._lie_images(xi, fields)]
+        tables += [model._curvature_contract_images(xi, fields), model._lie_images(xi, fields)]
     return tables
 
 
@@ -390,8 +391,8 @@ def test_count_numbering_keeps_every_answer(monkeypatch, build):
 
 def test_count_numbering_fills_in_less():
     # entries stored in the pivot rows of the elimination: the ranks of these
-    # 12 systems store 31,562 under first appearance, 24,759 under the count.
-    # Not per system: heisenberg3 conjugate at (2, 2) goes 1,560 -> 1,611.
+    # 12 systems store 27,901 under first appearance, 23,146 under the count.
+    # Not per system: heisenberg3 conjugate at (2, 2) goes 1,539 -> 1,586.
     def stored(vectors):
         return sum(len(row) for _, row in linalg._forward_eliminate(vectors))
 
