@@ -63,6 +63,10 @@ CASES = [
                                                   "--action-json",
                                                   INPUTS + "action_heisenberg3_conjugate.json",
                                                   "--degree", "5", "--poly-cap", "2"]),
+    ("equivariant-heisenberg3-conjugate-6-3", 0, ["equivariant", "--algebra", "heisenberg3",
+                                                  "--action-json",
+                                                  INPUTS + "action_heisenberg3_conjugate.json",
+                                                  "--degree", "6", "--poly-cap", "3"]),
     ("cw-su2-casimir", 0, ["cw", "--connection", INPUTS + "conn_su2.json",
                            "--invariant", "casimir"]),
     ("cw-heisenberg3-basis", 0, ["cw", "--connection", INPUTS + "conn_heisenberg3.json",
