@@ -14,18 +14,27 @@ truncated: each domain key gets one integer vector of its images, indexed by
 the keys the operators reach, so no codomain basis is enumerated.  The basic
 system reads its keys with the curvature Omega_i in place of lamt_i, where
 iota kills Omega, and its basis is mapped back to lamt coordinates.
+
+The basic dimension depends on the action only up to similarity.  A change of
+chart coordinates x' = S^-1 x is a linear diffeomorphism: it keeps polynomial
+and form degree, so it keeps the truncation (d, c), and it carries the model
+of rho onto the model of S^-1 rho S, at either sign of the fundamental field.
+The cost of the basic system follows the nonzeros of rho instead, so
+``basic_dim`` solves on ``sparse_similar(action)``.  A matrix of rank r has at
+least r nonzeros, so no similar action has fewer than sum_k rank rho(e_k).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .chart_forms import ChartForm, d as chart_d, d_images
 from .liealg import LieAlgebra, adjoint_matrices, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import SuperElement, derivation, operator_rows, substitute, unit_exponent
+from .superalg import SuperElement, derivation, multiply, operator_rows, unit_exponent
 from .weil_algebra import (WeilElement, contraction_images, curvature_generator, key_degree,
                            koszul_dim, koszul_images, lie_images, sym_exponents, weil_basis)
 
@@ -44,8 +53,7 @@ class WeilModel:
             if len(mat) != chart_dim or any(len(row) != chart_dim for row in mat):
                 raise ValueError("action matrices must be chart_dim x chart_dim")
         check_representation(algebra, self.action)
-        self._entries = [[(r, s, x) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
-                         for mat in self.action]
+        self._entries = nonzero_entries(self.action)
 
     # -- elements and keys -----------------------------------------------
 
@@ -176,15 +184,33 @@ class WeilModel:
         relation of the image vectors, a basic element in Omega coordinates, is
         mapped back by Omega_i -> lamt_i + 1/2 f^i_{jk} lam_j lam_k (x, dx and lam
         fixed), and the RREF of the images over the keys in reversed order, read
-        backwards, is that basis, terms in the order of ``linalg.relations``."""
+        backwards, is that basis, terms in the order of ``linalg.relations``.
+
+        x, dx and lam map to themselves, so only the Omega powers of a key are
+        expanded: the terms of a relation are grouped by their Omega exponents e,
+        and each group, read with e = 0, is multiplied once by prod_i Omega_i^e_i."""
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
         m, n, one = self.m, self.n, ChartForm.constant(self.m)
-        odd = [WeilModelElement(self, {(1 << g, (0,) * (m + n)): 1}) for g in range(m + n)]
-        even = [WeilModelElement(self, {(0, unit_exponent(m + n, t)): 1}) for t in range(m)]
-        even += [self.from_pair(one, curvature_generator(self.algebra, i)) for i in range(n)]
-        unit = self.from_pair(one, WeilElement.unit(n))
-        images = [substitute(WeilModelElement(self, {dom[j]: c for j, c in vec.items()}),
-                             odd, even, unit) for vec in linalg.relations(vectors)]
+        omegas = [self.from_pair(one, curvature_generator(self.algebra, i)) for i in range(n)]
+        powers = {(0,) * n: self.from_pair(one, WeilElement.unit(n))}
+
+        def power(e):
+            """prod_i Omega_i^e_i, by one product from a memoised lower power."""
+            if e not in powers:
+                i = max(j for j, q in enumerate(e) if q)
+                powers[e] = multiply(power(e[:i] + (e[i] - 1,) + e[i + 1:]), omegas[i])
+            return powers[e]
+
+        images = []
+        for vec in linalg.relations(vectors):
+            groups = {}
+            for j, c in vec.items():
+                mask, exps = dom[j]
+                groups.setdefault(exps[m:], {})[mask, exps[:m] + (0,) * n] = c
+            image = self.zero()
+            for e, terms in groups.items():
+                image = image + multiply(WeilModelElement(self, terms), power(e))
+            images.append(image)
         end = len(dom) - 1
         col = {key: end - j for j, key in enumerate(dom)}
         piv_cols, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()}
@@ -194,8 +220,14 @@ class WeilModel:
                 for p, row in zip(reversed(piv_cols), reversed(rows))]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
-        """len(dom) minus the rank of the image vectors, which is the rank of the system."""
-        dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
+        """len(dom) minus the rank of the image vectors, which is the rank of the
+        system, solved on the model of ``sparse_similar(action)``: similar actions
+        have the same basic dimension (see the module docstring), and a similarity
+        keeps the brackets, so the representation is not checked again."""
+        action = sparse_similar(self.action)[1]
+        sparse = object.__new__(WeilModel)
+        sparse.__dict__.update(vars(self), action=action, _entries=nonzero_entries(action))
+        dom, vectors = sparse.basic_constraint_rows(total_degree, poly_cap)
         return len(dom) - linalg.rank(vectors)
 
 
@@ -219,6 +251,93 @@ class WeilModelElement(SuperElement):
 
     def __repr__(self):
         return f"WeilModelElement({len(self.terms)} terms)"
+
+
+def nonzero_entries(action):
+    """Per matrix, its nonzero entries as (row, column, value)."""
+    return [[(r, s, x) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
+            for mat in action]
+
+
+def _apply(entries, vec):
+    """The matrix with nonzero ``entries`` times the sparse vector ``vec``."""
+    image = {}
+    for r, s, x in entries:
+        if s in vec:
+            image[r] = image.get(r, 0) + x * vec[s]
+    return {r: v for r, v in image.items() if v}
+
+
+def _orbit_basis(entries, start, m):
+    """A basis of R^m from ``start`` and its images under the matrices with
+    nonzero ``entries``, breadth first: each basis vector's image under rho_0,
+    ..., rho_{n-1} is kept when it is outside the span so far.  When the orbit
+    closes short of R^m, the first unit vector outside the span starts a new
+    one.  At most m n + m vectors are tried, each by one ``linalg.extend``."""
+    pivots, basis, units, done, tries = {}, [], iter(range(m)), 0, [start]
+    while True:
+        for vec in tries:
+            if linalg.extend(pivots, vec):
+                basis.append(vec)
+                if len(basis) == m:
+                    return basis
+        if done == len(basis):
+            tries = [{next(units): 1}]
+        else:
+            source, done = basis[done], done + 1
+            tries = (_apply(mat, source) for mat in entries)
+
+
+def sparse_similar(action):
+    """(S, S^-1 rho S) with S invertible and S^-1 rho S no denser than rho.
+
+    Each rho(e_k) with a kernel gives one start, the first vector of its
+    canonical kernel basis, and S is that start's ``_orbit_basis``, so S^-1
+    rho(e_k) S has a zero first column, and every image kept in the orbit is a
+    column of S^-1 rho(e_j) S with a single nonzero.  The start with the fewest
+    nonzeros over all the rho(e_j) is kept, and rho itself (with S the
+    identity) unless a start has strictly fewer.  A matrix of rank r has at
+    least r nonzeros, so the search stops at the first start that reaches
+    sum_k rank rho(e_k), and rho is returned at once when each of its matrices
+    has its nonzeros in distinct rows and distinct columns, which is exactly
+    when it meets that bound (the builtin adjoint actions, rot2, the trivial
+    actions).  Kernels, spans and S^-1 come from ``linalg``.  With n starts of
+    at most m n + m span checks and one solve of n m columns each, the cost is
+    O(n^2 m^3), the order of ``check_representation``.  Similarity keeps
+    brackets, so the result is a representation whenever rho is.
+    """
+    m = len(action[0]) if action else 0
+    entries = nonzero_entries(action)
+    identity = tuple(tuple(int(r == s) for s in range(m)) for r in range(m))
+    if all(len({e[axis] for e in mat}) == len(mat) for mat in entries for axis in (0, 1)):
+        return identity, action
+    # the orbits and kernels of D rho are those of rho, for D the lcm of its denominators
+    scale = lcm(*(x.denominator for mat in entries for _, _, x in mat))
+    ints = [[(r, s, x.numerator * (scale // x.denominator)) for r, s, x in mat] for mat in entries]
+    kernels = []
+    for mat in ints:
+        rows = [{} for _ in range(m)]
+        for r, s, x in mat:
+            rows[r][s] = x
+        kernels.append(linalg.nullspace(rows, m))
+    bound, fewest, best = sum(m - len(kernel) for kernel in kernels), sum(map(len, entries)), None
+    for start in (kernel[0] for kernel in kernels if kernel):
+        top = lcm(*(c.denominator for c in start.values()))
+        columns = _orbit_basis(ints, {s: c.numerator * (top // c.denominator)
+                                      for s, c in start.items()}, m)
+        # column k m + c is the c-th column of S^-1 (D rho(e_k)) S
+        coords = linalg.solve(columns, [_apply(mat, vec) for mat in ints for vec in columns])
+        count = sum(1 for col in coords for x in col if x)
+        if count < fewest:
+            fewest, best = count, (columns, coords)
+            if count == bound:
+                break
+    if best is None:
+        return identity, action
+    columns, coords = best
+    return (tuple(tuple(vec.get(r, 0) for vec in columns) for r in range(m)),
+            tuple(tuple(tuple(coords[k * m + c][r] / scale for c in range(m)) for r in range(m))
+                  for k in range(len(ints))))
 
 
 ROTATION_2D = ((0, -1), (1, 0))

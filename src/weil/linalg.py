@@ -40,28 +40,42 @@ def _int_row(row) -> dict[int, int]:
     return {c: v // g for c, v in row.items() if v}
 
 
+def _reduce(pivots, row) -> bool:
+    """Reduce an integer row against the pivot row of its leading column until that
+    column has none, and store it there as a new pivot row; False if it reduces to 0."""
+    col = min(row)
+    while col in pivots:
+        piv = pivots[col]
+        pv, rv = piv[col], row[col]
+        row = {c: n for c in row.keys() | piv.keys()
+               if (n := pv * row.get(c, 0) - rv * piv.get(c, 0))}
+        if not row:
+            return False
+        row = _primitive(row)
+        col = min(row)
+    pivots[col] = row
+    return True
+
+
 def _forward_eliminate(rows):
     """Integer forward elimination; returns [(pivot_col, int_row)] sorted by pivot.
 
-    Rows are taken sparsest first (a stable sort, so ties keep their order).
-    Each is reduced against the pivot row of its leading column until that
-    column has none, and is then stored as the pivot row of that column.
+    Rows are taken sparsest first (a stable sort, so ties keep their order),
+    and each is reduced into the pivot rows by ``_reduce``.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, map(_int_row, rows)), key=len):
-        col = min(row)
-        while col in pivots:
-            piv = pivots[col]
-            pv, rv = piv[col], row[col]
-            row = {c: n for c in row.keys() | piv.keys()
-                   if (n := pv * row.get(c, 0) - rv * piv.get(c, 0))}
-            if not row:
-                break
-            row = _primitive(row)
-            col = min(row)
-        else:
-            pivots[col] = row
+        _reduce(pivots, row)
     return sorted(pivots.items())
+
+
+def extend(pivots, vec) -> bool:
+    """Add ``vec`` to the span held by ``pivots``, the pivot rows of the vectors
+    added so far keyed by leading column ({} for the zero span); True if ``vec``
+    was outside that span.  One call reduces one row, O(r m) work against r
+    pivot rows of length m, so a span is grown without eliminating it again."""
+    row = _int_row(vec)
+    return bool(row) and _reduce(pivots, row)
 
 
 def rank(rows) -> int:

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,8 @@ from weil import chart_forms, equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
-from weil.liealg import BUILTIN_NAMES, builtin, coadjoint_dual_basis, from_brackets, validate
+from weil.liealg import (BUILTIN_NAMES, builtin, check_representation, coadjoint_dual_basis,
+                         from_brackets, validate)
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.superalg import ONE, derivation, operator_rows, unit_exponent
@@ -628,3 +631,123 @@ def test_basic_dim_is_the_lamt_system_rank_on_seeded_algebras():
         for degree, cap in ((4, 1), (3, 2)):
             dom, rows, _ = codomain_constraint_rows(model, degree, cap)
             assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows), (degree, cap)
+
+
+
+# -- basic_dim on a sparse similar action ---------------------------------------
+
+
+def matmul(a, b):
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def nnz(mats):
+    return sum(1 for mat in mats for row in mat for x in row if x)
+
+
+def random_conjugate(mats, rng):
+    """Q^-1 M Q for a seeded invertible Q with entries in -3..3: Q^-1 is not
+    integral, and the conjugate is dense."""
+    m = len(mats[0])
+    while True:
+        Q = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        if linalg.rank([dict(enumerate(row)) for row in Q]) == m:
+            break
+    inverse = linalg.solve([{r: Q[r][c] for r in range(m)} for c in range(m)],
+                           [{i: 1} for i in range(m)])  # its i-th column
+    Q_inv = [[inverse[c][r] for c in range(m)] for r in range(m)]
+    return [matmul(matmul(Q_inv, mat), Q) for mat in mats]
+
+
+def raw_basic_dim(model, degree, cap):
+    """The rank route on the model's own action, which basic_dim no longer takes."""
+    dom, vectors = model.basic_constraint_rows(degree, cap)
+    return len(dom) - linalg.rank(vectors)
+
+
+def seeded_conjugate_models():
+    """Three seeded random conjugates of the adjoint of each of su2, sl2, so3 and
+    heisenberg3."""
+    rng = random.Random(2026)
+    for name in ("su2", "sl2", "so3", "heisenberg3"):
+        L = builtin(name)
+        for _ in range(3):
+            yield WeilModel(3, L, random_conjugate(builtin_action("adjoint", L)[1], rng))
+
+
+@pytest.mark.parametrize("degree, cap", [(3, 2), (4, 1), (4, 2)])
+def test_basic_dim_is_the_raw_rank_on_seeded_conjugates(degree, cap):
+    for model in seeded_conjugate_models():
+        assert nnz(model.action) > nnz(builtin_action("adjoint", model.algebra)[1])
+        assert model.basic_dim(degree, cap) == raw_basic_dim(model, degree, cap), \
+            (model.algebra.name, model.action)
+
+
+def test_basic_dim_is_the_raw_rank_on_semidirect_conjugates_rot2_and_trivial():
+    # the semidirect conjugates are dense actions not similar to a builtin one
+    models = [*seeded_models(random.Random(71)), rotation_model(),
+              WeilModel(2, SU2, builtin_action("trivial:2", SU2)[1])]
+    for model in models:
+        for degree, cap in ((2, 2), (3, 1), (4, 1))[:3 if model.m <= 3 else 2]:
+            assert model.basic_dim(degree, cap) == raw_basic_dim(model, degree, cap), \
+                (model.algebra.structure, model.action, degree, cap)
+
+
+def test_basic_dim_of_the_su2_golden_conjugate_at_6_3_is_the_raw_rank():
+    path = Path(__file__).parent / "golden" / "inputs" / "action_su2_conjugate.json"
+    action = [[[Fraction(x) for x in row] for row in mat] for mat in json.loads(path.read_text())]
+    model = WeilModel(3, SU2, action)
+    assert model.basic_dim(6, 3) == raw_basic_dim(model, 6, 3)
+
+
+def rank_bound_models():
+    """Actions whose nonzeros number their summed ranks: every builtin adjoint,
+    rot2 and trivial actions."""
+    for name in BUILTIN_NAMES:
+        yield cartan_model(name, "adjoint")
+    yield rotation_model()
+    yield WeilModel(2, SU2, builtin_action("trivial:2", SU2)[1])
+    yield WeilModel(0, SU2, [[]] * 3)
+
+
+def sparsifier_cases():
+    """The rank-bound models, conjugates of the adjoint and the seeded
+    semidirect models."""
+    yield from rank_bound_models()
+    for name in ("su2", "sl2", "heisenberg3"):
+        yield cartan_model(name, "conjugate")
+    yield from seeded_conjugate_models()
+    yield from seeded_models(random.Random(73))
+
+
+def test_sparse_similar_is_a_sparser_similar_representation():
+    for model in sparsifier_cases():
+        S, mats = equivariant.sparse_similar(model.action)
+        m = model.m
+        assert linalg.rank([dict(enumerate(row)) for row in S]) == m
+        assert all(matmul(S, mat) == matmul(rho, S) for mat, rho in zip(mats, model.action)) \
+            if m else mats == model.action
+        check_representation(model.algebra, mats)
+        assert nnz(mats) <= nnz(model.action)
+        assert equivariant.sparse_similar(model.action) == (S, mats)
+
+
+def test_sparse_similar_keeps_an_action_at_the_rank_bound():
+    # a matrix of rank r has at least r nonzeros: the builtin adjoints, rot2 and
+    # the trivial actions have exactly sum_k rank rho(e_k), so nothing can beat them
+    for model in rank_bound_models():
+        ranks = sum(linalg.rank([dict(enumerate(row)) for row in mat]) for mat in model.action)
+        assert nnz(model.action) == ranks
+        S, mats = equivariant.sparse_similar(model.action)
+        assert mats is model.action
+        assert S == tuple(tuple(int(r == c) for c in range(model.m)) for r in range(model.m))
+
+
+def test_sparse_similar_reaches_the_rank_bound_on_the_simple_conjugates():
+    # the first kernel vector of ad(e_0) is e_0 in the conjugate's coordinates,
+    # and its orbit is the standard basis up to signs and scales
+    for name in ("su2", "sl2", "so3"):
+        L = builtin(name)
+        model = WeilModel(3, L, conjugated(builtin_action("adjoint", L)[1], random.Random(9)))
+        mats = equivariant.sparse_similar(model.action)[1]
+        assert nnz(model.action) > 6 and nnz(mats) == 6

@@ -244,6 +244,22 @@ def test_reduction_matches_previous_elimination_on_random_systems():
         assert_matches_oracle(rows, ncols)
 
 
+def test_extend_keeps_the_pivot_columns_of_the_vectors():
+    # a vector is kept when it is outside the span of those added before it: the
+    # pivot columns of the matrix whose columns are the vectors, in order
+    rng = random.Random(2025)
+    for _ in range(300):
+        vectors = random_system(rng, rng.randint(0, 16), rng.randint(1, 12),
+                                rng.choice((0.1, 0.3, 0.6)))
+        vectors.insert(rng.randint(0, len(vectors)), {})
+        pivots, kept = {}, []
+        for j, vec in enumerate(vectors):
+            if linalg.extend(pivots, vec):
+                kept.append(j)
+        assert kept == linalg.rref(linalg.transpose(vectors))[0]
+        assert len(pivots) == len(kept) == linalg.rank(vectors)
+
+
 def assert_relations_match_oracle(vectors):
     expected = old_nullspace(linalg.transpose(vectors), len(vectors))
     assert items(linalg.relations(vectors)) == items(expected)
