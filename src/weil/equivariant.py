@@ -53,7 +53,7 @@ class WeilModel:
             if len(mat) != chart_dim or any(len(row) != chart_dim for row in mat):
                 raise ValueError("action matrices must be chart_dim x chart_dim")
         check_representation(algebra, self.action)
-        self._entries = nonzero_entries(self.action)
+        self._entries = _nonzero_entries(self.action)
 
     # -- elements and keys -----------------------------------------------
 
@@ -226,7 +226,7 @@ class WeilModel:
         keeps the brackets, so the representation is not checked again."""
         action = sparse_similar(self.action)[1]
         sparse = object.__new__(WeilModel)
-        sparse.__dict__.update(vars(self), action=action, _entries=nonzero_entries(action))
+        sparse.__dict__.update(vars(self), action=action, _entries=_nonzero_entries(action))
         dom, vectors = sparse.basic_constraint_rows(total_degree, poly_cap)
         return len(dom) - linalg.rank(vectors)
 
@@ -253,7 +253,7 @@ class WeilModelElement(SuperElement):
         return f"WeilModelElement({len(self.terms)} terms)"
 
 
-def nonzero_entries(action):
+def _nonzero_entries(action):
     """Per matrix, its nonzero entries as (row, column, value)."""
     return [[(r, s, x) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
             for mat in action]
@@ -307,7 +307,7 @@ def sparse_similar(action):
     brackets, so the result is a representation whenever rho is.
     """
     m = len(action[0]) if action else 0
-    entries = nonzero_entries(action)
+    entries = _nonzero_entries(action)
     identity = tuple(tuple(int(r == s) for s in range(m)) for r in range(m))
     if all(len({e[axis] for e in mat}) == len(mat) for mat in entries for axis in (0, 1)):
         return identity, action

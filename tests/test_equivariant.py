@@ -683,6 +683,21 @@ def test_basic_dim_is_the_raw_rank_on_seeded_conjugates(degree, cap):
             (model.algebra.name, model.action)
 
 
+def test_only_basic_dim_solves_on_the_sparse_action(monkeypatch):
+    model, seen = cartan_model("su2", "conjugate"), []
+    rows = WeilModel.basic_constraint_rows
+
+    def spy(self, degree, cap):
+        seen.append(self.action)
+        return rows(self, degree, cap)
+
+    monkeypatch.setattr(WeilModel, "basic_constraint_rows", spy)
+    model.basic_dim(2, 1)
+    model.basic_basis(2, 1)
+    assert seen == [equivariant.sparse_similar(model.action)[1], model.action]
+    assert nnz(seen[0]) == 6 < nnz(model.action)
+
+
 def test_basic_dim_is_the_raw_rank_on_semidirect_conjugates_rot2_and_trivial():
     # the semidirect conjugates are dense actions not similar to a builtin one
     models = [*seeded_models(random.Random(71)), rotation_model(),
