@@ -633,7 +633,6 @@ def test_basic_dim_is_the_lamt_system_rank_on_seeded_algebras():
             assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(rows), (degree, cap)
 
 
-
 # -- basic_dim on a sparse similar action ---------------------------------------
 
 
@@ -738,10 +737,9 @@ def sparsifier_cases():
 def test_sparse_similar_is_a_sparser_similar_representation():
     for model in sparsifier_cases():
         S, mats = equivariant.sparse_similar(model.action)
-        m = model.m
-        assert linalg.rank([dict(enumerate(row)) for row in S]) == m
-        assert all(matmul(S, mat) == matmul(rho, S) for mat, rho in zip(mats, model.action)) \
-            if m else mats == model.action
+        if model.m:  # S is invertible and rho S = S mats, matrix by matrix
+            assert linalg.rank([dict(enumerate(row)) for row in S]) == model.m
+            assert all(matmul(S, mat) == matmul(rho, S) for mat, rho in zip(mats, model.action))
         check_representation(model.algebra, mats)
         assert nnz(mats) <= nnz(model.action)
         assert equivariant.sparse_similar(model.action) == (S, mats)
