@@ -89,6 +89,8 @@ def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
     multinomial normalization cancels and the evaluation is the plain
     substitution lamt_i -> F^i.
     """
+    if P.n != A.algebra.dim:
+        raise ValueError("polynomial dimension does not match the connection algebra")
     if not is_sym_element(P):
         raise ValueError("cw_form needs a symmetric-factor element")
     if not P.is_homogeneous() or not P:

@@ -34,8 +34,8 @@ from .chart_forms import ChartForm, d as chart_d, d_images
 from .liealg import LieAlgebra, adjoint_matrices, basis_vector, check_representation, frac
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import SuperElement, derivation, multiply, operator_rows, unit_exponent
-from .weil_algebra import (WeilElement, contraction_images, curvature_generator, key_degree,
+from .superalg import SuperElement, derivation, operator_rows, unit_exponent
+from .weil_algebra import (WeilElement, change_of_basis, contraction_images, key_degree,
                            koszul_dim, koszul_images, lie_images, sym_exponents, weil_basis)
 
 
@@ -180,44 +180,15 @@ class WeilModel:
         return dom, operator_rows(tables, dom)
 
     def basic_basis(self, total_degree, poly_cap):
-        """The canonical kernel basis of the iota/L system on the keys: each
-        relation of the image vectors, a basic element in Omega coordinates, is
-        mapped back by Omega_i -> lamt_i + 1/2 f^i_{jk} lam_j lam_k (x, dx and lam
-        fixed), and the RREF of the images over the keys in reversed order, read
-        backwards, is that basis, terms in the order of ``linalg.relations``.
-
-        x, dx and lam map to themselves, so only the Omega powers of a key are
-        expanded: the terms of a relation are grouped by their Omega exponents e,
-        and each group, read with e = 0, is multiplied once by prod_i Omega_i^e_i."""
+        """The canonical kernel basis of the iota/L system on the keys: the
+        ``linalg.echelon`` of the relations of the image vectors, basic elements
+        in Omega coordinates, mapped back to lamt by ``change_of_basis``."""
         dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
-        m, n, one = self.m, self.n, ChartForm.constant(self.m)
-        omegas = [self.from_pair(one, curvature_generator(self.algebra, i)) for i in range(n)]
-        powers = {(0,) * n: self.from_pair(one, WeilElement.unit(n))}
-
-        def power(e):
-            """prod_i Omega_i^e_i, by one product from a memoised lower power."""
-            if e not in powers:
-                i = max(j for j, q in enumerate(e) if q)
-                powers[e] = multiply(power(e[:i] + (e[i] - 1,) + e[i + 1:]), omegas[i])
-            return powers[e]
-
-        images = []
-        for vec in linalg.relations(vectors):
-            groups = {}
-            for j, c in vec.items():
-                mask, exps = dom[j]
-                groups.setdefault(exps[m:], {})[mask, exps[:m] + (0,) * n] = c
-            image = self.zero()
-            for e, terms in groups.items():
-                image = image + multiply(WeilModelElement(self, terms), power(e))
-            images.append(image)
-        end = len(dom) - 1
-        col = {key: end - j for j, key in enumerate(dom)}
-        piv_cols, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()}
-                                      for a in images])
-        return [WeilModelElement(self, {dom[end - c]: row[c] for c in
-                                        (p, *sorted(row.keys() - {p}, reverse=True))})
-                for p, row in zip(reversed(piv_cols), reversed(rows))]
+        images = change_of_basis(self.algebra, [
+            WeilModelElement(self, {dom[j]: c for j, c in vec.items()})
+            for vec in linalg.relations(vectors)])
+        return [WeilModelElement(self, terms)
+                for terms in linalg.echelon([a.terms for a in images], dom)]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
         """len(dom) minus the rank of the image vectors, which is the rank of the
@@ -316,10 +287,10 @@ def sparse_similar(action):
     ints = [[(r, s, x.numerator * (scale // x.denominator)) for r, s, x in mat] for mat in entries]
     kernels = []
     for mat in ints:
-        rows = [{} for _ in range(m)]
+        columns = [{} for _ in range(m)]
         for r, s, x in mat:
-            rows[r][s] = x
-        kernels.append(linalg.nullspace(rows, m))
+            columns[s][r] = x
+        kernels.append(linalg.relations(columns))
     bound, fewest, best = sum(m - len(kernel) for kernel in kernels), sum(map(len, entries)), None
     for start in (kernel[0] for kernel in kernels if kernel):
         top = lcm(*(c.denominator for c in start.values()))

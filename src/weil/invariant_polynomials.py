@@ -91,16 +91,13 @@ def _kernels(L: LieAlgebra, degrees):
 
 
 def basic_subspace(L: LieAlgebra, total_degree):
-    """Echelon basis of {a : iota_{e_i} a = 0 and L_{e_i} a = 0 for all i}: the RREF
-    of the images over the Weil keys in reversed term order, read backwards, is
-    the canonical kernel basis of the full iota/L system, which
-    ``linalg.relations`` gives its image vectors."""
+    """Echelon basis of {a : iota_{e_i} a = 0 and L_{e_i} a = 0 for all i}: the
+    ``linalg.echelon`` over the Weil keys in term order of the ``change_of_basis``
+    images of the invariants, the canonical kernel basis of the full iota/L system."""
     if total_degree < 0:
         raise ValueError("degree must be >= 0")
     if total_degree % 2:
         return []
     images = change_of_basis(L, invariant_basis(L, total_degree // 2))
-    keys = sorted({key for a in images for key in a.terms}, key=term_sort_key, reverse=True)
-    col = {key: j for j, key in enumerate(keys)}
-    _, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()} for a in images])
-    return [WeilElement(L.dim, {keys[j]: c for j, c in row.items()}) for row in reversed(rows)]
+    keys = sorted({key for a in images for key in a.terms}, key=term_sort_key)
+    return [WeilElement(L.dim, terms) for terms in linalg.echelon([a.terms for a in images], keys)]

@@ -109,6 +109,17 @@ def rref(rows):
     return piv_cols, [reduced[c] for c in piv_cols]
 
 
+def echelon(vectors, keys):
+    """Canonical basis of the span of ``vectors``, dicts over the ordered list ``keys``
+    (every key they use): the RREF over the keys in reversed order, read backwards,
+    terms in insertion order, the leading key first, then the others in key order."""
+    end = len(keys) - 1
+    col = {key: end - j for j, key in enumerate(keys)}
+    piv_cols, reduced = rref([{col[key]: c for key, c in vec.items()} for vec in vectors])
+    return [{keys[end - c]: row[c] for c in (p, *sorted(row.keys() - {p}, reverse=True))}
+            for p, row in zip(reversed(piv_cols), reversed(reduced))]
+
+
 def relations(vectors):
     """Canonical basis of the relations {x : sum_j x_j * vectors[j] = 0}.
 
@@ -117,24 +128,20 @@ def relations(vectors):
     the matrix whose j-th column is ``vectors[j]``.  Vector j is tagged with
     1 in column ``top + n - 1 - j``, past every real column, and the tagged
     vectors are eliminated once.  The pivot rows that lead with a tag hold
-    tags only and span the relations; their RREF, in this reversed order of
-    the indices and read backwards, is that canonical basis.
+    tags only and span the relations; their ``echelon`` over the indices they
+    hold is that canonical basis.
     """
     top = max((c for vec in vectors for c in vec), default=-1) + 1
     end = top + len(vectors) - 1
     tagged = [{**vec, end - j: 1} for j, vec in enumerate(vectors)]
-    piv_cols, reduced = rref([row for col, row in _forward_eliminate(tagged) if col >= top])
-    return [{end - c: row[c] for c in (col, *sorted(row.keys() - {col}, reverse=True))}
-            for col, row in zip(reversed(piv_cols), reversed(reduced))]
+    rows = [{end - c: v for c, v in row.items()}
+            for col, row in _forward_eliminate(tagged) if col >= top]
+    return echelon(rows, sorted({j for row in rows for j in row}))
 
 
 def nullspace(rows, ncols):
-    """Canonical kernel basis: the ``relations`` of the ``ncols`` columns.
-
-    One vector per free column (ascending), with entry 1 at the free column
-    and the back-substituted pivot entries, i.e. the standard RREF kernel
-    basis.
-    """
+    """The standard RREF kernel basis, one vector per free column (ascending):
+    the ``relations`` of the ``ncols`` columns of ``rows``."""
     columns = [{} for _ in range(ncols)]
     for r, row in enumerate(rows):
         for c, v in row.items():

@@ -16,11 +16,11 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from . import linalg, superalg
+from . import linalg
 from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
 from .masks import indices_of, mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
+from .superalg import (ONE, Key, SuperElement, _left_multiply, derivation,  # noqa: F401
                        in_span, multiply, operator_rows, unit_exponent)
 
 
@@ -150,12 +150,33 @@ def horizontal_project(L: LieAlgebra, a: WeilElement) -> WeilElement:
     return h
 
 
-def change_of_basis(L: LieAlgebra, elements) -> list[WeilElement]:
-    """The algebra map lam_i -> lam_i, lamt_i -> Omega^i on each of ``elements``."""
-    n = L.dim
-    lams = [WeilElement.lam(n, i) for i in range(n)]
-    omegas = [curvature_generator(L, i) for i in range(n)]
-    return [superalg.substitute(a, lams, omegas, WeilElement.unit(n)) for a in elements]
+def change_of_basis(L: LieAlgebra, elements) -> list[SuperElement]:
+    """The algebra map lamt_i -> Omega^i, every other generator fixed, on Weil
+    elements or on Weil model elements, whose trailing L.dim generator pairs
+    are the Weil factor.  Omega^e is even, so a term c u lamt^e, u the rest of
+    its key, maps to c Omega^e u by one product, Omega^e memoised per count m
+    of chart pairs."""
+    n, zero, powers = L.dim, (0,) * L.dim, {}
+    omegas = [curvature_generator(L, i).terms for i in range(n)]
+
+    def power(m, e):  # Omega^(e - 1_i) Omega_i, i the last nonzero index of e
+        if (m, e) not in powers:
+            i = max(j for j, q in enumerate(e) if q)
+            lower, powers[m, e] = power(m, e[:i] + (e[i] - 1,) + e[i + 1:]), {}
+            for (mask, exps), c in omegas[i].items():
+                _left_multiply(powers[m, e], lower, mask << m, (0,) * m + exps, c)
+        return powers[m, e]
+
+    images = []
+    for a in elements:
+        m = 0 if isinstance(a, WeilElement) else a.model.m
+        if a.n - m != n:
+            raise ValueError(f"Weil factor of dimension {a.n - m} for an algebra of dimension {n}")
+        powers[m, zero], image = {(0, (0,) * a.n): ONE}, {}
+        for (mask, exps), c in a.terms.items():
+            _left_multiply(image, power(m, exps[m:]), mask, exps[:m] + zero, c)
+        images.append(a.with_terms(image))
+    return images
 
 
 # -- bases and matrices ----------------------------------------------

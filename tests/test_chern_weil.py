@@ -115,6 +115,16 @@ def test_cw_rejects_bad_inputs():
         cw_form(WeilElement.lamt(3, 0) + casimir(), A)  # inhomogeneous
 
 
+def test_cw_refuses_a_polynomial_of_another_dimension():
+    A = LieValuedForm(SU2, 4, [ChartForm.dx(4, 1, ChartForm.x(4, 0)),
+                               ChartForm.dx(4, 2, ChartForm.x(4, 1)),
+                               ChartForm.dx(4, 3, ChartForm.x(4, 2))])
+    for P in (multiply(WeilElement.lamt(2, 0), WeilElement.lamt(2, 0)), WeilElement.lamt(4, 3)):
+        with pytest.raises(ValueError, match="polynomial dimension does not match"):
+            cw_form(P, A)
+    assert cw_form(casimir(), A)
+
+
 def test_cw_closed_and_natural_random():
     rng = random.Random(53)
     for L, P in ((AB1, WeilElement.lamt(1, 0)), (SU2, casimir()),

@@ -292,6 +292,41 @@ def test_relations_edge_cases():
         assert_relations_match_oracle(vectors)
 
 
+def reversed_rref_reading(vectors, keys):
+    """The reading ``echelon`` replaced in basic_basis and basic_subspace, on the
+    previous elimination: the RREF over the keys in reversed order, rows read
+    backwards, each with its leading key first, then the others in key order."""
+    index = {key: j for j, key in enumerate(keys)}
+    end = len(keys) - 1
+    piv_cols, reduced = old_rref([{end - index[k]: F(c) for k, c in vec.items()}
+                                  for vec in vectors])
+    out = []
+    for p, row in zip(reversed(piv_cols), reversed(reduced)):
+        rest = sorted((index[keys[end - c]], keys[end - c], v) for c, v in row.items() if c != p)
+        out.append({keys[end - p]: row[p], **{k: v for _, k, v in rest}})
+    return out
+
+
+def test_echelon_matches_the_reversed_rref_reading_on_random_vectors():
+    # keys in a shuffled order, so the reading follows the list and not a sort
+    rng = random.Random(2032)
+    for trial in range(300):
+        ncols = rng.randint(1, 12)
+        keys = [("k", j) for j in range(ncols)]
+        rng.shuffle(keys)
+        vectors = [{keys[c]: v for c, v in vec.items()} for vec in
+                   random_system(rng, rng.randint(0, 16), ncols, rng.choice((0.1, 0.3, 0.6)))]
+        if trial % 2:
+            vectors = [{k: v.numerator for k, v in vec.items()} for vec in vectors]
+        basis = linalg.echelon(vectors, keys)
+        assert items(basis) == items(reversed_rref_reading(vectors, keys))
+        # basic_subspace read each reduced row in the order rref left it: by value
+        rkeys = keys[::-1]
+        col = {key: j for j, key in enumerate(rkeys)}
+        rows = old_rref([{col[k]: F(c) for k, c in vec.items()} for vec in vectors])[1]
+        assert basis == [{rkeys[j]: c for j, c in row.items()} for row in reversed(rows)]
+
+
 @pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
 @pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
 def test_reduction_matches_previous_elimination_on_weil_model_systems(name, degree, cap):
@@ -341,6 +376,7 @@ def test_solvers_never_mutate_their_input_rows():
         linalg.rref(rows)
         linalg.nullspace(rows, ncols)
         linalg.relations(rows)
+        linalg.echelon(rows, range(ncols + 2))
         linalg.solve(rows, rows[:2])
         assert rows == before
         assert all(list(row.items()) == list(old.items()) for row, old in zip(rows, before))

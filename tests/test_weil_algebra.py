@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
                          coadjoint_dual_basis, lie_generators)
-from weil.invariant_polynomials import basic_subspace
+from weil.invariant_polynomials import basic_subspace, invariant_basis
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
-from weil.superalg import unit_exponent
+from weil.chart_forms import ChartForm
+from weil.equivariant import WeilModel, WeilModelElement, builtin_action
+from weil.superalg import ONE, substitute, unit_exponent
 from weil.weil_algebra import (WeilElement, change_of_basis, contract,
                                curvature_generator, d_K, graded_dims,
                                horizontal_project, in_span,
@@ -282,6 +286,91 @@ def test_basic_su2_dims_and_dk_vanishes():
 
 
 # -- change of basis -----------------------------------------------------------
+
+
+def substitute_change_of_basis(L, elements):
+    """The previous change_of_basis, one ``superalg.substitute`` per element:
+    lamt_i -> Omega^i and every other generator (dx, x, lam) to itself, the
+    Omega^i of a Weil model element lifted by ``from_pair``."""
+    out = []
+    for a in elements:
+        N, m = a.n, a.n - L.dim
+        omegas = [curvature_generator(L, i) for i in range(L.dim)]
+        if isinstance(a, WeilModelElement):
+            omegas = [a.model.from_pair(ChartForm.constant(m), w) for w in omegas]
+        odd = [a.with_terms({(1 << g, (0,) * N): ONE}) for g in range(N)]
+        even = [a.with_terms({(0, unit_exponent(N, g)): ONE}) for g in range(m)] + omegas
+        out.append(substitute(a, odd, even, a.with_terms({(0, (0,) * N): ONE})))
+    return out
+
+
+def test_change_of_basis_matches_substitute_on_seeded_elements():
+    rng = random.Random(32)
+    for name in ("su2", "sl2", "so3", "heisenberg3", "abelian(3)"):
+        L = builtin(name)
+        elements = [rand_element(rng, 3, degree, rng.randint(1, 6))
+                    for degree in range(9) for _ in range(3)]
+        assert change_of_basis(L, elements) == substitute_change_of_basis(L, elements), name
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("name, degree, cap", [("su2", 4, 2), ("heisenberg3", 4, 2)])
+def test_change_of_basis_matches_substitute_on_golden_conjugate_relations(name, degree, cap):
+    # the relations of the basic system are basic elements in Omega coordinates,
+    # with dx, x and lam in every chart and Weil position
+    L = builtin(name)
+    action = json.loads((GOLDEN_INPUTS / f"action_{name}_conjugate.json").read_text())
+    model = WeilModel(3, L, [[[Fraction(x) for x in row] for row in mat] for mat in action])
+    dom, vectors = model.basic_constraint_rows(degree, cap)
+    relations = [WeilModelElement(model, {dom[j]: c for j, c in vec.items()})
+                 for vec in linalg.relations(vectors)]
+    assert relations
+    assert change_of_basis(L, relations) == substitute_change_of_basis(L, relations)
+
+
+def test_change_of_basis_maps_model_elements_of_every_generator():
+    # a seeded model element on every generator, against the same map on its factors
+    rng = random.Random(33)
+    model = WeilModel(3, SU2, builtin_action("adjoint", SU2)[1])
+    for _ in range(20):
+        keys = model.basis(rng.randint(0, 5), 2)
+        w = WeilModelElement(model, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for key in rng.sample(keys, min(4, len(keys)))})
+        assert change_of_basis(SU2, [w]) == substitute_change_of_basis(SU2, [w])
+
+
+def substitute_basic_subspace(L, degree):
+    """basic_subspace as it was: the substitute images of the invariants, their
+    RREF over the keys in reversed term order, rows read backwards."""
+    if degree % 2:
+        return []
+    images = substitute_change_of_basis(L, invariant_basis(L, degree // 2))
+    keys = sorted({key for a in images for key in a.terms}, key=term_sort_key, reverse=True)
+    col = {key: j for j, key in enumerate(keys)}
+    _, rows = linalg.rref([{col[key]: c for key, c in a.terms.items()} for a in images])
+    return [WeilElement(L.dim, {keys[j]: c for j, c in row.items()}) for row in reversed(rows)]
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3", "abelian(3)"])
+def test_basic_subspace_matches_the_substitute_route(name):
+    L = builtin(name)
+    for degree in range(9):
+        assert basic_subspace(L, degree) == substitute_basic_subspace(L, degree), degree
+
+
+def test_change_of_basis_refuses_an_element_of_another_dimension():
+    with pytest.raises(ValueError, match="Weil factor of dimension 2 for an algebra of dimension 3"):
+        change_of_basis(SU2, [lamt(0, n=2)])
+    # more than L.dim generator pairs is not read as a model element with chart pairs
+    for n in (4, 5):
+        with pytest.raises(ValueError, match=f"Weil factor of dimension {n} for"):
+            change_of_basis(SU2, [lam(n - 1, n=n)])
+    rot = WeilModel(2, builtin("abelian(1)"), builtin_action("rot2", builtin("abelian(1)"))[1])
+    with pytest.raises(ValueError, match="Weil factor of dimension 1 for an algebra of dimension 3"):
+        change_of_basis(SU2, [rot.from_pair(ChartForm.constant(2), WeilElement.lamt(1, 0))])
+    assert change_of_basis(SU2, []) == []
 
 
 def test_change_of_basis_invertible():
