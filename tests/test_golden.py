@@ -80,6 +80,11 @@ CASES = [
                                  "--gauge", INPUTS + "gauge_quaternion.json"]),
     ("gauge-heisenberg3-unipotent", 0, ["gauge", "--connection", INPUTS + "conn_heisenberg3.json",
                                         "--gauge", INPUTS + "gauge_unipotent.json"]),
+    # the shapes of the slowest small-jobs: su2 casimir and an sl2 unipotent gauge on R^6
+    ("cw-su2-casimir-6", 0, ["cw", "--connection", INPUTS + "conn_su2_6.json",
+                             "--invariant", "casimir"]),
+    ("gauge-sl2-unipotent-6", 0, ["gauge", "--connection", INPUTS + "conn_sl2_6.json",
+                                  "--gauge", INPUTS + "gauge_sl2_unipotent.json"]),
     ("polyfunc-decompose", 0, ["polyfunc", "decompose", "--expr", "x^2*y - 3/2 + x, y^3",
                                "--degree", "3", "--dim", "2",
                                "--probes", INPUTS + "probes.json"]),
