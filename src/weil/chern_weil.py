@@ -18,7 +18,7 @@ from . import linalg
 # chart_forms.wedge_calls at this name
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge  # noqa: F401
 from .liealg import LieAlgebra, adjoint_matrices, builtin, check_representation, frac
-from .superalg import ONE, _left_multiply, substitute
+from .superalg import ONE, _acc, _left_multiply, substitute
 from .weil_algebra import WeilElement, curvature_generator
 from .invariant_polynomials import is_sym_element
 
@@ -258,49 +258,73 @@ def _form_mat_mul(A, B):
     return out
 
 
-def _lie_valued_to_matrix(B: LieValuedForm, rep: MatrixRep):
-    r = rep.size
-    m = B.chart_dim
-    out = [[ChartForm.zero(m) for _ in range(r)] for _ in range(r)]
-    for i, comp in enumerate(B.components):
-        mat = rep.mats[i]
-        for a in range(r):
-            for b in range(r):
-                if mat[a][b]:
-                    out[a][b] = out[a][b] + comp.scale(mat[a][b])
-    return out
+def _ad_inverse(g: GaugeTransform, i: int):
+    """Ad_{g^-1}(e_i) = g^-1 rho(e_i) g, an r x r matrix of 0-forms; rho(e_i) g
+    combines rows of g, with the constant entries of rho(e_i)."""
+    zero = ChartForm.zero(g.chart_dim)
+    rho_g = [[sum((g.entries[k][b].scale(x) for k, x in enumerate(row) if x), zero)
+              for b in range(g.rep.size)] for row in g.rep.mats[i]]
+    return _form_mat_mul(g.inverse, rho_g)
 
 
-def _matrix_to_lie_valued(M, rep: MatrixRep, algebra, chart_dim) -> LieValuedForm:
+def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
+    """The algebra coordinates of r x r form matrices with values in rho(g): per
+    matrix, one form per basis vector.  One linalg.solve reads every key of every
+    matrix; a matrix outside rho(g) is a ValueError."""
     r = rep.size
-    keys = sorted({key for row in M for form in row for key in form.terms})
-    targets = [{a * r + b: M[a][b].terms[key] for a in range(r) for b in range(r)
-                if key in M[a][b].terms} for key in keys]
+    keyed = [(t, key) for t, M in enumerate(mats)
+             for key in dict.fromkeys(key for row in M for form in row for key in form.terms)]
+    targets = [{a * r + b: mats[t][a][b].terms[key] for a in range(r) for b in range(r)
+                if key in mats[t][a][b].terms} for t, key in keyed]
     coords = linalg.solve(rep.flat_columns(), targets)
     if coords is None:
         raise ValueError("matrix-valued form does not lie in the representation image")
-    comps = [ChartForm(chart_dim, {key: c[i] for key, c in zip(keys, coords) if c[i]})
-             for i in range(algebra.dim)]
-    return LieValuedForm(algebra, chart_dim, comps)
+    out = [[{} for _ in rep.mats] for _ in mats]
+    for (t, key), c in zip(keyed, coords):
+        for j, x in enumerate(c):
+            if x:
+                out[t][j][key] = x
+    zero = ChartForm.zero(chart_dim)
+    return [[zero.with_terms(terms) for terms in row] for row in out]
+
+
+def _adjoint_sum(g: GaugeTransform, B: LieValuedForm, extra) -> LieValuedForm:
+    """sum_i B^i Ad_{g^-1}(e_i) plus the r x r form matrices ``extra``, in algebra
+    coordinates.  Ad_{g^-1}(e_i) is built only for the i with B^i != 0, and its
+    coordinates and those of ``extra`` are read by one solve; component j is then
+    the n products of a coordinate 0-form with B^i, summed on ints with the
+    coordinates of ``extra`` over one denominator.  No r x r product touches B."""
+    used = [i for i, c in enumerate(B.components) if c]
+    coords = _lie_coordinates([*extra, *(_ad_inverse(g, i) for i in used)], g.rep, B.chart_dim)
+    s, ints = _scaled(coords)
+    sb, (b_ints,) = _scaled([[B.components[i] for i in used]])
+    zero, comps = ChartForm.zero(B.chart_dim), []
+    for j in range(B.algebra.dim):
+        acc = {}
+        for e in ints[:len(extra)]:
+            for key, v in e[j].items():
+                _acc(acc, key, v * sb)
+        for x, b in zip(ints[len(extra):], b_ints):
+            for (mask, exps), c in b.items():
+                _left_multiply(acc, x[j], mask, exps, c)
+        comps.append(zero.with_terms({k: Fraction(v, s * sb) for k, v in acc.items()}))
+    return LieValuedForm(B.algebra, B.chart_dim, comps)
 
 
 def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
-    """Ad_{g^{-1}} B = g^{-1} B g, decomposed back into algebra coordinates."""
+    """Ad_{g^-1} B = g^-1 B g = sum_i B^i Ad_{g^-1}(e_i), in algebra coordinates."""
     _check_gauge(g, B)
-    return _left_divide(g, _form_mat_mul(_lie_valued_to_matrix(B, g.rep), g.entries), B)
+    return _adjoint_sum(g, B, [])
 
 
 def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
-    """alpha . g = g^{-1} (dg + alpha g), all arithmetic exact."""
+    """A . g = g^-1 dg + g^-1 A g = theta + sum_i A^i Ad_{g^-1}(e_i), all arithmetic
+    exact; the Maurer-Cartan term theta = g^-1 dg is built only when dg != 0.  A
+    gauge is refused when theta or some Ad_{g^-1}(e_i) with A^i != 0 leaves rho(g)."""
     _check_connection(A)
     _check_gauge(g, A)
-    Ag = _form_mat_mul(_lie_valued_to_matrix(A, g.rep), g.entries)
-    return _left_divide(g, [[d(p) + b for p, b in zip(*rows)] for rows in zip(g.entries, Ag)], A)
-
-
-def _left_divide(g: GaugeTransform, M, B: LieValuedForm) -> LieValuedForm:
-    """g^{-1} M for an r x r form matrix M, in the algebra coordinates of B."""
-    return _matrix_to_lie_valued(_form_mat_mul(g.inverse, M), g.rep, B.algebra, B.chart_dim)
+    dg = [[d(p) for p in row] for row in g.entries]
+    return _adjoint_sum(g, A, [_form_mat_mul(g.inverse, dg)] if any(map(any, dg)) else [])
 
 
 def _check_gauge(g: GaugeTransform, B: LieValuedForm):

@@ -15,15 +15,14 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
-from .liealg import LieAlgebra, builtin, from_brackets, validate
+from .liealg import LieAlgebra, builtin, frac, from_brackets, validate
 from .masks import indices_of, mask_of
 from .schur_oracle import check_size
 from .weil_algebra import WeilElement
 
 
 def rational_str(x) -> str:
-    x = Fraction(x)
-    return str(x)
+    return str(frac(x))
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -211,7 +210,8 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, newline, put):
-    """Put the JSON text of ``obj``, whose items go on lines of ``newline`` plus two spaces."""
+    """Put the JSON text of ``obj``, whose items go on lines of ``newline`` plus two spaces;
+    each container joins its items with one separator string, built once."""
     kind = type(obj)
     if kind is str:
         put(_quote(obj))
@@ -223,6 +223,7 @@ def _write(obj, newline, put):
         put("null")
     elif kind is dict:
         inner = newline + "  "
+        comma = "," + inner
         sep = "{" + inner
         for key in sorted(obj):
             if type(key) is not str:
@@ -231,15 +232,16 @@ def _write(obj, newline, put):
             put(_quote(key))
             put(": ")
             _write(obj[key], inner, put)
-            sep = "," + inner
+            sep = comma
         put(newline + "}" if obj else "{}")
     elif kind is list:
         inner = newline + "  "
+        comma = "," + inner
         sep = "[" + inner
         for item in obj:
             put(sep)
             _write(item, inner, put)
-            sep = "," + inner
+            sep = comma
         put(newline + "]" if obj else "[]")
     else:
         raise TypeError(f"a report holds no {kind.__name__}")

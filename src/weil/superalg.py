@@ -27,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 from operator import add, lshift, or_
 
 from . import linalg
@@ -193,17 +193,49 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
 
     ``one`` is the unit of the target algebra; images of odd generators must
     be odd and images of even generators even for the map to be well defined.
+
+    Each image a term of ``a`` uses is scaled to ints once per call, by the
+    lcm of its denominators; an image that recurs as the same object is
+    recognised by identity.  A term c o_S e^k is the product of ``one`` and
+    its factors, odd ones ascending then even ones, taken left to right on
+    ints through :func:`_left_multiply`, and the terms are summed on ints
+    over the lcm L of c's denominator times the factors' scales, so each
+    output coefficient is one Fraction over L.  Every scale is a nonzero
+    constant, so a key cancels where it cancels on Fractions: the values and
+    the insertion order are those of one :func:`multiply` per factor.
     """
-    out = one.with_terms({})
+    scaled = {}
+
+    def ints(img):
+        """(s, the terms of ``img`` times s on ints), s the lcm of its denominators."""
+        got = scaled.get(id(img))
+        if got is None:
+            one._compat(img)
+            s = lcm(*(c.denominator for c in img.terms.values()))
+            got = scaled[id(img)] = (s, {k: c.numerator * (s // c.denominator)
+                                         for k, c in img.terms.items()})
+        return got
+
+    start = ints(one)
+    terms = []
     for (mask, exps), c in a.terms.items():
-        piece = one.scale(c)
-        for i in indices_of(mask):
-            piece = multiply(piece, odd_images[i])
+        factors = [ints(odd_images[i]) for i in indices_of(mask)]
         for i, q in enumerate(exps):
-            for _ in range(q):
-                piece = multiply(piece, even_images[i])
-        out = out + piece
-    return out
+            if q:
+                factors += [ints(even_images[i])] * q
+        terms.append((c, factors, c.denominator * prod(s for s, _ in factors) * start[0]))
+    scale = lcm(*(den for _, _, den in terms))
+    out: dict[Key, int] = {}
+    for c, factors, den in terms:
+        piece = start[1]
+        for _, img in factors:
+            piece, left = {}, piece
+            for (mask, exps), v in img.items():
+                _left_multiply(piece, left, mask, exps, v)
+        f = c.numerator * (scale // den)
+        for k, v in piece.items():
+            _acc(out, k, v * f)
+    return one.with_terms({k: Fraction(v, scale) for k, v in out.items()})
 
 
 def operator_rows(tables, domain_keys):

@@ -5,8 +5,7 @@ import pytest
 
 from weil import chern_weil, linalg
 from weil.chart_forms import ChartForm, PolyMap, d, pullback, wedge
-from weil.chern_weil import (LieValuedForm, _form_mat_mul, _lie_valued_to_matrix,
-                             _matrix_to_lie_valued, builtin_rep, conjugate,
+from weil.chern_weil import (LieValuedForm, _form_mat_mul, builtin_rep, conjugate,
                              constant_gauge, curvature, cw_form,
                              gauge_transform, make_rep, pullback_connection,
                              quaternion_matrix, unipotent_gauge,
@@ -196,12 +195,124 @@ def wedge_mat_mul(A, B):
     return out
 
 
+# -- the matrix route, kept as the oracle of the algebra-coordinate route --------
+
+
+def _lie_valued_to_matrix(B, rep):
+    """sum_i B^i rho(e_i), an r x r form matrix."""
+    r, m = rep.size, B.chart_dim
+    out = [[ChartForm.zero(m) for _ in range(r)] for _ in range(r)]
+    for i, comp in enumerate(B.components):
+        mat = rep.mats[i]
+        for a in range(r):
+            for b in range(r):
+                if mat[a][b]:
+                    out[a][b] = out[a][b] + comp.scale(mat[a][b])
+    return out
+
+
+def _matrix_to_lie_valued(M, rep, algebra, chart_dim):
+    """The algebra coordinates of a form matrix M in rho(g), one solve per matrix."""
+    r = rep.size
+    keys = sorted({key for row in M for form in row for key in form.terms})
+    targets = [{a * r + b: M[a][b].terms[key] for a in range(r) for b in range(r)
+                if key in M[a][b].terms} for key in keys]
+    coords = linalg.solve(rep.flat_columns(), targets)
+    if coords is None:
+        raise ValueError("matrix-valued form does not lie in the representation image")
+    comps = [ChartForm(chart_dim, {key: c[i] for key, c in zip(keys, coords) if c[i]})
+             for i in range(algebra.dim)]
+    return LieValuedForm(algebra, chart_dim, comps)
+
+
+def _left_divide(g, M, B):
+    """g^-1 M for an r x r form matrix M, in the algebra coordinates of B."""
+    return _matrix_to_lie_valued(_form_mat_mul(g.inverse, M), g.rep, B.algebra, B.chart_dim)
+
+
+def matrix_gauge_transform(A, g):
+    """The previous gauge action g^-1 (dg + A g): two matrix products, one of them with A."""
+    Ag = _form_mat_mul(_lie_valued_to_matrix(A, g.rep), g.entries)
+    return _left_divide(g, [[d(p) + b for p, b in zip(*rows)] for rows in zip(g.entries, Ag)], A)
+
+
+def matrix_conjugate(g, B):
+    """The previous Ad_{g^-1} B: g^-1 (B g) as matrices."""
+    return _left_divide(g, _form_mat_mul(_lie_valued_to_matrix(B, g.rep), g.entries), B)
+
+
 def summed_gauge_transform(A, g):
-    """The previous gauge action g^-1 dg + g^-1 A g, three wedge-and-add matrix products."""
+    """The earlier gauge action g^-1 dg + g^-1 A g, three wedge-and-add matrix products."""
     maurer = wedge_mat_mul(g.inverse, [[d(p) for p in row] for row in g.entries])
     conj = wedge_mat_mul(wedge_mat_mul(g.inverse, _lie_valued_to_matrix(A, g.rep)), g.entries)
     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(maurer, conj)]
     return _matrix_to_lie_valued(total, g.rep, A.algebra, A.chart_dim)
+
+
+def rand_poly(rng, m):
+    """A seeded 0-form of one to three terms of degree at most 2, fractional coefficients."""
+    return ChartForm.from_poly(m, {tuple(rng.choice((0, 0, 1, 2)) for _ in range(m)):
+                                   Fraction(rng.randint(-3, 3) or 1, rng.choice((1, 2, 3)))
+                                   for _ in range(rng.randint(1, 3))})
+
+
+def rand_gauges(rng, name, m):
+    """Seeded constant and unipotent gauges of the builtin rep of ``name``.  su2 and so3
+    are compact, so their unipotent gauges leave the group and are refused."""
+    rep = builtin_rep(name)
+    r = rep.size
+    uppers = {(i, j): rand_poly(rng, m) for i in range(r) for j in range(i + 1, r)
+              if rng.random() < 0.8 or (i, j) == (0, r - 1)}
+    constant = {
+        "abelian(1)": [[2, Fraction(1, 3)], [0, -1]],
+        "heisenberg3": [[1, 2, Fraction(-1, 2)], [0, 1, 3], [0, 0, 1]],
+        "sl2": [[2, 1], [Fraction(1, 2), 3]],
+        "so3": [[Fraction(3, 5), Fraction(-4, 5), 0], [Fraction(4, 5), Fraction(3, 5), 0],
+                [0, 0, 1]],
+        "su2": quaternion_matrix(*(rng.randint(-3, 3) or 1 for _ in range(4))),
+    }[name]
+    return [constant_gauge(rep, constant, m), unipotent_gauge(rep, uppers, m)]
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except ValueError as error:
+        return str(error)
+
+
+BUILTIN_REPS = ("abelian(1)", "heisenberg3", "sl2", "so3", "su2")
+
+
+@pytest.mark.parametrize("name", BUILTIN_REPS)
+def test_gauge_transform_matches_the_matrix_route(name):
+    rng = random.Random(sum(map(ord, name)))
+    L = builtin(name)
+    refused = 0
+    for m in (2, 3, 5):
+        for _ in range(3):
+            A = rand_connection(rng, L, m)
+            if rng.random() < 0.3:  # a zero component: its Ad_{g^-1}(e_i) is not built
+                A.components[rng.randrange(L.dim)] = ChartForm.zero(m)
+            for g in rand_gauges(rng, name, m):
+                moved = outcome(gauge_transform, A, g)
+                assert moved == outcome(matrix_gauge_transform, A, g)
+                assert moved == outcome(summed_gauge_transform, A, g)
+                refused += isinstance(moved, str)
+                B = curvature(A)  # 2-form components
+                assert outcome(conjugate, g, B) == outcome(matrix_conjugate, g, B)
+                assert outcome(conjugate, g, A) == outcome(matrix_conjugate, g, A)
+    assert bool(refused) == (name in ("so3", "su2"))
+
+
+def test_gauge_of_the_zero_connection_is_maurer_cartan_in_every_rep():
+    rng = random.Random(3)
+    for name in ("abelian(1)", "heisenberg3", "sl2"):
+        L = builtin(name)
+        for g in rand_gauges(rng, name, 3):
+            zero = LieValuedForm.zero(L, 3)
+            assert gauge_transform(zero, g) == matrix_gauge_transform(zero, g)
+            assert conjugate(g, zero) == zero
 
 
 def test_form_mat_mul_matches_wedge_sums():
@@ -229,22 +340,31 @@ def test_form_mat_mul_matches_wedge_sums():
     assert _form_mat_mul(zero, zero) == zero
 
 
-def test_gauge_transform_takes_two_matrix_products(monkeypatch):
-    # g^-1 (dg + A g): 2 matrix products, against 3 for the summed form
+def test_gauge_transform_takes_one_matrix_product_per_used_generator(monkeypatch):
+    # theta + sum_i A^i Ad_{g^-1}(e_i): one product g^-1 (rho(e_i) g) per i with
+    # A^i != 0, and g^-1 dg only when dg != 0; no matrix product touches A
     rng = random.Random(71)
     x = ChartForm.x(3, 0)
+    A = rand_connection(rng, H3, 3)
     cases = [(rand_connection(rng, SU2, 3),
-              constant_gauge(builtin_rep("su2"), quaternion_matrix(2, 1, -1, 3), 3)),
-             (rand_connection(rng, H3, 3),
-              unipotent_gauge(builtin_rep("heisenberg3"), {(0, 1): x, (1, 2): x * x}, 3))]
-    for A, g in cases:
+              constant_gauge(builtin_rep("su2"), quaternion_matrix(2, 1, -1, 3), 3), 3),
+             (A, unipotent_gauge(builtin_rep("heisenberg3"), {(0, 1): x, (1, 2): x * x}, 3), 4),
+             (LieValuedForm(H3, 3, [A.components[0], ChartForm.zero(3), A.components[2]]),
+              unipotent_gauge(builtin_rep("heisenberg3"), {(0, 2): x}, 3), 3),
+             (LieValuedForm.zero(SU2, 3),
+              constant_gauge(builtin_rep("su2"), quaternion_matrix(1, 0, 2, 0), 3), 0)]
+    for A, g, products in cases:
         calls = []
         monkeypatch.setattr(chern_weil, "_form_mat_mul",
-                            lambda a, b: calls.append(1) or _form_mat_mul(a, b))
+                            lambda a, b: calls.append(b) or _form_mat_mul(a, b))
         moved = gauge_transform(A, g)
         monkeypatch.undo()
-        assert len(calls) == 2
-        assert moved == summed_gauge_transform(A, g)
+        assert len(calls) == products
+        # every right factor is rho(e_i) g, of 0-forms, except dg
+        dg = [[d(p) for p in row] for row in g.entries]
+        assert [b for b in calls if any(f.degrees() - {0} for row in b for f in row)] == (
+            [dg] if any(map(any, dg)) else [])
+        assert moved == matrix_gauge_transform(A, g) == summed_gauge_transform(A, g)
 
 
 def test_gauge_heisenberg_unipotent_invariance():
@@ -305,7 +425,7 @@ def test_builtin_reps_validate():
 
 
 def test_builtin_rep_flat_columns_are_independent():
-    # _matrix_to_lie_valued reads algebra coordinates off these columns;
+    # _lie_coordinates reads algebra coordinates off these columns;
     # independence makes them unique
     for name in ("abelian(1)", "heisenberg3", "sl2", "so3", "su2"):
         rep = builtin_rep(name)

@@ -241,6 +241,18 @@ def test_unipotent_entry_outside_the_triangle_is_refused(tmp_path, capsys, row, 
     assert "upper triangular" in error["message"]
 
 
+def test_a_unipotent_gauge_outside_su2_is_refused(tmp_path, capsys):
+    # SU(2) is compact: a nontrivial unipotent 4 x 4 matrix is not in it, so
+    # Ad_{g^-1} of a basis vector the connection uses leaves the realified su2
+    conn = write_json(tmp_path, "conn.json", {**HEISENBERG_CONNECTION, "algebra": "su2"})
+    gauge = write_json(tmp_path, "gauge.json", {"kind": "unipotent", "entries": [
+        {"row": 1, "col": 2, "poly": [{"mono": [1, 0], "c": "1"}]},
+        {"row": 3, "col": 4, "poly": [{"mono": [0, 0], "c": "-1/2"}]}]})
+    error = assert_domain_error(capsys, ["gauge", "--connection", conn, "--gauge", gauge])
+    assert error["type"] == "ValueError"
+    assert "does not lie in the representation image" in error["message"]
+
+
 @pytest.mark.parametrize("gauge,connection", [
     ([{"kind": "constant"}], HEISENBERG_CONNECTION),
     ({"kind": "unipotent", "entries": 5}, HEISENBERG_CONNECTION),

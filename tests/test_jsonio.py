@@ -38,6 +38,18 @@ def test_writer_matches_json_dumps(obj):
     assert canonical_json(obj) == oracle(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    [[1, 2], [3, -4, 0], [], [[5], [6, 7]]],
+    {"mono": [0, 2, 1], "dx": [], "ext": [3], "nested": [[[0]], [1, [2, 3]]]},
+    [True, False], [1, True], [False, 0, 1], [[], [[]], {}],
+    [1, "1", None], [2 ** 80, -(2 ** 80), 0], [1, [2], 3], [{"a": [1, 2]}, [True]],
+], ids=["nested-ints", "term-lists", "bools", "int-then-bool", "bool-then-ints",
+        "empty-lists", "mixed-scalars", "big-ints", "ints-and-list", "dict-in-list"])
+def test_writer_matches_json_dumps_on_int_bool_empty_and_mixed_lists(obj):
+    # the shapes of term lists (exponents, indices), and bools among ints: true, not 1
+    assert canonical_json(obj) == oracle(obj)
+
+
 def test_writer_matches_json_dumps_on_deep_nesting():
     obj = [1]
     for depth in range(200):

@@ -15,6 +15,9 @@ at the exponent sums where the packing width steps, with the columns
 renumbered by its rule: fewest holding vectors first.  Against the previous numbering, by first appearance,
 every rank, basis and dimension is the same and the elimination stores fewer
 entries.
+``substitute``, which multiplies on ints over one denominator, is checked
+against the previous route, one ``multiply`` per factor on Fractions, by
+value and insertion order.
 """
 
 import random
@@ -27,16 +30,18 @@ from operator import add
 
 import pytest
 
-from weil.chart_forms import ChartForm, d as chart_d
+from weil.chart_forms import ChartForm, PolyMap, d as chart_d, pullback
+from weil.chern_weil import curvature
 from weil.equivariant import WeilModel, builtin_action
 from weil.invariant_polynomials import invariant_basis
 from weil.liealg import basis_vector, builtin
 from weil import equivariant, invariant_polynomials, linalg, superalg, weil_algebra
 from weil.masks import indices_of, mask_of, swap_mask
-from weil.superalg import ONE, derivation, in_span, multiply, operator_rows, vectors
+from weil.superalg import ONE, derivation, in_span, multiply, operator_rows, substitute, vectors
 from weil.weil_algebra import (WeilElement, contraction_images, koszul_cohomology_dims,
                                koszul_images, lie_images, sym_exponents)
 
+from test_chern_weil import rand_connection
 from test_equivariant import CARTAN_MODELS, cartan_model, conjugated, semidirect
 
 
@@ -464,3 +469,116 @@ def test_vectors_number_keys_by_first_appearance():
     assert vectors([x[1] + x[0].scale(3), x[0].scale(-1)]) == [{0: 1, 1: 3}, {1: -1}]
     assert in_span([x[1] + x[0], x[0]], x[1].scale(2))
     assert not in_span([x[1] + x[0]], x[1])
+
+
+# -- substitution ----------------------------------------------------------------
+
+
+def fraction_substitute(a, odd_images, even_images, one):
+    """The previous substitute: one ``multiply`` per factor on Fractions, and the
+    pieces added term by term."""
+    out = one.with_terms({})
+    for (mask, exps), c in a.terms.items():
+        piece = one.scale(c)
+        for i in indices_of(mask):
+            piece = multiply(piece, odd_images[i])
+        for i, q in enumerate(exps):
+            for _ in range(q):
+                piece = multiply(piece, even_images[i])
+        out = out + piece
+    return out
+
+
+def assert_substitutes_alike(a, odd_images, even_images, one):
+    got = substitute(a, odd_images, even_images, one)
+    expected = fraction_substitute(a, odd_images, even_images, one)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)  # the same insertion order
+    assert type(got) is type(one)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    return got
+
+
+def characteristic_images(A):
+    return A.components, [chart_d(c) for c in A.components], ChartForm.unit(A.chart_dim)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2", "heisenberg3"])
+def test_substitute_matches_fraction_route_under_characteristic_images(name):
+    rng = random.Random(sum(map(ord, name)))
+    L = builtin(name)
+    for m in (3, 4, 6):
+        A = rand_connection(rng, L, m)
+        odd, even, one = characteristic_images(A)
+        for _ in range(6):
+            assert_substitutes_alike(rand_element(rng, WeilElement(3), 5), odd, even, one)
+        # the Chern-Weil images: lam -> A, lamt -> F
+        F = curvature(A).components
+        for P in invariant_polynomials.invariant_basis(L, 2):
+            assert_substitutes_alike(P, A.components, F, one)
+
+
+def test_substitute_matches_fraction_route_on_pullbacks():
+    rng = random.Random(29)
+    for source, target in ((2, 3), (3, 3), (4, 2), (1, 4)):
+        def poly():
+            return ChartForm.from_poly(source, {
+                tuple(rng.randint(0, 2) for _ in range(source)):
+                Fraction(rng.randint(-3, 3) or 1, rng.choice((1, 2, 5)))
+                for _ in range(rng.randint(1, 3))})
+
+        phi = PolyMap(source, target, [poly() for _ in range(target)])
+        for _ in range(5):
+            a = rand_element(rng, ChartForm(target), 5)
+            got = assert_substitutes_alike(a, [chart_d(p) for p in phi.components],
+                                           phi.components, ChartForm.unit(source))
+            assert got == pullback(phi, a)
+
+
+@pytest.mark.parametrize("zero", [WeilElement(3), ChartForm(4), WeilElement(5)],
+                         ids=["weil-3", "chart-4", "weil-5"])
+def test_substitute_matches_fraction_route_on_fractional_images(zero):
+    rng = random.Random(zero.n + 41)
+    n = zero.n
+    for _ in range(12):
+        odd = [zero.with_terms(random_image(rng, n, 1)) for _ in range(n)]
+        even = [zero.with_terms(random_image(rng, n, rng.choice((0, 2)))) for _ in range(n)]
+        if rng.random() < 0.3:
+            even[rng.randrange(n)] = zero  # a zero image
+        assert_substitutes_alike(rand_element(rng, zero, 6), odd, even,
+                                 zero.with_terms({(0, (0,) * n): ONE}))
+
+
+def test_substitute_keeps_the_order_of_terms_that_cancel():
+    # e0 -> x + y, e1 -> x - y: (x + y)(x - y) cancels xy inside a product, and
+    # e0^2 - e1^2 cancels x^2 and y^2 across terms, which e0 e1 brings back last
+    x, y = ChartForm.x(2, 0), ChartForm.x(2, 1)
+    even = [x + y, x - y]
+    a = WeilElement(2, {(0, (2, 0)): 1, (0, (0, 2)): -1, (0, (1, 1)): 1})
+    got = assert_substitutes_alike(a, [None, None], even, ChartForm.unit(2))
+    assert list(got.terms) == [(0, (1, 1)), (0, (2, 0)), (0, (0, 2))]
+    assert got == (x * y).scale(4) + x * x - y * y
+
+
+def test_substitute_scales_a_repeated_image_once(monkeypatch):
+    # one image object in several slots and as a repeated factor: the same
+    # values as distinct copies, and each object scaled once
+    rng = random.Random(5)
+    zero = ChartForm(3)
+    image = zero.with_terms(random_image(rng, 3, 1))
+    other = zero.with_terms(random_image(rng, 3, 0))
+    odd, even = [image, image, image], [other, other, zero.with_terms(random_image(rng, 3, 0))]
+    copies = ([c.with_terms(dict(c.terms)) for c in odd], [c.with_terms(dict(c.terms)) for c in even])
+    one = ChartForm.unit(3)
+    seen = []
+    real_lcm = superalg.lcm
+    monkeypatch.setattr(superalg, "lcm", lambda *xs: seen.append(len(xs)) or real_lcm(*xs))
+    for _ in range(5):
+        a = rand_element(rng, zero, 6, max_exp=3)
+        seen.clear()
+        got = assert_substitutes_alike(a, odd, even, one)
+        held = {id(img) for (mask, exps), _ in a.terms.items()
+                for img in [odd[i] for i in indices_of(mask)] + [even[i] for i, q in enumerate(exps) if q]}
+        # one lcm per distinct image used, one for the unit, one for the sum
+        assert len(seen) == len(held) + 2
+        assert got == substitute(a, *copies, one)
