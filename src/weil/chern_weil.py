@@ -259,8 +259,7 @@ def _form_mat_mul(A, B):
 
 
 def _ad_inverse(g: GaugeTransform, i: int):
-    """Ad_{g^-1}(e_i) = g^-1 rho(e_i) g, an r x r matrix of 0-forms; rho(e_i) g
-    combines rows of g, with the constant entries of rho(e_i)."""
+    """Ad_{g^-1}(e_i) = g^-1 rho(e_i) g, an r x r matrix of 0-forms."""
     zero = ChartForm.zero(g.chart_dim)
     rho_g = [[sum((g.entries[k][b].scale(x) for k, x in enumerate(row) if x), zero)
               for b in range(g.rep.size)] for row in g.rep.mats[i]]
@@ -268,9 +267,8 @@ def _ad_inverse(g: GaugeTransform, i: int):
 
 
 def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
-    """The algebra coordinates of r x r form matrices with values in rho(g): per
-    matrix, one form per basis vector.  One linalg.solve reads every key of every
-    matrix; a matrix outside rho(g) is a ValueError."""
+    """Per r x r form matrix, its algebra coordinates: one form per basis vector,
+    every key of every matrix read by one linalg.solve.  ValueError outside rho(g)."""
     r = rep.size
     keyed = [(t, key) for t, M in enumerate(mats)
              for key in dict.fromkeys(key for row in M for form in row for key in form.terms)]
@@ -290,10 +288,9 @@ def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
 
 def _adjoint_sum(g: GaugeTransform, B: LieValuedForm, extra) -> LieValuedForm:
     """sum_i B^i Ad_{g^-1}(e_i) plus the r x r form matrices ``extra``, in algebra
-    coordinates.  Ad_{g^-1}(e_i) is built only for the i with B^i != 0, and its
-    coordinates and those of ``extra`` are read by one solve; component j is then
-    the n products of a coordinate 0-form with B^i, summed on ints with the
-    coordinates of ``extra`` over one denominator.  No r x r product touches B."""
+    coordinates, with Ad_{g^-1}(e_i) built only where B^i != 0.  Component j is
+    the products of 0-forms Ad_{g^-1}(e_i)^j with B^i plus extra^j, summed on
+    ints over one denominator: no r x r product touches B."""
     used = [i for i, c in enumerate(B.components) if c]
     coords = _lie_coordinates([*extra, *(_ad_inverse(g, i) for i in used)], g.rep, B.chart_dim)
     s, ints = _scaled(coords)

@@ -210,8 +210,7 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, newline, put):
-    """Put the JSON text of ``obj``, whose items go on lines of ``newline`` plus two spaces;
-    each container joins its items with one separator string, built once."""
+    """Put the JSON text of ``obj``, whose items go on lines of ``newline`` plus two spaces."""
     kind = type(obj)
     if kind is str:
         put(_quote(obj))

@@ -194,20 +194,17 @@ def substitute(a: SuperElement, odd_images, even_images, one: SuperElement) -> S
     ``one`` is the unit of the target algebra; images of odd generators must
     be odd and images of even generators even for the map to be well defined.
 
-    Each image a term of ``a`` uses is scaled to ints once per call, by the
-    lcm of its denominators; an image that recurs as the same object is
-    recognised by identity.  A term c o_S e^k is the product of ``one`` and
-    its factors, odd ones ascending then even ones, taken left to right on
-    ints through :func:`_left_multiply`, and the terms are summed on ints
-    over the lcm L of c's denominator times the factors' scales, so each
-    output coefficient is one Fraction over L.  Every scale is a nonzero
-    constant, so a key cancels where it cancels on Fractions: the values and
-    the insertion order are those of one :func:`multiply` per factor.
+    Each image used is scaled to ints once per call (a recurring image is
+    recognised by identity) by the lcm s of its denominators.  A term's
+    factors, odd ascending then even, are multiplied left to right on ints by
+    :func:`_left_multiply`, and the terms are summed over one common
+    denominator.  Every scale is a nonzero constant, so keys cancel as they
+    do on Fractions: the values and insertion order are those of one
+    :func:`multiply` per factor.
     """
     scaled = {}
 
-    def ints(img):
-        """(s, the terms of ``img`` times s on ints), s the lcm of its denominators."""
+    def ints(img):  # (s, s * img on ints)
         got = scaled.get(id(img))
         if got is None:
             one._compat(img)
