@@ -85,6 +85,14 @@ CASES = [
                              "--invariant", "casimir"]),
     ("gauge-sl2-unipotent-6", 0, ["gauge", "--connection", INPUTS + "conn_sl2_6.json",
                                   "--gauge", INPUTS + "gauge_sl2_unipotent.json"]),
+    # the su2 tail jobs' gauge shape: three used generators, r = 4, no Maurer-Cartan term
+    ("gauge-su2-quaternion-6", 0, ["gauge", "--connection", INPUTS + "conn_su2_6.json",
+                                   "--gauge", INPUTS + "gauge_quaternion.json"]),
+    # a zero connection: only g^-1 dg under a unipotent gauge, no matrix at all under a constant
+    ("gauge-sl2-zero-unipotent-6", 0, ["gauge", "--connection", INPUTS + "conn_sl2_zero_6.json",
+                                       "--gauge", INPUTS + "gauge_sl2_unipotent.json"]),
+    ("gauge-sl2-zero-constant-6", 0, ["gauge", "--connection", INPUTS + "conn_sl2_zero_6.json",
+                                      "--gauge", INPUTS + "gauge_sl2_constant.json"]),
     ("polyfunc-decompose", 0, ["polyfunc", "decompose", "--expr", "x^2*y - 3/2 + x, y^3",
                                "--degree", "3", "--dim", "2",
                                "--probes", INPUTS + "probes.json"]),
