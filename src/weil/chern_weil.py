@@ -18,7 +18,7 @@ from . import linalg
 # chart_forms.wedge_calls at this name
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge  # noqa: F401
 from .liealg import LieAlgebra, adjoint_matrices, builtin, check_representation, frac
-from .superalg import ONE, _acc, _left_multiply, substitute
+from .superalg import ONE, _left_multiply, substitute
 from .weil_algebra import WeilElement, curvature_generator
 from .invariant_polynomials import is_sym_element
 
@@ -239,15 +239,15 @@ def _scaled(M):
 
 
 def _form_mat_mul(A, B):
-    """A B for r x r form matrices.  Each matrix is scaled to ints once; each entry
-    sum_k A_ik B_kj is accumulated on ints by the Leibniz sign rule of wedge and
+    """A B for p x q and q x s form matrices.  Each matrix is scaled to ints once; each
+    entry sum_k A_ik B_kj is accumulated on ints by the Leibniz sign rule of wedge and
     divided once."""
     sa, ints_a = _scaled(A)
     sb, ints_b = _scaled(B)
     out = []
     for form_row, row in zip(A, ints_a):
         out_row = []
-        for j in range(len(B)):
+        for j in range(len(B[0])):
             acc = {}
             for a, b_row in zip(row, ints_b):
                 for (mask, exps), c in b_row[j].items():
@@ -267,7 +267,7 @@ def _ad_inverse(g: GaugeTransform, i: int):
 
 
 def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
-    """Per r x r form matrix, its algebra coordinates: one form per basis vector,
+    """Algebra coordinates of r x r form matrices, row j holding coordinate j of each;
     every key of every matrix read by one linalg.solve.  ValueError outside rho(g)."""
     r = rep.size
     keyed = [(t, key) for t, M in enumerate(mats)
@@ -277,35 +277,27 @@ def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
     coords = linalg.solve(rep.flat_columns(), targets)
     if coords is None:
         raise ValueError("matrix-valued form does not lie in the representation image")
-    out = [[{} for _ in rep.mats] for _ in mats]
+    out = [[{} for _ in mats] for _ in rep.mats]
     for (t, key), c in zip(keyed, coords):
         for j, x in enumerate(c):
             if x:
-                out[t][j][key] = x
+                out[j][t][key] = x
     zero = ChartForm.zero(chart_dim)
     return [[zero.with_terms(terms) for terms in row] for row in out]
 
 
 def _adjoint_sum(g: GaugeTransform, B: LieValuedForm, extra) -> LieValuedForm:
     """sum_i B^i Ad_{g^-1}(e_i) plus the r x r form matrices ``extra``, in algebra
-    coordinates, with Ad_{g^-1}(e_i) built only where B^i != 0.  Component j is
-    the products of 0-forms Ad_{g^-1}(e_i)^j with B^i plus extra^j, summed on
-    ints over one denominator: no r x r product touches B."""
+    coordinates, with Ad_{g^-1}(e_i) built only where B^i != 0.  Component j is row j
+    of their coordinate matrix times the column (1, ..., B^i, ...): no r x r product
+    touches B."""
     used = [i for i, c in enumerate(B.components) if c]
-    coords = _lie_coordinates([*extra, *(_ad_inverse(g, i) for i in used)], g.rep, B.chart_dim)
-    s, ints = _scaled(coords)
-    sb, (b_ints,) = _scaled([[B.components[i] for i in used]])
-    zero, comps = ChartForm.zero(B.chart_dim), []
-    for j in range(B.algebra.dim):
-        acc = {}
-        for e in ints[:len(extra)]:
-            for key, v in e[j].items():
-                _acc(acc, key, v * sb)
-        for x, b in zip(ints[len(extra):], b_ints):
-            for (mask, exps), c in b.items():
-                _left_multiply(acc, x[j], mask, exps, c)
-        comps.append(zero.with_terms({k: Fraction(v, s * sb) for k, v in acc.items()}))
-    return LieValuedForm(B.algebra, B.chart_dim, comps)
+    mats = [*extra, *(_ad_inverse(g, i) for i in used)]
+    if not mats:
+        return LieValuedForm.zero(B.algebra, B.chart_dim)
+    column = [[ChartForm.unit(B.chart_dim)] for _ in extra] + [[B.components[i]] for i in used]
+    coords = _lie_coordinates(mats, g.rep, B.chart_dim)
+    return LieValuedForm(B.algebra, B.chart_dim, [c for c, in _form_mat_mul(coords, column)])
 
 
 def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:

@@ -310,6 +310,8 @@ def _parse_gauge(obj, algebra, chart_dim):
     rep = builtin_rep(algebra.name or "")
     kind = obj["kind"]
     if kind == "constant":
+        if "quaternion" in obj and "matrix" in obj:
+            raise ValueError("a constant gauge takes a matrix or a quaternion, not both")
         if "quaternion" in obj:
             mat = quaternion_matrix(*jsonio.rationals(obj["quaternion"], "quaternion", 4))
         else:
@@ -321,6 +323,8 @@ def _parse_gauge(obj, algebra, chart_dim):
         for entry in jsonio.typed(obj["entries"], list, "entries"):
             entry = jsonio.typed(entry, dict, "a gauge entry")
             i, j = (jsonio.typed(entry[f], int, f) - 1 for f in ("row", "col"))
+            if (i, j) in uppers:
+                raise ValueError(f"gauge entries list (row, col) = ({i + 1}, {j + 1}) twice")
             uppers[(i, j)] = jsonio.poly_from_json(entry["poly"], chart_dim)
         return unipotent_gauge(rep, uppers, chart_dim)
     raise ValueError(f"unknown gauge kind {kind!r}")

@@ -92,7 +92,9 @@ def algebra_from_json(obj) -> LieAlgebra:
         i, j, k = (typed(entry[f], int, f"bracket index {f}") - 1 for f in "ijk")
         if not 0 <= i < j < dim or not 0 <= k < dim:
             raise ValueError(f"bracket entries need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
-        brackets.setdefault((i, j), {})[k] = parse_rational(entry["c"], "a bracket c")
+        if k in brackets.setdefault((i, j), {}):
+            raise ValueError(f"brackets list (i, j, k) = ({i + 1}, {j + 1}, {k + 1}) twice")
+        brackets[(i, j)][k] = parse_rational(entry["c"], "a bracket c")
     name = obj.get("name")
     L = from_brackets(dim, brackets, name=None if name is None else typed(name, str, "name"))
     violation = validate(L)
@@ -124,6 +126,9 @@ def _terms_from_json(obj, odd_field, even_field, n):
         odd = _int_list(entry.get(odd_field, []), odd_field) if odd_field else []
         if any(not 1 <= i <= n for i in odd):
             raise ValueError(f"{odd_field} index out of range 1..{n}")
+        if len(set(odd)) < len(odd):
+            i = next(i for k, i in enumerate(odd) if i in odd[:k])
+            raise ValueError(f"{odd_field} index {i} is repeated")
         if even_field in entry:
             exps = tuple(_int_list(entry[even_field], even_field))
             if len(exps) != n or any(x < 0 for x in exps):

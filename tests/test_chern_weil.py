@@ -182,13 +182,12 @@ def test_gauge_invariance_and_curvature_covariance():
 
 def wedge_mat_mul(A, B):
     """The previous matrix product, kept as the oracle: one wedge per (i, k, j), added."""
-    r = len(A)
     out = []
-    for i in range(r):
+    for i in range(len(A)):
         row = []
-        for j in range(r):
+        for j in range(len(B[0])):
             acc = wedge(A[i][0], B[0][j])
-            for k in range(1, r):
+            for k in range(1, len(B)):
                 acc = acc + wedge(A[i][k], B[k][j])
             row.append(acc)
         out.append(row)
@@ -306,43 +305,55 @@ def test_gauge_transform_matches_the_matrix_route(name):
 
 
 def test_gauge_of_the_zero_connection_is_maurer_cartan_in_every_rep():
+    # both edges: a constant gauge has dg = 0 and no matrix at all, a unipotent one
+    # only theta = g^-1 dg, which leaves su2 and so3
     rng = random.Random(3)
-    for name in ("abelian(1)", "heisenberg3", "sl2"):
+    for name in BUILTIN_REPS:
         L = builtin(name)
         for g in rand_gauges(rng, name, 3):
             zero = LieValuedForm.zero(L, 3)
-            assert gauge_transform(zero, g) == matrix_gauge_transform(zero, g)
-            assert conjugate(g, zero) == zero
+            assert outcome(gauge_transform, zero, g) == outcome(matrix_gauge_transform, zero, g)
+            assert conjugate(g, zero) == matrix_conjugate(g, zero) == zero
 
 
 def test_form_mat_mul_matches_wedge_sums():
     rng = random.Random(73)
 
-    def entry(m):
-        # a zero entry, or a sum of 0-, 1- and 2-form terms with Fraction coefficients
+    def entry(m, degrees=(0, 1, 2)):
+        # a zero entry, or a sum of terms of the given form degrees, Fraction coefficients
         form = ChartForm.zero(m)
         for _ in range(rng.choice((0, 1, 2, 3))):
             e = [0] * m
             for _ in range(rng.randint(0, 2)):
                 e[rng.randrange(m)] += 1
-            form = form + ChartForm.monomial(m, rng.sample(range(m), rng.randint(0, 2)), e,
+            form = form + ChartForm.monomial(m, rng.sample(range(m), rng.choice(degrees)), e,
                                              Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
         return form
 
-    for r in (1, 1, 2, 3, 4, 4):
+    # square, rectangular and one-column right factors, under mixed, 0-form-only and
+    # 1-form-only left factors
+    shapes = [(1, 1, 1, (0, 1, 2)), (1, 1, 1, (0, 1, 2)), (2, 2, 2, (0, 1, 2)),
+              (3, 3, 3, (0, 1, 2)), (4, 4, 4, (0, 1, 2)), (4, 4, 4, (0, 1, 2)),
+              (2, 3, 4, (0, 1, 2)), (3, 2, 1, (0, 1, 2)), (3, 5, 1, (0,)),
+              (1, 4, 2, (0, 1, 2)), (3, 4, 1, (1,)), (2, 3, 2, (1,))]
+    for p, q, s, left_degrees in shapes:
         m = rng.randint(2, 4)
-        A = [[entry(m) for _ in range(r)] for _ in range(r)]
-        B = [[entry(m) for _ in range(r)] for _ in range(r)]
+        A = [[entry(m, left_degrees) for _ in range(q)] for _ in range(p)]
+        B = [[entry(m) for _ in range(s)] for _ in range(q)]
         got = _form_mat_mul(A, B)
         assert got == wedge_mat_mul(A, B)
+        assert [len(row) for row in got] == [s] * p
         assert all(type(c) is Fraction for row in got for form in row for c in form.terms.values())
     zero = [[ChartForm.zero(2)] * 4 for _ in range(4)]
     assert _form_mat_mul(zero, zero) == zero
+    assert _form_mat_mul(zero, [[ChartForm.zero(2)]] * 4) == [[ChartForm.zero(2)]] * 4
 
 
 def test_gauge_transform_takes_one_matrix_product_per_used_generator(monkeypatch):
-    # theta + sum_i A^i Ad_{g^-1}(e_i): one product g^-1 (rho(e_i) g) per i with
-    # A^i != 0, and g^-1 dg only when dg != 0; no matrix product touches A
+    # theta + sum_i A^i Ad_{g^-1}(e_i): one r x r product g^-1 (rho(e_i) g) per i with
+    # A^i != 0, and g^-1 dg only when dg != 0; no r x r product touches A.  Then one
+    # product of the coordinate matrix by the column (1, ..., A^i, ...), which the zero
+    # connection under a constant gauge skips with the rest
     rng = random.Random(71)
     x = ChartForm.x(3, 0)
     A = rand_connection(rng, H3, 3)
@@ -359,11 +370,19 @@ def test_gauge_transform_takes_one_matrix_product_per_used_generator(monkeypatch
                             lambda a, b: calls.append(b) or _form_mat_mul(a, b))
         moved = gauge_transform(A, g)
         monkeypatch.undo()
-        assert len(calls) == products
-        # every right factor is rho(e_i) g, of 0-forms, except dg
-        dg = [[d(p) for p in row] for row in g.entries]
-        assert [b for b in calls if any(f.degrees() - {0} for row in b for f in row)] == (
-            [dg] if any(map(any, dg)) else [])
+        r, dg = g.rep.size, [[d(p) for p in row] for row in g.entries]
+        theta = [dg] if any(map(any, dg)) else []
+        square = [b for b in calls if len(b) == r and all(len(row) == r for row in b)]
+        assert len(square) == products
+        # every r x r right factor is rho(e_i) g, of 0-forms, except dg
+        assert [b for b in square if any(f.degrees() - {0} for row in b for f in row)] == theta
+        # the one other product is the last, by the column of the used A^i under the unit
+        # where theta is built; it is the only one that touches A
+        used = [[c] for c in A.components if c]
+        column = [[ChartForm.unit(3)] for _ in theta] + used
+        assert calls == (square + [column] if products else [])
+        assert [b for b in calls if any(f == c for row in b for f in row
+                                        for c in A.components if c)] == calls[-1:]
         assert moved == matrix_gauge_transform(A, g) == summed_gauge_transform(A, g)
 
 

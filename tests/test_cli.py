@@ -213,7 +213,7 @@ def assert_domain_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert list(json.loads(captured.out)) == ["error"]
-    assert "Traceback" not in captured.err
+    assert captured.err == ""
     return json.loads(captured.out)["error"]
 
 
@@ -289,6 +289,43 @@ def test_json_algebra_must_satisfy_jacobi(tmp_path, capsys):
     conn = write_json(tmp_path, "good.json", json_algebra_connection([(1, 2, 3), (2, 3, 1)]))
     code, out = run_cli(capsys, "cw", "--connection", conn, "--invariant", "basis:2:0")
     assert code == 0 and "chern_weil_form" in json.loads(out)["results"]
+
+
+SU2_GAUGE_CONNECTION = {**HEISENBERG_CONNECTION, "algebra": "su2"}
+SQUARE_ENTRY = {"row": 1, "col": 2, "poly": [{"mono": [1, 0], "c": "1"}]}
+
+
+@pytest.mark.parametrize("command,files,message", [
+    ("gauge", {"gauge": {"kind": "unipotent", "entries": [
+        SQUARE_ENTRY, {"row": 2, "col": 3, "poly": []},
+        {"row": 1, "col": 2, "poly": [{"mono": [0, 1], "c": "-2"}]}]}},
+     "gauge entries list (row, col) = (1, 2) twice"),
+    ("gauge", {"conn": SU2_GAUGE_CONNECTION,
+               "gauge": {"kind": "constant", "quaternion": ["1", "2", "0", "-1"],
+                         "matrix": [[str(2 * (i == j)) for j in range(4)] for i in range(4)]}},
+     "a constant gauge takes a matrix or a quaternion, not both"),
+    ("cw", {"conn": {**HEISENBERG_CONNECTION, "algebra": {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "k": 3, "c": "1"}, {"i": 1, "j": 2, "k": 3, "c": "2"}]}}},
+     "brackets list (i, j, k) = (1, 2, 3) twice"),
+    ("cw", {"invariant": [{"ext": [1, 1], "sym": [1, 0, 0], "c": "1"}]},
+     "ext index 1 is repeated"),
+    ("cw", {"conn": {**HEISENBERG_CONNECTION, "components": [
+        {"dim": 2, "terms": [{"dx": [2, 1, 2], "c": "1"}]}, {"dim": 2, "terms": []},
+        {"dim": 2, "terms": []}]}},
+     "dx index 2 is repeated"),
+], ids=["unipotent-entry-twice", "matrix-and-quaternion", "bracket-twice", "ext-repeated",
+        "dx-repeated"])
+def test_an_input_that_would_be_overwritten_is_refused(tmp_path, capsys, command, files,
+                                                       message):
+    conn = write_json(tmp_path, "conn.json", files.get("conn", HEISENBERG_CONNECTION))
+    argv = [command, "--connection", conn]
+    if command == "gauge":
+        argv += ["--gauge", write_json(tmp_path, "gauge.json", files["gauge"])]
+    elif "invariant" in files:
+        argv += ["--invariant-json", write_json(tmp_path, "p.json", files["invariant"])]
+    else:
+        argv += ["--invariant", "basis:1:0"]
+    assert assert_domain_error(capsys, argv) == {"type": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("argv,message", [
