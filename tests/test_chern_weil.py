@@ -312,7 +312,10 @@ def test_gauge_of_the_zero_connection_is_maurer_cartan_in_every_rep():
         L = builtin(name)
         for g in rand_gauges(rng, name, 3):
             zero = LieValuedForm.zero(L, 3)
-            assert outcome(gauge_transform, zero, g) == outcome(matrix_gauge_transform, zero, g)
+            moved = outcome(gauge_transform, zero, g)
+            assert moved == outcome(matrix_gauge_transform, zero, g)
+            moving = any(d(p).terms for row in g.entries for p in row)
+            assert isinstance(moved, str) == (name in ("so3", "su2") and moving)
             assert conjugate(g, zero) == matrix_conjugate(g, zero) == zero
 
 
