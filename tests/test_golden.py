@@ -98,6 +98,17 @@ CASES = [
                                "--probes", INPUTS + "probes.json"]),
     ("polyfunc-check", 0, ["polyfunc", "check", "--expr", "x^3 - y/2", "--degree", "2",
                            "--dim", "2"]),
+    # the ladder's shapes: two outputs at degree 3 on R^3 over the default probes, a
+    # consistent and an inconsistent check at degree 2 on R^3, and a ray failure
+    ("polyfunc-decompose-3-3", 0, ["polyfunc", "decompose", "--expr",
+                                   "x^3 - 2*y*z + 1/2, x*y*z - z^2/3 + y",
+                                   "--degree", "3", "--dim", "3"]),
+    ("polyfunc-check-2-3", 0, ["polyfunc", "check", "--expr", "x^2 - y*z/2 + 3*z - 1",
+                               "--degree", "2", "--dim", "3"]),
+    ("polyfunc-check-witness-2-3", 0, ["polyfunc", "check", "--expr", "y^3 + x*z - 1/2",
+                                       "--degree", "2", "--dim", "3"]),
+    ("polyfunc-decompose-ray-failure", 1, ["polyfunc", "decompose", "--expr", "x^5",
+                                           "--degree", "3", "--dim", "3"]),
     ("polyfunc-inject", 0, ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3",
                             "--base-dim", "2"]),
     ("oracle-1-1-2", 0, ["oracle", "--p", "1", "--q", "1", "--dimV", "2"]),
