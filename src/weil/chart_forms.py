@@ -86,29 +86,41 @@ def d(a: ChartForm) -> ChartForm:
     return derivation(a, [None] * a.n, even)
 
 
-def evaluate(form: ChartForm, point) -> Fraction:
-    """The value of a 0-form at a point of R^m, summed on ints.
-
-    With x_i = p_i/q_i and E_i the largest exponent of x_i in the form, a term
-    c x^e is c p^e q^(E-e) over q^E, and the coefficients are scaled by the
-    lcm of their denominators, so the value is one Fraction.
-    """
+def _scaled(form):
+    """A 0-form scaled to ints once, for :func:`_value`: (L, E, terms), with L the
+    lcm of its coefficient denominators, E_i the largest exponent of x_i in it,
+    and terms the pairs (c L, e) of its terms c x^e."""
     if any(mask for mask, _ in form.terms):
         raise ValueError("only a 0-form has a value at a point")
     top = [max(col) for col in zip(*(e for _, e in form.terms))]
     scale = lcm(*(c.denominator for c in form.terms.values()))
-    # powers[i][k] = p_i^k q_i^(E_i - k)
-    powers = [[x.numerator ** k * x.denominator ** (t - k) for k in range(t + 1)]
-              for x, t in zip(point, top)]
-    total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, powers, e))
-                for (_, e), c in form.terms.items())
-    return Fraction(total, scale * prod(x.denominator ** t for x, t in zip(point, top)))
+    return scale, top, [(c.numerator * (scale // c.denominator), e)
+                        for (_, e), c in form.terms.items()]
+
+
+def _value(scaled, point) -> Fraction:
+    """The value at a point of R^m of a 0-form scaled by :func:`_scaled`, summed on
+    ints: with x_i = p_i/q_i, a term c x^e is c L p^e q^(E-e) over L q^E, so the
+    value is one Fraction."""
+    scale, top, terms = scaled
+    powers, den = [], scale  # powers[i][k] = p_i^k q_i^(E_i - k); den = L q^E
+    for x, t in zip(point, top):
+        p, q = x.numerator, x.denominator
+        powers.append([p ** k * q ** (t - k) for k in range(t + 1)])
+        den *= q ** t
+    return Fraction(sum(c * prod(map(getitem, powers, e)) for c, e in terms), den)
+
+
+def evaluate(form: ChartForm, point) -> Fraction:
+    """The value of a 0-form at a point of R^m: the rule of :class:`PolyMap` at one point."""
+    return _value(_scaled(form), point)
 
 
 class PolyMap:
-    """Polynomial map R^source_dim -> R^target_dim; its components are 0-forms."""
+    """Polynomial map R^source_dim -> R^target_dim; its components are 0-forms,
+    each scaled to ints once (:func:`_scaled`) for every point it is evaluated at."""
 
-    __slots__ = ("source_dim", "target_dim", "components")
+    __slots__ = ("source_dim", "target_dim", "components", "_scaled_components")
 
     def __init__(self, source_dim, target_dim, components):
         components = list(components)
@@ -119,9 +131,10 @@ class PolyMap:
         self.source_dim = source_dim
         self.target_dim = target_dim
         self.components = components
+        self._scaled_components = [_scaled(p) for p in components]
 
     def __call__(self, point):
-        return tuple(evaluate(p, point) for p in self.components)
+        return tuple(_value(s, point) for s in self._scaled_components)
 
 
 def compose(phi: PolyMap, psi: PolyMap) -> PolyMap:

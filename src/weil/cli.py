@@ -321,7 +321,8 @@ def _parse_gauge(obj, algebra, chart_dim):
     if kind == "unipotent":
         uppers = {}
         for entry in jsonio.typed(obj["entries"], list, "entries"):
-            entry = jsonio.typed(entry, dict, "a gauge entry")
+            entry = jsonio.known(jsonio.typed(entry, dict, "a gauge entry"),
+                                 {"row", "col", "poly"}, "a gauge entry")
             i, j = (jsonio.typed(entry[f], int, f) - 1 for f in ("row", "col"))
             if (i, j) in uppers:
                 raise ValueError(f"gauge entries list (row, col) = ({i + 1}, {j + 1}) twice")
@@ -368,9 +369,9 @@ def _cmd_polyfunc(args, payloads):
         # check: each trial set of k vectors (k = min(dim, 3), then 2; see
         # _default_trials) is interpolated on (d+1)^k grid points, and a point costs
         # its dim coordinates and a product of k Lagrange weights, whose bit length
-        # grows with d; decompose: a (d+1)-square Vandermonde inverse, whose exact
-        # entries grow in bit length with d, so its cost tracks (d+1)^3, and d+1
-        # scalings of each probe
+        # grows with d; decompose: per probe and output coordinate, (d+1)^2 products
+        # by the weights of the closed-form Vandermonde inverse, whose bit length grows
+        # with d, so its cost tracks (d+1)^3, and d+1 scalings of each probe
         n = args.degree + 1
         if args.mode == "check":
             sets = (min(args.dim, 3), 2 * min(args.dim, 1))

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .chart_forms import ChartForm
 from .chern_weil import LieValuedForm
 from .liealg import LieAlgebra, builtin, frac, from_brackets, validate
-from .masks import indices_of, mask_of
+from .masks import indices_of
 from .schur_oracle import check_size
 from .weil_algebra import WeilElement
 
@@ -56,6 +56,14 @@ def typed(obj, kind, what):
     return obj
 
 
+def known(obj, fields, what):
+    """``obj`` if every key is in ``fields``, else a ValueError naming the first other."""
+    if not obj.keys() <= fields:
+        extra = next(k for k in obj if k not in fields)
+        raise ValueError(f"{what} has an unknown field {extra!r}")
+    return obj
+
+
 def rationals(obj, what, size=None) -> list:
     """A JSON array of rationals, of ``size`` entries when given."""
     out = [parse_rational(x, f"{what} entry") for x in typed(obj, list, what)]
@@ -88,7 +96,8 @@ def algebra_from_json(obj) -> LieAlgebra:
         raise ValueError("an algebra dim must be positive")
     brackets = {}
     for entry in typed(obj.get("brackets", []), list, "brackets"):
-        entry = typed(entry, dict, "a bracket entry")
+        entry = known(typed(entry, dict, "a bracket entry"), {"i", "j", "k", "c"},
+                      "a bracket entry")
         i, j, k = (typed(entry[f], int, f"bracket index {f}") - 1 for f in "ijk")
         if not 0 <= i < j < dim or not 0 <= k < dim:
             raise ValueError(f"bracket entries need 1 <= i < j <= {dim} and 1 <= k <= {dim}")
@@ -117,26 +126,35 @@ def _terms_from_json(obj, odd_field, even_field, n):
     """{(odd mask, exponents): coefficient} from a JSON term list.
 
     Odd indices are 1-based, at most n and distinct; exponent vectors have n
-    nonnegative entries.  A missing field means no odd factor, or exponent 0.
+    nonnegative entries.  A missing field means no odd factor, or exponent 0,
+    and any other field is refused.  The odd factors are read in the order
+    listed, so a list that is not ascending takes the sign of the permutation
+    that sorts it: [2, 1] is -dx1^dx2.
     """
     if not isinstance(obj, list) or not all(isinstance(t, dict) for t in obj):
         raise ValueError("a term list must be a JSON array of objects")
+    fields = {odd_field, even_field, "c"} - {None}
     terms, zeros = {}, None
     for entry in obj:
+        known(entry, fields, "a term")
         odd = _int_list(entry.get(odd_field, []), odd_field) if odd_field else []
         if any(not 1 <= i <= n for i in odd):
             raise ValueError(f"{odd_field} index out of range 1..{n}")
-        if len(set(odd)) < len(odd):
-            i = next(i for k, i in enumerate(odd) if i in odd[:k])
-            raise ValueError(f"{odd_field} index {i} is repeated")
+        mask = swaps = 0
+        for i in odd:  # one transposition per listed index above i
+            if mask >> (i - 1) & 1:
+                raise ValueError(f"{odd_field} index {i} is repeated")
+            swaps += (mask >> i).bit_count()
+            mask |= 1 << (i - 1)
         if even_field in entry:
             exps = tuple(_int_list(entry[even_field], even_field))
             if len(exps) != n or any(x < 0 for x in exps):
                 raise ValueError(f"{even_field} must hold {n} nonnegative exponents")
         else:
             exps = zeros = zeros or (0,) * n
-        key = (mask_of(i - 1 for i in odd), exps)
-        terms[key] = terms.get(key, Fraction(0)) + parse_rational(entry["c"], "a term c")
+        c = parse_rational(entry["c"], "a term c")
+        key = (mask, exps)
+        terms[key] = terms.get(key, Fraction(0)) + (-c if swaps & 1 else c)
     return terms
 
 

@@ -109,15 +109,22 @@ def rref(rows):
     return piv_cols, [reduced[c] for c in piv_cols]
 
 
+def _read_back(rows, key):
+    """The RREF of ``rows`` read backwards, each row a dict over ``key(column)`` in
+    insertion order: the leading key first, then the others by descending column."""
+    piv_cols, reduced = rref(rows)
+    return [{key(c): row[c] for c in (p, *sorted(row.keys() - {p}, reverse=True))}
+            for p, row in zip(reversed(piv_cols), reversed(reduced))]
+
+
 def echelon(vectors, keys):
     """Canonical basis of the span of ``vectors``, dicts over the ordered list ``keys``
     (every key they use): the RREF over the keys in reversed order, read backwards,
     terms in insertion order, the leading key first, then the others in key order."""
     end = len(keys) - 1
     col = {key: end - j for j, key in enumerate(keys)}
-    piv_cols, reduced = rref([{col[key]: c for key, c in vec.items()} for vec in vectors])
-    return [{keys[end - c]: row[c] for c in (p, *sorted(row.keys() - {p}, reverse=True))}
-            for p, row in zip(reversed(piv_cols), reversed(reduced))]
+    return _read_back([{col[key]: c for key, c in vec.items()} for vec in vectors],
+                      lambda c: keys[end - c])
 
 
 def relations(vectors):
@@ -128,15 +135,15 @@ def relations(vectors):
     the matrix whose j-th column is ``vectors[j]``.  Vector j is tagged with
     1 in column ``top + n - 1 - j``, past every real column, and the tagged
     vectors are eliminated once.  The pivot rows that lead with a tag hold
-    tags only and span the relations; their ``echelon`` over the indices they
-    hold is that canonical basis.
+    tags only and span the relations; their RREF in the tag columns, which
+    run over the indices in reversed order, read backwards, is that canonical
+    basis (the ``echelon`` of the rows over the indices they hold).
     """
     top = max((c for vec in vectors for c in vec), default=-1) + 1
     end = top + len(vectors) - 1
     tagged = [{**vec, end - j: 1} for j, vec in enumerate(vectors)]
-    rows = [{end - c: v for c, v in row.items()}
-            for col, row in _forward_eliminate(tagged) if col >= top]
-    return echelon(rows, sorted({j for row in rows for j in row}))
+    return _read_back([row for col, row in _forward_eliminate(tagged) if col >= top],
+                      lambda c: end - c)
 
 
 def nullspace(rows, ncols):

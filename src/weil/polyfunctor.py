@@ -13,9 +13,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
-from operator import getitem
+from operator import getitem, mul
 
-from . import linalg
 from .chart_forms import PolyMap
 from .liealg import frac
 
@@ -27,46 +26,58 @@ class BlackBoxMap(namedtuple("BlackBoxMap", "source_dim target_dim evaluator")):
     __slots__ = ()
 
     def __call__(self, v):
-        v = tuple(frac(x) for x in v)
+        v = tuple(map(frac, v))
         if len(v) != self.source_dim:
             raise ValueError("input has the wrong dimension")
-        out = tuple(frac(x) for x in self.evaluator(v))
+        out = tuple(map(frac, self.evaluator(v)))
         if len(out) != self.target_dim:
             raise ValueError("evaluator returned the wrong dimension")
         return out
 
 
-def _combine(coeffs, vectors):
-    """sum_k coeffs[k] vectors[k], coordinate by coordinate, in exact arithmetic.
-
-    Every sum of the procedures below is taken here; a zero coefficient is
-    skipped, and the sum has the length of the shortest vector.  The sum is
-    taken on ints: the coefficients are scaled once by the lcm of their
-    denominators, each coordinate by the lcm of its column's denominators,
-    and each output coordinate is one Fraction.
-    """
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+def _batch(vectors):
+    """The coordinate columns of ``vectors``, each scaled to ints once: per column,
+    (D, numerators) with D the lcm of the column's denominators and the
+    numerators over D.  There are as many columns as the shortest vector has
+    coordinates."""
     out = []
     for column in zip(*vectors):
-        terms = [(a, x) for a, x in zip(ints, column) if a]
-        den = lcm(*(x.denominator for _, x in terms))
-        out.append(Fraction(sum(a * x.numerator * (den // x.denominator) for a, x in terms),
-                            scale * den))
-    return tuple(out)
+        den = lcm(*(x.denominator for x in column))
+        out.append((den, [x.numerator * (den // x.denominator) for x in column]))
+    return out
+
+
+def _combine(coeffs, batch, over=1):
+    """(sum_k coeffs[k] vectors[k]) / over, coordinate by coordinate, in exact
+    arithmetic, for integer coefficients and the ``_batch`` of the vectors.
+
+    Every sum of the procedures below is taken here, on ints: one integer sum
+    per coordinate, and one Fraction.
+    """
+    return tuple(Fraction(sum(map(mul, coeffs, nums)), over * den) for den, nums in batch)
 
 
 def _vandermonde_inverse(d):
-    """Inverse of the (d+1)x(d+1) matrix V[r][i] = nodes[r]^i at nodes 1..d+1.
+    """Inverse of the (d+1)x(d+1) matrix V[r][i] = (r+1)^i at the nodes 1..d+1, as
+    integer numerators over d!: (N, d!) with N[i][r] = d! (V^-1)[i][r], so that
+    f_i(v) = sum_r N[i][r] f((r+1) v) / d!.
 
-    Returns (nodes, weights) with weights[i][r] = (V^-1)[i][r], so that
-    f_i(v) = sum_r weights[i][r] f(nodes[r] v).
+    Column r is the Lagrange basis polynomial of node r+1 times d!, that is
+    (-1)^(d-r) C(d, r) P(t) / (t - (r+1)) for P = prod_{k=1}^{d+1} (t - k);
+    row i holds its t^i coefficients.
     """
-    nodes = [Fraction(k) for k in range(1, d + 2)]
-    cols = [{r: nodes[r] ** i for r in range(d + 1)} for i in range(d + 1)]
-    inv_cols = linalg.solve(cols, [{r: Fraction(1)} for r in range(d + 1)])
-    weights = [[inv_cols[r][i] for r in range(d + 1)] for i in range(d + 1)]
-    return nodes, weights
+    full = [1]  # the coefficients of P, from t^0 up
+    for k in range(1, d + 2):
+        full = [a - k * b for a, b in zip([0, *full], [*full, 0])]
+    cols = []
+    for r in range(d + 1):
+        node, sign = r + 1, (-1) ** (d - r) * comb(d, r)
+        quotient, carry = [], 0
+        for a in reversed(full[1:]):  # synthetic division by t - node, from the top
+            carry = a + node * carry
+            quotient.append(sign * carry)
+        cols.append(quotient[::-1])
+    return [list(row) for row in zip(*cols)], factorial(d)
 
 
 # components[i][probe_index] is the output tuple of f_i at that probe
@@ -76,25 +87,26 @@ HomogeneousDecomposition = namedtuple("HomogeneousDecomposition", "probes compon
 def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecomposition:
     """Split f into homogeneous components f_0..f_d, tabulated on the probes.
 
-    Evaluates f(lambda v) at lambda = 1..d+1 and solves the Vandermonde
-    system per probe.  The reconstruction sum f_i(v) = f(v) is exact by
-    construction (lambda = 1 is a node); the scalars mu = 2, 3 check the
-    ray-degree precondition through f_i(mu v) = mu^i f_i(v) and raises with
-    a witness when it fails.  The Vandermonde matrix is invertible, so that
-    holds for every i exactly when f(t v) = sum_i f_i(v) t^i at t = mu
+    Evaluates f(lambda v) at lambda = 1..d+1 and applies the closed-form
+    Vandermonde inverse per probe.  The reconstruction sum f_i(v) = f(v) is
+    exact by construction (lambda = 1 is a node); the scalars mu = 2, 3 check
+    the ray-degree precondition through f_i(mu v) = mu^i f_i(v) and raises
+    with a witness when it fails.  The Vandermonde matrix is invertible, so
+    that holds for every i exactly when f(t v) = sum_i f_i(v) t^i at t = mu
     lambda for every node lambda; at a t that is itself a node it holds by
     construction, so f is evaluated only at the other t, once per probe and t
     (6 = 2 * 3 = 3 * 2), and the components at mu v are solved for only to
-    name the failing one.
+    name the failing one.  The node values and the components of a probe are
+    each one ``_batch``.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    nodes, weights = _vandermonde_inverse(d)
+    weights, den = _vandermonde_inverse(d)
     probes = [tuple(frac(x) for x in p) for p in probes]
 
     def components_at(v):
-        values = [f(_combine([lam], [v])) for lam in nodes]
-        return [_combine(row, values) for row in weights]
+        values = _batch([f(tuple(x * lam for x in v)) for lam in range(1, d + 2)])
+        return [_combine(row, values, den) for row in weights]
 
     table = [components_at(v) for v in probes]
     components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
@@ -104,20 +116,21 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     def ray_value(pi, t):
         seen = on_ray[pi]
         if t not in seen:
-            seen[t] = f(_combine([t], [probes[pi]]))
+            seen[t] = f(tuple(x * t for x in probes[pi]))
         return seen[t]
 
-    for mu in (Fraction(2), Fraction(3)):
+    batches = [_batch(comps) for comps in table]
+    for mu in (2, 3):
         # the powers t^0..t^d of each t that is not a node, shared by the probes
-        rays = [(t, [t ** i for i in range(d + 1)]) for t in (mu * lam for lam in nodes)
-                if t > nodes[-1]]
+        rays = [(t, [t ** i for i in range(d + 1)]) for t in (mu * lam for lam in range(1, d + 2))
+                if t > d + 1]
         for pi, v in enumerate(probes):
-            comps = table[pi]
-            if all(ray_value(pi, t) == _combine(powers, comps) for t, powers in rays):
+            if all(ray_value(pi, t) == _combine(powers, batches[pi]) for t, powers in rays):
                 continue
-            scaled = components_at(_combine([mu], [v]))
+            comps = table[pi]
+            scaled = components_at(tuple(x * mu for x in v))
             for i in range(d + 1):
-                if scaled[i] != _combine([mu ** i], [comps[i]]):
+                if scaled[i] != tuple(mu ** i * x for x in comps[i]):
                     point = ", ".join(map(str, v))
                     raise ValueError(
                         f"map is not polynomial of degree <= {d} along rays: "
@@ -165,17 +178,19 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     origin = (Fraction(0),) * f.source_dim
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
+        basis = _batch(vs)
         grid = list(product(range(d + 1), repeat=len(vs)))
-        values = [f(_combine(lam, vs) if vs else origin) for lam in grid]
+        values = _batch([f(_combine(lam, basis) if vs else origin) for lam in grid])
         for pat in CHECKPOINT_PATTERNS:
             mu = pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
-            expected = f(_combine(mu, vs) if vs else origin)
+            scale = lcm(*(x.denominator for x in mu))
+            expected = f(_combine([x.numerator * (scale // x.denominator) for x in mu], basis,
+                                  scale) if vs else origin)
             # l_j(mu_k) = table[k][0][j] / table[k][1]; no checkpoint coordinate is a node
             table = [_lagrange_weights(d, x) for x in mu]
             nums = [n for n, _ in table]
-            den = prod(q for _, q in table)
-            got = tuple(y / den for y in
-                        _combine([prod(map(getitem, nums, lam)) for lam in grid], values))
+            got = _combine([prod(map(getitem, nums, lam)) for lam in grid], values,
+                           prod(q for _, q in table))
             if expected != got:
                 return PolynomialVerdict(False, (ti, mu, expected, got))
     return PolynomialVerdict(True)

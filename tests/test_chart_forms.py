@@ -149,6 +149,26 @@ def test_evaluate_matches_repeated_products():
     assert evaluate(ChartForm.constant(2, Fraction(-5, 6)), (Fraction(1, 7), 2)) == Fraction(-5, 6)
 
 
+def test_poly_map_matches_repeated_products():
+    # each component is scaled once and evaluated at every point, by the rule of evaluate
+    rng = random.Random(139)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        comps = [ChartForm.zero(m), ChartForm.constant(m, Fraction(rng.randint(-9, 9), 7))]
+        comps += [rand_poly(rng, m, max_degree=rng.choice((0, 3, 5)), terms=rng.randint(1, 4))
+                  for _ in range(rng.randint(0, 3))]
+        rng.shuffle(comps)
+        phi = PolyMap(m, len(comps), comps)
+        for _ in range(4):
+            point = tuple(rng.choice((Fraction(rng.randint(-3, 3)),
+                                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                          for _ in range(m))
+            got = phi(point)
+            assert all(type(x) is Fraction for x in got)
+            assert got == tuple(product_evaluate(p, point) for p in comps)
+            assert got == tuple(evaluate(p, point) for p in comps)
+
+
 def test_graded_commutativity():
     rng = random.Random(47)
     for _ in range(10):

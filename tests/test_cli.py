@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -326,6 +327,57 @@ def test_an_input_that_would_be_overwritten_is_refused(tmp_path, capsys, command
     else:
         argv += ["--invariant", "basis:1:0"]
     assert assert_domain_error(capsys, argv) == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("command,files,message", [
+    ("cw", {"conn": {**HEISENBERG_CONNECTION, "components": [
+        {"dim": 2, "terms": [{"dx": [1], "monos": [1, 0], "c": "1"}]}, {"dim": 2, "terms": []},
+        {"dim": 2, "terms": []}]}},
+     "a term has an unknown field 'monos'"),
+    ("cw", {"invariant": [{"ext": [1], "sym": [1, 0, 0], "dx": [2], "c": "1"}]},
+     "a term has an unknown field 'dx'"),
+    ("gauge", {"gauge": {"kind": "unipotent", "entries": [{**SQUARE_ENTRY, "colour": 3}]}},
+     "a gauge entry has an unknown field 'colour'"),
+    ("gauge", {"gauge": {"kind": "unipotent", "entries": [
+        {"row": 1, "col": 2, "poly": [{"mono": [1, 0], "dx": [1], "c": "1"}]}]}},
+     "a term has an unknown field 'dx'"),
+    ("cw", {"conn": {**HEISENBERG_CONNECTION, "algebra": {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "k": 3, "c": "1", "l": 1}]}}},
+     "a bracket entry has an unknown field 'l'"),
+], ids=["term-monos", "invariant-dx", "gauge-entry", "gauge-poly-dx", "bracket"])
+def test_an_unknown_field_is_refused(tmp_path, capsys, command, files, message):
+    conn = write_json(tmp_path, "conn.json", files.get("conn", HEISENBERG_CONNECTION))
+    argv = [command, "--connection", conn]
+    if command == "gauge":
+        argv += ["--gauge", write_json(tmp_path, "gauge.json", files["gauge"])]
+    elif "invariant" in files:
+        argv += ["--invariant-json", write_json(tmp_path, "p.json", files["invariant"])]
+    else:
+        argv += ["--invariant", "basis:1:0"]
+    assert assert_domain_error(capsys, argv) == {"type": "ValueError", "message": message}
+
+
+def test_odd_indices_are_read_in_the_order_listed():
+    # a listed odd index list is the product in that order: [2, 1] is dx2^dx1 = -dx1^dx2
+    rng = random.Random(151)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        odd = rng.sample(range(1, n + 1), rng.randint(0, n))
+        exps = [rng.randint(0, 2) for _ in range(n)]
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        form = jsonio.chart_form_from_json(
+            {"dim": n, "terms": [{"dx": odd, "mono": exps, "c": jsonio.rational_str(c)}]})
+        want = ChartForm.from_poly(n, {tuple(exps): c})
+        for i in odd:
+            want = want * ChartForm.dx(n, i - 1)
+        assert form == want
+        element = jsonio.weil_element_from_json(n, [{"ext": odd, "c": jsonio.rational_str(c)}])
+        want = WeilElement.unit(n, c)
+        for i in odd:
+            want = want * WeilElement.lam(n, i - 1)
+        assert element == want
+    assert jsonio.chart_form_from_json({"dim": 2, "terms": [{"dx": [2, 1], "c": "1"}]}) == \
+        ChartForm.dx(2, 0).scale(-1) * ChartForm.dx(2, 1)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -667,6 +719,7 @@ def test_huge_power_is_refused_before_expanding(monkeypatch, capsys, expr):
 
 
 def refuse_evaluation(*args, **kwargs):
+    # patched over chart_forms._value, which takes every value of a PolyMap and of evaluate
     raise AssertionError("evaluated before the size was checked")
 
 
@@ -676,7 +729,7 @@ def refuse_evaluation(*args, **kwargs):
 def test_huge_values_are_refused_before_evaluating(monkeypatch, capsys, mode, expr, bits):
     # the expressions pass the product check; their values at the sample points
     # have thousands of digits, beyond what Python prints
-    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    monkeypatch.setattr(chart_forms, "_value", refuse_evaluation)
     error = assert_domain_error(capsys, ["polyfunc", mode, "--expr", expr, "--degree", "3",
                                          "--dim", "3"])
     assert error == {"type": "ResourceCapError", "message": f"a value of up to {bits} bits "
@@ -686,7 +739,7 @@ def test_huge_values_are_refused_before_evaluating(monkeypatch, capsys, mode, ex
 def test_values_too_long_to_print_are_refused(monkeypatch, capsys):
     # under the cap, but over the digits Python converts: 1 + 400 * 6 + 1 bits
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
-    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    monkeypatch.setattr(chart_forms, "_value", refuse_evaluation)
     error = assert_domain_error(capsys, ["polyfunc", "check", "--expr", "x^400", "--degree", "3",
                                          "--dim", "1"])
     assert error == {"type": "ResourceCapError", "message": "a value of up to 2402 bits at the "
@@ -697,7 +750,7 @@ def test_probe_count_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
     def parsed(*args, **kwargs):
         raise AssertionError("parsed before the size was checked")
     monkeypatch.setattr(jsonio, "rationals", parsed)
-    monkeypatch.setattr(chart_forms, "evaluate", refuse_evaluation)
+    monkeypatch.setattr(chart_forms, "_value", refuse_evaluation)
     probes = write_json(tmp_path, "probes.json", [[str(i)] for i in range(1, 100_001)])
     error = assert_domain_error(capsys, ["polyfunc", "decompose", "--expr", "x^2+x", "--degree",
                                          "2", "--dim", "1", "--probes", probes])

@@ -151,10 +151,28 @@ def test_decompose_evaluates_each_ray_point_once(d, calls):
     assert len(points) == len(set(points)) == len(probes) * calls
 
 
+def solved_vandermonde_inverse(d):
+    """The previous _vandermonde_inverse, kept as the oracle: nodes 1..d+1 and
+    weights[i][r] = (V^-1)[i][r] for V[r][i] = nodes[r]^i, solved by linalg."""
+    nodes = [F(k) for k in range(1, d + 2)]
+    cols = [{r: nodes[r] ** i for r in range(d + 1)} for i in range(d + 1)]
+    inv_cols = linalg.solve(cols, [{r: F(1)} for r in range(d + 1)])
+    return nodes, [[inv_cols[r][i] for r in range(d + 1)] for i in range(d + 1)]
+
+
+def test_vandermonde_inverse_matches_the_solved_inverse():
+    # every d that the (d+1)^3 cap of polyfunc decompose admits: 27^3 <= 20000 < 28^3
+    assert 27 ** 3 <= 20000 < 28 ** 3
+    for d in range(27):
+        nums, den = polyfunctor._vandermonde_inverse(d)
+        assert den == factorial(d) and all(type(n) is int for row in nums for n in row)
+        assert [[F(n, den) for n in row] for row in nums] == solved_vandermonde_inverse(d)[1]
+
+
 def decompose_by_components(f, d, probes):
     """The previous homogeneous_decompose: f_i(mu v) = mu^i f_i(v) checked
     component by component, solving the Vandermonde system at every mu v."""
-    nodes, weights = polyfunctor._vandermonde_inverse(d)
+    nodes, weights = solved_vandermonde_inverse(d)
     probes = [tuple(F(x) for x in p) for p in probes]
 
     def components_at(v):
@@ -416,7 +434,7 @@ def test_lagrange_weights_match_the_product_definition():
 
 
 def fraction_combine(coeffs, vectors):
-    """The previous _combine, kept as the oracle: a Fraction product and sum per term."""
+    """The first _combine, kept as the oracle: a Fraction product and sum per term."""
     out = []
     for column in zip(*vectors):
         terms = [c * x for c, x in zip(coeffs, column) if c]
@@ -433,11 +451,19 @@ def test_combine_matches_fraction_sums():
 
     for _ in range(200):
         k, n = rng.randint(0, 5), rng.randint(0, 4)
-        coeffs = [number(2) for _ in range(k)]
         vectors = [tuple(number(1) for _ in range(n)) for _ in range(k)]
-        got = polyfunctor._combine(coeffs, vectors)
-        assert got == fraction_combine(coeffs, vectors)
-        assert all(type(x) is Fraction for x in got)
+        batch = polyfunctor._batch(vectors)
+        assert all(type(den) is int and den > 0 and all(type(x) is int for x in nums)
+                   for den, nums in batch)
+        # one batch serves every combination of its vectors
+        for _ in range(3):
+            coeffs = [rng.choice((0, 0, rng.randint(-40, 40))) for _ in range(k)]
+            over = rng.choice((1, rng.randint(1, 30)))
+            got = polyfunctor._combine(coeffs, batch, over)
+            assert got == tuple(F(x) / over for x in fraction_combine(coeffs, vectors))
+            assert all(type(x) is Fraction for x in got)
     # the sum has the length of the shortest vector; an all-zero column is 0
-    assert polyfunctor._combine([F(1, 2), 3], [(1, F(2, 3), 5), (F(1, 6), 0)]) == (1, F(1, 3))
-    assert polyfunctor._combine([0, 0], [(F(1, 3),), (2,)]) == (0,)
+    pair = polyfunctor._batch([(1, F(2, 3), 5), (F(1, 6), 0)])
+    assert pair == [(6, [6, 1]), (3, [2, 0])]
+    assert polyfunctor._combine([3, 6], pair, 6) == (F(2, 3), F(1, 3))
+    assert polyfunctor._combine([0, 0], polyfunctor._batch([(F(1, 3),), (2,)])) == (0,)
