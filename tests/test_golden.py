@@ -85,6 +85,12 @@ CASES = [
                              "--invariant", "casimir"]),
     ("gauge-sl2-unipotent-6", 0, ["gauge", "--connection", INPUTS + "conn_sl2_6.json",
                                   "--gauge", INPUTS + "gauge_sl2_unipotent.json"]),
+    # the quadratic sl2 invariant on R^6, and the sl2 one on a 4-dimensional bracket algebra,
+    # sl2 + R, on R^5
+    ("cw-sl2-basis-2-0-6", 0, ["cw", "--connection", INPUTS + "conn_sl2_6.json",
+                               "--invariant", "basis:2:0"]),
+    ("cw-sl2-r-basis-2-1-5", 0, ["cw", "--connection", INPUTS + "conn_sl2_r_5.json",
+                                 "--invariant", "basis:2:1"]),
     # the su2 tail jobs' gauge shape: three used generators, r = 4, no Maurer-Cartan term
     ("gauge-su2-quaternion-6", 0, ["gauge", "--connection", INPUTS + "conn_su2_6.json",
                                    "--gauge", INPUTS + "gauge_quaternion.json"]),
