@@ -2,10 +2,11 @@
 
 A connection is a Lie-algebra-valued 1-form with polynomial coefficients.
 Curvature is F = dA + 1/2 [A, A], the image of the Weil curvature Omega
-under the characteristic map lam -> A, lamt -> dA; an invariant symmetric
-polynomial applied to F gives the closed Chern-Weil form.  Gauge
-transformations are restricted to constant and unipotent-polynomial matrices
-in a validated matrix representation, so every inverse is exact.
+under the characteristic map lam -> A, lamt -> dA.  An invariant symmetric
+polynomial P applied to F gives the closed Chern-Weil form, taken here as
+the image of P(Omega) under the same map.  Gauge transformations are
+restricted to constant and unipotent-polynomial matrices in a validated
+matrix representation, so every inverse is exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import linalg
 from .chart_forms import ChartForm, PolyMap, d, pullback, wedge  # noqa: F401
 from .liealg import LieAlgebra, adjoint_matrices, builtin, check_representation, frac
 from .superalg import ONE, _left_multiply, substitute
-from .weil_algebra import WeilElement, curvature_generator
+from .weil_algebra import WeilElement, change_of_basis, curvature_generator
 from .invariant_polynomials import is_sym_element
 
 
@@ -82,12 +83,14 @@ def pullback_connection(phi: PolyMap, A: LieValuedForm) -> LieValuedForm:
 
 
 def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
-    """Evaluate a symmetric polynomial on the curvature.
+    """The Chern-Weil form P(F): the characteristic map of A applied to P(Omega).
 
-    P is polarized to a symmetric multilinear map and evaluated at
-    (F, ..., F); since curvature components are 2-forms they commute, the
-    multinomial normalization cancels and the evaluation is the plain
-    substitution lamt_i -> F^i.
+    P polarized and evaluated at (F, ..., F) is the substitution
+    lamt_i -> F^i, since the 2-forms F^i commute; and F^i is the image of
+    Omega^i under lam -> A, lamt -> dA, an algebra map.  So P(F) is the
+    image of P(Omega) in W(g), where every term with more than dim g
+    factors lam dies before any chart product is taken, and F is never
+    built.
     """
     if P.n != A.algebra.dim:
         raise ValueError("polynomial dimension does not match the connection algebra")
@@ -95,7 +98,8 @@ def cw_form(P: WeilElement, A: LieValuedForm) -> ChartForm:
         raise ValueError("cw_form needs a symmetric-factor element")
     if not P.is_homogeneous() or not P:
         raise ValueError("cw_form needs a homogeneous nonzero polynomial")
-    return substitute(P, A.components, curvature(A).components, ChartForm.unit(A.chart_dim))
+    _check_connection(A)
+    return weil_to_chart(change_of_basis(A.algebra, [P])[0], A)
 
 
 # -- matrix representations -------------------------------------------
@@ -238,72 +242,99 @@ def _scaled(M):
                 for form in row] for row in M]
 
 
-def _form_mat_mul(A, B):
-    """A B for p x q and q x s form matrices.  Each matrix is scaled to ints once; each
-    entry sum_k A_ik B_kj is accumulated on ints by the Leibniz sign rule of wedge and
-    divided once."""
-    sa, ints_a = _scaled(A)
-    sb, ints_b = _scaled(B)
+def _int_mat_mul(A, B):
+    """A B on ints for p x q and q x s matrices of integer term dicts: each entry
+    sum_k A_ik B_kj is accumulated by the Leibniz sign rule of wedge."""
     out = []
-    for form_row, row in zip(A, ints_a):
+    for row in A:
         out_row = []
-        for j in range(len(B[0])):
+        for col in zip(*B):
             acc = {}
-            for a, b_row in zip(row, ints_b):
-                for (mask, exps), c in b_row[j].items():
-                    _left_multiply(acc, a, mask, exps, c)
-            out_row.append(form_row[0].with_terms({k: Fraction(v, sa * sb)
-                                                   for k, v in acc.items()}))
+            for a, b in zip(row, col):
+                if a:
+                    for (mask, exps), c in b.items():
+                        _left_multiply(acc, a, mask, exps, c)
+            out_row.append(acc)
         out.append(out_row)
     return out
 
 
-def _ad_inverse(g: GaugeTransform, i: int):
-    """Ad_{g^-1}(e_i) = g^-1 rho(e_i) g, an r x r matrix of 0-forms."""
-    zero = ChartForm.zero(g.chart_dim)
-    rho_g = [[sum((g.entries[k][b].scale(x) for k, x in enumerate(row) if x), zero)
-              for b in range(g.rep.size)] for row in g.rep.mats[i]]
-    return _form_mat_mul(g.inverse, rho_g)
+def _divided(ints, s, chart_dim):
+    """The forms on R^chart_dim of a matrix of integer term dicts over s."""
+    zero = ChartForm.zero(chart_dim)
+    return [[zero.with_terms({k: Fraction(v, s) for k, v in acc.items()}) for acc in row]
+            for row in ints]
 
 
-def _lie_coordinates(mats, rep: MatrixRep, chart_dim):
-    """Algebra coordinates of r x r form matrices, row j holding coordinate j of each;
-    every key of every matrix read by one linalg.solve.  ValueError outside rho(g)."""
+def _form_mat_mul(A, B):
+    """A B for p x q and q x s form matrices.  Each matrix is scaled to ints once; each
+    entry is accumulated on ints by :func:`_int_mat_mul` and divided once."""
+    sa, ints_a = _scaled(A)
+    sb, ints_b = _scaled(B)
+    return _divided(_int_mat_mul(ints_a, ints_b), sa * sb, A[0][0].m)
+
+
+def _lie_coordinates(blocks, scales, rep: MatrixRep):
+    """Algebra coordinates of r x r matrices of integer term dicts, block t standing
+    for its ints over scales[t]: (s, C) with C[j][t] the term dict of coordinate j of
+    block t on ints over s.  Every key of every block is one integer target of one
+    linalg.solve.  ValueError outside rho(g)."""
     r = rep.size
-    keyed = [(t, key) for t, M in enumerate(mats)
-             for key in dict.fromkeys(key for row in M for form in row for key in form.terms)]
-    targets = [{a * r + b: mats[t][a][b].terms[key] for a in range(r) for b in range(r)
-                if key in mats[t][a][b].terms} for t, key in keyed]
+    keyed = [(t, key) for t, M in enumerate(blocks)
+             for key in dict.fromkeys(key for row in M for terms in row for key in terms)]
+    targets = [{a * r + b: blocks[t][a][b][key] for a in range(r) for b in range(r)
+                if key in blocks[t][a][b]} for t, key in keyed]
     coords = linalg.solve(rep.flat_columns(), targets)
     if coords is None:
         raise ValueError("matrix-valued form does not lie in the representation image")
-    out = [[{} for _ in mats] for _ in rep.mats]
+    s = lcm(*(x.denominator * scales[t] for (t, _), c in zip(keyed, coords) for x in c if x))
+    out = [[{} for _ in blocks] for _ in rep.mats]
     for (t, key), c in zip(keyed, coords):
         for j, x in enumerate(c):
             if x:
-                out[j][t][key] = x
-    zero = ChartForm.zero(chart_dim)
-    return [[zero.with_terms(terms) for terms in row] for row in out]
+                out[j][t][key] = x.numerator * (s // (x.denominator * scales[t]))
+    return s, out
 
 
-def _adjoint_sum(g: GaugeTransform, B: LieValuedForm, extra) -> LieValuedForm:
-    """sum_i B^i Ad_{g^-1}(e_i) plus the r x r form matrices ``extra``, in algebra
-    coordinates, with Ad_{g^-1}(e_i) built only where B^i != 0.  Component j is row j
-    of their coordinate matrix times the column (1, ..., B^i, ...): no r x r product
-    touches B."""
+def _adjoint_sum(g: GaugeTransform, B: LieValuedForm, dg=None) -> LieValuedForm:
+    """sum_i B^i Ad_{g^-1}(e_i), plus theta = g^-1 dg when dg is given, in algebra
+    coordinates.  theta and the Ad_{g^-1}(e_i) = g^-1 rho(e_i) g with B^i != 0 are the
+    blocks of one integer product g^-1 [dg | rho(e_i) g | ...]: g^-1, g and dg are
+    scaled to ints once, and the rho(e_i) g are one integer product of the nonzero
+    entries of the rho(e_i), stacked, by g.  Component j is row j of the blocks'
+    coordinate matrix times the column (1, ..., B^i, ...), summed over the blocks on
+    ints and divided once: no r x r product touches B."""
     used = [i for i, c in enumerate(B.components) if c]
-    mats = [*extra, *(_ad_inverse(g, i) for i in used)]
-    if not mats:
-        return LieValuedForm.zero(B.algebra, B.chart_dim)
-    column = [[ChartForm.unit(B.chart_dim)] for _ in extra] + [[B.components[i]] for i in used]
-    coords = _lie_coordinates(mats, g.rep, B.chart_dim)
-    return LieValuedForm(B.algebra, B.chart_dim, [c for c, in _form_mat_mul(coords, column)])
+    r, m, blocks, scales = g.rep.size, B.chart_dim, [], []
+    if dg is not None:
+        sd, ints_dg = _scaled(dg)
+        blocks.append(ints_dg)
+        scales.append(sd)
+    if used:
+        zeros = (0,) * m
+        sr = lcm(*(x.denominator for i in used for row in g.rep.mats[i] for x in row))
+        rho = [[{(0, zeros): x.numerator * (sr // x.denominator)} if x else {} for x in row]
+               for i in used for row in g.rep.mats[i]]
+        sg, ints_g = _scaled(g.entries)
+        rho_g = _int_mat_mul(rho, ints_g)
+        blocks += [rho_g[t * r:(t + 1) * r] for t in range(len(used))]
+        scales += [sr * sg] * len(used)
+    if not blocks:
+        return LieValuedForm.zero(B.algebra, m)
+    si, ints_inv = _scaled(g.inverse)
+    wide = _int_mat_mul(ints_inv, [[e for M in blocks for e in M[a]] for a in range(r)])
+    s, coords = _lie_coordinates([[row[t * r:(t + 1) * r] for row in wide]
+                                  for t in range(len(blocks))], [si * x for x in scales], g.rep)
+    sc, column = _scaled([[ChartForm.unit(m)]] * (dg is not None) +
+                         [[B.components[i]] for i in used])
+    components = _divided(_int_mat_mul(coords, column), s * sc, m)
+    return LieValuedForm(B.algebra, m, [c for c, in components])
 
 
 def conjugate(g: GaugeTransform, B: LieValuedForm) -> LieValuedForm:
     """Ad_{g^-1} B = g^-1 B g = sum_i B^i Ad_{g^-1}(e_i), in algebra coordinates."""
     _check_gauge(g, B)
-    return _adjoint_sum(g, B, [])
+    return _adjoint_sum(g, B)
 
 
 def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
@@ -313,7 +344,7 @@ def gauge_transform(A: LieValuedForm, g: GaugeTransform) -> LieValuedForm:
     _check_connection(A)
     _check_gauge(g, A)
     dg = [[d(p) for p in row] for row in g.entries]
-    return _adjoint_sum(g, A, [_form_mat_mul(g.inverse, dg)] if any(map(any, dg)) else [])
+    return _adjoint_sum(g, A, dg if any(map(any, dg)) else None)
 
 
 def _check_gauge(g: GaugeTransform, B: LieValuedForm):

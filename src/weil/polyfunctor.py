@@ -176,6 +176,9 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     origin = (Fraction(0),) * f.source_dim
+    # _lagrange_weights(d, x) once per distinct checkpoint coordinate x, keyed by
+    # (numerator, denominator): a Fraction hashes slower than the weights are built
+    weights = {}
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
         basis = _batch(vs)
@@ -187,7 +190,11 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
             expected = f(_combine([x.numerator * (scale // x.denominator) for x in mu], basis,
                                   scale) if vs else origin)
             # l_j(mu_k) = table[k][0][j] / table[k][1]; no checkpoint coordinate is a node
-            table = [_lagrange_weights(d, x) for x in mu]
+            keys = [(x.numerator, x.denominator) for x in mu]
+            for key, x in zip(keys, mu):
+                if key not in weights:
+                    weights[key] = _lagrange_weights(d, x)
+            table = [weights[key] for key in keys]
             nums = [n for n, _ in table]
             got = _combine([prod(map(getitem, nums, lam)) for lam in grid], values,
                            prod(q for _, q in table))

@@ -155,13 +155,14 @@ def change_of_basis(L: LieAlgebra, elements) -> list[SuperElement]:
     elements or on Weil model elements, whose trailing L.dim generator pairs
     are the Weil factor.  Omega^e is even, so a term c u lamt^e, u the rest of
     its key, maps to c Omega^e u by one product, Omega^e memoised per count m
-    of chart pairs."""
-    n, zero, powers = L.dim, (0,) * L.dim, {}
-    omegas = [curvature_generator(L, i).terms for i in range(n)]
+    of chart pairs.  Omega_i is built only for an i that some term holds."""
+    n, zero, powers, omegas = L.dim, (0,) * L.dim, {}, {}
 
     def power(m, e):  # Omega^(e - 1_i) Omega_i, i the last nonzero index of e
         if (m, e) not in powers:
             i = max(j for j, q in enumerate(e) if q)
+            if i not in omegas:
+                omegas[i] = curvature_generator(L, i).terms
             lower, powers[m, e] = power(m, e[:i] + (e[i] - 1,) + e[i + 1:]), {}
             for (mask, exps), c in omegas[i].items():
                 _left_multiply(powers[m, e], lower, mask << m, (0,) * m + exps, c)

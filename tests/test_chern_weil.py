@@ -5,14 +5,15 @@ import pytest
 
 from weil import chern_weil, linalg
 from weil.chart_forms import ChartForm, PolyMap, d, pullback, wedge
-from weil.chern_weil import (LieValuedForm, _form_mat_mul, builtin_rep, conjugate,
-                             constant_gauge, curvature, cw_form,
+from weil.chern_weil import (LieValuedForm, _form_mat_mul, _int_mat_mul, _scaled,
+                             builtin_rep, conjugate, constant_gauge, curvature, cw_form,
                              gauge_transform, make_rep, pullback_connection,
                              quaternion_matrix, unipotent_gauge,
                              weil_to_chart)
 from weil.invariant_polynomials import invariant_basis
-from weil.liealg import builtin, check_representation, from_brackets, validate
-from weil.weil_algebra import WeilElement, curvature_generator, multiply
+from weil.liealg import BUILTIN_NAMES, builtin, check_representation, from_brackets, validate
+from weil.superalg import substitute
+from weil.weil_algebra import WeilElement, curvature_generator, d_K, multiply
 
 SU2 = builtin("su2")
 AB1 = builtin("abelian(1)")
@@ -122,6 +123,78 @@ def test_cw_refuses_a_polynomial_of_another_dimension():
         with pytest.raises(ValueError, match="polynomial dimension does not match"):
             cw_form(P, A)
     assert cw_form(casimir(), A)
+
+
+def curvature_cw_form(P, A):
+    """The earlier cw_form: P substituted into the curvature components, lamt_i -> F^i."""
+    return substitute(P, A.components, curvature(A).components, ChartForm.unit(A.chart_dim))
+
+
+def rand_algebra_4(rng):
+    """A seeded 4-dimensional Lie algebra from brackets: sl2 + R, R acting on R^3 by a
+    seeded matrix, or a seeded oscillator algebra [e1, e2] = a e3, [e1, e3] = -b e2,
+    [e2, e3] = c e4."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return from_brackets(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    if kind == 1:
+        return from_brackets(4, {(0, j): {k: rng.randint(-2, 2) for k in (1, 2, 3)}
+                                 for j in (1, 2, 3)})
+    a, b, c = (rng.randint(-2, 2) or 1 for _ in range(3))
+    return from_brackets(4, {(0, 1): {2: a}, (0, 2): {1: -b}, (1, 2): {3: c}})
+
+
+def dense_connection(rng, L, m):
+    """Four terms per component, each a seeded dx_i times a monomial of degree 1 or 2."""
+    comps = []
+    for _ in range(L.dim):
+        terms = {}
+        for _ in range(4):
+            e = [0] * m
+            for _ in range(rng.randint(1, 2)):
+                e[rng.randrange(m)] += 1
+            terms[1 << rng.randrange(m), tuple(e)] = Fraction(rng.randint(-3, 3) or 1,
+                                                               rng.randint(1, 2))
+        comps.append(ChartForm(m, terms))
+    return LieValuedForm(L, m, comps)
+
+
+def test_cw_form_matches_p_of_the_curvature():
+    # every builtin and seeded 4-dimensional algebras, invariants of degree 1 to 4,
+    # charts of dimension 4 to 8, at least 2k so that the 2k-form can be nonzero
+    rng = random.Random(36)
+    algebras = [builtin(name) for name in BUILTIN_NAMES] + [rand_algebra_4(rng) for _ in range(6)]
+    cases, nonzero = 0, 0
+    for L in algebras:
+        assert validate(L) is None
+        for k in range(1, 5):
+            for P in invariant_basis(L, k)[:2]:
+                A = dense_connection(rng, L, rng.randint(max(4, 2 * k), min(8, 2 * k + 2)))
+                cw = cw_form(P, A)
+                assert cw == curvature_cw_form(P, A), (L, k)
+                cases += 1
+                nonzero += bool(cw)
+    assert cases >= 60 and nonzero >= cases // 2
+
+
+def test_weil_to_chart_is_a_chain_map():
+    # d phi_A = phi_A d_K on seeded Weil elements of degree at most 4, every builtin
+    rng = random.Random(37)
+    for name in BUILTIN_NAMES:
+        L = builtin(name)
+        n = L.dim
+        for _ in range(4):
+            a = WeilElement.zero(n)
+            for _ in range(rng.randint(1, 5)):
+                degree = rng.randint(0, 4)
+                odd = rng.sample(range(n), min(n, rng.choice(range(degree % 2, degree + 1, 2))))
+                exps = [0] * n
+                for _ in range((degree - len(odd)) // 2):
+                    exps[rng.randrange(n)] += 1
+                a = a + WeilElement.monomial(n, odd, exps, Fraction(rng.randint(-3, 3),
+                                                                    rng.randint(1, 3)))
+            A = rand_connection(rng, L, rng.randint(3, 5))
+            assert d(weil_to_chart(a, A)) == weil_to_chart(d_K(a), A), name
 
 
 def test_cw_closed_and_natural_random():
@@ -353,10 +426,11 @@ def test_form_mat_mul_matches_wedge_sums():
 
 
 def test_gauge_transform_takes_one_matrix_product_per_used_generator(monkeypatch):
-    # theta + sum_i A^i Ad_{g^-1}(e_i): one r x r product g^-1 (rho(e_i) g) per i with
-    # A^i != 0, and g^-1 dg only when dg != 0; no r x r product touches A.  Then one
-    # product of the coordinate matrix by the column (1, ..., A^i, ...), which the zero
-    # connection under a constant gauge skips with the rest
+    # theta + sum_i A^i Ad_{g^-1}(e_i) on ints: the rho(e_i) with A^i != 0, stacked, times
+    # g; then one product g^-1 [dg | rho(e_i) g | ...], one r x r block per used
+    # generator and dg only when dg != 0.  Then one product of the coordinate matrix by
+    # the column (1, ..., A^i, ...), the only step that touches A.  The zero connection
+    # under a constant gauge takes none
     rng = random.Random(71)
     x = ChartForm.x(3, 0)
     A = rand_connection(rng, H3, 3)
@@ -367,26 +441,42 @@ def test_gauge_transform_takes_one_matrix_product_per_used_generator(monkeypatch
               unipotent_gauge(builtin_rep("heisenberg3"), {(0, 2): x}, 3), 3),
              (LieValuedForm.zero(SU2, 3),
               constant_gauge(builtin_rep("su2"), quaternion_matrix(1, 0, 2, 0), 3), 0)]
-    for A, g, products in cases:
+
+    def products(A, g):
         calls = []
-        monkeypatch.setattr(chern_weil, "_form_mat_mul",
-                            lambda a, b: calls.append(b) or _form_mat_mul(a, b))
+        monkeypatch.setattr(chern_weil, "_int_mat_mul",
+                            lambda a, b: calls.append((a, b)) or _int_mat_mul(a, b))
+        monkeypatch.setattr(chern_weil, "_form_mat_mul", None)  # no form product is taken
         moved = gauge_transform(A, g)
         monkeypatch.undo()
-        r, dg = g.rep.size, [[d(p) for p in row] for row in g.entries]
-        theta = [dg] if any(map(any, dg)) else []
-        square = [b for b in calls if len(b) == r and all(len(row) == r for row in b)]
-        assert len(square) == products
-        # every r x r right factor is rho(e_i) g, of 0-forms, except dg
-        assert [b for b in square if any(f.degrees() - {0} for row in b for f in row)] == theta
-        # the one other product is the last, by the column of the used A^i under the unit
-        # where theta is built; it is the only one that touches A
-        used = [[c] for c in A.components if c]
-        column = [[ChartForm.unit(3)] for _ in theta] + used
-        assert calls == (square + [column] if products else [])
-        assert [b for b in calls if any(f == c for row in b for f in row
-                                        for c in A.components if c)] == calls[-1:]
+        return moved, calls
+
+    for A, g, blocks in cases:
+        moved, calls = products(A, g)
         assert moved == matrix_gauge_transform(A, g) == summed_gauge_transform(A, g)
+        if not blocks:
+            assert calls == [] and moved == A
+            continue
+        r, used = g.rep.size, [c for c in A.components if c]
+        theta = [[ChartForm.unit(3)]] if any(d(p) for row in g.entries for p in row) else []
+        assert blocks == len(theta) + len(used)
+        assert len(calls) == 2 + bool(used)
+        if used:  # r rows of constants per used generator, by g
+            rho, right = calls[0]
+            assert right == _scaled(g.entries)[1]
+            assert len(rho) == r * len(used)
+            assert all(mask == 0 and not any(exps) for row in rho for entry in row
+                       for mask, exps in entry)
+        left, right = calls[-2]
+        assert left == _scaled(g.inverse)[1]
+        assert [len(row) for row in right] == [r * blocks] * r
+        assert calls[-1][1] == _scaled(theta + [[c] for c in used])[1]
+        # a connection with the same zero components and other values: only the last
+        # product sees the difference
+        other = LieValuedForm(A.algebra, 3, [c * (x + ChartForm.unit(3)) for c in A.components])
+        moved_other, calls_other = products(other, g)
+        assert calls_other[:-1] == calls[:-1] and calls_other[-1][1] != calls[-1][1]
+        assert moved_other == matrix_gauge_transform(other, g)
 
 
 def test_gauge_heisenberg_unipotent_invariance():

@@ -393,7 +393,7 @@ def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
     calls = []
     weights = polyfunctor._lagrange_weights
     monkeypatch.setattr(polyfunctor, "_lagrange_weights",
-                        lambda d, x: calls.append(weights(d, x)) or calls[-1])
+                        lambda d, x: calls.append((x, weights(d, x))) or calls[-1][1])
     for _ in range(12):
         src, deg = rng.randint(1, 3), rng.randint(1, 3)
         polys = []
@@ -414,9 +414,11 @@ def test_is_polynomial_matches_per_grid_point_weights(monkeypatch):
             verdict = is_polynomial(f, d, trials)
             assert verdict == per_grid_point_is_polynomial(f, d, trials)
             assert verdict.consistent == (d == deg)
-            if verdict.consistent:  # one weight per checkpoint coordinate and node
-                coords = sum(len(polyfunctor.CHECKPOINT_PATTERNS) * len(vs) for vs in trials)
-                assert [len(nums) for nums, _ in calls] == [d + 1] * coords
+            if verdict.consistent:  # one weight per distinct checkpoint coordinate and node
+                coords = {x for vs in trials for pattern in polyfunctor.CHECKPOINT_PATTERNS
+                          for x in pattern[:len(vs)] + (F(1, 2),) * (len(vs) - len(pattern))}
+                assert sorted(x for x, _ in calls) == sorted(coords)
+                assert [len(nums) for _, (nums, _) in calls] == [d + 1] * len(coords)
 
 
 def test_lagrange_weights_match_the_product_definition():

@@ -313,6 +313,26 @@ def test_change_of_basis_matches_substitute_on_seeded_elements():
         assert change_of_basis(L, elements) == substitute_change_of_basis(L, elements), name
 
 
+def test_change_of_basis_builds_only_the_curvature_generators_it_uses(monkeypatch):
+    from weil import weil_algebra
+    built = []
+    monkeypatch.setattr(weil_algebra, "curvature_generator",
+                        lambda L, i: built.append(i) or curvature_generator(L, i))
+    H3 = builtin("heisenberg3")
+    assert change_of_basis(SU2, []) == [] and built == []
+    P = multiply(WeilElement.lamt(3, 2), WeilElement.lamt(3, 2))  # lamt_3^2
+    assert change_of_basis(H3, [P, lam(0) * lam(1)]) == substitute_change_of_basis(
+        H3, [P, lam(0) * lam(1)])
+    assert built == [2]
+    model = WeilModel(3, SU2, builtin_action("adjoint", SU2)[1])
+    w = WeilModelElement(model, {key: ONE for key in model.basis(4, 1)
+                                 if not any(key[1][3:5]) and key[1][5]})  # no lamt_1, lamt_2
+    assert w.terms
+    built.clear()
+    assert change_of_basis(SU2, [w]) == substitute_change_of_basis(SU2, [w])
+    assert built == [2]
+
+
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
