@@ -115,6 +115,14 @@ CASES = [
                                        "--degree", "2", "--dim", "3"]),
     ("polyfunc-decompose-ray-failure", 1, ["polyfunc", "decompose", "--expr", "x^5",
                                            "--degree", "3", "--dim", "3"]),
+    # a batch denominator above 1: rational probes with denominators 2, 3 and 7; and a
+    # check at degree 4 on R^3, whose first trial set is a 125-point grid
+    ("polyfunc-decompose-rational-3-3", 0, ["polyfunc", "decompose", "--expr",
+                                            "x^3 - 2*y*z + 1/2, x*y*z - z^2/3 + y",
+                                            "--degree", "3", "--dim", "3",
+                                            "--probes", INPUTS + "probes_rational_3.json"]),
+    ("polyfunc-check-4-3", 0, ["polyfunc", "check", "--expr", "x^4 - x*y*z/2 + 3*z^3 - y + 1/3",
+                               "--degree", "4", "--dim", "3"]),
     ("polyfunc-inject", 0, ["polyfunc", "inject", "--functor", "Sym2", "--copies", "3",
                             "--base-dim", "2"]),
     ("oracle-1-1-2", 0, ["oracle", "--p", "1", "--q", "1", "--dimV", "2"]),
