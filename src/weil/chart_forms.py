@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
+from itertools import repeat
+from operator import add, mul
 
 from .masks import indices_of
 from .superalg import ONE, SuperElement, derivation, multiply, substitute, unit_exponent
@@ -87,40 +88,50 @@ def d(a: ChartForm) -> ChartForm:
 
 
 def _scaled(form):
-    """A 0-form scaled to ints once, for :func:`_value`: (L, E, terms), with L the
-    lcm of its coefficient denominators, E_i the largest exponent of x_i in it,
-    and terms the pairs (c L, e) of its terms c x^e."""
-    if any(mask for mask, _ in form.terms):
-        raise ValueError("only a 0-form has a value at a point")
-    top = [max(col) for col in zip(*(e for _, e in form.terms))]
+    """A 0-form scaled to ints once, for :func:`_value`: (L, terms), with L the lcm of
+    its coefficient denominators and terms the pairs (c L, e) of its terms c x^e."""
     scale = lcm(*(c.denominator for c in form.terms.values()))
-    return scale, top, [(c.numerator * (scale // c.denominator), e)
-                        for (_, e), c in form.terms.items()]
+    return scale, [(c.numerator * (scale // c.denominator), e) for (_, e), c in form.terms.items()]
 
 
-def _value(scaled, point) -> Fraction:
-    """The value at a point of R^m of a 0-form scaled by :func:`_scaled`, summed on
-    ints: with x_i = p_i/q_i, a term c x^e is c L p^e q^(E-e) over L q^E, so the
-    value is one Fraction."""
-    scale, top, terms = scaled
-    powers, den = [], scale  # powers[i][k] = p_i^k q_i^(E_i - k); den = L q^E
-    for x, t in zip(point, top):
-        p, q = x.numerator, x.denominator
-        powers.append([p ** k * q ** (t - k) for k in range(t + 1)])
-        den *= q ** t
-    return Fraction(sum(c * prod(map(getitem, powers, e)) for c, e in terms), den)
+def _value(scaled, top, dens, rows):
+    """The values of 0-forms scaled by :func:`_scaled` at a batch of points of R^m, on ints.
+
+    Coordinate i of every point has the denominator dens[i], and rows[b] holds the
+    numerators of point b.  With x_i = p_i/q_i, a term c x^e is c L p^e q^(E-e) over
+    L q^E, E = ``top`` (E_i at least the largest exponent of x_i), so each form has one
+    denominator over the batch: per form, (L q^E, [numerator at each point]), the form
+    of ``polyfunctor._batch``.  The powers p^k q^(E_i-k) of each distinct numerator p of
+    coordinate i are taken once per batch.
+    """
+    columns = []  # columns[i][k]: p_i^k q_i^(E_i-k) at every point, in batch order
+    for q, t, column in zip(dens, top, zip(*rows)):
+        table = {p: [p ** k * q ** (t - k) for k in range(t + 1)] for p in set(column)}
+        columns.append(list(zip(*map(table.get, column))))
+    den = prod(map(pow, dens, top))
+    out = []
+    for scale, terms in scaled:
+        nums = [0] * len(rows)
+        for c, e in terms:
+            term = repeat(c)
+            for column, k in zip(columns, e):
+                term = map(mul, term, column[k])
+            nums = list(map(add, nums, term))
+        out.append((scale * den, nums))
+    return out
 
 
 def evaluate(form: ChartForm, point) -> Fraction:
     """The value of a 0-form at a point of R^m: the rule of :class:`PolyMap` at one point."""
-    return _value(_scaled(form), point)
+    return PolyMap(form.m, 1, [form])(point)[0]
 
 
 class PolyMap:
-    """Polynomial map R^source_dim -> R^target_dim; its components are 0-forms,
-    each scaled to ints once (:func:`_scaled`) for every point it is evaluated at."""
+    """Polynomial map R^source_dim -> R^target_dim; its components are 0-forms, each
+    scaled to ints once (:func:`_scaled`), with E_i the largest exponent of x_i in any
+    of them, for every batch of points they are evaluated on (:func:`_value`)."""
 
-    __slots__ = ("source_dim", "target_dim", "components", "_scaled_components")
+    __slots__ = ("source_dim", "target_dim", "components", "_scaled_components", "_top")
 
     def __init__(self, source_dim, target_dim, components):
         components = list(components)
@@ -132,9 +143,20 @@ class PolyMap:
         self.target_dim = target_dim
         self.components = components
         self._scaled_components = [_scaled(p) for p in components]
+        self._top = [max((e[i] for p in components for _, e in p.terms), default=0)
+                     for i in range(source_dim)]
+
+    def batch(self, dens, rows):
+        """The map at a batch of points, coordinate i of point b being rows[b][i] / dens[i]:
+        per component, (D, numerators), its value at point b being numerators[b] / D."""
+        if len(dens) != self.source_dim:
+            raise ValueError(f"a point of R^{len(dens)} for a map on R^{self.source_dim}")
+        return _value(self._scaled_components, self._top, dens, rows)
 
     def __call__(self, point):
-        return tuple(_value(s, point) for s in self._scaled_components)
+        """The map at one point, a batch of one."""
+        values = self.batch([x.denominator for x in point], [[x.numerator for x in point]])
+        return tuple(Fraction(nums[0], den) for den, nums in values)
 
 
 def compose(phi: PolyMap, psi: PolyMap) -> PolyMap:

@@ -128,10 +128,16 @@ class MatrixRep:
         return cols
 
 
-def make_rep(algebra, mats) -> MatrixRep:
+def _rep(algebra, mats) -> MatrixRep:
     tidy = tuple(tuple(tuple(frac(x) for x in row) for row in m) for m in mats)
-    check_representation(algebra, tidy)
     return MatrixRep(algebra=algebra, size=len(tidy[0]), mats=tidy)
+
+
+def make_rep(algebra, mats) -> MatrixRep:
+    """The representation with the given matrices, refused unless they keep the brackets."""
+    rep = _rep(algebra, mats)
+    check_representation(algebra, rep.mats)
+    return rep
 
 
 def _realify(complex_mat):
@@ -149,22 +155,23 @@ def _realify(complex_mat):
 
 
 def builtin_rep(name: str) -> MatrixRep:
-    """Default exact matrix representation for a built-in algebra."""
+    """Default exact matrix representation for a built-in algebra.  Its matrices are
+    constants, checked once by tests/test_chern_weil.py, so no call checks them again."""
     L = builtin(name)
     if name == "abelian(1)":
-        return make_rep(L, [[[0, 1], [0, 0]]])
+        return _rep(L, [[[0, 1], [0, 0]]])
     if name == "heisenberg3":
         e1 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
         e2 = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
         e3 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
-        return make_rep(L, [e1, e2, e3])
+        return _rep(L, [e1, e2, e3])
     if name == "sl2":
         h = [[1, 0], [0, -1]]
         e = [[0, 1], [0, 0]]
         f = [[0, 0], [1, 0]]
-        return make_rep(L, [h, e, f])
+        return _rep(L, [h, e, f])
     if name == "so3":
-        return make_rep(L, adjoint_matrices(L))
+        return _rep(L, adjoint_matrices(L))
     if name == "su2":
         # X_k = -(i/2) sigma_k, realified to exact 4x4 rational blocks
         half = Fraction(1, 2)
@@ -172,7 +179,7 @@ def builtin_rep(name: str) -> MatrixRep:
         x1 = [[z, (0, -half)], [(0, -half), z]]
         x2 = [[z, (-half, 0)], [(half, 0), z]]
         x3 = [[(0, -half), z], [z, (0, half)]]
-        return make_rep(L, [_realify(x) for x in (x1, x2, x3)])
+        return _rep(L, [_realify(x) for x in (x1, x2, x3)])
     raise ValueError(f"no built-in representation for {name!r}")
 
 

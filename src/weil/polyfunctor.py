@@ -34,6 +34,20 @@ class BlackBoxMap(namedtuple("BlackBoxMap", "source_dim target_dim evaluator")):
             raise ValueError("evaluator returned the wrong dimension")
         return out
 
+    def sample(self, dens, rows):
+        """f at a batch of points, coordinate i of point b being rows[b][i] / dens[i], as
+        the ``_batch`` of the values: per output coordinate, (D, numerators) with the
+        value at point b numerators[b] / D.  A :class:`PolyMap` evaluator takes the
+        whole batch on ints; any other evaluator is called point by point."""
+        if len(dens) != self.source_dim:
+            raise ValueError("input has the wrong dimension")
+        if isinstance(self.evaluator, PolyMap):
+            out = self.evaluator.batch(dens, rows)
+            if len(out) != self.target_dim:
+                raise ValueError("evaluator returned the wrong dimension")
+            return out
+        return _batch([self(tuple(map(Fraction, row, dens))) for row in rows])
+
 
 def _batch(vectors):
     """The coordinate columns of ``vectors``, each scaled to ints once: per column,
@@ -96,39 +110,40 @@ def homogeneous_decompose(f: BlackBoxMap, d: int, probes) -> HomogeneousDecompos
     lambda for every node lambda; at a t that is itself a node it holds by
     construction, so f is evaluated only at the other t, once per probe and t
     (6 = 2 * 3 = 3 * 2), and the components at mu v are solved for only to
-    name the failing one.  The node values and the components of a probe are
-    each one ``_batch``.
+    name the failing one.  Per probe, f is sampled on two batches
+    (:meth:`BlackBoxMap.sample`): the nodes lambda v, and the other t v.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     weights, den = _vandermonde_inverse(d)
     probes = [tuple(frac(x) for x in p) for p in probes]
 
+    def on_ray(v, scalars):  # the _batch of f(t v) for t in scalars
+        return f.sample([x.denominator for x in v],
+                        [[t * x.numerator for x in v] for t in scalars])
+
     def components_at(v):
-        values = _batch([f(tuple(x * lam for x in v)) for lam in range(1, d + 2)])
-        return [_combine(row, values, den) for row in weights]
+        values = on_ray(v, range(1, d + 2))
+        return [_combine(row, values, den) for row in weights], values
 
     table = [components_at(v) for v in probes]
-    components = [[table[p][i] for p in range(len(probes))] for i in range(d + 1)]
-    # f(t v) per probe, evaluated once: 6 v is both 2 (3 v) and 3 (2 v)
-    on_ray = [{} for _ in probes]
-
-    def ray_value(pi, t):
-        seen = on_ray[pi]
-        if t not in seen:
-            seen[t] = f(tuple(x * t for x in probes[pi]))
-        return seen[t]
-
-    batches = [_batch(comps) for comps in table]
+    components = [[comps[i] for comps, _ in table] for i in range(d + 1)]
+    # the t = mu lambda that are not nodes, each once: 6 v is both 2 (3 v) and 3 (2 v)
+    rays = {mu: [t for t in (mu * lam for lam in range(1, d + 2)) if t > d + 1] for mu in (2, 3)}
+    scalars = list(dict.fromkeys(rays[2] + rays[3]))
+    on_rays = [on_ray(v, scalars) for v in probes]
     for mu in (2, 3):
-        # the powers t^0..t^d of each t that is not a node, shared by the probes
-        rays = [(t, [t ** i for i in range(d + 1)]) for t in (mu * lam for lam in range(1, d + 2))
-                if t > d + 1]
+        # per t, its index in scalars and d! times the Lagrange weights of the nodes at t,
+        # sum_i t^i weights[i][r], shared by the probes: f(t v) = sum_r l_r(t) f((r+1) v)
+        checks = [(scalars.index(t), [sum(t ** i * row[r] for i, row in enumerate(weights))
+                                      for r in range(d + 1)]) for t in rays[mu]]
         for pi, v in enumerate(probes):
-            if all(ray_value(pi, t) == _combine(powers, batches[pi]) for t, powers in rays):
+            if all(nums[k] * den * node_den == sum(map(mul, lagrange, node_nums)) * ray_den
+                   for k, lagrange in checks
+                   for (node_den, node_nums), (ray_den, nums) in zip(table[pi][1], on_rays[pi])):
                 continue
-            comps = table[pi]
-            scaled = components_at(tuple(x * mu for x in v))
+            comps = table[pi][0]
+            scaled = components_at(tuple(x * mu for x in v))[0]
             for i in range(d + 1):
                 if scaled[i] != tuple(mu ** i * x for x in comps[i]):
                     point = ", ".join(map(str, v))
@@ -171,24 +186,31 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
     interpolated on the grid {0..d}^n and compared with direct evaluation at
     off-grid rational points with mixed signs.  Returns the first witness of
     a mismatch, or consistency.  This can refute polynomiality, never prove
-    it.
+    it.  Per trial set, f is sampled on two batches (:meth:`BlackBoxMap.sample`):
+    the grid and the checkpoints, whose numerators are summed on ints over the
+    ``_batch`` of the trial vectors.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    origin = (Fraction(0),) * f.source_dim
     # _lagrange_weights(d, x) once per distinct checkpoint coordinate x, keyed by
     # (numerator, denominator): a Fraction hashes slower than the weights are built
     weights = {}
     for ti, vs in enumerate(trial_sets):
         vs = [tuple(frac(x) for x in v) for v in vs]
-        basis = _batch(vs)
+        basis = _batch(vs) if vs else [(1, [])] * f.source_dim  # no vector: the origin
+
+        def span(coeffs):  # the numerators of sum_k coeffs[k] v_k over the basis denominators
+            return [sum(map(mul, coeffs, nums)) for _, nums in basis]
+
         grid = list(product(range(d + 1), repeat=len(vs)))
-        values = _batch([f(_combine(lam, basis) if vs else origin) for lam in grid])
-        for pat in CHECKPOINT_PATTERNS:
-            mu = pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
-            scale = lcm(*(x.denominator for x in mu))
-            expected = f(_combine([x.numerator * (scale // x.denominator) for x in mu], basis,
-                                  scale) if vs else origin)
+        values = f.sample([den for den, _ in basis], [span(lam) for lam in grid])
+        mus = [pat[:len(vs)] + (Fraction(1, 2),) * (len(vs) - len(pat))
+               for pat in CHECKPOINT_PATTERNS]
+        scale = lcm(*(x.denominator for mu in mus for x in mu))
+        expected = f.sample([scale * den for den, _ in basis],
+                            [span([x.numerator * (scale // x.denominator) for x in mu])
+                             for mu in mus])
+        for c, mu in enumerate(mus):
             # l_j(mu_k) = table[k][0][j] / table[k][1]; no checkpoint coordinate is a node
             keys = [(x.numerator, x.denominator) for x in mu]
             for key, x in zip(keys, mu):
@@ -196,10 +218,13 @@ def is_polynomial(f: BlackBoxMap, d: int, trial_sets) -> PolynomialVerdict:
                     weights[key] = _lagrange_weights(d, x)
             table = [weights[key] for key in keys]
             nums = [n for n, _ in table]
-            got = _combine([prod(map(getitem, nums, lam)) for lam in grid], values,
-                           prod(q for _, q in table))
-            if expected != got:
-                return PolynomialVerdict(False, (ti, mu, expected, got))
+            over = prod(q for _, q in table)
+            coeffs = [prod(map(getitem, nums, lam)) for lam in grid]
+            if any(at[c] * over * grid_den != sum(map(mul, coeffs, on_grid)) * at_den
+                   for (at_den, at), (grid_den, on_grid) in zip(expected, values)):
+                return PolynomialVerdict(False, (ti, mu, tuple(
+                    Fraction(at[c], at_den) for at_den, at in expected),
+                    _combine(coeffs, values, over)))
     return PolynomialVerdict(True)
 
 

@@ -120,6 +120,12 @@ def test_evaluate_polynomials():
         PolyMap(2, 1, [ChartForm.dx(2, 0)])
     with pytest.raises(IndexError):
         ChartForm.x(2, 2)
+    # a point with a coordinate missing or one too many is refused, not truncated
+    for point in [(Fraction(3),), (Fraction(3), Fraction(1), Fraction(5))]:
+        with pytest.raises(ValueError, match=f"a point of R\\^{len(point)} for a map on R\\^2"):
+            evaluate(p, point)
+        with pytest.raises(ValueError, match=f"a point of R\\^{len(point)} for a map on R\\^2"):
+            PolyMap(2, 2, [x * y, x + y])(point)
 
 
 def product_evaluate(form, point):

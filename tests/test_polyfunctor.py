@@ -6,7 +6,7 @@ from math import factorial, prod
 import pytest
 
 from weil import linalg, polyfunctor
-from weil.chart_forms import ChartForm
+from weil.chart_forms import ChartForm, PolyMap
 from weil.polyfunctor import (BlackBoxMap, FunctorSpec, canonical, functor_dim,
                               homogeneous_decompose, is_polynomial,
                               poly_black_box, restriction_injectivity)
@@ -469,3 +469,103 @@ def test_combine_matches_fraction_sums():
     assert pair == [(6, [6, 1]), (3, [2, 0])]
     assert polyfunctor._combine([3, 6], pair, 6) == (F(2, 3), F(1, 3))
     assert polyfunctor._combine([0, 0], polyfunctor._batch([(F(1, 3),), (2,)])) == (0,)
+
+
+# -- batch sampling ---------------------------------------------------------
+
+
+def rand_poly_map(rng, src, dst, top):
+    """A seeded PolyMap R^src -> R^dst of degree at most top, rational coefficients."""
+    polys = []
+    for _ in range(dst):
+        p = {}
+        for _ in range(rng.randint(0, 4)):
+            e = [0] * src
+            for _ in range(rng.randint(0, top)):
+                e[rng.randrange(src)] += 1
+            p[tuple(e)] = p.get(tuple(e), F(0)) + F(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        polys.append(ChartForm.from_poly(src, {k: v for k, v in p.items() if v}))
+    return PolyMap(src, dst, polys)
+
+
+def rand_vector(rng, src, rational):
+    return tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)) if rational else 1)
+                 for _ in range(src))
+
+
+def batch_and_point_routes(pm, monkeypatch):
+    """The PolyMap as a black box sampled by batch, with PolyMap.__call__ refused while it
+    runs, and the same map behind a plain function, which is called point by point."""
+    def batch(procedure, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(PolyMap, "__call__", lambda self, point: pytest.fail("per point"))
+            return outcome(procedure, BlackBoxMap(pm.source_dim, pm.target_dim, pm), *args)
+
+    def per_point(procedure, *args):
+        return outcome(procedure, BlackBoxMap(pm.source_dim, pm.target_dim, lambda v: pm(v)),
+                       *args)
+    return batch, per_point
+
+
+def test_decompose_by_batch_matches_the_per_point_route(monkeypatch):
+    rng = random.Random(151)
+    raised = 0
+    for _ in range(120):
+        src, dst, d = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 5)
+        pm = rand_poly_map(rng, src, dst, rng.randint(0, d + 2))
+        probes = [rand_vector(rng, src, rng.random() < 0.5) for _ in range(rng.randint(1, 3))]
+        batch, per_point = batch_and_point_routes(pm, monkeypatch)
+        got = batch(homogeneous_decompose, d, probes)
+        assert got == per_point(homogeneous_decompose, d, probes), (src, dst, d, probes)
+        raised += isinstance(got, str)
+    assert 10 <= raised <= 100
+
+
+def test_is_polynomial_by_batch_matches_the_per_point_route(monkeypatch):
+    rng = random.Random(157)
+    witnesses = 0
+    for _ in range(80):
+        src, dst, d = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 5)
+        pm = rand_poly_map(rng, src, dst, rng.randint(0, d + 2))
+        trials = [[rand_vector(rng, src, rng.random() < 0.5)
+                   for _ in range(rng.randint(0, min(src, 3)))] for _ in range(2)]
+        if d > 3:  # keep the grids small: (d + 1)^k points per trial set
+            trials = [vs[:2] for vs in trials]
+        batch, per_point = batch_and_point_routes(pm, monkeypatch)
+        got = batch(is_polynomial, d, trials)
+        assert got == per_point(is_polynomial, d, trials), (src, dst, d, trials)
+        witnesses += not got.consistent
+    assert 10 <= witnesses <= 70
+
+
+def test_batch_route_keeps_the_ray_failure_and_both_dimension_refusals(monkeypatch):
+    pm = PolyMap(3, 1, [ChartForm.from_poly(3, {(5, 0, 0): F(1)})])
+    batch, per_point = batch_and_point_routes(pm, monkeypatch)
+    probe = [(F(1, 2), F(-2, 3), F(3, 7))]
+    message = batch(homogeneous_decompose, 3, probe)
+    assert message == per_point(homogeneous_decompose, 3, probe) == (
+        "map is not polynomial of degree <= 3 along rays: "
+        "component 0 fails homogeneity at probe (1/2, -2/3, 3/7) with mu=2")
+    for procedure, args in [(homogeneous_decompose, (2, [(F(1), F(2))])),
+                            (is_polynomial, (2, [[(F(1), F(2))]]))]:
+        assert batch(procedure, *args) == per_point(procedure, *args) == (
+            "input has the wrong dimension")
+    wide = BlackBoxMap(3, 2, pm)  # the PolyMap has one output, the box claims two
+    for procedure, args in [(homogeneous_decompose, (2, probe)),
+                            (is_polynomial, (2, [[(F(1), F(0), F(2))]]))]:
+        assert outcome(procedure, wide, *args) == "evaluator returned the wrong dimension"
+        assert outcome(procedure, BlackBoxMap(3, 2, lambda v: pm(v)), *args) == (
+            "evaluator returned the wrong dimension")
+
+
+def test_sample_returns_the_batch_of_the_values():
+    pm = PolyMap(2, 2, [ChartForm.from_poly(2, {(2, 0): F(1, 2), (0, 1): F(3)}),
+                        ChartForm.from_poly(2, {})])
+    points = [(F(1, 2), F(-1, 3)), (F(3, 2), F(2, 3)), (F(0), F(5, 3))]
+    dens, rows = [2, 3], [[1, -1], [3, 2], [0, 5]]
+    for f in (BlackBoxMap(2, 2, pm), BlackBoxMap(2, 2, lambda v: pm(v))):
+        columns = f.sample(dens, rows)
+        assert all(type(den) is int and all(type(x) is int for x in nums)
+                   for den, nums in columns)
+        assert [tuple(F(nums[b], den) for den, nums in columns) for b in range(3)] == [
+            f(p) for p in points]

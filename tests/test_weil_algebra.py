@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin,
-                         coadjoint_dual_basis, lie_generators)
+                         coadjoint_dual_basis, from_brackets, lie_generators, validate)
 from weil.invariant_polynomials import basic_subspace, invariant_basis
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.chart_forms import ChartForm
 from weil.equivariant import WeilModel, WeilModelElement, builtin_action
-from weil.superalg import ONE, substitute, unit_exponent
+from weil.superalg import ONE, derivation, substitute, unit_exponent
 from weil.weil_algebra import (WeilElement, change_of_basis, contract,
                                curvature_generator, d_K, graded_dims,
                                horizontal_project, in_span,
@@ -304,6 +304,17 @@ def substitute_change_of_basis(L, elements):
     return out
 
 
+SO4 = from_brackets(6, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1},  # su2 + su2
+                         (3, 4): {5: 1}, (4, 5): {3: 1}, (3, 5): {4: -1}}, name="so4")
+HEISENBERG5 = from_brackets(5, {(0, 1): {4: 1}, (2, 3): {4: 1}}, name="heisenberg5")
+
+
+def rand_model_element(rng, model, terms=4):
+    keys = model.basis(rng.randint(0, 5), 2)
+    return WeilModelElement(model, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                    for key in rng.sample(keys, min(terms, len(keys)))})
+
+
 def test_change_of_basis_matches_substitute_on_seeded_elements():
     rng = random.Random(32)
     for name in ("su2", "sl2", "so3", "heisenberg3", "abelian(3)"):
@@ -313,24 +324,53 @@ def test_change_of_basis_matches_substitute_on_seeded_elements():
         assert change_of_basis(L, elements) == substitute_change_of_basis(L, elements), name
 
 
-def test_change_of_basis_builds_only_the_curvature_generators_it_uses(monkeypatch):
+@pytest.mark.parametrize("L", [SO4, HEISENBERG5], ids=lambda L: L.name)
+def test_change_of_basis_matches_substitute_where_d_squared_is_not_zero(L):
+    # so(4) = su2 + su2 and the 5-dimensional Heisenberg algebra: D^2 lamt_i lamt_j != 0
+    assert validate(L) is None
+    rng = random.Random(34)
+    n = L.dim
+    elements = [rand_element(rng, n, degree, rng.randint(1, 6))
+                for degree in range(9) for _ in range(3)]
+    model = WeilModel(2, L, builtin_action("trivial:2", L)[1])
+    elements += [rand_model_element(rng, model) for _ in range(15)]
+    assert change_of_basis(L, elements) == substitute_change_of_basis(L, elements)
+    top = {"so4": WeilElement.lamt(n, 0) * WeilElement.lamt(n, 3),
+           "heisenberg5": WeilElement.lamt(n, 4) * WeilElement.lamt(n, 4)}[L.name]
+    image = change_of_basis(L, [top])[0]
+    assert max(mask.bit_count() for mask, _ in image.terms) == 4
+    assert image == substitute_change_of_basis(L, [top])[0]
+
+
+def test_change_of_basis_takes_at_most_half_the_dimension_derivation_passes(monkeypatch):
+    # exp(D) with D^k = 0 once 2k > dim g: no curvature generator and no d_K is built
     from weil import weil_algebra
-    built = []
-    monkeypatch.setattr(weil_algebra, "curvature_generator",
-                        lambda L, i: built.append(i) or curvature_generator(L, i))
-    H3 = builtin("heisenberg3")
-    assert change_of_basis(SU2, []) == [] and built == []
+
+    def refused(*args):
+        raise AssertionError("change_of_basis builds no curvature generator and no d_K")
+
+    def passes(L, elements):  # change_of_basis(L, elements) and the n of each derivation pass
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(weil_algebra, "curvature_generator", refused)
+            patch.setattr(weil_algebra, "odd_derivation", refused)
+            patch.setattr(weil_algebra, "derivation",
+                          lambda a, *images: seen.append(a.n) or derivation(a, *images))
+            got = change_of_basis(L, elements)
+        assert got == substitute_change_of_basis(L, elements)
+        return seen
+
+    assert passes(SU2, []) == []
     P = multiply(WeilElement.lamt(3, 2), WeilElement.lamt(3, 2))  # lamt_3^2
-    assert change_of_basis(H3, [P, lam(0) * lam(1)]) == substitute_change_of_basis(
-        H3, [P, lam(0) * lam(1)])
-    assert built == [2]
+    assert passes(builtin("heisenberg3"), [P, lam(0) * lam(1)]) == [3, 3]  # D(lam_1 lam_2) = 0
+    t4 = WeilElement.lamt(5, 4)
+    for L, a, count in [(SO4, WeilElement.lamt(6, 0) * WeilElement.lamt(6, 3), 3),  # D^3 = 0
+                        (SO4, WeilElement.lamt(6, 0), 2),
+                        (HEISENBERG5, t4 * t4 * t4, 2)]:  # D^2 != 0, 2 = floor(5 / 2)
+        assert passes(L, [a]) == [L.dim] * count
     model = WeilModel(3, SU2, builtin_action("adjoint", SU2)[1])
-    w = WeilModelElement(model, {key: ONE for key in model.basis(4, 1)
-                                 if not any(key[1][3:5]) and key[1][5]})  # no lamt_1, lamt_2
-    assert w.terms
-    built.clear()
-    assert change_of_basis(SU2, [w]) == substitute_change_of_basis(SU2, [w])
-    assert built == [2]
+    w = WeilModelElement(model, {key: ONE for key in model.basis(4, 1) if key[1][5]})
+    assert w.terms and passes(SU2, [w]) == [6]
 
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -355,9 +395,7 @@ def test_change_of_basis_maps_model_elements_of_every_generator():
     rng = random.Random(33)
     model = WeilModel(3, SU2, builtin_action("adjoint", SU2)[1])
     for _ in range(20):
-        keys = model.basis(rng.randint(0, 5), 2)
-        w = WeilModelElement(model, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                     for key in rng.sample(keys, min(4, len(keys)))})
+        w = rand_model_element(rng, model)
         assert change_of_basis(SU2, [w]) == substitute_change_of_basis(SU2, [w])
 
 
