@@ -13,7 +13,6 @@ kernel solvers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -21,7 +20,7 @@ from . import linalg
 from .liealg import LieAlgebra, basis_vector, coadjoint_dual_basis, frac
 from .masks import indices_of, mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import (ONE, Key, SuperElement, derivation,  # noqa: F401
+from .superalg import (ONE, Key, SuperElement, _left_multiply, derivation,  # noqa: F401
                        in_span, multiply, operator_rows, unit_exponent)
 
 
@@ -154,33 +153,30 @@ def horizontal_project(L: LieAlgebra, a: WeilElement) -> WeilElement:
 def change_of_basis(L: LieAlgebra, elements) -> list[SuperElement]:
     """The algebra map lamt_i -> Omega^i, every other generator fixed, on Weil
     elements or on Weil model elements, whose trailing L.dim generator pairs
-    are the Weil factor.
+    are the Weil factor.  Omega^e is even, so a term c u lamt^e, u the rest of
+    its key, maps to c Omega^e u by one product, Omega^e memoised per count m
+    of chart pairs.  Omega_i is built only for an i that some term holds."""
+    n, zero, powers, omegas = L.dim, (0,) * L.dim, {}, {}
 
-    It is exp(D) for the even derivation D: lamt_i -> N_i = sum_{j<k} f^i_jk
-    lam_j lam_k, the bracket part of Omega^i, every other generator -> 0.
-    D kills every N_i, so exp(D) is the algebra map lamt_i -> lamt_i + N_i,
-    and D^k, which raises the lam degree by 2k, is 0 once 2k > L.dim: the
-    map is floor(L.dim / 2) derivation passes, the k-th divided by k.
-    """
-    n, images, tables = L.dim, [], {}
+    def power(m, e):  # Omega^(e - 1_i) Omega_i, i the last nonzero index of e
+        if (m, e) not in powers:
+            i = max(j for j, q in enumerate(e) if q)
+            if i not in omegas:
+                omegas[i] = curvature_generator(L, i).terms
+            lower, powers[m, e] = power(m, e[:i] + (e[i] - 1,) + e[i + 1:]), {}
+            for (mask, exps), c in omegas[i].items():
+                _left_multiply(powers[m, e], lower, mask << m, (0,) * m + exps, c)
+        return powers[m, e]
+
+    images = []
     for a in elements:
         m = 0 if isinstance(a, WeilElement) else a.model.m
         if a.n - m != n:
             raise ValueError(f"Weil factor of dimension {a.n - m} for an algebra of dimension {n}")
-        if m not in tables:  # D on the generators of a: lamt_i -> N_i, on the Weil pairs
-            zero, even = (0,) * a.n, [{} for _ in range(a.n)]
-            for (j, k, i), c in L.structure.items():
-                if j < k and c:
-                    even[m + i][(1 << j | 1 << k) << m, zero] = c
-            tables[m] = [None] * a.n, even
-        total = term = a
-        for k in range(1, n // 2 + 1):
-            term = derivation(term, *tables[m])
-            if not term:
-                break
-            term = term.scale(Fraction(1, k))
-            total = total + term
-        images.append(total)
+        powers[m, zero], image = {(0, (0,) * a.n): ONE}, {}
+        for (mask, exps), c in a.terms.items():
+            _left_multiply(image, power(m, exps[m:]), mask, exps[:m] + zero, c)
+        images.append(a.with_terms(image))
     return images
 
 

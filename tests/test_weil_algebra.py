@@ -14,7 +14,7 @@ from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.chart_forms import ChartForm
 from weil.equivariant import WeilModel, WeilModelElement, builtin_action
-from weil.superalg import ONE, derivation, substitute, unit_exponent
+from weil.superalg import ONE, substitute, unit_exponent
 from weil.weil_algebra import (WeilElement, change_of_basis, contract,
                                curvature_generator, d_K, graded_dims,
                                horizontal_project, in_span,
@@ -325,8 +325,9 @@ def test_change_of_basis_matches_substitute_on_seeded_elements():
 
 
 @pytest.mark.parametrize("L", [SO4, HEISENBERG5], ids=lambda L: L.name)
-def test_change_of_basis_matches_substitute_where_d_squared_is_not_zero(L):
-    # so(4) = su2 + su2 and the 5-dimensional Heisenberg algebra: D^2 lamt_i lamt_j != 0
+def test_change_of_basis_matches_substitute_where_bracket_products_survive(L):
+    # so(4) = su2 + su2 and the 5-dimensional Heisenberg algebra: the bracket parts
+    # of two curvature generators multiply to a nonzero term with four factors lam
     assert validate(L) is None
     rng = random.Random(34)
     n = L.dim
@@ -342,35 +343,24 @@ def test_change_of_basis_matches_substitute_where_d_squared_is_not_zero(L):
     assert image == substitute_change_of_basis(L, [top])[0]
 
 
-def test_change_of_basis_takes_at_most_half_the_dimension_derivation_passes(monkeypatch):
-    # exp(D) with D^k = 0 once 2k > dim g: no curvature generator and no d_K is built
+def test_change_of_basis_builds_only_the_curvature_generators_it_uses(monkeypatch):
     from weil import weil_algebra
-
-    def refused(*args):
-        raise AssertionError("change_of_basis builds no curvature generator and no d_K")
-
-    def passes(L, elements):  # change_of_basis(L, elements) and the n of each derivation pass
-        seen = []
-        with monkeypatch.context() as patch:
-            patch.setattr(weil_algebra, "curvature_generator", refused)
-            patch.setattr(weil_algebra, "odd_derivation", refused)
-            patch.setattr(weil_algebra, "derivation",
-                          lambda a, *images: seen.append(a.n) or derivation(a, *images))
-            got = change_of_basis(L, elements)
-        assert got == substitute_change_of_basis(L, elements)
-        return seen
-
-    assert passes(SU2, []) == []
+    built = []
+    monkeypatch.setattr(weil_algebra, "curvature_generator",
+                        lambda L, i: built.append(i) or curvature_generator(L, i))
+    H3 = builtin("heisenberg3")
+    assert change_of_basis(SU2, []) == [] and built == []
     P = multiply(WeilElement.lamt(3, 2), WeilElement.lamt(3, 2))  # lamt_3^2
-    assert passes(builtin("heisenberg3"), [P, lam(0) * lam(1)]) == [3, 3]  # D(lam_1 lam_2) = 0
-    t4 = WeilElement.lamt(5, 4)
-    for L, a, count in [(SO4, WeilElement.lamt(6, 0) * WeilElement.lamt(6, 3), 3),  # D^3 = 0
-                        (SO4, WeilElement.lamt(6, 0), 2),
-                        (HEISENBERG5, t4 * t4 * t4, 2)]:  # D^2 != 0, 2 = floor(5 / 2)
-        assert passes(L, [a]) == [L.dim] * count
+    assert change_of_basis(H3, [P, lam(0) * lam(1)]) == substitute_change_of_basis(
+        H3, [P, lam(0) * lam(1)])
+    assert built == [2]
     model = WeilModel(3, SU2, builtin_action("adjoint", SU2)[1])
-    w = WeilModelElement(model, {key: ONE for key in model.basis(4, 1) if key[1][5]})
-    assert w.terms and passes(SU2, [w]) == [6]
+    w = WeilModelElement(model, {key: ONE for key in model.basis(4, 1)
+                                 if not any(key[1][3:5]) and key[1][5]})  # no lamt_1, lamt_2
+    assert w.terms
+    built.clear()
+    assert change_of_basis(SU2, [w]) == substitute_change_of_basis(SU2, [w])
+    assert built == [2]
 
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
