@@ -59,6 +59,14 @@ CASES = [
     ("equivariant-su2-conjugate-5-2", 0, ["equivariant", "--algebra", "su2", "--action-json",
                                           INPUTS + "action_su2_conjugate.json",
                                           "--degree", "5", "--poly-cap", "2"]),
+    # the cap edge of the 3-dimensional chart, and the degree-6 rung of sl2 and the su2 conjugate
+    ("equivariant-su2-adjoint-8-4", 0, ["equivariant", "--algebra", "su2", "--action", "adjoint",
+                                        "--degree", "8", "--poly-cap", "4"]),
+    ("equivariant-sl2-adjoint-6-3", 0, ["equivariant", "--algebra", "sl2", "--action", "adjoint",
+                                        "--degree", "6", "--poly-cap", "3"]),
+    ("equivariant-su2-conjugate-6-3", 0, ["equivariant", "--algebra", "su2", "--action-json",
+                                          INPUTS + "action_su2_conjugate.json",
+                                          "--degree", "6", "--poly-cap", "3"]),
     ("equivariant-heisenberg3-conjugate-5-2", 0, ["equivariant", "--algebra", "heisenberg3",
                                                   "--action-json",
                                                   INPUTS + "action_heisenberg3_conjugate.json",
