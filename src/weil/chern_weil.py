@@ -12,6 +12,7 @@ matrix representation, so every inverse is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from . import linalg
@@ -154,9 +155,11 @@ def _realify(complex_mat):
     return tuple(tuple(row) for row in out)
 
 
+@cache
 def builtin_rep(name: str) -> MatrixRep:
     """Default exact matrix representation for a built-in algebra.  Its matrices are
-    constants, checked once by tests/test_chern_weil.py, so no call checks them again."""
+    constants, checked once by tests/test_chern_weil.py, so no call checks them again,
+    and each name's is built once per process (a ``MatrixRep`` holds only tuples)."""
     L = builtin(name)
     if name == "abelian(1)":
         return _rep(L, [[[0, 1], [0, 0]]])

@@ -536,6 +536,18 @@ def test_builtin_reps_validate():
         check_representation(rep.algebra, rep.mats)
 
 
+def test_builtin_rep_is_built_once_per_name():
+    # a constant per name: repeated calls give one rep, equal to a fresh build
+    for name in ("abelian(1)", "heisenberg3", "sl2", "so3", "su2"):
+        rep, fresh = builtin_rep(name), builtin_rep.__wrapped__(name)
+        assert builtin_rep(name) is rep
+        assert (rep.size, rep.mats, rep.algebra.structure) == \
+            (fresh.size, fresh.mats, fresh.algebra.structure)
+        assert all(type(row) is tuple for mat in rep.mats for row in (mat, *mat))
+    with pytest.raises(ValueError, match="no built-in representation"):
+        builtin_rep("abelian(2)")
+
+
 def test_builtin_rep_flat_columns_are_independent():
     # _lie_coordinates reads algebra coordinates off these columns;
     # independence makes them unique

@@ -13,8 +13,8 @@ from weil import chart_forms, equivariant
 from weil.equivariant import (ROTATION_2D, WeilModel, WeilModelElement,
                               builtin_action, check_basis_size)
 from weil.invariant_polynomials import basic_subspace
-from weil.liealg import (BUILTIN_NAMES, builtin, check_representation, coadjoint_dual_basis,
-                         from_brackets, validate)
+from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin, check_representation,
+                         coadjoint_dual_basis, from_brackets, validate)
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.superalg import ONE, derivation, operator_rows, unit_exponent
@@ -403,15 +403,20 @@ def test_vector_field_matches_dense_sum():
 def test_constraint_rows_multiply_each_nonzero_action_entry_once():
     # a basis vector xi has one nonzero coefficient, so the fields of all xi
     # take one product per nonzero action entry; the zero adjoint of an
-    # abelian algebra takes none
+    # abelian algebra takes none.  The basic system reads the entries on ints
+    # and takes no Fraction product of them
     for name in ("su2", "heisenberg3", "abelian(6)"):
         L = builtin(name)
         m, mats = builtin_action("adjoint", L)
         model = WeilModel(m, L, [[[CountingFraction(x) for x in row] for row in mat]
                                  for mat in mats])
         CountingFraction.products = 0
-        model.basic_constraint_rows(1, 1)
+        for i in range(L.dim):
+            model.vector_field(basis_vector(L.dim, i))
         assert CountingFraction.products == sum(1 for mat in mats for row in mat for x in row if x)
+        CountingFraction.products = 0
+        model.basic_constraint_rows(1, 1)
+        assert CountingFraction.products == 0
 
 
 def test_lie_tables_build_d_images_only_for_field_terms(monkeypatch):
@@ -432,9 +437,55 @@ def test_lie_tables_build_d_images_only_for_field_terms(monkeypatch):
             return derivation(a, odd_images, even_images)
 
         monkeypatch.setattr(chart_forms, "derivation", counting)
-        WeilModel(m, AB1, [mat]).basic_constraint_rows(1, 1)
+        model = WeilModel(m, AB1, [mat])
+        model._lie_images([1], model.vector_field([1]))
         assert len(built) == m
         assert sum(built) == sum(terms) == entries
+
+
+# -- the full iota/L system on every key: the oracle of the lam-free system ----
+
+
+def curvature_contract_images(model, xi, fields):
+    """iota (odd) in the coordinates (dx, lam; x, Omega), Omega_i the curvature
+    ``curvature_generator(algebra, i)``: dx_t -> xi-hat_t, lam_i -> <xi, lam_i>,
+    x_t -> 0 and Omega_i -> 0, so on the Weil factor it is d/dlam.
+
+    Omega_a = lamt_a + 1/2 sum_{j,k} f^a_{jk} lam_j lam_k, f^a_{jk} = -f^a_{kj}
+    the structure constants, and iota_xi lamt_a = ad*_xi lam_a = -sum_{j,k}
+    xi_j f^a_{jk} lam_k (``coadjoint_dual_basis``).  iota_xi is an odd
+    derivation, so iota_xi (lam_j lam_k) = xi_j lam_k - xi_k lam_j, and
+    iota_xi Omega_a = ad*_xi lam_a + sum_{j,k} f^a_{jk} xi_j lam_k = 0.
+
+    L_xi is the table of ``_lie_images`` read with Omega_b for lamt_b: L_xi
+    Omega_a = sum_b c_b Omega_b, c = ad*_xi lam_a.  For iota_eta L_xi Omega_a
+    = L_xi iota_eta Omega_a - iota_{[xi, eta]} Omega_a = 0 on W(g) for every
+    eta, so L_xi Omega_a is horizontal, in the span of the Omega_b in degree
+    2; and its lamt part is L_xi lamt_a = sum_b c_b lamt_b, while Omega_b has
+    the one lamt term lamt_b.  Both are identities of W(g) alone.  The
+    change lamt -> Omega is triangular and keeps degree and chart factor, so
+    the keys of ``basis`` read in Omega span the same truncation.
+    """
+    return model._tensor(([f.terms for f in fields], [None] * model.m),
+                         (contraction_images(model.algebra, xi)[0], [None] * model.n))
+
+
+def full_tables(model):
+    """iota and L of each e_i, in the coordinates (dx, lam; x, Omega)."""
+    tables = []
+    for i in range(model.n):
+        xi = basis_vector(model.n, i)
+        fields = model.vector_field(xi)
+        tables += [curvature_contract_images(model, xi, fields), model._lie_images(xi, fields)]
+    return tables
+
+
+def full_constraint_rows(model, degree, cap):
+    """The basic system before the Kalkman map: every key of ``basis`` read in
+    Omega coordinates, and per key one integer vector of its images under the
+    iota and L of every e_i (``superalg.operator_rows``)."""
+    dom = model.basis(degree, cap)
+    return dom, operator_rows(full_tables(model), dom)
 
 
 # -- image vectors, against the previous codomain-indexed Fraction rows ---------
@@ -471,7 +522,7 @@ def codomain_constraint_rows(model, d, cap, curvature=False):
     each operator's rows also returned scaled by its table's integer scale:
     iota is ``total_contract`` on the keys in lamt coordinates.  With
     ``curvature`` the keys are read in Omega coordinates instead, and iota is
-    ``derivation`` by the table of ``_curvature_contract_images``."""
+    ``derivation`` by the table of ``curvature_contract_images``."""
     dom = model.basis(d, cap)
     cod_iota = model.basis(d - 1, cap + 1) if d > 0 else []
     cod_lie = model.basis(d, cap + 1)
@@ -480,7 +531,7 @@ def codomain_constraint_rows(model, d, cap, curvature=False):
         xi = [Fraction(int(k == i)) for k in range(model.n)]
         fields = model.vector_field(xi)
         if curvature:
-            iota = model._curvature_contract_images(xi, fields)
+            iota = curvature_contract_images(model, xi, fields)
             contract = partial(by_table, iota)
         else:
             iota, contract = model._contract_images(xi, fields), partial(model.total_contract, xi)
@@ -505,10 +556,11 @@ def assert_lamt_system_answers(model, degree, cap, dom, rows):
 @pytest.mark.parametrize("name, action", CARTAN_MODELS)
 @pytest.mark.parametrize("degree, cap", [(2, 2), (3, 1)])
 def test_constraint_rows_match_codomain_indexed_rows(name, action, degree, cap):
-    # the image vectors are the transposed system in Omega coordinates, each
-    # operator scaled to integers; the answers are those of the lamt system
+    # the full system's image vectors are the transposed system in Omega
+    # coordinates, each operator scaled to integers; the answers are those of
+    # the lamt system
     model = cartan_model(name, action)
-    dom, vectors = model.basic_constraint_rows(degree, cap)
+    dom, vectors = full_constraint_rows(model, degree, cap)
     old_dom, _, scaled = codomain_constraint_rows(model, degree, cap, curvature=True)
     assert dom == old_dom
     assert len(vectors) == len(dom)
@@ -578,7 +630,7 @@ def test_image_vectors_match_the_codomain_indexed_system_on_random_algebras():
     scales = set()
     for model in seeded_models(random.Random(47)):
         for degree, cap in ((1, 1), (2, 1), (2, 2), (3, 1))[:4 if model.n == 3 else 2]:
-            dom, vectors = model.basic_constraint_rows(degree, cap)
+            dom, vectors = full_constraint_rows(model, degree, cap)
             old_dom, rows, scaled = codomain_constraint_rows(model, degree, cap, curvature=True)
             assert dom == old_dom
             assert row_multiset(linalg.transpose(vectors)) == row_multiset(scaled)
@@ -659,8 +711,8 @@ def random_conjugate(mats, rng):
 
 
 def raw_basic_dim(model, degree, cap):
-    """The rank route on the model's own action, which basic_dim no longer takes."""
-    dom, vectors = model.basic_constraint_rows(degree, cap)
+    """The rank of the full system on the model's own action."""
+    dom, vectors = full_constraint_rows(model, degree, cap)
     return len(dom) - linalg.rank(vectors)
 
 
@@ -756,11 +808,196 @@ def test_sparse_similar_keeps_an_action_at_the_rank_bound():
         assert S == tuple(tuple(int(r == c) for c in range(model.m)) for r in range(model.m))
 
 
-def test_sparse_similar_reaches_the_rank_bound_on_the_simple_conjugates():
-    # the first kernel vector of ad(e_0) is e_0 in the conjugate's coordinates,
-    # and its orbit is the standard basis up to signs and scales
-    for name in ("su2", "sl2", "so3"):
-        L = builtin(name)
-        model = WeilModel(3, L, conjugated(builtin_action("adjoint", L)[1], random.Random(9)))
+def test_sparse_similar_reaches_the_rank_bound_on_the_simple_conjugates(monkeypatch):
+    # for su2, sl2 and so3 the first kernel vector of ad(e_0) is e_0 in the
+    # conjugate's coordinates, and its orbit is the standard basis up to signs
+    # and scales.  For heisenberg3 the orbit of a start is two-dimensional and
+    # a kernel vector of ad(e_0) or ad(e_1) completes it: the first start
+    # reaches the bound 2, and the search stops there
+    starts = []
+    orbit_basis = equivariant._orbit_basis
+    monkeypatch.setattr(equivariant, "_orbit_basis",
+                        lambda *args: starts.append(1) or orbit_basis(*args))
+    models = [WeilModel(3, builtin(name), conjugated(builtin_action("adjoint", builtin(name))[1],
+                                                     random.Random(9)))
+              for name in ("su2", "sl2", "so3", "heisenberg3")]
+    for model in models + list(seeded_conjugate_models()):
+        bound = 2 if model.algebra.name == "heisenberg3" else 6
+        starts.clear()
         mats = equivariant.sparse_similar(model.action)[1]
-        assert nnz(model.action) > 6 and nnz(mats) == 6
+        assert nnz(model.action) > bound and nnz(mats) == bound, model.action
+        assert len(starts) == 1
+
+
+# -- the lam-free system through the Kalkman map --------------------------------
+
+
+def lamt_tables(model):
+    """iota and L of each e_i in lamt coordinates, the tables of ``total_contract``
+    and ``total_lie``."""
+    tables = []
+    for i in range(model.n):
+        xi = basis_vector(model.n, i)
+        fields = model.vector_field(xi)
+        tables += [model._contract_images(xi, fields), model._lie_images(xi, fields)]
+    return tables
+
+
+def kalkman_images(model):
+    """K = sum_b lam_b iota^X_{e_b} as a Fraction table: dx_t -> sum_b lam_b xi-hat_t(e_b)."""
+    fields = [model.vector_field(basis_vector(model.n, b)) for b in range(model.n)]
+    odd = [{} for _ in range(model.m)] + [None] * model.n
+    for b, comps in enumerate(fields):
+        lam = WeilElement.lam(model.n, b)
+        for t, comp in enumerate(comps):
+            for key, c in model.from_pair(comp, lam).terms.items():
+                odd[t][key] = odd[t].get(key, 0) + c
+    return odd, [None] * (model.m + model.n)
+
+
+def exp_kalkman(model, w, sign):
+    """e^(sign K) w = sum_j (sign K)^j w / j!, by ``superalg.derivation``."""
+    table, out, term, j = kalkman_images(model), w, w, 0
+    while term:
+        j += 1
+        term = derivation(term, *table).scale(Fraction(sign, j))
+        out = out + term
+    return out
+
+
+def generators(model):
+    """dx_t, lam_b, x_t and Omega_b (read as lamt_b) as model elements."""
+    m, n, zero = model.m, model.n, (0,) * (model.m + model.n)
+    odd = [WeilModelElement(model, {(1 << g, zero): 1}) for g in range(m + n)]
+    return odd + [WeilModelElement(model, {(0, unit_exponent(m + n, g)): 1})
+                  for g in range(m + n)]
+
+
+def kalkman_models():
+    """Every builtin with its adjoint action and a conjugate, rot2, trivial:2, the
+    point model and the seeded semidirect algebras with the adjoint and a conjugate."""
+    yield from curvature_models()
+    yield WeilModel(2, SU2, builtin_action("trivial:2", SU2)[1])
+    yield WeilModel(0, SU2, [[]] * 3)
+
+
+def test_kalkman_lie_tables_are_the_conjugated_lie_derivatives():
+    # L'_i = e^K L_i e^-K on every generator, each side by superalg.derivation
+    for model in kalkman_models():
+        scale, tables = model._kalkman_lie_images()
+        for i, table in enumerate(tables):
+            lie = model._lie_images(basis_vector(model.n, i),
+                                    model.vector_field(basis_vector(model.n, i)))
+            assert all(type(c) is int for side in table for img in side if img
+                       for c in img.values())
+            for g in generators(model):
+                assert derivation(g, *table) == \
+                    exp_kalkman(model, derivation(exp_kalkman(model, g, -1), *lie), 1).scale(scale), \
+                    (model.algebra.structure, model.action, i, g.terms)
+
+
+def test_kalkman_conjugates_each_contraction_to_d_by_dlam():
+    # e^K iota_a e^-K = d/dlam_a on every generator, iota read in Omega coordinates
+    for model in kalkman_models():
+        for a in range(model.n):
+            xi = basis_vector(model.n, a)
+            iota = curvature_contract_images(model, xi, model.vector_field(xi))
+            for g in generators(model):
+                got = exp_kalkman(model, derivation(exp_kalkman(model, g, -1), *iota), 1)
+                lam_a = (1 << (model.m + a), (0,) * (model.m + model.n))
+                assert got.terms == ({(0, lam_a[1]): 1} if g.terms.keys() == {lam_a} else {})
+
+
+@pytest.mark.parametrize("name, action", [("heisenberg3", "adjoint"), ("heisenberg3", "conjugate"),
+                                          ("abelian(1)", "rot2"), ("su2", "trivial:2"),
+                                          ("abelian(2)", "adjoint"), ("abelian(3)", "conjugate")])
+def test_kalkman_bracket_vanishes_where_the_field_is_a_homomorphism(name, action):
+    # [K, L_i] = 0, so L'_i = L_i, exactly when xi -> xi-hat is a homomorphism:
+    # for an abelian image of the action, and for heisenberg3, whose brackets
+    # are central and act by zero; su2 under the adjoint is the contrast
+    def bracket_free(model):
+        scale, tables = model._kalkman_lie_images()
+        for i, table in enumerate(tables):
+            xi = basis_vector(model.n, i)
+            lie = model._lie_images(xi, model.vector_field(xi))
+            if any(derivation(g, *table) != derivation(g, *lie).scale(scale)
+                   for g in generators(model)):
+                return False
+        return True
+
+    assert bracket_free(cartan_model(name, action))
+    assert not bracket_free(cartan_model("su2", "adjoint"))
+
+
+def test_kalkman_rows_are_the_lie_images_and_the_cap_powers():
+    # per lam-free key b of coefficient degree a: the images of b under the
+    # L'_i, each table scaled to integers, and K^(cap + 1 - a) b scaled by s^j,
+    # s the lcm of the action's denominators, against one derivation per key
+    for model in kalkman_models():
+        tables = model._kalkman_lie_images()[1]
+        kalkman = kalkman_images(model)
+        scale = lcm(*(x.denominator for mat in model.action for row in mat for x in row))
+        for degree, cap in ((2, 2), (3, 1)):
+            dom, vectors = model.basic_constraint_rows(degree, cap)
+            assert dom == [key for key in model.basis(degree, cap) if key[0] < 1 << model.m]
+            expected = []
+            for table in tables:
+                expected += [{j: c * table_scale(*table) for j, c in row.items()} for row in
+                             codomain_operator_rows(partial(by_table, table), model.zero(), dom,
+                                                    model.basis(degree, cap + 1))]
+            powers = {}
+            for j, key in enumerate(dom):
+                w = WeilModelElement(model, {key: 1})
+                for _ in range(cap + 1 - sum(key[1][:model.m])):
+                    w = derivation(w, *kalkman).scale(scale)
+                for image, c in w.terms.items():
+                    powers.setdefault(image, {})[j] = c
+            expected += powers.values()
+            assert row_multiset(linalg.transpose(vectors)) == row_multiset(expected)
+
+
+def horizontal_cases():
+    """(id, model, truncations): every builtin with the adjoint and a conjugate,
+    rot2, trivial:2, the point model, the seeded semidirect algebras and the
+    seeded random conjugates.  A model on R^4 and the random conjugates take
+    (2, 2) and (3, 1) in place of (4, 4) and (6, 3), where the lamt system of
+    the dense su2 and so3 conjugates takes seconds to eliminate."""
+    full, light = [(0, 0), (1, 0), (4, 4), (6, 3)], [(0, 0), (1, 0), (2, 2), (3, 1)]
+    for name in BUILTIN_NAMES:
+        for action in ("adjoint", "conjugate"):
+            yield f"{name}-{action}", cartan_model(name, action), full
+    yield "rot2", rotation_model(), full
+    yield "trivial:2", WeilModel(2, SU2, builtin_action("trivial:2", SU2)[1]), full
+    yield "point", WeilModel(0, SU2, [[]] * 3), full
+    for k, model in enumerate(seeded_models(random.Random(83))):
+        yield f"semidirect-{k}", model, full if model.m <= 3 else light
+    for k, model in enumerate(seeded_conjugate_models()):
+        yield f"random-conjugate-{k}", model, light
+
+
+HORIZONTAL_CASES = list(horizontal_cases())
+
+
+@pytest.mark.parametrize("model, truncations", [case[1:] for case in HORIZONTAL_CASES],
+                         ids=[case[0] for case in HORIZONTAL_CASES])
+def test_horizontal_basic_dim_and_basis_are_those_of_the_lamt_system(model, truncations):
+    # basic_dim and basic_basis against the iota/L system on every key in lamt
+    # coordinates: its codomain-indexed rows where they are small, and its
+    # image vectors, their transpose, at every truncation
+    for degree, cap in truncations:
+        if degree + cap <= 1:
+            dom, rows, _ = codomain_constraint_rows(model, degree, cap)
+            assert_lamt_system_answers(model, degree, cap, dom, rows)
+        dom = model.basis(degree, cap)
+        vectors = operator_rows(lamt_tables(model), dom)
+        assert model.basic_dim(degree, cap) == len(dom) - linalg.rank(vectors), (degree, cap)
+        assert [list(v.terms.items()) for v in model.basic_basis(degree, cap)] == \
+            [[(dom[j], c) for j, c in vec.items()] for vec in linalg.relations(vectors)]
+
+
+def test_negative_degree_or_cap_is_refused():
+    model = adjoint_model()
+    for degree, cap in ((-1, 0), (0, -1), (-2, -3)):
+        for solve in (model.basic_dim, model.basic_basis, model.basic_constraint_rows):
+            with pytest.raises(ValueError, match=r"^degree and poly_cap must be >= 0$"):
+                solve(degree, cap)

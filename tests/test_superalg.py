@@ -42,7 +42,8 @@ from weil.weil_algebra import (WeilElement, contraction_images, koszul_cohomolog
                                koszul_images, lie_images, sym_exponents)
 
 from test_chern_weil import rand_connection
-from test_equivariant import CARTAN_MODELS, cartan_model, conjugated, semidirect
+from test_equivariant import (CARTAN_MODELS, cartan_model, conjugated, full_constraint_rows,
+                              full_tables, semidirect)
 
 
 def inversion_merge(a, b):
@@ -326,26 +327,16 @@ def test_operator_rows_edge_cases():
     assert operator_rows([([None] * 3, [None] * 3), ([{}] * 3, [None] * 3)], keys) == [{}, {}]
 
 
-def basic_tables(model):
-    """The tables of ``WeilModel.basic_constraint_rows``: iota and L of each e_i, in
-    the coordinates (dx, lam; x, Omega) where iota kills Omega."""
-    tables = []
-    for i in range(model.n):
-        xi = basis_vector(model.n, i)
-        fields = model.vector_field(xi)
-        tables += [model._curvature_contract_images(xi, fields), model._lie_images(xi, fields)]
-    return tables
-
-
 CAPS = [(2, 2), (3, 1)]
 
 
 @pytest.mark.parametrize("name, action", CARTAN_MODELS)
 @pytest.mark.parametrize("degree, cap", CAPS)
 def test_constraint_rows_match_one_derivation_per_key(name, action, degree, cap):
+    # the full iota/L system of the Weil model, the oracle of its lam-free system
     model = cartan_model(name, action)
-    dom, vectors = model.basic_constraint_rows(degree, cap)
-    assert_same_vectors(vectors, per_key_rows(basic_tables(model), model.zero(), dom))
+    dom, vectors = full_constraint_rows(model, degree, cap)
+    assert_same_vectors(vectors, per_key_rows(full_tables(model), model.zero(), dom))
 
 
 def first_appearance(vectors):
@@ -384,9 +375,9 @@ def test_count_numbering_keeps_every_answer(monkeypatch, build):
     # the column order, which orders only the pivots of their elimination
     model = build()
     for degree, cap in CAPS:
-        dom, vectors = model.basic_constraint_rows(degree, cap)
+        dom, vectors = full_constraint_rows(model, degree, cap)
         assert_same_vectors(first_appearance(vectors),
-                            first_appearance_rows(basic_tables(model), model.zero(), dom))
+                            first_appearance_rows(full_tables(model), model.zero(), dom))
     answers = model_answers(model)
     for module in (equivariant, invariant_polynomials, weil_algebra):
         monkeypatch.setattr(module, "operator_rows",
@@ -411,7 +402,7 @@ def test_count_numbering_fills_in_less():
     for name, action in CARTAN_MODELS:
         model = cartan_model(name, action)
         for degree, cap in CAPS:
-            _, vectors = model.basic_constraint_rows(degree, cap)
+            _, vectors = full_constraint_rows(model, degree, cap)
             old, new = stored(first_appearance(vectors)), stored(vectors)
             if action == "conjugate" and name != "heisenberg3":
                 assert new < old, (name, degree, cap, old, new)

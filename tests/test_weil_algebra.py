@@ -368,12 +368,13 @@ GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 @pytest.mark.parametrize("name, degree, cap", [("su2", 4, 2), ("heisenberg3", 4, 2)])
 def test_change_of_basis_matches_substitute_on_golden_conjugate_relations(name, degree, cap):
-    # the relations of the basic system are basic elements in Omega coordinates,
-    # with dx, x and lam in every chart and Weil position
+    # the relations of the full iota/L system are basic elements in Omega
+    # coordinates, with dx, x and lam in every chart and Weil position
+    from test_equivariant import full_constraint_rows
     L = builtin(name)
     action = json.loads((GOLDEN_INPUTS / f"action_{name}_conjugate.json").read_text())
     model = WeilModel(3, L, [[[Fraction(x) for x in row] for row in mat] for mat in action])
-    dom, vectors = model.basic_constraint_rows(degree, cap)
+    dom, vectors = full_constraint_rows(model, degree, cap)
     relations = [WeilModelElement(model, {dom[j]: c for j, c in vec.items()})
                  for vec in linalg.relations(vectors)]
     assert relations
