@@ -135,6 +135,11 @@ CASES = [
                             "--base-dim", "2"]),
     ("oracle-1-1-2", 0, ["oracle", "--p", "1", "--q", "1", "--dimV", "2"]),
     ("oracle-2-2-2", 0, ["oracle", "--p", "2", "--q", "2", "--dimV", "2"]),
+    # dim V 3 and 4, where several V-weights share an orbit, and the unknown cap's refusal
+    ("oracle-2-1-3", 0, ["oracle", "--p", "2", "--q", "1", "--dimV", "3"]),
+    ("oracle-2-1-4", 0, ["oracle", "--p", "2", "--q", "1", "--dimV", "4"]),
+    ("oracle-2-2-3", 0, ["oracle", "--p", "2", "--q", "2", "--dimV", "3"]),
+    ("oracle-0-5-3-over-cap", 1, ["oracle", "--p", "0", "--q", "5", "--dimV", "3"]),
     ("error-unknown-algebra", 1, ["basic", "--algebra", "nosuch", "--degree", "2"]),
 ]
 
