@@ -47,7 +47,8 @@ from .liealg import (LieAlgebra, adjoint_matrices, basis_vector, check_represent
                      coadjoint_dual_basis, frac)
 from .masks import mask_of
 from .schur_oracle import capped_comb, check_size
-from .superalg import SuperElement, _acc, derivation, operator_rows, unit_exponent
+from .superalg import (SuperElement, _acc, derivation, operator_rows, substitute,
+                       unit_exponent)
 from .weil_algebra import (WeilElement, change_of_basis, contraction_images, key_degree,
                            koszul_dim, koszul_images, lie_images, sym_exponents, weil_basis)
 
@@ -264,13 +265,18 @@ class WeilModel:
         return dom, vectors
 
     def basic_basis(self, total_degree, poly_cap):
-        """The canonical basis of the basic elements of the truncation: each
-        relation b of the vectors of ``basic_constraint_rows`` is mapped to the
-        basic element e^-K b = sum_j (-K)^j b / j! in Omega coordinates, then
-        to lamt coordinates by ``change_of_basis``, and the ``linalg.echelon``
-        of the images over ``basis`` is read off."""
-        dom, vectors = self.basic_constraint_rows(total_degree, poly_cap)
-        (scale, powers), series = self._kalkman_powers(), {}
+        """The canonical basis of the basic elements of the truncation, solved on
+        the model of ``sparse_similar(action)`` as ``basic_dim`` is: each relation
+        b of the vectors of its ``basic_constraint_rows`` is mapped to the basic
+        element e^-K b = sum_j (-K)^j b / j! in Omega coordinates, then to lamt
+        coordinates by ``change_of_basis``, then back to this chart by
+        ``_chart_change`` unless the action was kept, and the
+        ``linalg.echelon`` of the images over ``basis`` is read off: the same
+        basis, since the chart change is an isomorphism of the basic
+        subspaces."""
+        S, sparse = self._sparse_model()
+        dom, vectors = sparse.basic_constraint_rows(total_degree, poly_cap)
+        (scale, powers), series = sparse._kalkman_powers(), {}
         elements = []
         for vec in linalg.relations(vectors):
             terms = {}
@@ -283,21 +289,51 @@ class WeilModel:
                     for (im, ie), v in image.items():
                         key = im, tuple(map(add, ie, exps))
                         terms[key] = terms.get(key, 0) + c * f * v
-            elements.append(WeilModelElement(self, terms))
+            elements.append(WeilModelElement(sparse, terms))
         images = change_of_basis(self.algebra, elements)
+        if sparse.action is not self.action:  # else S is the identity
+            images = self._chart_change(S, images)
         return [WeilModelElement(self, terms) for terms in
                 linalg.echelon([a.terms for a in images], self.basis(total_degree, poly_cap))]
 
     def basic_dim(self, total_degree, poly_cap) -> int:
         """len(dom) minus the rank of the image vectors, which is the rank of the
-        system, solved on the model of ``sparse_similar(action)``: similar actions
-        have the same basic dimension (see the module docstring), and a similarity
-        keeps the brackets, so the representation is not checked again."""
-        action = sparse_similar(self.action)[1]
+        system, solved on the model of ``sparse_similar(action)`` (see the
+        module docstring)."""
+        dom, vectors = self._sparse_model()[1].basic_constraint_rows(total_degree, poly_cap)
+        return len(dom) - linalg.rank(vectors)
+
+    def _sparse_model(self):
+        """(S, the model of S^-1 rho S), (S, S^-1 rho S) from ``sparse_similar``:
+        similar actions have the same basic dimension, and a similarity keeps
+        the brackets, so the representation is not checked again."""
+        S, action = sparse_similar(self.action)
         sparse = object.__new__(WeilModel)
         sparse.__dict__.update(vars(self), action=action, _fields=_field_entries(action))
-        dom, vectors = sparse.basic_constraint_rows(total_degree, poly_cap)
-        return len(dom) - linalg.rank(vectors)
+        return S, sparse
+
+    def _chart_change(self, S, elements):
+        """Elements of the model of S^-1 rho S, whose chart coordinates are
+        y = S^-1 x, as elements of this model: y_t and dy_t are replaced by
+        sum_u (S^-1)_tu x_u and sum_u (S^-1)_tu dx_u, by one ``substitute``
+        per chart key met, times the key's Weil factor."""
+        m = self.m
+        inverse = linalg.solve([{r: row[c] for r, row in enumerate(S)} for c in range(m)],
+                               [{u: 1} for u in range(m)])  # column u of S^-1
+        ys = [ChartForm(m, {(0, unit_exponent(m, u)): col[t] for u, col in enumerate(inverse)
+                            if col[t]}) for t in range(m)]
+        odd, one, memo = [chart_d(y) for y in ys], ChartForm.unit(m), {}
+        images = []
+        for a in elements:
+            terms = {}
+            for key, c in a.terms.items():
+                chart, weil = self.split(key)
+                if chart not in memo:
+                    memo[chart] = substitute(ChartForm(m, {chart: 1}), odd, ys, one).terms
+                for image, v in memo[chart].items():
+                    _acc(terms, self.join(image, weil), c * v)
+            images.append(WeilModelElement(self, terms))
+        return images
 
 
 class WeilModelElement(SuperElement):

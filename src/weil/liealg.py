@@ -110,7 +110,9 @@ def check_representation(L: LieAlgebra, mats):
     that of the structure constants', it is E [D rho_i, D rho_j] =
     sum_k (D E f^k_ij) (D rho_k).  Only nonzero entries are multiplied: each
     matrix is kept as its nonzero entries by row, and the structure constants
-    are grouped by (i, j) once.
+    are grouped by (i, j) once.  Each ordered product rho_i rho_j, i != j, is
+    taken once: the commutator at (i, j), i < j, is kept and negated at
+    (j, i), and at (i, i) it is 0, leaving sum_k f^k_ii rho_k to vanish.
     """
     D, rows = _int_rows(mats)
     E = lcm(*(c.denominator for c in L.structure.values()))
@@ -126,12 +128,16 @@ def check_representation(L: LieAlgebra, mats):
                     out[r, s] = out.get((r, s), 0) + x * y
         return out
 
+    later = {}
     for i in range(L.dim):
         for j in range(L.dim):
-            diff = product(i, j)
-            for key, v in product(j, i).items():
-                diff[key] = diff.get(key, 0) - v
-            diff = {key: E * v for key, v in diff.items()}
+            if i < j:
+                comm = later[j, i] = product(i, j)
+                for key, v in product(j, i).items():
+                    comm[key] = comm.get(key, 0) - v
+                diff = {key: E * v for key, v in comm.items()}
+            else:
+                diff = {key: -E * v for key, v in later.pop((i, j), {}).items()}
             for k, c in brackets.get((i, j), ()):
                 for r, row in enumerate(rows[k]):
                     for s, x in row:

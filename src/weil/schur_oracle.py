@@ -36,14 +36,28 @@ only their lowering images are built.  An unknown has a 0/1 weight, so
 E_{a+1,a} moves only the one slot holding a + 1, and every entry is +-1: the
 columns are integer, and their rank is computed exactly.  ``domain_action``,
 the derivation over every slot, is the slow route the tests compare with.
+
+The columns split into blocks by V-weight (Weyl, The Classical Groups;
+Fulton-Harris, Representation Theory, section 15): mu counts each V label
+over the slots of the V-base factors.  E_{a+1,a} changes W*-indices only, so
+a column and its rows keep mu, and the system is block-diagonal by mu.
+Relabelling V by a permutation sigma is an automorphism of D that commutes
+with gl(W) and sends each monomial to a monomial up to the sign of
+``canonical``'s re-sort; it maps block mu onto block sigma mu by a signed
+permutation of rows and columns, so the two blocks have the same rank.
+Hence dim = sum over the dominant mu (non-increasing) of
+|S_dimV mu| (|U_mu| - rank_mu), the orbit size a multinomial, and only the
+dominant blocks are enumerated and ranked.  With no V slot, or dim V = 1,
+there is one weight, of orbit 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
-from itertools import combinations
-from math import comb
+from collections import Counter, namedtuple
+from itertools import accumulate, combinations, product
+from math import comb, factorial, perm, prod
+from operator import add
 
 from . import linalg
 from .polyfunctor import canonical
@@ -110,21 +124,28 @@ def _ext_action(w, a, b):
     return rest[:j] + (b,) + rest[j:], -1 if (i - j) % 2 == 0 else 1
 
 
-def domain_basis(problem: EquivHomProblem):
-    """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight); more than
-    DEFAULT_CAP of them, more than MAX_SLOTS slots, or a base-element table over
-    DEFAULT_CAP (checked before it is built) raise ResourceCapError.
+def domain_basis(problem: EquivHomProblem, dominant=False):
+    """Domain monomials of 0/1 weight, the unknowns, as (monomial, weight) in
+    ascending order; with ``dominant``, one (mu, orbit, unknowns) per dominant
+    V-weight mu instead, mu the non-increasing label counts, nonzero ones
+    only, and orbit the size of its S_dimV orbit.  More than MAX_SLOTS
+    slots, a base-element table over DEFAULT_CAP (checked before it is
+    built), or more than DEFAULT_CAP unknowns over all V-weights raise
+    ResourceCapError.
 
-    Slots are filled one at a time, and the W*-indices in use are kept as
-    one int bitmask; a slot whose mask meets it would raise a weight entry
-    to 2 and is not placed: weights only grow as slots are added.  In a
-    sorted factor the first W*-indices of the slots then strictly increase,
-    so a slot with first W*-index i is placed only if the n - i first
-    indices from i on leave room for the factor's remaining slots; the
-    elements are in ascending order of first index, so the first slot that
-    leaves no room ends the loop.
+    The slots' W*-parts, the skeleton of an unknown, are filled first, one
+    slot at a time, and the W*-indices in use are kept as one int bitmask; a
+    slot whose mask meets it would raise a weight entry to 2 and is not
+    placed: weights only grow as slots are added.  In a sorted factor the
+    first W*-indices of the slots then strictly increase, so a slot with
+    first W*-index i is placed only if the n - i first indices from i on
+    leave room for the factor's remaining slots; the elements are in
+    ascending order of first index, so the first slot that leaves no room
+    ends the loop.  The W*-parts of an unknown are disjoint, so they alone
+    sort each factor, and every labelling of the m slots on a V base by V
+    indices completes a skeleton to one unknown: dim V^m per skeleton.
     """
-    n = problem.dim_w
+    n, dim_v = problem.dim_w, problem.dim_v
     slots = sum(f.degree for f in problem.domain)
     if slots > MAX_SLOTS:
         raise ResourceCapError(f"a domain of {slots} slots is over the cap {MAX_SLOTS}")
@@ -132,26 +153,32 @@ def domain_basis(problem: EquivHomProblem):
     for f in problem.domain:
         elems = []
         if f.degree:
-            check_size(capped_comb(n, f.w_weight) * (problem.dim_v if f.base.endswith("V") else 1),
-                       f"a {f.base} basis at dim W {n} and dim V {problem.dim_v}")
-            elems = base_elements(f.base, n, problem.dim_v)
+            check_size(capped_comb(n, f.w_weight) * (dim_v if f.base.endswith("V") else 1),
+                       f"a {f.base} basis at dim W {n} and dim V {dim_v}")
+            elems = base_elements(f.base.removesuffix("V"), n, 0)
         # where the next slot of the factor starts: sorted with repeats,
         # strictly increasing, or anywhere
         step = {"sym": 0, "ext": 1, "ten": None}[f.op]
-        masks = [sum(1 << i for i in e[:f.w_weight]) for e in elems]
+        masks = [sum(1 << i for i in e) for e in elems]
         tables.append((f.degree, step, elems, masks, [e[0] for e in elems]))
+    labelled = [t for t, f in enumerate(problem.domain) if f.base.endswith("V")]
+    spans = list(accumulate((problem.domain[t].degree for t in labelled), initial=0))
+    m = spans[-1]
+    per = dim_v ** m
+    if not per:
+        return []
     weights = {}
-    found = []
+    skeletons = []
 
     def fill(fi, parts, slots, start, used):
         if fi == len(tables):
             w = weights.get(used)
             if w is None:
                 w = weights[used] = tuple((used >> i) & 1 for i in range(n))
-            found.append((parts, w))
-            if len(found) > DEFAULT_CAP:
-                raise ResourceCapError(
-                    f"problem needs at least {len(found)} unknowns, over the cap {DEFAULT_CAP}")
+            skeletons.append((parts, w))
+            if len(skeletons) * per > DEFAULT_CAP:
+                raise ResourceCapError(f"problem needs at least {DEFAULT_CAP + 1} unknowns, "
+                                       f"over the cap {DEFAULT_CAP}")
             return
         degree, step, elems, masks, firsts = tables[fi]
         if len(slots) == degree:
@@ -168,7 +195,32 @@ def domain_basis(problem: EquivHomProblem):
             slots.pop()
 
     fill(0, (), [], 0, 0)
-    return found
+    if not skeletons:
+        return []
+
+    def attach(labellings):
+        """Each skeleton completed by each labelling of its V slots."""
+        cuts = [[(t, [(i,) for i in labels[a:b]]) for t, a, b in zip(labelled, spans, spans[1:])]
+                for labels in labellings]
+        out = []
+        for parts, w in skeletons:
+            for cut in cuts:
+                v = list(parts)
+                for t, tails in cut:
+                    v[t] = tuple(map(add, parts[t], tails))
+                out.append((tuple(v), w))
+        return out
+
+    if not dominant:
+        return sorted(attach(product(range(dim_v), repeat=m)))
+    # a dominant weight uses only the labels below m, and at most dim V of them
+    k, blocks = min(m, dim_v), {}
+    for labels in product(range(k), repeat=m):
+        counts = [labels.count(i) for i in range(k)]
+        if counts == sorted(counts, reverse=True):
+            blocks.setdefault(tuple(filter(None, counts)), []).append(labels)
+    return [(mu, perm(dim_v, len(mu)) // prod(map(factorial, Counter(mu).values())),
+             attach(labellings)) for mu, labellings in blocks.items()]
 
 
 def domain_weight(problem: EquivHomProblem, elem):
@@ -282,10 +334,13 @@ def equivariant_hom_dim(problem: EquivHomProblem) -> int:
     """Exact dimension of the GL(W)-equivariant maps D -> Lambda^r W*."""
     if problem.total_w_weight() != problem.codomain_degree:
         return 0
-    # a 0/1 weight has one codomain monomial, so a matched v is one unknown
-    matched = domain_basis(problem)
-    columns, _ = lowering_columns(problem, matched)
-    return len(matched) - linalg.rank(columns)
+    # a 0/1 weight has one codomain monomial, so a matched v is one unknown;
+    # the blocks of one S_dimV orbit have the same rank
+    dim = 0
+    for _, orbit, matched in domain_basis(problem, dominant=True):
+        columns, _ = lowering_columns(problem, matched)
+        dim += orbit * (len(matched) - linalg.rank(columns))
+    return dim
 
 
 BidegreeReport = namedtuple("BidegreeReport", "p q dim_v dim_w expected computed match")

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -18,10 +18,10 @@ from weil.liealg import (BUILTIN_NAMES, basis_vector, builtin, check_representat
 from weil.masks import mask_of
 from weil.schur_oracle import ResourceCapError
 from weil.superalg import ONE, derivation, operator_rows, unit_exponent
-from weil.weil_algebra import (WeilElement, contract as weil_contract, contraction_images,
-                               curvature_generator, d_K, key_degree, koszul_images,
-                               lie_derivative, lie_images, sym_exponents, term_sort_key,
-                               weil_basis)
+from weil.weil_algebra import (WeilElement, change_of_basis, contract as weil_contract,
+                               contraction_images, curvature_generator, d_K, key_degree,
+                               koszul_images, lie_derivative, lie_images, sym_exponents,
+                               term_sort_key, weil_basis)
 from weil import linalg
 
 from test_liealg import CountingFraction
@@ -734,7 +734,7 @@ def test_basic_dim_is_the_raw_rank_on_seeded_conjugates(degree, cap):
             (model.algebra.name, model.action)
 
 
-def test_only_basic_dim_solves_on_the_sparse_action(monkeypatch):
+def test_basic_dim_and_basic_basis_solve_on_the_sparse_action(monkeypatch):
     model, seen = cartan_model("su2", "conjugate"), []
     rows = WeilModel.basic_constraint_rows
 
@@ -745,7 +745,7 @@ def test_only_basic_dim_solves_on_the_sparse_action(monkeypatch):
     monkeypatch.setattr(WeilModel, "basic_constraint_rows", spy)
     model.basic_dim(2, 1)
     model.basic_basis(2, 1)
-    assert seen == [equivariant.sparse_similar(model.action)[1], model.action]
+    assert seen == [equivariant.sparse_similar(model.action)[1]] * 2
     assert nnz(seen[0]) == 6 < nnz(model.action)
 
 
@@ -759,11 +759,58 @@ def test_basic_dim_is_the_raw_rank_on_semidirect_conjugates_rot2_and_trivial():
                 (model.algebra.structure, model.action, degree, cap)
 
 
+def golden_action(name):
+    path = Path(__file__).parent / "golden" / "inputs" / f"action_{name}_conjugate.json"
+    return [[[Fraction(x) for x in row] for row in mat] for mat in json.loads(path.read_text())]
+
+
 def test_basic_dim_of_the_su2_golden_conjugate_at_6_3_is_the_raw_rank():
-    path = Path(__file__).parent / "golden" / "inputs" / "action_su2_conjugate.json"
-    action = [[[Fraction(x) for x in row] for row in mat] for mat in json.loads(path.read_text())]
-    model = WeilModel(3, SU2, action)
+    model = WeilModel(3, SU2, golden_action("su2"))
     assert model.basic_dim(6, 3) == raw_basic_dim(model, 6, 3)
+
+
+def raw_basic_basis(model, degree, cap):
+    """basic_basis solved on the model's own action: the relations of its
+    ``basic_constraint_rows`` mapped by e^-K, then to lamt coordinates, and the
+    ``echelon`` of the images over ``basis``."""
+    dom, vectors = model.basic_constraint_rows(degree, cap)
+    scale, powers = model._kalkman_powers()
+    elements = []
+    for vec in linalg.relations(vectors):
+        terms = {}
+        for j, c in vec.items():
+            mask, exps = dom[j]
+            for k, image in enumerate(powers(mask)):
+                f = Fraction((-1) ** k, factorial(k) * scale ** k)
+                for (im, ie), v in image.items():
+                    key = im, tuple(a + b for a, b in zip(ie, exps))
+                    terms[key] = terms.get(key, 0) + c * f * v
+        elements.append(WeilModelElement(model, terms))
+    images = change_of_basis(model.algebra, elements)
+    return [WeilModelElement(model, terms) for terms in
+            linalg.echelon([a.terms for a in images], model.basis(degree, cap))]
+
+
+def test_basic_basis_is_the_raw_route_term_for_term():
+    # solved on the sparse similar action and mapped back by the chart change
+    # x' = S^-1 x: the same canonical basis, values and insertion order
+    cases = [(WeilModel(3, builtin(name), golden_action(name)), truncations)
+             for name, truncations in (("su2", ((4, 2), (5, 2))),
+                                       ("heisenberg3", ((4, 2), (5, 2))))]
+    cases += [(model, ((3, 2), (4, 1))) for model in seeded_conjugate_models()]
+    cases += [(model, ((2, 2), (3, 1))) for model in seeded_models(random.Random(71))]
+    cases += [(rotation_model(), ((0, 2), (2, 2))),
+              (WeilModel(2, SU2, builtin_action("trivial:2", SU2)[1]), ((2, 1), (3, 1)))]
+    moved = 0
+    for model, truncations in cases:
+        moved += equivariant.sparse_similar(model.action)[1] != model.action
+        for degree, cap in truncations:
+            got = model.basic_basis(degree, cap)
+            assert all(v.model is model for v in got)
+            assert [list(v.terms.items()) for v in got] == \
+                [list(v.terms.items()) for v in raw_basic_basis(model, degree, cap)], \
+                (model.algebra.structure, model.action, degree, cap)
+    assert moved >= 14
 
 
 def rank_bound_models():

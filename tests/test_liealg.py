@@ -456,6 +456,59 @@ def test_check_representation_on_ints_matches_the_fraction_check():
     assert sum(o is not None for o in outcomes) > len(outcomes) // 2
 
 
+def test_check_representation_takes_each_ordered_product_once(monkeypatch):
+    # gl(2) + heisenberg3 acting on itself, as above: rho_i rho_j is formed once
+    # for each i != j and never for i = j, and each structure constant
+    # multiplies the entries of its rho_k once
+    L = make_lie_algebra(7, {**gl_subalgebra(2, False).structure,
+                             **{(i + 4, j + 4, k + 4): c for (i, j, k), c
+                                in builtin("heisenberg3").structure.items()}})
+    _, mats = builtin_action("adjoint", L)
+    nonzero = [[(r, s) for r, row in enumerate(mat) for s, x in enumerate(row) if x]
+               for mat in mats]
+    int_rows = liealg._int_rows
+
+    def counting_rows(mats):
+        D, rows = int_rows(mats)
+        return D, [[[(s, CountingInt(x)) for s, x in row] for row in mat] for mat in rows]
+
+    monkeypatch.setattr(liealg, "_int_rows", counting_rows)
+    products = sum(1 for i in range(L.dim) for j in range(L.dim) if i != j
+                   for r, t in nonzero[i] for t2, _ in nonzero[j] if t == t2)
+    scalings = sum(len(nonzero[k]) for (i, j, k) in L.structure)
+    CountingInt.products = 0
+    check_representation(L, mats)
+    assert CountingInt.products == products + scalings
+
+
+def test_check_representation_names_the_first_violation_of_the_all_pairs_loop():
+    # tables made non-antisymmetric by one changed constant, and seeded bad
+    # matrices: the violation named is the first of the loop over every ordered
+    # pair, whether it falls at i < j, at i = j or at i > j
+    rng = random.Random(59)
+    cases = []
+    for L in random_valid_algebras(rng):
+        mats, n = adjoint_matrices(L), L.dim
+        for _ in range(3):
+            table = dict(L.structure)
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            table[i, j, k] = table.get((i, j, k), 0) + Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                rng.choice((1, 2)))
+            cases.append((make_lie_algebra(n, table), mats))
+        bad = [[list(row) for row in mat] for mat in mats]
+        i, r, s = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        bad[i][r][s] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        cases.append((L, bad))
+    where = set()
+    for L, mats in cases:
+        expected = check_outcome(fraction_check_representation, L, mats)
+        assert check_outcome(check_representation, L, mats) == expected, (L.structure, mats)
+        if expected is not None:
+            i, j = map(int, expected[expected.index("(") + 1:-1].split(","))
+            where.add((i > j) - (i < j))
+    assert where == {-1, 0, 1}
+
+
 def strictly_upper(k):
     """The nilpotent strictly upper-triangular matrices, the ideal of the Borel
     of gl(k) spanned by the units E_ab, a < b, renumbered in order."""

@@ -272,7 +272,8 @@ def test_lowering_columns_match_domain_action():
 
 
 def test_one_column_per_unknown(monkeypatch):
-    # one enumeration, and one vector per unknown handed to the rank
+    # one enumeration, and one rank per dominant V-weight, handed one vector per
+    # unknown of that weight: 495 of the 720 unknowns, in blocks of 45, 180 and 270
     enumerations, handed = [], []
     basis, rank = schur_oracle.domain_basis, linalg.rank
 
@@ -287,9 +288,112 @@ def test_one_column_per_unknown(monkeypatch):
     monkeypatch.setattr(schur_oracle, "domain_basis", counted_basis)
     monkeypatch.setattr(linalg, "rank", counted_rank)
     assert verify_bidegree(2, 2, 2).match
-    assert len(enumerations) == 1 and len(handed) == 1
-    assert len(handed[0]) == len(enumerations[0]) == 720
-    assert all(max(w) <= 1 for _, w in enumerations[0])
+    assert len(enumerations) == 1
+    blocks = enumerations[0]
+    assert [(mu, orbit) for mu, orbit, _ in blocks] == [((4,), 2), ((3, 1), 2), ((2, 2), 1)]
+    assert [len(h) for h in handed] == [len(u) for _, _, u in blocks] == [45, 180, 270]
+    assert sum(orbit * len(u) for _, orbit, u in blocks) == 720
+    assert all(max(w) <= 1 for _, _, u in blocks for _, w in u)
+
+
+def _v_weight(problem, elem):
+    """The V-weight of a domain monomial: the count of each V label over the
+    slots of its V-base factors."""
+    mu = [0] * problem.dim_v
+    for f, part in zip(problem.domain, elem):
+        if f.base.endswith("V"):
+            for slot in part:
+                mu[slot[-1]] += 1
+    return tuple(mu)
+
+
+def _weight_blocks(problem):
+    """The unknowns of the full list grouped by V-weight, every weight of the
+    V slots listed (dominant or not, empty blocks included)."""
+    m = sum(f.degree for f in problem.domain if f.base.endswith("V"))
+    blocks = {mu: [] for mu in product(range(m + 1), repeat=problem.dim_v) if sum(mu) == m}
+    for v, w in domain_basis(problem):
+        blocks[_v_weight(problem, v)].append((v, w))
+    return blocks
+
+
+def _block_dim(problem, matched):
+    columns, _ = lowering_columns(problem, matched)
+    return len(matched) - linalg.rank(columns)
+
+
+# (p, q, dim V): dim V 1 to 4 and every bidegree with p + 2q <= 4 at dim V 2
+WEIGHT_CONFIGS = ((1, 0, 1), (2, 1, 1), (1, 2, 1), (1, 0, 2), (0, 1, 2), (2, 0, 2), (1, 1, 2),
+                  (0, 2, 2), (3, 0, 2), (2, 1, 2), (4, 0, 2), (1, 1, 3), (2, 1, 3), (0, 2, 3),
+                  (1, 1, 4))
+
+
+def test_weight_blocks_give_the_weight_multiplicities():
+    # the kernel of each V-weight block has the dimension of that weight space of
+    # Lambda^p V* (x) Sym^q V*: the p-subsets and q-multisets of labels of that content
+    for p, q, dim_v in WEIGHT_CONFIGS:
+        problem = bidegree_problem(p, q, dim_v)
+        content = Counter()
+        for ext in combinations(range(dim_v), p):
+            for sym in combinations_with_replacement(range(dim_v), q):
+                counts = Counter(ext + sym)
+                content[tuple(counts[i] for i in range(dim_v))] += 1
+        blocks = _weight_blocks(problem)
+        for mu, matched in blocks.items():
+            assert _block_dim(problem, matched) == content[mu], (p, q, dim_v, mu)
+        # the dominant blocks are those of the full list, each with its orbit's size
+        dominant = domain_basis(problem, dominant=True)
+        for mu, orbit, matched in dominant:
+            full = mu + (0,) * (dim_v - len(mu))
+            assert sorted(matched) == blocks[full], (p, q, dim_v, mu)
+            assert orbit == sum(sorted(nu, reverse=True) == list(full) for nu in blocks)
+        assert sum(orbit * len(u) for _, orbit, u in dominant) == len(domain_basis(problem))
+
+
+def test_block_ranks_are_constant_on_weight_orbits():
+    # relabelling V maps the block of mu onto the block of any permutation of mu
+    # up to signs, so every block has the rank of the dominant block of its orbit
+    for problem in _grid():
+        if problem.dim_v < 2 or problem.total_w_weight() != problem.codomain_degree:
+            continue
+        blocks = _weight_blocks(problem)
+        ranks = {mu: linalg.rank(lowering_columns(problem, matched)[0])
+                 for mu, matched in blocks.items()}
+        for mu, r in ranks.items():
+            assert r == ranks[tuple(sorted(mu, reverse=True))], (problem, mu)
+
+
+def _full_enumeration_refusal(problem, cap):
+    """The refusal message under ``cap`` from the closed-form table sizes and the
+    full list of unknowns, or None."""
+    n = problem.dim_w
+    for f in problem.domain:
+        size = comb(n, f.w_weight) * (problem.dim_v if f.base.endswith("V") else 1)
+        if f.degree and size > cap:
+            return f"a {f.base} basis at dim W {n} and dim V {problem.dim_v} is over the cap {cap}"
+    if len(domain_basis(problem)) > cap:
+        return f"problem needs at least {cap + 1} unknowns, over the cap {cap}"
+    return None
+
+
+def test_small_caps_refuse_what_the_full_enumeration_refuses(monkeypatch):
+    # the cap bounds the unknowns of every V-weight, not only the dominant ones
+    problems = [p for p in _grid() if p.total_w_weight() == p.codomain_degree]
+    problems += [bidegree_problem(p, q, dim_v) for p, q, dim_v in WEIGHT_CONFIGS]
+    caps = (3, 6, 20, 40, 100)
+    dims = {problem: equivariant_hom_dim(problem) for problem in problems}
+    messages = {(cap, problem): _full_enumeration_refusal(problem, cap)
+                for cap in caps for problem in problems}
+    for cap in caps:
+        monkeypatch.setattr(schur_oracle, "DEFAULT_CAP", cap)
+        for problem in problems:
+            message = messages[cap, problem]
+            if message is None:
+                assert equivariant_hom_dim(problem) == dims[problem], (cap, problem)
+            else:
+                with pytest.raises(ResourceCapError) as err:
+                    equivariant_hom_dim(problem)
+                assert str(err.value) == message, (cap, problem)
 
 
 def test_domain_basis_is_the_weight_filter_of_all_monomials():
@@ -401,6 +505,9 @@ def test_resource_cap_refuses_before_any_action(monkeypatch):
     over = EquivHomProblem(8, 0, (Factor("ten", 8, "W"),), 8)
     with pytest.raises(ResourceCapError, match="over the cap 20000"):
         equivariant_hom_dim(over)
+    # A^{0,5} at dim V 3: 3^5 labellings of each of the 945 skeletons
+    with pytest.raises(ResourceCapError, match="at least 20001 unknowns, over the cap 20000"):
+        verify_bidegree(0, 5, 3)
     assert calls == []
     assert equivariant_hom_dim(antisymmetrization_problem(3, 3, 3)) == 1 and calls
 
